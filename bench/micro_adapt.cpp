@@ -98,7 +98,7 @@ struct PlannerFixture {
     explicit PlannerFixture(const cg::CallGraph& graph)
         : measurement(std::make_unique<scorep::Measurement>()),
           model([] {
-              adapt::ModelOptions options;
+              adapt::Config options;
               options.perEventCostNs = 100.0;
               return options;
           }()) {
@@ -133,7 +133,7 @@ void runPlannerBench(benchmark::State& state, bool parallel) {
     const PlannerFixture& fixture =
         plannerFixture(static_cast<std::uint32_t>(state.range(0)));
     adapt::BudgetPlanner planner(graph);
-    adapt::PlannerOptions options;
+    adapt::Config options;
     options.budgetFraction = 0.05;
     options.threads = parallel ? 0 : 1;
     for (auto _ : state) {

@@ -38,18 +38,6 @@ struct Group {
 
 PlanResult BudgetPlanner::plan(const select::InstrumentationConfig& candidate,
                                const OverheadModel& model,
-                               const PlannerOptions& options) const {
-    Config config;
-    config.budgetFraction = options.budgetFraction;
-    config.keep = options.keep;
-    config.threads = options.threads;
-    config.pool = options.pool;
-    config.enableSampledTier = false;
-    return plan(candidate, model, config);
-}
-
-PlanResult BudgetPlanner::plan(const select::InstrumentationConfig& candidate,
-                               const OverheadModel& model,
                                const Config& config) const {
     PlanResult result;
     result.ic.specName = candidate.specName.empty() ? "budget"

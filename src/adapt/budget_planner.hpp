@@ -27,28 +27,7 @@
 #include "select/ic.hpp"
 #include "select/scc.hpp"
 
-namespace capi::support {
-class ThreadPool;
-}
-
 namespace capi::adapt {
-
-/// DEPRECATED thin shim: prefer adapt::Config, which adds the sampled-tier
-/// knobs. Plans made through this struct run with the sampled tier disabled
-/// (the binary Full|Off planner, unchanged).
-struct PlannerOptions {
-    /// Probe-time budget as a fraction of *application* runtime (probe cost
-    /// excluded), so the realized overhead ratio stays below the fraction
-    /// even after trimming shrinks the total runtime.
-    double budgetFraction = 0.05;
-    /// Regions never excluded; their SCC group is admitted before the
-    /// budget sweep and may alone exceed the budget (the user's call).
-    std::vector<std::string> keep;
-    /// As in PipelineOptions: 1 = serial reference, anything else borrows
-    /// the process-wide Executor pool unless `pool` injects one.
-    std::size_t threads = 1;
-    support::ThreadPool* pool = nullptr;
-};
 
 struct PlanResult {
     select::InstrumentationConfig ic;     ///< The trimmed patch set (the
@@ -89,12 +68,7 @@ public:
     /// atomically, so a recursion group is never half-sampled. keep-listed
     /// groups are pinned at Full.
     PlanResult plan(const select::InstrumentationConfig& candidate,
-                    const OverheadModel& model, const Config& config) const;
-
-    /// DEPRECATED binary overload: forwards with the sampled tier disabled.
-    PlanResult plan(const select::InstrumentationConfig& candidate,
-                    const OverheadModel& model,
-                    const PlannerOptions& options = {}) const;
+                    const OverheadModel& model, const Config& config = {}) const;
 
 private:
     const cg::CallGraph* graph_;

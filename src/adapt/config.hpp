@@ -1,12 +1,8 @@
-// The one configuration surface of the adaptive layer.
-//
-// ModelOptions, PlannerOptions and ControllerOptions grew overlapping knobs
-// (probe cost, budget fraction, EWMA alpha each appeared in more than one
-// struct, silently divergeable). Config consolidates every knob in one
-// struct owned by the Controller and passed down to the model and planner;
-// the old structs remain as thin deprecated shims for one release (see
-// their headers) and convert into a Config with the sampled tier disabled,
-// which reproduces the binary Full|Off behaviour bit for bit.
+// The one configuration surface of the adaptive layer: every knob of the
+// overhead model, the budget planner, the kill-switch and the controller's
+// self-healing lives in this struct. The Decider owns a copy, builds its
+// model from it and plans under it, so a fleet Aggregator and an in-process
+// Controller built from the same Config share every constant.
 #pragma once
 
 #include <cstddef>
@@ -76,11 +72,11 @@ struct Config {
     /// unless `pool` injects one.
     std::size_t threads = 1;
     support::ThreadPool* pool = nullptr;
-    /// When set (to the SAME graph the controller was constructed over),
-    /// every epoch folds measured per-region visit counts into
-    /// FunctionMetrics::profiledVisits through CallGraph::touchMetrics —
-    /// metric-only journal records, so re-selections patch their CSR
-    /// snapshot instead of rebuilding.
+    /// When set (to the SAME graph the controller or aggregator was
+    /// constructed over), every epoch folds measured per-region visit
+    /// counts into FunctionMetrics::profiledVisits through
+    /// CallGraph::touchMetrics — metric-only journal records, so
+    /// re-selections patch their CSR snapshot instead of rebuilding.
     cg::CallGraph* foldVisitMetricsInto = nullptr;
 
     // --- self-healing ------------------------------------------------------
@@ -92,9 +88,9 @@ struct Config {
     std::uint64_t retrySeed = 0;
     /// Overhead kill-switch: when the measured overhead ratio exceeds
     /// budgetFraction * killSwitchFactor for killSwitchEpochs consecutive
-    /// epochs, the controller trips into SafeMode (minimal keep-only
+    /// epochs, the Decider trips into safe mode (minimal keep-only
     /// instrumentation). killSwitchRearmEpochs consecutive in-budget epochs
-    /// in SafeMode re-arm the planner (hysteresis, so a borderline workload
+    /// in safe mode re-arm the planner (hysteresis, so a borderline workload
     /// does not flap between tripped and armed).
     double killSwitchFactor = 3.0;
     std::size_t killSwitchEpochs = 3;

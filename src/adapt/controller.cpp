@@ -1,11 +1,9 @@
 #include "adapt/controller.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -56,12 +54,11 @@ const char* healthName(EpochHealth health) {
 Controller::Controller(const cg::CallGraph& graph, dyncapi::DynCapi& dyn,
                        Config config)
     : dyn_(&dyn),
-      config_(std::move(config)),
-      session_(std::make_unique<dyncapi::RefinementSession>(graph,
-                                                            config_.threads)),
-      model_(config_),
-      planner_(graph),
-      obsEventsAtLastEpoch_(obs::TraceRecorder::global().recordedEvents()) {
+      decider_(graph, std::move(config),
+               {.model = controllerSpanNames().model,
+                .plan = controllerSpanNames().plan}),
+      session_(std::make_unique<dyncapi::RefinementSession>(
+          graph, decider_.config().threads)) {
     // Lifetime HealthStats and the latest epoch's headline numbers, exported
     // from end-of-epoch snapshot copies so the collector never races the
     // controller's working state.
@@ -108,10 +105,6 @@ Controller::Controller(const cg::CallGraph& graph, dyncapi::DynCapi& dyn,
         });
 }
 
-Controller::Controller(const cg::CallGraph& graph, dyncapi::DynCapi& dyn,
-                       ControllerOptions options)
-    : Controller(graph, dyn, options.toConfig()) {}
-
 Controller::~Controller() {
     obs::MetricsRegistry::global().removeCollector(metricsCollectorId_);
 }
@@ -125,13 +118,16 @@ select::SelectionReport Controller::startFromSpec(const std::string& specText,
 }
 
 dyncapi::InitStats Controller::start(select::InstrumentationConfig surveyIc) {
-    surveyIc_ = std::move(surveyIc);
-    currentIc_ = surveyIc_;
-    // The survey epoch always measures at Full: the model needs unsampled
-    // ground truth before the planner can demote anything.
-    currentPolicy_ = select::InstrumentationPolicy::fullOf(currentIc_);
+    decider_.start(std::move(surveyIc));
     lastReport_ = EpochReport{};
-    return dyn_->applyPolicy(currentPolicy_);
+    return dyn_->applyPolicy(decider_.policy());
+}
+
+EpochHealth Controller::health() const {
+    if (decider_.safeMode()) {
+        return EpochHealth::SafeMode;
+    }
+    return degraded_ ? EpochHealth::Degraded : EpochHealth::Healthy;
 }
 
 EpochReport Controller::epoch(const scorep::ProfileTree& profile,
@@ -141,142 +137,66 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
     obs::ScopedSpan epochSpan(spans.epoch, obs::SpanCategory::Epoch);
     epochSpan.setArg(lastReport_.epoch + 1);
 
-    // Everything the recorder accepted since the last epoch — the measured
-    // run's collective/fault/patch events — is this epoch's observation
-    // bill, charged into the model below at the calibrated per-event cost.
-    const std::uint64_t obsEventsNow =
-        obs::TraceRecorder::global().recordedEvents();
-    const std::uint64_t obsEventsDelta = obsEventsNow - obsEventsAtLastEpoch_;
-    obsEventsAtLastEpoch_ = obsEventsNow;
-
-    obs::ScopedSpan modelSpan(spans.model, obs::SpanCategory::Model);
-    // One profile walk per epoch, shared by the model and the metric fold.
-    const auto regionTotals = profile.regionTotals();
-    model_.observeEpoch(regionTotals, measurement, runtimeNs, &currentIc_);
-
-    if (config_.foldVisitMetricsInto != nullptr) {
-        // Route the epoch's observed visit counts into the graph as
-        // metric-only journal touches: only the regions whose count actually
-        // changed are dirtied, so a following re-selection patches its CSR
-        // snapshot and keeps every cached stage that reads no metrics of the
-        // touched nodes. Summed per name first — several region handles can
-        // share one function name across measurement recreations.
-        std::unordered_map<std::string, std::uint64_t> visitsByName;
-        for (const auto& [region, totals] : regionTotals) {
-            visitsByName[measurement.region(region).name] += totals.visits;
-        }
-        cg::CallGraph& graph = *config_.foldVisitMetricsInto;
-        for (const auto& [name, totalVisits] : visitsByName) {
-            cg::FunctionId id = graph.lookup(name);
-            if (id == cg::kInvalidFunction || !graph.alive(id)) {
-                continue;
-            }
-            const auto visits = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(totalVisits, UINT32_MAX));
-            if (graph.desc(id).metrics.profiledVisits != visits) {
-                graph.touchMetrics(id, [visits](cg::FunctionMetrics& metrics) {
-                    metrics.profiledVisits = visits;
-                });
-            }
-        }
-    }
+    Decision decision = decider_.decide(
+        decider_.observationsOf(profile.regionTotals(), measurement), runtimeNs);
 
     EpochReport report;
+    static_cast<DecisionSummary&>(report) = decision;
     report.epoch = lastReport_.epoch + 1;
     report.runtimeNs = runtimeNs;
-    report.obsEventsObserved = obsEventsDelta;
-    report.selfObsCostNs =
-        static_cast<double>(obsEventsDelta) * config_.obsCostNs;
-    // Charged before the headline numbers are read, so the convergence check
-    // and the kill-switch both see probe cost PLUS observation cost.
-    model_.chargeSelfCost(report.selfObsCostNs);
-    modelSpan.end();
-    report.measuredProbeCostNs = model_.lastEpochProbeCostNs();
-    report.measuredOverheadRatio = model_.lastEpochOverheadRatio();
-    report.withinBudget = report.measuredOverheadRatio <= config_.budgetFraction;
+    report.icSize = decision.ic.size();
 
-    updateKillSwitch(report);
-
-    // Pick the target policy: the planner's, or — with the kill-switch
-    // tripped — the keep-list-only fallback, whose cost does not depend on
-    // the planner's (apparently miscalibrated) model at all.
-    obs::ScopedSpan planSpan(spans.plan, obs::SpanCategory::Plan);
-    select::InstrumentationPolicy target;
-    select::InstrumentationConfig targetIc;
-    if (health_ == EpochHealth::SafeMode) {
-        target = safeModePolicy();
-        targetIc = target.patchSet();
-        report.budgetNs = config_.budgetFraction * runtimeNs;
-        report.plannedProbeCostNs = 0.0;
-        report.icSize = targetIc.size();
-        report.fullRegions = target.countOf(select::Tier::Full);
-        report.sampledRegions = 0;
-    } else {
-        // Re-plan over the survey candidates, not the shrunken current IC:
-        // the model's frozen estimates let the planner re-admit regions whose
-        // smoothed cost no longer blocks the budget (and re-promote regions
-        // it demoted to Sampled).
-        PlanResult plan = planner_.plan(surveyIc_, model_, config_);
-        report.budgetNs = plan.budgetNs;
-        report.plannedProbeCostNs = plan.plannedProbeCostNs;
-        report.icSize = plan.ic.size();
-        report.fullRegions = plan.fullRegions;
-        report.sampledRegions = plan.sampledRegions;
-        target = std::move(plan.policy);
-        targetIc = std::move(plan.ic);
+    auto instant = [](std::uint32_t name, std::uint64_t arg) {
+        obs::TraceRecorder::global().recordInstant(
+            name, obs::SpanCategory::Epoch, support::probeNowNs(), arg);
+    };
+    if (decision.killSwitchTripped) {
+        ++healthStats_.killSwitchTrips;
+        instant(spans.killSwitchTrip, report.epoch);
+    } else if (decision.killSwitchRearmed) {
+        // Re-armed into Degraded, not Healthy: the next planned epoch must
+        // prove itself clean before the controller reports full health.
+        degraded_ = true;
+        ++healthStats_.killSwitchRearms;
+        instant(spans.killSwitchRearm, report.epoch);
     }
 
-    select::PolicyDelta delta = select::policyDiff(currentPolicy_, target);
+    obs::ScopedSpan patchSpan(spans.patch, obs::SpanCategory::Patch);
+    const select::PolicyDelta delta =
+        select::policyDiff(decider_.policy(), decision.policy);
     report.addedFunctions = delta.added.size();
     report.removedFunctions = delta.removed.size();
     report.promotedFunctions = delta.promoted.size();
     report.demotedFunctions = delta.demoted.size();
-    planSpan.setArg(report.icSize);
-    planSpan.end();
-
-    obs::ScopedSpan patchSpan(spans.patch, obs::SpanCategory::Patch);
-    if (applyWithRetry(target, report)) {
-        currentPolicy_ = std::move(target);
-        currentIc_ = std::move(targetIc);
+    if (applyWithRetry(decision.policy, report)) {
+        decider_.adopt(std::move(decision.policy), std::move(decision.ic));
         if (report.retriesThisEpoch > 0) {
-            if (health_ == EpochHealth::Healthy) {
-                health_ = EpochHealth::Degraded;
-            }
-        } else if (health_ == EpochHealth::Degraded && !report.killSwitchRearmed) {
+            degraded_ = true;
+        } else if (!report.killSwitchRearmed) {
             // A clean epoch heals — but the rearm epoch itself stays
             // Degraded: the planner must prove a full epoch clean first.
-            health_ = EpochHealth::Healthy;
+            degraded_ = false;
         }
     } else {
         // Retries exhausted. The transaction rolled every attempt back, so
-        // the live sled/tier state still IS currentPolicy_ — the last
-        // known-good. Re-apply it as a consistency pass (normally a no-op
-        // delta) and stay on the old IC.
+        // the live sled/tier state still IS the Decider's policy in force —
+        // the last known-good. Re-apply it as a consistency pass (normally a
+        // no-op delta) and stay on the old IC.
         report.revertedToLastGood = true;
         ++healthStats_.reversions;
-        {
-            obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-            if (recorder.enabled()) {
-                recorder.recordInstant(spans.revert, obs::SpanCategory::Epoch,
-                                       support::probeNowNs(),
-                                       report.retriesThisEpoch);
-            }
-        }
-        if (health_ != EpochHealth::SafeMode) {
-            health_ = EpochHealth::Degraded;
-        }
+        instant(spans.revert, report.retriesThisEpoch);
+        degraded_ = true;
         try {
-            report.patch = dyn_->applyPolicyDelta(currentPolicy_);
+            report.patch = dyn_->applyPolicyDelta(decider_.policy());
         } catch (const xray::PatchError&) {
-            // Even the no-op revert failed: wedge into SafeMode and make a
+            // Even the no-op revert failed: wedge into safe mode and make a
             // best-effort attempt to shed down to the minimal policy.
             ++healthStats_.patchFailures;
-            health_ = EpochHealth::SafeMode;
+            decider_.enterSafeMode();
             try {
-                select::InstrumentationPolicy safe = safeModePolicy();
+                select::InstrumentationPolicy safe = decider_.safeModePolicy();
                 report.patch = dyn_->applyPolicyDelta(safe);
-                currentIc_ = safe.patchSet();
-                currentPolicy_ = std::move(safe);
+                decider_.adopt(safe, safe.patchSet());
             } catch (const xray::PatchError&) {
                 ++healthStats_.patchFailures;  // Keep last-good; next epoch retries.
             }
@@ -285,38 +205,31 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
     patchSpan.setArg(report.patch.functionsPatched +
                      report.patch.functionsUnpatched);
     patchSpan.end();
-    report.policyFingerprint = currentPolicy_.fingerprint();
-    report.health = health_;
+    report.policyFingerprint = decider_.policy().fingerprint();
+    report.health = health();
 
     lastReport_ = report;
-    {
-        // Publish the epoch's results for the metrics collector.
-        std::lock_guard<std::mutex> lock(obsMutex_);
-        obsHealth_ = healthStats_;
-        obsReport_ = report;
-    }
+    publish();
     return report;
 }
 
-select::InstrumentationPolicy Controller::safeModePolicy() const {
-    select::InstrumentationConfig keepIc;
-    keepIc.specName = "safe-mode";
-    for (const std::string& name : config_.keep) {
-        keepIc.addFunction(name);
-    }
-    return select::InstrumentationPolicy::fullOf(keepIc);
+void Controller::publish() {
+    std::lock_guard<std::mutex> lock(obsMutex_);
+    obsHealth_ = healthStats_;
+    obsReport_ = lastReport_;
 }
 
 bool Controller::applyWithRetry(const select::InstrumentationPolicy& target,
                                 EpochReport& report) {
-    support::Backoff backoff(config_.retryBackoff, config_.retrySeed);
-    for (std::size_t attempt = 0; attempt <= config_.patchRetries; ++attempt) {
+    const Config& config = decider_.config();
+    support::Backoff backoff(config.retryBackoff, config.retrySeed);
+    for (std::size_t attempt = 0; attempt <= config.patchRetries; ++attempt) {
         try {
             report.patch = dyn_->applyPolicyDelta(target);
             return true;
         } catch (const xray::PatchError&) {
             ++healthStats_.patchFailures;
-            if (attempt == config_.patchRetries) {
+            if (attempt == config.patchRetries) {
                 return false;
             }
             ++healthStats_.patchRetries;
@@ -326,49 +239,6 @@ bool Controller::applyWithRetry(const select::InstrumentationPolicy& target,
         }
     }
     return false;
-}
-
-void Controller::updateKillSwitch(EpochReport& report) {
-    const double tripRatio = config_.budgetFraction * config_.killSwitchFactor;
-    if (report.measuredOverheadRatio > tripRatio) {
-        ++overBudgetStreak_;
-        inBudgetStreak_ = 0;
-    } else if (report.withinBudget) {
-        ++inBudgetStreak_;
-        overBudgetStreak_ = 0;
-    } else {
-        // The grey zone between budget and trip ratio: breaks both streaks,
-        // which is the hysteresis that keeps a borderline workload from
-        // flapping between tripped and re-armed.
-        overBudgetStreak_ = 0;
-        inBudgetStreak_ = 0;
-    }
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    if (health_ != EpochHealth::SafeMode &&
-        overBudgetStreak_ >= config_.killSwitchEpochs) {
-        health_ = EpochHealth::SafeMode;
-        ++healthStats_.killSwitchTrips;
-        report.killSwitchTripped = true;
-        overBudgetStreak_ = 0;
-        if (recorder.enabled()) {
-            recorder.recordInstant(controllerSpanNames().killSwitchTrip,
-                                   obs::SpanCategory::Epoch,
-                                   support::probeNowNs(), report.epoch);
-        }
-    } else if (health_ == EpochHealth::SafeMode &&
-               inBudgetStreak_ >= config_.killSwitchRearmEpochs) {
-        // Re-arm into Degraded, not Healthy: the next planned epoch must
-        // prove itself clean before the controller reports full health.
-        health_ = EpochHealth::Degraded;
-        ++healthStats_.killSwitchRearms;
-        report.killSwitchRearmed = true;
-        inBudgetStreak_ = 0;
-        if (recorder.enabled()) {
-            recorder.recordInstant(controllerSpanNames().killSwitchRearm,
-                                   obs::SpanCategory::Epoch,
-                                   support::probeNowNs(), report.epoch);
-        }
-    }
 }
 
 EpochReport Controller::epochAllRanks(mpi::MpiWorld& world, int rank,
@@ -385,16 +255,13 @@ EpochReport Controller::epochAllRanks(mpi::MpiWorld& world, int rank,
         /// under the world lock so divergent ranks can re-apply it after
         /// they wake (satisfying the fingerprint-equality postcondition).
         select::InstrumentationPolicy convergedPolicy;
-        /// True on the slot of the rank whose controller ran the reduction
-        /// (that controller is already up to date; every other one must
-        /// check its fingerprint).
-        bool reducedByMe = false;
+        /// The Decider that ran the reduction (every other one must catch up).
+        const Decider* reducer = nullptr;
     };
     // Each rank deposits the fingerprint of the tiered policy it believes is
     // live, so the reducing rank can detect pre-epoch divergence across the
     // world (a rank that missed a repatch, say) and surface it in the report.
-    Slot slot{&localProfile, runtimeNs, currentPolicy_.fingerprint(), {}, {},
-              false};
+    Slot slot{&localProfile, runtimeNs, decider_.policy().fingerprint(), {}, {}};
     // The last-arriving rank reduces every deposited tree, runs the epoch
     // once and broadcasts the report back through the slots — one plan, one
     // delta repatch, one IC for the whole world. Runtimes are SUMMED across
@@ -408,7 +275,7 @@ EpochReport Controller::epochAllRanks(mpi::MpiWorld& world, int rank,
             scorep::ProfileTree merged;
             double worldRuntimeNs = 0.0;
             const std::uint64_t reducerFingerprint =
-                currentPolicy_.fingerprint();
+                decider_.policy().fingerprint();
             std::size_t divergent = 0;
             for (void* entry : all) {
                 auto* other = static_cast<Slot*>(entry);
@@ -424,8 +291,8 @@ EpochReport Controller::epochAllRanks(mpi::MpiWorld& world, int rank,
             for (void* entry : all) {
                 auto* other = static_cast<Slot*>(entry);
                 other->report = report;
-                other->convergedPolicy = currentPolicy_;
-                other->reducedByMe = (other == &slot);
+                other->convergedPolicy = decider_.policy();
+                other->reducer = &decider_;
             }
         });
     // Visible to every rank in its own returned report; lastReport_ is only
@@ -433,13 +300,14 @@ EpochReport Controller::epochAllRanks(mpi::MpiWorld& world, int rank,
     slot.report.droppedRanks =
         static_cast<std::size_t>(world.worldSize() - world.liveRankCount());
     // Reconciliation: a rank driving its own controller (one per process,
-    // the real-MPI shape) wakes here with a stale currentPolicy_ — the
-    // reduction patched only the reducing rank's. Adopt the converged
-    // policy so every rank's fingerprint equals the report's before this
-    // collective returns. When all ranks share one controller the
-    // fingerprints already match and nothing is written (no data race: the
-    // reducer's writes happened-before the wake-up).
-    if (!slot.reducedByMe) {
+    // the real-MPI shape) wakes here with a stale Decider and policy. Take
+    // over the reducer's decision state, so the next reduction decides the
+    // same whichever rank arrives last, and adopt the converged policy, so
+    // every rank's fingerprint equals the report's on return. No data race:
+    // the reducer's writes happened-before the wake-up, and its Decider
+    // changes again only in a reduction, which waits for this rank.
+    if (slot.reducer != &decider_) {
+        decider_.followDecisionsOf(*slot.reducer);
         slot.report = adoptPolicy(slot.convergedPolicy, slot.report);
     }
     return slot.report;
@@ -449,23 +317,22 @@ EpochReport Controller::adoptPolicy(
     const select::InstrumentationPolicy& converged,
     const EpochReport& worldReport) {
     EpochReport report = worldReport;
-    if (currentPolicy_.fingerprint() != report.policyFingerprint) {
+    if (decider_.policy().fingerprint() != report.policyFingerprint) {
         // Diagnose, not just count: the region-level diff between what this
         // controller was running and what the world converged on.
-        report.divergence = select::policyDiff(currentPolicy_, converged);
+        report.divergence = select::policyDiff(decider_.policy(), converged);
         EpochReport applied = report;
         applied.retriesThisEpoch = 0;
         if (applyWithRetry(converged, applied)) {
-            currentPolicy_ = converged;
-            currentIc_ = currentPolicy_.patchSet();
+            decider_.adopt(converged, converged.patchSet());
             report.patch = applied.patch;
         }
         // On exhausted retries this controller stays on its last-good policy
         // — Degraded, to be reconciled again next epoch.
         if (applied.retriesThisEpoch > 0 ||
-            currentPolicy_.fingerprint() != report.policyFingerprint) {
-            health_ = EpochHealth::Degraded;
-            report.health = health_;
+            decider_.policy().fingerprint() != report.policyFingerprint) {
+            degraded_ = true;
+            report.health = health();
         }
         lastReport_ = report;
     } else if (lastReport_.epoch != report.epoch) {
@@ -475,12 +342,7 @@ EpochReport Controller::adoptPolicy(
     } else {
         return report;
     }
-    {
-        // Publish for the metrics collector, as epoch() does.
-        std::lock_guard<std::mutex> lock(obsMutex_);
-        obsHealth_ = healthStats_;
-        obsReport_ = lastReport_;
-    }
+    publish();
     return report;
 }
 

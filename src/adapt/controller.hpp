@@ -1,19 +1,21 @@
-// The adaptive controller: a continuous measure -> model -> plan ->
-// delta-patch loop that converges the instrumented set onto an overhead
-// budget at runtime, without recompilation.
+// The adaptive controller: a continuous measure -> decide -> delta-patch
+// loop that converges the instrumented set onto an overhead budget at
+// runtime, without recompilation.
 //
 //          +-----------(next epoch)------------+
 //          v                                   |
-//   [measure epoch] -> [OverheadModel] -> [BudgetPlanner] -> [applyIcDelta]
-//    profile, runtime    EWMA per-region        greedy knapsack    flip only
-//                        visits/excl. time      under the budget   changed sleds
+//   [measure epoch] -> [Decider: OverheadModel -> BudgetPlanner] -> [applyIcDelta]
+//    profile, runtime    EWMA per-region          greedy knapsack      flip only
+//                        visits/excl. time        under the budget     changed sleds
 //
 // The controller replaces the one-shot refineIc threshold rule with a closed
 // feedback loop: every epoch re-plans over the full survey candidate set, so
 // regions excluded earlier are re-admitted when their smoothed cost drops —
-// the instrumentation breathes with the workload. Repatching applies only
-// the IC delta; the epochs after the first touch a handful of code pages
-// where a full applyIc re-flips every sled page in the process.
+// the instrumentation breathes with the workload. The decision is the
+// Decider's (decider.hpp); the controller applies it, with retry/revert
+// self-healing. Repatching applies only the IC delta; the epochs after the
+// first touch a handful of code pages where a full applyIc re-flips every
+// sled page in the process.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "adapt/budget_planner.hpp"
-#include "adapt/overhead_model.hpp"
+#include "adapt/decider.hpp"
 #include "binsim/execution_engine.hpp"
 #include "dyncapi/dyncapi.hpp"
 #include "dyncapi/refinement.hpp"
@@ -32,53 +33,13 @@
 
 namespace capi::adapt {
 
-/// DEPRECATED thin shim: prefer adapt::Config, which merges these knobs
-/// with the model's and planner's (they had grown overlapping copies of
-/// probe cost and budget fraction) and adds the sampled-tier controls.
-/// Controllers built from this struct run with the sampled tier disabled —
-/// the binary Full|Off loop, unchanged.
-struct ControllerOptions {
-    /// Probe-time budget as a fraction of application runtime.
-    double budgetFraction = 0.05;
-    /// Epoch cap for run() convenience loops (the controller itself keeps
-    /// accepting epochs beyond it).
-    std::size_t maxEpochs = 10;
-    ModelOptions model;
-    /// Regions never excluded (forwarded to the planner).
-    std::vector<std::string> keep;
-    /// Selection/planning parallelism, as in PipelineOptions.
-    std::size_t threads = 1;
-    /// When set (to the SAME graph the controller was constructed over),
-    /// every epoch folds the measured per-region visit counts into
-    /// FunctionMetrics::profiledVisits through CallGraph::touchMetrics —
-    /// metric-only journal records. Specs re-run through the session (e.g.
-    /// `profiledVisits(">=", n, ...)` refinements) then see fresh runtime
-    /// metrics while structural stages stay cache-warm and the CsrView is
-    /// patched, not rebuilt.
-    cg::CallGraph* foldVisitMetricsInto = nullptr;
-
-    /// The consolidated equivalent (sampled tier disabled).
-    Config toConfig() const {
-        Config config;
-        config.perEventCostNs = model.perEventCostNs;
-        config.ewmaAlpha = model.ewmaAlpha;
-        config.budgetFraction = budgetFraction;
-        config.keep = keep;
-        config.enableSampledTier = false;
-        config.maxEpochs = maxEpochs;
-        config.threads = threads;
-        config.foldVisitMetricsInto = foldVisitMetricsInto;
-        return config;
-    }
-};
-
 /// The controller's self-healing state machine.
 ///
 ///   Healthy --patch failed / kill-switch armed--> Degraded/SafeMode
 ///   Degraded: the last epoch needed retries or reverted to the last
 ///             known-good policy; a clean epoch heals back to Healthy.
-///   SafeMode: the overhead kill-switch tripped (or reversion itself
-///             failed): only the keep-list stays instrumented until
+///   SafeMode: the Decider's overhead kill-switch tripped (or reversion
+///             itself failed): only the keep-list stays instrumented until
 ///             killSwitchRearmEpochs consecutive in-budget epochs re-arm
 ///             the planner.
 enum class EpochHealth : std::uint8_t { Healthy = 0, Degraded = 1, SafeMode = 2 };
@@ -94,22 +55,16 @@ struct HealthStats {
     std::uint64_t killSwitchRearms = 0;
 };
 
-/// What one epoch measured and what the controller did about it.
-struct EpochReport {
+/// What one epoch measured and what the controller did about it: the
+/// Decider's headline numbers (DecisionSummary) plus how it was applied.
+struct EpochReport : DecisionSummary {
     std::size_t epoch = 0;                ///< 1-based.
     double runtimeNs = 0.0;               ///< As reported by the embedder.
-    double measuredProbeCostNs = 0.0;     ///< Observed visits x event cost.
-    double measuredOverheadRatio = 0.0;   ///< Cost / runtime, this epoch.
-    bool withinBudget = false;            ///< ratio <= budgetFraction.
-    double budgetNs = 0.0;                ///< Planner budget applied.
-    double plannedProbeCostNs = 0.0;      ///< Predicted cost of the new IC.
     std::size_t icSize = 0;               ///< Functions in the new IC.
     std::size_t addedFunctions = 0;       ///< Re-admitted vs previous IC.
     std::size_t removedFunctions = 0;     ///< Excluded vs previous IC.
     dyncapi::DeltaStats patch;            ///< The delta repatch that applied it.
     // --- tiered policy (zero on the binary Full|Off path) ------------------
-    std::size_t fullRegions = 0;          ///< Regions at Full in the new policy.
-    std::size_t sampledRegions = 0;       ///< Regions demoted to Sampled.
     std::size_t promotedFunctions = 0;    ///< Sampled -> Full this epoch.
     std::size_t demotedFunctions = 0;     ///< Full -> Sampled this epoch.
     std::uint64_t policyFingerprint = 0;  ///< Fingerprint of the new policy.
@@ -131,14 +86,6 @@ struct EpochReport {
     EpochHealth health = EpochHealth::Healthy;  ///< State after this epoch.
     std::size_t retriesThisEpoch = 0;  ///< Patch re-applies this epoch.
     bool revertedToLastGood = false;   ///< Retries exhausted; kept old policy.
-    bool killSwitchTripped = false;    ///< Entered SafeMode this epoch.
-    bool killSwitchRearmed = false;    ///< Left SafeMode this epoch.
-    // --- self-observability ------------------------------------------------
-    /// Trace events the global recorder accepted since the previous epoch.
-    std::uint64_t obsEventsObserved = 0;
-    /// Those events charged at Config::obsCostNs and folded into the model —
-    /// already included in measuredProbeCostNs/measuredOverheadRatio.
-    double selfObsCostNs = 0.0;
 };
 
 class Controller {
@@ -147,11 +94,7 @@ public:
     /// dyncapi::RefinementSession so spec-driven survey selection shares
     /// stage results across epochs and borrows the process-wide pool.
     Controller(const cg::CallGraph& graph, dyncapi::DynCapi& dyn,
-               Config config);
-    /// DEPRECATED shim constructor: converts to Config with the sampled
-    /// tier disabled (identical to the pre-tier controller).
-    Controller(const cg::CallGraph& graph, dyncapi::DynCapi& dyn,
-               ControllerOptions options = {});
+               Config config = {});
     ~Controller();
 
     Controller(const Controller&) = delete;
@@ -167,8 +110,9 @@ public:
     /// Installs a ready-made survey IC via full applyIc.
     dyncapi::InitStats start(select::InstrumentationConfig surveyIc);
 
-    /// One epoch: folds the measured profile into the model, re-plans over
-    /// the survey candidates under the budget, and delta-patches the result.
+    /// One epoch: converts the measured profile into name-keyed
+    /// observations, lets the Decider fold them and re-plan over the survey
+    /// candidates under the budget, and delta-patches the result.
     /// `runtimeNs` is the epoch's runtime in the same time base as the
     /// model's perEventCostNs (wall or virtual — consistency is what
     /// matters).
@@ -182,7 +126,9 @@ public:
     /// one IC, as the paper's MPI use case requires. Collective: every rank
     /// must call it. Precondition: all ranks share ONE Measurement (the
     /// in-process simulation's natural shape), so region handles mean the
-    /// same thing in every deposited tree.
+    /// same thing in every deposited tree. With one controller per rank,
+    /// every other rank's Decider takes over the reducer's decision state,
+    /// so the world decides the same whichever rank arrives last.
     EpochReport epochAllRanks(mpi::MpiWorld& world, int rank, double virtualNow,
                               const scorep::ProfileTree& localProfile,
                               const scorep::Measurement& measurement,
@@ -204,59 +150,44 @@ public:
     bool converged() const { return lastReport_.epoch > 0 && lastReport_.withinBudget; }
     /// Converged, or the maxEpochs cap is exhausted.
     bool done() const {
-        return converged() || lastReport_.epoch >= config_.maxEpochs;
+        return converged() || lastReport_.epoch >= config().maxEpochs;
     }
 
     std::size_t epochsRun() const { return lastReport_.epoch; }
     const EpochReport& lastReport() const { return lastReport_; }
-    EpochHealth health() const { return health_; }
+    /// SafeMode while the Decider is in safe mode; otherwise Degraded until
+    /// a clean epoch heals it.
+    EpochHealth health() const;
     const HealthStats& healthStats() const { return healthStats_; }
-    const select::InstrumentationConfig& currentIc() const { return currentIc_; }
-    /// The tiered policy currently applied (currentIc() is its patch set).
+    /// The tiered policy currently applied and its patch set.
     const select::InstrumentationPolicy& currentPolicy() const {
-        return currentPolicy_;
+        return decider_.policy();
     }
-    const select::InstrumentationConfig& surveyIc() const { return surveyIc_; }
-    const OverheadModel& model() const { return model_; }
-    const Config& config() const { return config_; }
+    const select::InstrumentationConfig& currentIc() const { return decider_.ic(); }
+    const Config& config() const { return decider_.config(); }
     dyncapi::RefinementSession& session() { return *session_; }
 
 private:
-    /// The keep-list-only fallback policy SafeMode runs under (empty keep
-    /// list = fully uninstrumented): the minimal state whose overhead is by
-    /// construction as low as this controller can go.
-    select::InstrumentationPolicy safeModePolicy() const;
-
-    /// Applies `target` with up to config_.patchRetries backoff-spaced
+    /// Applies `target` with up to Config::patchRetries backoff-spaced
     /// re-applies on PatchError. Returns true and fills report.patch on
     /// success; false once the attempts are exhausted.
     bool applyWithRetry(const select::InstrumentationPolicy& target,
                         EpochReport& report);
 
-    /// Advances the kill-switch streaks for one epoch's measured ratio and
-    /// performs the SafeMode trip / re-arm transitions.
-    void updateKillSwitch(EpochReport& report);
+    /// Publishes the latest report and health counters for the metrics
+    /// collector.
+    void publish();
 
     dyncapi::DynCapi* dyn_;
-    Config config_;
+    Decider decider_;
     std::unique_ptr<dyncapi::RefinementSession> session_;
-    OverheadModel model_;
-    BudgetPlanner planner_;
-    select::InstrumentationConfig surveyIc_;
-    select::InstrumentationConfig currentIc_;
-    select::InstrumentationPolicy currentPolicy_;
     EpochReport lastReport_;
 
-    EpochHealth health_ = EpochHealth::Healthy;
+    /// A patch needed retries or reverted (or the kill-switch just
+    /// re-armed); a clean epoch clears it.
+    bool degraded_ = false;
     HealthStats healthStats_;
-    std::size_t overBudgetStreak_ = 0;  ///< Consecutive epochs past the trip ratio.
-    std::size_t inBudgetStreak_ = 0;    ///< Consecutive epochs within budget.
 
-    /// Global-recorder recordedEvents() baseline for the self-cost delta.
-    /// Captured at construction (the counter is process-monotonic: a zero
-    /// start would bill this controller for every event any earlier run
-    /// recorded).
-    std::uint64_t obsEventsAtLastEpoch_ = 0;
     /// obs::MetricsRegistry collector handle (label ctl="<instance seq>").
     std::uint64_t metricsCollectorId_ = 0;
     /// Guards the snapshot copies the metrics collector reads; the live

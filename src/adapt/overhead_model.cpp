@@ -17,16 +17,15 @@ void OverheadModel::observeEpoch(const scorep::ProfileTree& profile,
                                  const scorep::Measurement& measurement,
                                  double epochRuntimeNs,
                                  const select::InstrumentationConfig* activeIc) {
-    observeEpoch(profile.regionTotals(), measurement, epochRuntimeNs, activeIc);
+    observeEpoch(observationsOf(profile.regionTotals(), measurement),
+                 epochRuntimeNs, activeIc);
 }
 
-void OverheadModel::observeEpoch(
+std::map<std::string, OverheadModel::RegionObservation>
+OverheadModel::observationsOf(
     const std::unordered_map<scorep::RegionHandle,
                              scorep::ProfileTree::RegionTotals>& regionTotals,
-    const scorep::Measurement& measurement, double epochRuntimeNs,
-    const select::InstrumentationConfig* activeIc) {
-    // Aggregate the epoch per region name (several handles can share a name
-    // when measurements are recreated across epochs, so fold by name).
+    const scorep::Measurement& measurement) {
     // Integer accumulation first, double conversion once per name: the sums
     // stay exact regardless of the unordered source map's iteration order.
     struct RawTotals {
@@ -72,17 +71,16 @@ void OverheadModel::observeEpoch(
             static_cast<double>(totals.exclusiveNs),
             static_cast<double>(totals.suppressed)};
     }
-    observeEpoch(byName, epochRuntimeNs, activeIc);
+    return byName;
 }
 
 void OverheadModel::observeEpoch(
     const std::map<std::string, RegionObservation>& byName,
     double epochRuntimeNs, const select::InstrumentationConfig* activeIc) {
-    const auto& observed = byName;
     double epochCostNs = 0.0;
-    for (const auto& [name, obs] : observed) {
+    for (const auto& [name, obs] : byName) {
         // Recorded events pay the full probe; suppressed ones only the gate.
-        epochCostNs += obs.visits * 2.0 * options_.perEventCostNs +
+        epochCostNs += obs.visits * 2.0 * perEventCostNs_ +
                        obs.suppressed * 2.0 * gateCostNs_;
         // Extrapolate to what a Full epoch would have measured: the visit
         // count is exact (every suppression was counted); the exclusive time
@@ -94,14 +92,14 @@ void OverheadModel::observeEpoch(
         RegionEstimate& estimate = estimates_[name];
         bool first = estimate.epochsObserved == 0;
         estimate.visits =
-            ewma(estimate.visits, trueVisits, options_.ewmaAlpha, first);
+            ewma(estimate.visits, trueVisits, ewmaAlpha_, first);
         if (obs.visits > 0.0 || obs.suppressed == 0.0) {
             estimate.exclusiveNs = ewma(estimate.exclusiveNs,
                                         obs.exclusiveNs * factor,
-                                        options_.ewmaAlpha, first);
+                                        ewmaAlpha_, first);
         }
         estimate.samplingFactor =
-            ewma(estimate.samplingFactor, factor, options_.ewmaAlpha, first);
+            ewma(estimate.samplingFactor, factor, ewmaAlpha_, first);
         ++estimate.epochsObserved;
     }
 
@@ -109,7 +107,7 @@ void OverheadModel::observeEpoch(
     // regions are unobservable and keep their frozen estimate.
     if (activeIc != nullptr) {
         for (const std::string& name : activeIc->functions) {
-            if (observed.count(name) != 0) {
+            if (byName.count(name) != 0) {
                 continue;
             }
             auto it = estimates_.find(name);
@@ -117,19 +115,19 @@ void OverheadModel::observeEpoch(
                 continue;  // Never seen: nothing to decay.
             }
             RegionEstimate& estimate = it->second;
-            estimate.visits = ewma(estimate.visits, 0.0, options_.ewmaAlpha, false);
+            estimate.visits = ewma(estimate.visits, 0.0, ewmaAlpha_, false);
             estimate.exclusiveNs =
-                ewma(estimate.exclusiveNs, 0.0, options_.ewmaAlpha, false);
+                ewma(estimate.exclusiveNs, 0.0, ewmaAlpha_, false);
             // A region that did not run carries no extrapolation noise.
             estimate.samplingFactor =
-                ewma(estimate.samplingFactor, 1.0, options_.ewmaAlpha, false);
+                ewma(estimate.samplingFactor, 1.0, ewmaAlpha_, false);
             ++estimate.epochsObserved;
         }
     }
 
     bool first = epochs_ == 0;
-    runtimeNs_ = ewma(runtimeNs_, epochRuntimeNs, options_.ewmaAlpha, first);
-    incurredCostNs_ = ewma(incurredCostNs_, epochCostNs, options_.ewmaAlpha, first);
+    runtimeNs_ = ewma(runtimeNs_, epochRuntimeNs, ewmaAlpha_, first);
+    incurredCostNs_ = ewma(incurredCostNs_, epochCostNs, ewmaAlpha_, first);
     lastEpochCostNs_ = epochCostNs;
     lastEpochRuntimeNs_ = epochRuntimeNs;
     ++epochs_;
@@ -144,7 +142,7 @@ void OverheadModel::chargeSelfCost(double selfCostNs) {
     // epoch's self cost with the identical weight (epochs_ was incremented,
     // so "first" is now epochs_ == 1).
     incurredCostNs_ +=
-        epochs_ == 1 ? selfCostNs : options_.ewmaAlpha * selfCostNs;
+        epochs_ == 1 ? selfCostNs : ewmaAlpha_ * selfCostNs;
 }
 
 const RegionEstimate* OverheadModel::estimate(const std::string& name) const {

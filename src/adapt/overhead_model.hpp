@@ -1,6 +1,6 @@
 // Per-region probe-cost estimation across measurement epochs.
 //
-// The adaptive controller (see controller.hpp) needs two numbers per region
+// The adaptive decision (see decider.hpp) needs two numbers per region
 // to trade instrumentation coverage against overhead: what keeping the
 // region's probes costs per epoch (visit count x calibrated per-event cost,
 // the model of Arafa et al.'s "redundancy" — probes whose cost exceeds their
@@ -29,21 +29,6 @@
 #include "select/ic.hpp"
 
 namespace capi::adapt {
-
-/// DEPRECATED thin shim: prefer adapt::Config, which carries these knobs
-/// (and the gate cost the tiered model needs). Kept for one release so the
-/// binary Full|Off call sites keep compiling unchanged.
-struct ModelOptions {
-    /// Calibrated wall (or virtual) cost of one probe event; see
-    /// scorep::calibrateProbeCostNs(). Re-run the calibration whenever the
-    /// measurement hot path changes (it is the constant every budget
-    /// decision scales with); frozen estimates survive such a shift because
-    /// cost is recomputed as visits x perEventCostNs at planning time — only
-    /// the EWMA'd visit counts are stored, never a stale cost product.
-    double perEventCostNs = 120.0;
-    /// Weight of the newest epoch in the moving average (1.0 = no memory).
-    double ewmaAlpha = 0.5;
-};
 
 /// Smoothed per-epoch behaviour of one region.
 struct RegionEstimate {
@@ -81,11 +66,11 @@ struct ModelState {
 
 class OverheadModel {
 public:
-    explicit OverheadModel(ModelOptions options = {}) : options_(options) {}
-    /// Config-driven construction: takes perEventCostNs/ewmaAlpha plus the
-    /// gate cost the tiered accounting charges per suppressed event.
-    explicit OverheadModel(const Config& config)
-        : options_{config.perEventCostNs, config.ewmaAlpha},
+    /// Takes perEventCostNs/ewmaAlpha plus the gate cost the tiered
+    /// accounting charges per suppressed event.
+    explicit OverheadModel(const Config& config = {})
+        : perEventCostNs_(config.perEventCostNs),
+          ewmaAlpha_(config.ewmaAlpha),
           gateCostNs_(config.gateCostNs) {}
 
     /// Folds one epoch's merged profile into the estimates. `activeIc`
@@ -96,39 +81,39 @@ public:
                       double epochRuntimeNs,
                       const select::InstrumentationConfig* activeIc = nullptr);
 
-    /// Same, over pre-aggregated per-region totals — for callers that need
-    /// the totals themselves (the controller's metric folding) so the
-    /// profile tree is walked once per epoch, not once per consumer.
-    void observeEpoch(
-        const std::unordered_map<scorep::RegionHandle,
-                                 scorep::ProfileTree::RegionTotals>& regionTotals,
-        const scorep::Measurement& measurement, double epochRuntimeNs,
-        const select::InstrumentationConfig* activeIc = nullptr);
-
-    /// One region-name's worth of epoch observation, for callers that
-    /// aggregate regions themselves. `suppressed` is the epoch's
-    /// gate-suppressed visit DELTA (already differenced — the by-handle
-    /// overloads derive it from the Measurement's cumulative counters).
+    /// One region-name's worth of epoch observation. `suppressed` is the
+    /// epoch's gate-suppressed visit DELTA (already differenced —
+    /// observationsOf derives it from the Measurement's cumulative
+    /// counters).
     struct RegionObservation {
         double visits = 0.0;
         double exclusiveNs = 0.0;
         double suppressed = 0.0;
     };
 
+    /// Converts one epoch's per-handle totals into name-keyed observations:
+    /// totals are summed per region name (several handles can share a name
+    /// when measurements are recreated across epochs) and the Measurement's
+    /// cumulative suppression counters are differenced against the previous
+    /// call's. Callers that need the observations themselves (the
+    /// Controller's decide() input) convert once and fold the result.
+    std::map<std::string, RegionObservation> observationsOf(
+        const std::unordered_map<scorep::RegionHandle,
+                                 scorep::ProfileTree::RegionTotals>& regionTotals,
+        const scorep::Measurement& measurement);
+
     /// Same fold over name-keyed observations with no Measurement in sight —
-    /// the fleet aggregator's entry point, where region identity arrives as
-    /// wire-interned names and suppression counters arrive pre-differenced.
-    /// The ordered map pins the floating-point fold order, so a fleet
-    /// aggregation and an in-process reference run accumulate epoch cost in
-    /// the identical sequence (every by-handle overload funnels through this
-    /// one) — bit-identical budgets, bit-identical plans.
+    /// the Decider's entry point, fed by observationsOf in-process and by
+    /// the fleet aggregator's wire-interned names and pre-differenced
+    /// suppression counters. The ordered map pins the floating-point fold
+    /// order, so a fleet aggregation and an in-process reference run
+    /// accumulate epoch cost in the identical sequence — bit-identical
+    /// budgets, bit-identical plans.
     void observeEpoch(const std::map<std::string, RegionObservation>& byName,
                       double epochRuntimeNs,
                       const select::InstrumentationConfig* activeIc = nullptr);
 
     std::size_t epochCount() const { return epochs_; }
-    const ModelOptions& options() const { return options_; }
-    double gateCostNs() const { return gateCostNs_; }
 
     const RegionEstimate* estimate(const std::string& name) const;
     const std::unordered_map<std::string, RegionEstimate>& estimates() const {
@@ -138,7 +123,7 @@ public:
     /// Predicted per-epoch probe cost of keeping a region instrumented:
     /// one enter plus one exit event per visit.
     double probeCostNs(const RegionEstimate& estimate) const {
-        return estimate.visits * 2.0 * options_.perEventCostNs;
+        return estimate.visits * 2.0 * perEventCostNs_;
     }
 
     /// Smoothed epoch runtime and the probe cost actually incurred.
@@ -178,8 +163,9 @@ public:
     }
 
 private:
-    ModelOptions options_;
-    double gateCostNs_ = 10.0;
+    double perEventCostNs_;
+    double ewmaAlpha_;
+    double gateCostNs_;
     std::unordered_map<std::string, RegionEstimate> estimates_;
     /// Cumulative per-name suppressed-visit counters at the last observed
     /// epoch, so each epoch folds only its own delta. Keyed to a Measurement

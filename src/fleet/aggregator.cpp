@@ -49,14 +49,12 @@ Aggregator::Aggregator(const cg::CallGraph& graph,
     : graph_(&graph),
       options_(std::move(options)),
       data_(options_.dataQueueCapacity),
-      model_(options_.config),
-      planner_(graph),
-      surveyIc_(std::move(surveyIc)),
-      obsEventsAtLastEpoch_(obs::TraceRecorder::global().recordedEvents()) {
+      decider_(graph, options_.config,
+               {.plan = fleetSpanNames().plan,
+                .planCategory = obs::SpanCategory::Fleet}) {
     // The fleet converges from the same starting point every client's
     // controller starts from: the survey policy, fully instrumented.
-    currentIc_ = surveyIc_;
-    currentPolicy_ = select::InstrumentationPolicy::fullOf(currentIc_);
+    decider_.start(std::move(surveyIc));
 
     static std::atomic<std::uint64_t> nextSeq{0};
     const std::uint64_t seq = nextSeq.fetch_add(1, std::memory_order_relaxed);
@@ -122,7 +120,7 @@ Aggregator::Aggregator(const cg::CallGraph& graph,
 void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
     // Construction is single-threaded; no lock needed.
     const std::uint64_t expectedSurvey =
-        select::InstrumentationPolicy::fullOf(surveyIc_).fingerprint();
+        select::InstrumentationPolicy::fullOf(decider_.surveyIc()).fingerprint();
     if (snap.surveyFingerprint != expectedSurvey) {
         throw WireError("snapshot was taken against a different survey");
     }
@@ -130,14 +128,15 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
     incarnation_ = snap.incarnation + 1;
     epochsCompleted_ = snap.epochsCompleted;
     nextClientId_ = snap.nextClientId;
-    safeMode_ = snap.safeMode;
-    overBudgetStreak_ = static_cast<std::size_t>(snap.overBudgetStreak);
-    inBudgetStreak_ = static_cast<std::size_t>(snap.inBudgetStreak);
     lastRatio_ = snap.lastRatio;
     lastBudgetNs_ = snap.lastBudgetNs;
     lastWithinBudget_ = snap.lastWithinBudget;
-    currentPolicy_ = snap.currentPolicy;
-    currentIc_ = currentPolicy_.patchSet();
+    // Self-cost billing restarts from the recorder's current position: the
+    // events of the dead incarnation died with it.
+    decider_.restoreState(adapt::DeciderState{snap.model, snap.currentPolicy,
+                                              snap.safeMode,
+                                              snap.overBudgetStreak,
+                                              snap.inBudgetStreak});
 
     regionNames_ = snap.regionNames;
     for (std::size_t i = 0; i < regionNames_.size(); ++i) {
@@ -167,7 +166,6 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
     for (const auto& [name, totals] : snap.lastTotals) {
         lastTotals_.emplace(name, totals);
     }
-    model_.restoreState(snap.model);
 
     for (const SnapshotClient& sc : snap.clients) {
         ClientState state;
@@ -199,10 +197,6 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
         }
     }
     epochOpenedAtNs_ = anyPending ? support::nowNs() : 0;
-
-    // Self-cost billing restarts from the recorder's current position: the
-    // events of the dead incarnation died with it.
-    obsEventsAtLastEpoch_ = obs::TraceRecorder::global().recordedEvents();
     stats_.restores = 1;
 }
 
@@ -222,13 +216,7 @@ Aggregator::Session Aggregator::connect() {
     ++stats_.clientsConnected;
     // Late-joiner catch-up, half one: a full-policy baseline so the client
     // converges onto the fleet's current policy before its first epoch.
-    PolicyFrame base;
-    base.epoch = epochsCompleted_;
-    base.fingerprint = currentPolicy_.fingerprint();
-    base.measuredOverheadRatio = lastRatio_;
-    base.budgetNs = lastBudgetNs_;
-    base.withinBudget = lastWithinBudget_;
-    sendPolicyTo(it->second, base);
+    sendPolicyTo(it->second, currentFrameBase());
     return Session{it->first, it->second.policyChannel.get()};
 }
 
@@ -301,15 +289,17 @@ std::vector<std::uint8_t> Aggregator::checkpointLocked() {
     snap.incarnation = incarnation_;
     snap.epochsCompleted = epochsCompleted_;
     snap.nextClientId = nextClientId_;
-    snap.safeMode = safeMode_;
-    snap.overBudgetStreak = overBudgetStreak_;
-    snap.inBudgetStreak = inBudgetStreak_;
+    adapt::DeciderState decider = decider_.saveState();
+    snap.safeMode = decider.safeMode;
+    snap.overBudgetStreak = decider.overBudgetStreak;
+    snap.inBudgetStreak = decider.inBudgetStreak;
+    snap.currentPolicy = std::move(decider.policy);
+    snap.model = std::move(decider.model);
     snap.lastRatio = lastRatio_;
     snap.lastBudgetNs = lastBudgetNs_;
     snap.lastWithinBudget = lastWithinBudget_;
     snap.surveyFingerprint =
-        select::InstrumentationPolicy::fullOf(surveyIc_).fingerprint();
-    snap.currentPolicy = currentPolicy_;
+        select::InstrumentationPolicy::fullOf(decider_.surveyIc()).fingerprint();
     snap.regionNames = regionNames_;
     const scorep::ProfileTree& tree = fleetTree_;
     for (std::size_t i = 1; i < tree.nodeCount(); ++i) {
@@ -318,7 +308,6 @@ std::vector<std::uint8_t> Aggregator::checkpointLocked() {
                                           node.visits, node.inclusiveNs});
     }
     snap.lastTotals.assign(lastTotals_.begin(), lastTotals_.end());
-    snap.model = model_.saveState();
     for (const auto& [id, client] : clients_) {
         SnapshotClient sc;
         sc.id = id;
@@ -469,13 +458,7 @@ void Aggregator::handleFrame(const std::vector<std::uint8_t>& bytes) {
                 it->second.needsBaseline = true;
                 // Answer immediately — the client is blocked waiting for a
                 // baseline, not for the next epoch.
-                PolicyFrame base;
-                base.epoch = epochsCompleted_;
-                base.fingerprint = currentPolicy_.fingerprint();
-                base.measuredOverheadRatio = lastRatio_;
-                base.budgetNs = lastBudgetNs_;
-                base.withinBudget = lastWithinBudget_;
-                sendPolicyTo(it->second, base);
+                sendPolicyTo(it->second, currentFrameBase());
                 return;
             }
             case FrameType::Bye: {
@@ -576,7 +559,7 @@ void Aggregator::closeEpoch(bool timedOut) {
     std::size_t divergent = 0;
     select::PolicyDelta divergenceDiag;
     std::map<std::string, std::uint64_t> suppressedByName;
-    const std::uint64_t reducerFingerprint = currentPolicy_.fingerprint();
+    const std::uint64_t reducerFingerprint = decider_.policy().fingerprint();
     std::size_t framesMerged = 0;
     for (auto& [id, client] : clients_) {
         if (client.pending.empty()) {
@@ -597,8 +580,8 @@ void Aggregator::closeEpoch(bool timedOut) {
             // lagging case), the region-level gap is reconstructible.
             if (frame.policyFingerprint ==
                 client.lastSentPolicy.fingerprint()) {
-                divergenceDiag =
-                    select::policyDiff(client.lastSentPolicy, currentPolicy_);
+                divergenceDiag = select::policyDiff(client.lastSentPolicy,
+                                                    decider_.policy());
             }
         }
         for (const SuppressedDelta& entry : frame.suppressed) {
@@ -618,7 +601,7 @@ void Aggregator::closeEpoch(bool timedOut) {
     // against the last epoch's snapshot. Matches the per-epoch merged tree
     // an epochAllRanks reference reduces, region for region.
     auto totalsNow = totalsByNameLocked();
-    std::map<std::string, adapt::OverheadModel::RegionObservation> byName;
+    adapt::Decider::Observations byName;
     for (const auto& [name, totals] : totalsNow) {
         scorep::ProfileTree::RegionTotals last;
         if (auto it = lastTotals_.find(name); it != lastTotals_.end()) {
@@ -646,66 +629,15 @@ void Aggregator::closeEpoch(bool timedOut) {
     }
     lastTotals_ = std::move(totalsNow);
 
-    model_.observeEpoch(byName, worldRuntimeNs, &currentIc_);
-    // Self-observability billing, as Controller::epoch charges it.
-    const std::uint64_t obsEventsNow =
-        obs::TraceRecorder::global().recordedEvents();
-    model_.chargeSelfCost(static_cast<double>(obsEventsNow -
-                                              obsEventsAtLastEpoch_) *
-                          options_.config.obsCostNs);
-    obsEventsAtLastEpoch_ = obsEventsNow;
-
-    // Mirror of Controller's foldVisitMetricsInto: route per-epoch visit
-    // counts into the graph as metric-only journal touches.
-    if (options_.config.foldVisitMetricsInto != nullptr) {
-        cg::CallGraph& graph = *options_.config.foldVisitMetricsInto;
-        for (const auto& [name, obs] : byName) {
-            cg::FunctionId id = graph.lookup(name);
-            if (id == cg::kInvalidFunction || !graph.alive(id)) {
-                continue;
-            }
-            const auto visits = static_cast<std::uint32_t>(std::min<double>(
-                obs.visits, static_cast<double>(UINT32_MAX)));
-            if (graph.desc(id).metrics.profiledVisits != visits) {
-                graph.touchMetrics(id, [visits](cg::FunctionMetrics& metrics) {
-                    metrics.profiledVisits = visits;
-                });
-            }
-        }
-    }
-
-    const double ratio = model_.lastEpochOverheadRatio();
-    const bool within = ratio <= options_.config.budgetFraction;
-    mirrorKillSwitch(ratio, within);
-
-    // 3. Replan over the survey candidates (or shed to keep-only in safe
-    // mode) — the identical decision the in-process controller would make.
-    obs::ScopedSpan planSpan(spans.plan, obs::SpanCategory::Fleet);
-    double budgetNs = 0.0;
-    if (safeMode_) {
-        select::InstrumentationConfig keepIc;
-        keepIc.specName = "safe-mode";
-        for (const std::string& name : options_.config.keep) {
-            keepIc.addFunction(name);
-        }
-        budgetNs = options_.config.budgetFraction * worldRuntimeNs;
-        currentPolicy_ = select::InstrumentationPolicy::fullOf(keepIc);
-        currentIc_ = currentPolicy_.patchSet();
-    } else {
-        adapt::PlanResult plan =
-            planner_.plan(surveyIc_, model_, options_.config);
-        budgetNs = plan.budgetNs;
-        currentPolicy_ = std::move(plan.policy);
-        currentIc_ = std::move(plan.ic);
-    }
-    planSpan.setArg(currentIc_.size());
-    planSpan.end();
+    // 3. The identical decision the in-process controller would make.
+    adapt::Decision decision = decider_.decide(byName, worldRuntimeNs);
+    decider_.adopt(std::move(decision.policy), std::move(decision.ic));
 
     ++epochsCompleted_;
     ++stats_.epochsCompleted;
-    lastRatio_ = ratio;
-    lastBudgetNs_ = budgetNs;
-    lastWithinBudget_ = within;
+    lastRatio_ = decision.measuredOverheadRatio;
+    lastBudgetNs_ = decision.budgetNs;
+    lastWithinBudget_ = decision.withinBudget;
 
     // 4. Broadcast the converged policy: per-client deltas against what each
     // client last received, baselines for fresh or resyncing clients.
@@ -714,12 +646,7 @@ void Aggregator::closeEpoch(bool timedOut) {
     // best-effort trySend — a stalled client's full queue must never block
     // the epoch pipeline for everyone else.
     obs::ScopedSpan broadcastSpan(spans.broadcast, obs::SpanCategory::Fleet);
-    PolicyFrame base;
-    base.epoch = epochsCompleted_;
-    base.fingerprint = currentPolicy_.fingerprint();
-    base.measuredOverheadRatio = ratio;
-    base.budgetNs = budgetNs;
-    base.withinBudget = within;
+    const PolicyFrame base = currentFrameBase();
     std::size_t framesOut = 0;
     for (auto& [id, client] : clients_) {
         if (client.evicted) {
@@ -743,31 +670,42 @@ void Aggregator::closeEpoch(bool timedOut) {
     epochOpenedAtNs_ = anyPending ? support::nowNs() : 0;
 }
 
+PolicyFrame Aggregator::currentFrameBase() const {
+    PolicyFrame frame;
+    frame.epoch = epochsCompleted_;
+    frame.fingerprint = decider_.policy().fingerprint();
+    frame.measuredOverheadRatio = lastRatio_;
+    frame.budgetNs = lastBudgetNs_;
+    frame.withinBudget = lastWithinBudget_;
+    return frame;
+}
+
 void Aggregator::sendPolicyTo(ClientState& client, const PolicyFrame& base,
                               bool blocking) {
+    const select::InstrumentationPolicy& policy = decider_.policy();
     PolicyFrame frame = base;
     frame.incarnation = incarnation_;
     if (client.needsBaseline) {
         frame.baseline = true;
         frame.prevFingerprint = 0;
-        for (std::size_t i = 0; i < currentPolicy_.functions.size(); ++i) {
+        for (std::size_t i = 0; i < policy.functions.size(); ++i) {
             frame.upserts.push_back(PolicyFrameEntry{
-                currentPolicy_.functions[i], currentPolicy_.regions[i]});
+                policy.functions[i], policy.regions[i]});
         }
     } else {
         frame.baseline = false;
         frame.prevFingerprint = client.lastSentPolicy.fingerprint();
-        for (std::size_t i = 0; i < currentPolicy_.functions.size(); ++i) {
-            const std::string& name = currentPolicy_.functions[i];
+        for (std::size_t i = 0; i < policy.functions.size(); ++i) {
+            const std::string& name = policy.functions[i];
             const select::RegionPolicy* before =
                 client.lastSentPolicy.policyOf(name);
-            if (before == nullptr || *before != currentPolicy_.regions[i]) {
+            if (before == nullptr || *before != policy.regions[i]) {
                 frame.upserts.push_back(
-                    PolicyFrameEntry{name, currentPolicy_.regions[i]});
+                    PolicyFrameEntry{name, policy.regions[i]});
             }
         }
         for (const std::string& name : client.lastSentPolicy.functions) {
-            if (!currentPolicy_.contains(name)) {
+            if (!policy.contains(name)) {
                 frame.removed.push_back(name);
             }
         }
@@ -784,36 +722,10 @@ void Aggregator::sendPolicyTo(ClientState& client, const PolicyFrame& base,
         // The diff base only advances when the frame actually landed — a
         // refused frame leaves the chain anchored at what the client has,
         // so the NEXT delivered update still chains cleanly (no resync).
-        client.lastSentPolicy = currentPolicy_;
+        client.lastSentPolicy = policy;
         client.needsBaseline = false;
     } else if (result == SendResult::Backpressure) {
         ++stats_.laggingPolicyDrops;
-    }
-}
-
-void Aggregator::mirrorKillSwitch(double measuredRatio, bool withinBudget) {
-    // Controller::updateKillSwitch, minus the patching side: the aggregator
-    // trips to a keep-only policy on sustained overshoot and re-arms after
-    // the same hysteresis, so fleet and reference runs take the same branch
-    // on every epoch.
-    const adapt::Config& config = options_.config;
-    const double tripRatio = config.budgetFraction * config.killSwitchFactor;
-    if (measuredRatio > tripRatio) {
-        ++overBudgetStreak_;
-        inBudgetStreak_ = 0;
-    } else if (withinBudget) {
-        ++inBudgetStreak_;
-        overBudgetStreak_ = 0;
-    } else {
-        overBudgetStreak_ = 0;
-        inBudgetStreak_ = 0;
-    }
-    if (!safeMode_ && overBudgetStreak_ >= config.killSwitchEpochs) {
-        safeMode_ = true;
-        overBudgetStreak_ = 0;
-    } else if (safeMode_ && inBudgetStreak_ >= config.killSwitchRearmEpochs) {
-        safeMode_ = false;
-        inBudgetStreak_ = 0;
     }
 }
 
@@ -931,12 +843,17 @@ select::PolicyDelta Aggregator::lastDivergence() const {
 
 std::uint64_t Aggregator::convergedFingerprint() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return currentPolicy_.fingerprint();
+    return decider_.policy().fingerprint();
+}
+
+bool Aggregator::safeMode() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return decider_.safeMode();
 }
 
 select::InstrumentationPolicy Aggregator::convergedPolicy() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return currentPolicy_;
+    return decider_.policy();
 }
 
 scorep::ProfileTree Aggregator::fleetProfile() const {

@@ -2,9 +2,10 @@
 //
 // Clients stream per-epoch CCT deltas (fleet/wire.hpp) into a bounded MPSC
 // data channel; the aggregator merges them into a fleet-wide ProfileTree
-// under epochal snapshots, runs the SAME OverheadModel/BudgetPlanner the
-// in-process controller runs, and pushes one converged policy back out to
-// every client as a policy delta on its private channel.
+// under epochal snapshots, hands each epoch's observations to an
+// adapt::Decider — the same decision core an in-process Controller runs —
+// and pushes the one converged policy back out to every client as a policy
+// delta on its private channel.
 //
 // Epoch discipline: fleet epoch E closes when every connected client has an
 // unconsumed delta frame; frames beyond the first stay queued for E+1, so a
@@ -12,11 +13,9 @@
 //   1. folds each client's oldest frame into the fleet tree in ascending
 //      client-id order (the floating-point runtime sum must match the
 //      rank-order sum of an epochAllRanks reference run bit for bit),
-//   2. observes the per-epoch region totals (the cumulative fleet totals
-//      differenced against the last epoch's snapshot) into the model by
-//      NAME — see OverheadModel::observeEpoch(byName),
-//   3. replans over the survey candidates and diffs against the previous
-//      converged policy,
+//   2. differences the cumulative fleet totals against the last epoch's
+//      snapshot into per-epoch, name-keyed observations,
+//   3. decides the next policy from them (adapt::Decider::decide),
 //   4. broadcasts: clients that saw the previous policy get upserts +
 //      removals; fresh or resyncing clients get a full baseline. A client
 //      whose fingerprint chain breaks asks for a resync instead of running
@@ -37,9 +36,8 @@
 #include <string>
 #include <vector>
 
-#include "adapt/budget_planner.hpp"
 #include "adapt/config.hpp"
-#include "adapt/overhead_model.hpp"
+#include "adapt/decider.hpp"
 #include "fleet/channel.hpp"
 #include "fleet/wire.hpp"
 #include "scorepsim/profile.hpp"
@@ -58,7 +56,7 @@ public:
         : support::Error("fleet aggregator: " + what) {}
 };
 
-/// Epoch liveness policy, mirroring MpiWorld::CollectivePolicy: with both
+/// Epoch liveness policy, modelled on MpiWorld::CollectivePolicy: with both
 /// knobs set, a fleet epoch no longer waits forever for every client — it
 /// closes once `timeoutNs` has elapsed since the epoch's first delta arrived
 /// and at least `quorum` clients have one pending. Clients that miss a
@@ -85,9 +83,8 @@ struct AggregatorOptions {
     std::size_t dataQueueCapacity = 256;
     /// Per-client policy queue (aggregator -> client).
     std::size_t policyQueueCapacity = 8;
-    /// Model/planner/kill-switch knobs — the same Config an in-process
-    /// Controller takes, so reference runs and fleet runs share every
-    /// constant.
+    /// Decider knobs — the same Config an in-process Controller takes, so
+    /// reference runs and fleet runs share every constant.
     adapt::Config config;
     /// Liveness rule for epoch completion (strict by default).
     EpochPolicy epochPolicy;
@@ -220,6 +217,8 @@ public:
     select::PolicyDelta lastDivergence() const;
     /// Fingerprint of the latest converged policy.
     std::uint64_t convergedFingerprint() const;
+    /// The Decider's kill-switch has the fleet on the keep-only policy.
+    bool safeMode() const;
     select::InstrumentationPolicy convergedPolicy() const;
     /// Fleet-wide cumulative profile, merged across all clients and epochs.
     scorep::ProfileTree fleetProfile() const;
@@ -244,7 +243,7 @@ private:
         // --- acked session state, updated at INGEST (not merge) so a
         // checkpoint that also carries the pending queue is self-consistent,
         // and a resume() rewinds the client to exactly what was received.
-        /// Mirror of the client's watermark after its last acked frame
+        /// Copy of the client's watermark after its last acked frame
         /// (client-side node ids; counters are exact — monotone integers).
         scorep::CctWatermark acked;
         /// Cumulative acked suppressed visits, by client handle.
@@ -269,9 +268,11 @@ private:
     /// stalled client's full queue).
     void sendPolicyTo(ClientState& client, const PolicyFrame& base,
                       bool blocking = true);
+    /// The policy-frame header for the current converged policy: epoch,
+    /// fingerprint and the last epoch's headline numbers.
+    PolicyFrame currentFrameBase() const;
     scorep::RegionHandle fleetHandleFor(ClientState& client,
                                         std::uint32_t clientHandle);
-    void mirrorKillSwitch(double measuredRatio, bool withinBudget);
     std::map<std::string, scorep::ProfileTree::RegionTotals>
     totalsByNameLocked() const;
 
@@ -297,12 +298,8 @@ private:
     /// against the current totals is the epoch's observation.
     std::map<std::string, scorep::ProfileTree::RegionTotals> lastTotals_;
 
-    // --- the mirrored controller decision state ---------------------------
-    adapt::OverheadModel model_;
-    adapt::BudgetPlanner planner_;
-    select::InstrumentationConfig surveyIc_;
-    select::InstrumentationConfig currentIc_;
-    select::InstrumentationPolicy currentPolicy_;
+    // --- the fleet's decision state ----------------------------------------
+    adapt::Decider decider_;
     std::uint64_t epochsCompleted_ = 0;
     std::uint64_t incarnation_ = 1;
     /// nowNs() when the open epoch's first delta was ingested; 0 = no epoch
@@ -310,14 +307,10 @@ private:
     std::uint64_t epochOpenedAtNs_ = 0;
     /// Diagnosis from the last epoch's divergent client (see lastDivergence).
     select::PolicyDelta lastDivergence_;
-    bool safeMode_ = false;
-    std::size_t overBudgetStreak_ = 0;
-    std::size_t inBudgetStreak_ = 0;
     /// Last epoch's headline numbers, repeated on catch-up/resync frames.
     double lastRatio_ = 0.0;
     double lastBudgetNs_ = 0.0;
     bool lastWithinBudget_ = true;
-    std::uint64_t obsEventsAtLastEpoch_ = 0;
 
     AggregatorStats stats_;
     std::uint64_t metricsCollectorId_ = 0;

@@ -9,6 +9,11 @@ namespace capi::spec {
 
 namespace {
 
+/// Deepest selector-call nesting a spec may use. parseExpr/parseCall recurse
+/// once per level, so without a bound a hostile spec of a few hundred
+/// thousand nested calls overflows the stack; real specs nest a few levels.
+constexpr int kMaxNestingDepth = 256;
+
 class Parser {
 public:
     Parser(std::string_view text, const ModuleResolver* resolver)
@@ -145,6 +150,14 @@ private:
     }
 
     ExprPtr parseCall() {
+        if (depth_ == kMaxNestingDepth) {
+            fail("selector calls nested deeper than " +
+                     std::to_string(kMaxNestingDepth) + " levels",
+                 current());
+        }
+        // An exception abandons the whole parse, so the level is only
+        // released on the success path.
+        ++depth_;
         Token name = consume();
         ExprPtr call = Expr::makeCall(name.text, name.line, name.column);
         expect(TokenKind::LParen, "'(' after selector name");
@@ -159,11 +172,13 @@ private:
             }
         }
         expect(TokenKind::RParen, "')'");
+        --depth_;
         return call;
     }
 
     std::vector<Token> tokens_;
     std::size_t pos_ = 0;
+    int depth_ = 0;  ///< Selector calls currently open in parseCall.
     const ModuleResolver* resolver_;
 };
 

@@ -224,6 +224,12 @@ std::string Json::dump(bool pretty) const {
 
 namespace {
 
+/// Deepest object/array nesting a document may use. Each level costs two
+/// stack frames (parseValue + parseObject/parseArray), so hostile input such
+/// as a multi-megabyte run of '[' fails with a ParseError here instead of
+/// overflowing the stack. Real MetaCG documents nest a handful of levels.
+constexpr int kMaxNestingDepth = 512;
+
 /// Hand-written recursive-descent JSON parser with line/column diagnostics.
 class JsonParser {
 public:
@@ -292,8 +298,19 @@ private:
         skipWhitespace();
         char c = peek();
         switch (c) {
-            case '{': return parseObject();
-            case '[': return parseArray();
+            case '{':
+            case '[': {
+                // An exception abandons the whole parse, so the level is
+                // only released on the success path.
+                if (depth_ == kMaxNestingDepth) {
+                    fail("nesting deeper than " +
+                         std::to_string(kMaxNestingDepth) + " levels");
+                }
+                ++depth_;
+                Json nested = c == '{' ? parseObject() : parseArray();
+                --depth_;
+                return nested;
+            }
             case '"': return Json(parseString());
             case 't':
                 if (consumeKeyword("true")) return Json(true);
@@ -439,6 +456,7 @@ private:
     std::size_t pos_ = 0;
     int line_ = 1;
     int column_ = 1;
+    int depth_ = 0;
 };
 
 }  // namespace

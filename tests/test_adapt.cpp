@@ -1,16 +1,21 @@
 // Tests for src/adapt/: overhead model EWMA semantics, budget planner
-// (knapsack, SCC-group atomicity, keep list, thread-count invariance) and
+// (knapsack, SCC-group atomicity, keep list, thread-count invariance), the
+// Decider's kill-switch hysteresis, self-cost billing and state restore, and
 // the adaptive controller's converge-under-budget epoch loop, including the
 // cross-rank MPI variant and the delta-beats-full-repatch page accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adapt/budget_planner.hpp"
 #include "adapt/controller.hpp"
+#include "adapt/decider.hpp"
 #include "adapt/overhead_model.hpp"
 #include "apps/lulesh.hpp"
 #include "apps/model_builder.hpp"
@@ -21,6 +26,7 @@
 #include "dyncapi/dyncapi.hpp"
 #include "dyncapi/mpi_port.hpp"
 #include "mpisim/mpi_world.hpp"
+#include "obs/trace.hpp"
 #include "scorepsim/cyg_adapter.hpp"
 #include "scorepsim/symbol_resolver.hpp"
 #include "support/executor.hpp"
@@ -79,7 +85,7 @@ select::InstrumentationConfig icOf(std::initializer_list<const char*> names) {
 // ------------------------------------------------------------ OverheadModel --
 
 TEST(OverheadModel, EwmaSmoothsAcrossEpochs) {
-    adapt::ModelOptions options;
+    adapt::Config options;
     options.perEventCostNs = 100.0;
     options.ewmaAlpha = 0.5;
     adapt::OverheadModel model(options);
@@ -101,7 +107,7 @@ TEST(OverheadModel, EwmaSmoothsAcrossEpochs) {
 }
 
 TEST(OverheadModel, ActiveMissingDecaysInactiveFrozen) {
-    adapt::ModelOptions options;
+    adapt::Config options;
     options.ewmaAlpha = 0.5;
     adapt::OverheadModel model(options);
     scorep::Measurement m;
@@ -121,7 +127,7 @@ TEST(OverheadModel, ActiveMissingDecaysInactiveFrozen) {
 }
 
 TEST(OverheadModel, LastEpochOverheadRatioUsesCalibratedCost) {
-    adapt::ModelOptions options;
+    adapt::Config options;
     options.perEventCostNs = 100.0;
     adapt::OverheadModel model(options);
     scorep::Measurement m;
@@ -259,7 +265,7 @@ TEST(BudgetPlanner, EmptyModelKeepsEveryCandidate) {
 TEST(BudgetPlanner, ExcludesCostOverBudgetKeepsValueAndCold) {
     cg::CallGraph graph = simpleGraph();
     adapt::BudgetPlanner planner(graph);
-    adapt::ModelOptions mopts;
+    adapt::Config mopts;
     mopts.perEventCostNs = 100.0;
     adapt::OverheadModel model(mopts);
     scorep::Measurement m;
@@ -268,7 +274,7 @@ TEST(BudgetPlanner, ExcludesCostOverBudgetKeepsValueAndCold) {
     epoch.add("noisy", 1'000'000, 1'000'000);  // cost 2e8 ns, tiny value
     model.observeEpoch(epoch.tree, m, 1e9);
 
-    adapt::PlannerOptions popts;
+    adapt::Config popts;
     popts.budgetFraction = 0.05;  // 5% of 8e8 app ns = 4e7 ns budget
     adapt::PlanResult plan = planner.plan(icOf({"kernel", "noisy", "main"}),
                                           model, popts);
@@ -283,7 +289,7 @@ TEST(BudgetPlanner, ExcludesCostOverBudgetKeepsValueAndCold) {
 TEST(BudgetPlanner, KeepListOverridesBudget) {
     cg::CallGraph graph = simpleGraph();
     adapt::BudgetPlanner planner(graph);
-    adapt::ModelOptions mopts;
+    adapt::Config mopts;
     mopts.perEventCostNs = 100.0;
     adapt::OverheadModel model(mopts);
     scorep::Measurement m;
@@ -291,7 +297,7 @@ TEST(BudgetPlanner, KeepListOverridesBudget) {
     epoch.add("noisy", 1'000'000, 1'000'000);
     model.observeEpoch(epoch.tree, m, 1e9);
 
-    adapt::PlannerOptions popts;
+    adapt::Config popts;
     popts.budgetFraction = 0.05;
     popts.keep = {"noisy"};
     adapt::PlanResult plan = planner.plan(icOf({"noisy"}), model, popts);
@@ -361,7 +367,7 @@ TEST(BudgetPlanner, NeverSplitsSccGroup) {
     graph.addCallEdge(b, a);
 
     adapt::BudgetPlanner planner(graph);
-    adapt::ModelOptions mopts;
+    adapt::Config mopts;
     mopts.perEventCostNs = 100.0;
     adapt::OverheadModel model(mopts);
     scorep::Measurement m;
@@ -370,7 +376,7 @@ TEST(BudgetPlanner, NeverSplitsSccGroup) {
     epoch.add("b", 10, 900'000'000);       // alone: trivially cheap
     model.observeEpoch(epoch.tree, m, 1e9);
 
-    adapt::PlannerOptions popts;
+    adapt::Config popts;
     popts.budgetFraction = 0.05;
     adapt::PlanResult plan = planner.plan(icOf({"a", "b"}), model, popts);
     // The group's combined cost exceeds the budget: both go, not just "a" —
@@ -388,7 +394,7 @@ TEST(BudgetPlanner, NeverSplitsSccGroup) {
 TEST(BudgetPlanner, ReAdmitsWhenBudgetGrows) {
     cg::CallGraph graph = simpleGraph();
     adapt::BudgetPlanner planner(graph);
-    adapt::ModelOptions mopts;
+    adapt::Config mopts;
     mopts.perEventCostNs = 100.0;
     mopts.ewmaAlpha = 1.0;  // no smoothing: make the arithmetic exact
     adapt::OverheadModel model(mopts);
@@ -397,7 +403,7 @@ TEST(BudgetPlanner, ReAdmitsWhenBudgetGrows) {
     epoch1.add("noisy", 1'000'000, 1'000'000);
     model.observeEpoch(epoch1.tree, m, 1e9);
 
-    adapt::PlannerOptions popts;
+    adapt::Config popts;
     popts.budgetFraction = 0.05;
     EXPECT_FALSE(planner.plan(icOf({"noisy"}), model, popts).ic.contains("noisy"));
 
@@ -429,7 +435,7 @@ TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
         }
     }
 
-    adapt::ModelOptions mopts;
+    adapt::Config mopts;
     mopts.perEventCostNs = 50.0;
     adapt::OverheadModel model(mopts);
     scorep::Measurement m;
@@ -445,7 +451,7 @@ TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
     model.observeEpoch(epoch.tree, m, 1e10);
 
     adapt::BudgetPlanner planner(graph);
-    adapt::PlannerOptions serial;
+    adapt::Config serial;
     serial.budgetFraction = 0.05;
     serial.threads = 1;
     adapt::PlanResult serialPlan = planner.plan(candidate, model, serial);
@@ -456,7 +462,7 @@ TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
     // hosts (Executor's shared pool is hardware width there: 1 thread).
     for (std::size_t threads : {std::size_t{2}, std::size_t{5}, std::size_t{8}}) {
         support::ThreadPool pool(threads);
-        adapt::PlannerOptions parallel = serial;
+        adapt::Config parallel = serial;
         parallel.pool = &pool;
         adapt::PlanResult parallelPlan = planner.plan(candidate, model, parallel);
         EXPECT_EQ(parallelPlan.ic.functions, serialPlan.ic.functions)
@@ -473,6 +479,214 @@ TEST(IcDiff, ComputesAddedAndRemoved) {
     EXPECT_EQ(delta.added, std::vector<std::string>{"d"});
     EXPECT_EQ(delta.removed, std::vector<std::string>{"a"});
     EXPECT_TRUE(select::icDiff(icOf({"a"}), icOf({"a"})).empty());
+}
+
+// ------------------------------------------------------------------ Decider --
+
+/// Knobs for the Decider unit tests: 1e6 noisy visits in a 1e9 ns epoch at
+/// 100 ns/event cost 2e8 ns — ratio 0.2, past the 0.15 trip ratio.
+adapt::Config deciderConfig() {
+    adapt::Config config;
+    config.perEventCostNs = 100.0;
+    config.budgetFraction = 0.05;
+    config.killSwitchFactor = 3.0;
+    config.killSwitchEpochs = 3;
+    config.killSwitchRearmEpochs = 2;
+    config.keep = {"kernel"};
+    return config;
+}
+
+/// One synthetic epoch whose measured overhead ratio is exactly `ratio`
+/// under deciderConfig(): the noisy region's visits carry the probe cost.
+adapt::Decider::Observations epochAtRatio(double ratio) {
+    adapt::Decider::Observations observed;
+    observed["kernel"] = {100.0, 900'000'000.0, 0.0};
+    observed["noisy"] = {ratio * 1e9 / (2.0 * 100.0) - 100.0, 1'000'000.0, 0.0};
+    return observed;
+}
+
+constexpr double kOverTrip = 0.2;  ///< > budget x factor = 0.15.
+constexpr double kGrey = 0.1;      ///< Over budget, under the trip ratio.
+constexpr double kInBudget = 0.01;
+
+TEST(Decider, KillSwitchTripsAfterConsecutiveOverBudgetEpochs) {
+    const cg::CallGraph graph = simpleGraph();
+    adapt::Decider decider(graph, deciderConfig());
+    decider.start(icOf({"main", "kernel", "noisy"}));
+    for (int epoch = 1; epoch < 3; ++epoch) {
+        adapt::Decision d = decider.decide(epochAtRatio(kOverTrip), 1e9);
+        EXPECT_DOUBLE_EQ(d.measuredOverheadRatio, kOverTrip);
+        EXPECT_FALSE(d.killSwitchTripped) << "epoch " << epoch;
+        EXPECT_FALSE(decider.safeMode());
+        decider.adopt(std::move(d.policy), std::move(d.ic));
+    }
+    adapt::Decision tripped = decider.decide(epochAtRatio(kOverTrip), 1e9);
+    EXPECT_TRUE(tripped.killSwitchTripped);
+    EXPECT_TRUE(decider.safeMode());
+    // Safe mode sheds to the keep list, at Full, whatever the model says.
+    EXPECT_EQ(tripped.policy.fingerprint(),
+              decider.safeModePolicy().fingerprint());
+    EXPECT_EQ(tripped.policy.functions, std::vector<std::string>{"kernel"});
+    EXPECT_EQ(tripped.fullRegions, 1u);
+    EXPECT_DOUBLE_EQ(tripped.budgetNs, 0.05 * 1e9);
+}
+
+TEST(Decider, GreyZoneEpochResetsBothStreaks) {
+    const cg::CallGraph graph = simpleGraph();
+    adapt::Decider decider(graph, deciderConfig());
+    decider.start(icOf({"main", "kernel", "noisy"}));
+    auto step = [&](double ratio) {
+        adapt::Decision d = decider.decide(epochAtRatio(ratio), 1e9);
+        decider.adopt(std::move(d.policy), std::move(d.ic));
+        return d;
+    };
+    // Over-budget streak: two overshoots, a grey epoch, then it takes three
+    // fresh overshoots to trip.
+    step(kOverTrip);
+    step(kOverTrip);
+    EXPECT_FALSE(step(kGrey).killSwitchTripped);
+    EXPECT_FALSE(step(kOverTrip).killSwitchTripped);
+    EXPECT_FALSE(step(kOverTrip).killSwitchTripped);
+    EXPECT_TRUE(step(kOverTrip).killSwitchTripped);
+    // In-budget streak: one in-budget epoch, a grey one, then it takes two
+    // fresh in-budget epochs to re-arm.
+    EXPECT_FALSE(step(kInBudget).killSwitchRearmed);
+    EXPECT_FALSE(step(kGrey).killSwitchRearmed);
+    EXPECT_TRUE(decider.safeMode());
+    EXPECT_FALSE(step(kInBudget).killSwitchRearmed);
+    EXPECT_TRUE(step(kInBudget).killSwitchRearmed);
+    EXPECT_FALSE(decider.safeMode());
+}
+
+TEST(Decider, RearmsAfterInBudgetEpochs) {
+    const cg::CallGraph graph = simpleGraph();
+    adapt::Config config = deciderConfig();
+    config.killSwitchEpochs = 1;
+    adapt::Decider decider(graph, config);
+    decider.start(icOf({"main", "kernel", "noisy"}));
+    adapt::Decision tripped = decider.decide(epochAtRatio(kOverTrip), 1e9);
+    ASSERT_TRUE(tripped.killSwitchTripped);
+    decider.adopt(std::move(tripped.policy), std::move(tripped.ic));
+
+    adapt::Decision first = decider.decide(epochAtRatio(kInBudget), 1e9);
+    EXPECT_FALSE(first.killSwitchRearmed);
+    EXPECT_TRUE(decider.safeMode());
+    EXPECT_EQ(first.policy.fingerprint(), decider.safeModePolicy().fingerprint());
+    decider.adopt(std::move(first.policy), std::move(first.ic));
+
+    adapt::Decision rearmed = decider.decide(epochAtRatio(kInBudget), 1e9);
+    EXPECT_TRUE(rearmed.killSwitchRearmed);
+    EXPECT_FALSE(decider.safeMode());
+    // Back on the planner, which plans over the survey candidates rather
+    // than the keep-only policy in force: "main", never observed and so
+    // free, is re-admitted beside the keep-listed "kernel".
+    EXPECT_NE(rearmed.policy.fingerprint(),
+              decider.safeModePolicy().fingerprint());
+    EXPECT_TRUE(rearmed.ic.contains("main"));
+    EXPECT_TRUE(rearmed.ic.contains("kernel"));
+}
+
+TEST(Decider, ForcedSafeModeRearmsUnderTheSameHysteresis) {
+    const cg::CallGraph graph = simpleGraph();
+    adapt::Decider decider(graph, deciderConfig());
+    decider.start(icOf({"main", "kernel", "noisy"}));
+    decider.enterSafeMode();
+    adapt::Decision held = decider.decide(epochAtRatio(kInBudget), 1e9);
+    EXPECT_TRUE(decider.safeMode());
+    EXPECT_FALSE(held.killSwitchTripped);
+    EXPECT_EQ(held.policy.fingerprint(), decider.safeModePolicy().fingerprint());
+    EXPECT_TRUE(decider.decide(epochAtRatio(kInBudget), 1e9).killSwitchRearmed);
+}
+
+TEST(Decider, RestoredMidRunDecidesBitIdenticallyToUninterruptedTwin) {
+    const cg::CallGraph graph = simpleGraph();
+    adapt::Config config = deciderConfig();
+    config.ewmaAlpha = 0.3;  // non-trivial EWMA state to carry over
+    const std::vector<double> ratios = {kOverTrip, kOverTrip, kGrey,
+                                        kOverTrip, kOverTrip, kOverTrip,
+                                        kInBudget, kInBudget, kOverTrip,
+                                        kInBudget};
+    auto observe = [](std::size_t epoch, double ratio) {
+        adapt::Decider::Observations observed = epochAtRatio(ratio);
+        // Vary the value side too, so the plans differ epoch to epoch.
+        observed["main"] = {1.0, 1000.0 * static_cast<double>(epoch), 0.0};
+        return observed;
+    };
+    auto runtimeOf = [](std::size_t epoch) {
+        return 1e9 + 1e6 * static_cast<double>(epoch);
+    };
+    const select::InstrumentationConfig survey = icOf({"main", "kernel", "noisy"});
+
+    adapt::Decider twin(graph, config);
+    twin.start(survey);
+    std::vector<adapt::Decision> expected;
+    for (std::size_t e = 0; e < ratios.size(); ++e) {
+        adapt::Decision d = twin.decide(observe(e, ratios[e]), runtimeOf(e));
+        twin.adopt(d.policy, d.ic);
+        expected.push_back(std::move(d));
+    }
+
+    constexpr std::size_t kSaveAfter = 5;  // mid over-budget streak
+    adapt::DeciderState saved;
+    {
+        adapt::Decider before(graph, config);
+        before.start(survey);
+        for (std::size_t e = 0; e < kSaveAfter; ++e) {
+            adapt::Decision d = before.decide(observe(e, ratios[e]), runtimeOf(e));
+            before.adopt(std::move(d.policy), std::move(d.ic));
+        }
+        saved = before.saveState();
+    }
+    adapt::Decider restored(graph, config);
+    restored.start(survey);
+    restored.restoreState(saved);
+    for (std::size_t e = kSaveAfter; e < ratios.size(); ++e) {
+        adapt::Decision d = restored.decide(observe(e, ratios[e]), runtimeOf(e));
+        const adapt::Decision& want = expected[e];
+        EXPECT_EQ(d.policy.fingerprint(), want.policy.fingerprint()) << "epoch " << e;
+        EXPECT_EQ(d.ic.functions, want.ic.functions) << "epoch " << e;
+        EXPECT_EQ(d.measuredOverheadRatio, want.measuredOverheadRatio) << "epoch " << e;
+        EXPECT_EQ(d.budgetNs, want.budgetNs) << "epoch " << e;
+        EXPECT_EQ(d.plannedProbeCostNs, want.plannedProbeCostNs) << "epoch " << e;
+        EXPECT_EQ(d.killSwitchTripped, want.killSwitchTripped) << "epoch " << e;
+        EXPECT_EQ(d.killSwitchRearmed, want.killSwitchRearmed) << "epoch " << e;
+        restored.adopt(std::move(d.policy), std::move(d.ic));
+    }
+    // The run crossed both transitions after the restore point.
+    EXPECT_TRUE(expected[kSaveAfter].killSwitchTripped);
+    EXPECT_TRUE(expected[7].killSwitchRearmed);
+}
+
+TEST(Decider, BillsRecorderEventsAndFoldsVisitMetrics) {
+    cg::CallGraph graph = simpleGraph();
+    adapt::Config config = deciderConfig();
+    config.obsCostNs = 1000.0;
+    config.foldVisitMetricsInto = &graph;
+    adapt::Decider decider(graph, config);
+    decider.start(icOf({"main", "kernel", "noisy"}));
+
+    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+    recorder.setEnabled(true);
+    const std::uint32_t name = recorder.internName("test.decider_event");
+    constexpr std::uint64_t kEvents = 7;
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+        recorder.recordInstant(name, obs::SpanCategory::Tool, i);
+    }
+    recorder.setEnabled(false);
+    (void)recorder.drain();
+
+    adapt::Decision d = decider.decide(epochAtRatio(kInBudget), 1e9);
+    EXPECT_EQ(d.obsEventsObserved, kEvents);
+    EXPECT_DOUBLE_EQ(d.selfObsCostNs, 1000.0 * kEvents);
+    // The bill lands in the measured cost the ratio and kill-switch read.
+    EXPECT_DOUBLE_EQ(d.measuredProbeCostNs, kInBudget * 1e9 + 1000.0 * kEvents);
+    // And the next epoch starts from a fresh baseline.
+    EXPECT_EQ(decider.decide(epochAtRatio(kInBudget), 1e9).obsEventsObserved, 0u);
+
+    EXPECT_EQ(graph.desc(graph.lookup("kernel")).metrics.profiledVisits, 100u);
+    EXPECT_EQ(graph.desc(graph.lookup("noisy")).metrics.profiledVisits,
+              static_cast<std::uint32_t>(kInBudget * 1e9 / 200.0 - 100.0));
+    EXPECT_EQ(graph.desc(graph.lookup("main")).metrics.profiledVisits, 0u);
 }
 
 // --------------------------------------------------------------- Controller --
@@ -532,15 +746,15 @@ TEST(Controller, ConvergesAndReAdmitsOnSyntheticApp) {
     cg::MetaCgBuilder builder;
     cg::CallGraph graph = builder.build(model.toSourceModel());
 
-    adapt::ControllerOptions options;
+    adapt::Config options;
     options.budgetFraction = 0.05;
     options.maxEpochs = 5;
-    options.model.perEventCostNs = 100.0;
+    options.perEventCostNs = 100.0;
     adapt::Controller controller(graph, dyn, options);
     controller.start(adapt::surveyOfDefinedFunctions(graph));
     EXPECT_TRUE(controller.currentIc().contains("noisy"));
 
-    auto survey = runEpoch(process, dyn, options.model.perEventCostNs);
+    auto survey = runEpoch(process, dyn, options.perEventCostNs);
     adapt::EpochReport first =
         controller.epoch(survey->profile, survey->measurement, survey->runtimeNs);
     EXPECT_GT(first.measuredOverheadRatio, 0.05);  // survey blows the budget
@@ -548,7 +762,7 @@ TEST(Controller, ConvergesAndReAdmitsOnSyntheticApp) {
     EXPECT_TRUE(controller.currentIc().contains("kernel"));
     EXPECT_GT(first.patch.functionsUnpatched, 0u);
 
-    auto trimmed = runEpoch(process, dyn, options.model.perEventCostNs);
+    auto trimmed = runEpoch(process, dyn, options.perEventCostNs);
     adapt::EpochReport second = controller.epoch(
         trimmed->profile, trimmed->measurement, trimmed->runtimeNs);
     EXPECT_TRUE(second.withinBudget);
@@ -573,10 +787,10 @@ TEST(Controller, LuleshConvergesUnderFivePercentWithDeltaRepatching) {
     binsim::Process fullProcess(compiled);
     dyncapi::DynCapi fullDyn(fullProcess);
 
-    adapt::ControllerOptions options;
+    adapt::Config options;
     options.budgetFraction = 0.05;
     options.maxEpochs = 5;
-    options.model.perEventCostNs = 200.0;
+    options.perEventCostNs = 200.0;
     adapt::Controller controller(graph, dyn, options);
     dyncapi::InitStats surveyStats = controller.start(adapt::surveyOfDefinedFunctions(graph));
     ASSERT_GT(surveyStats.patchedFunctions, 100u);
@@ -584,7 +798,7 @@ TEST(Controller, LuleshConvergesUnderFivePercentWithDeltaRepatching) {
 
     bool sawStrictlySmallerDelta = false;
     while (!controller.done()) {
-        auto epoch = runEpoch(process, dyn, options.model.perEventCostNs);
+        auto epoch = runEpoch(process, dyn, options.perEventCostNs);
         adapt::EpochReport report =
             controller.epoch(epoch->profile, epoch->measurement, epoch->runtimeNs);
 
@@ -667,9 +881,9 @@ TEST(Controller, EpochAllRanksConvergesWorldOnOneIc) {
     binsim::Process process(binsim::compile(model, copts));
     dyncapi::DynCapi dyn(process);
 
-    adapt::ControllerOptions options;
+    adapt::Config options;
     options.budgetFraction = 0.05;
-    options.model.perEventCostNs = 200.0;
+    options.perEventCostNs = 200.0;
     adapt::Controller controller(graph, dyn, options);
     controller.start(adapt::surveyOfDefinedFunctions(graph));
 
@@ -688,7 +902,7 @@ TEST(Controller, EpochAllRanksConvergesWorldOnOneIc) {
         binsim::RunStats stats = engine.run(rank, kRanks);
         const scorep::ProfileTree& local = measurement.threadProfile();
         double runtimeNs = adapt::virtualEpochRuntimeNs(
-            stats, measurement, options.model.perEventCostNs);
+            stats, measurement, options.perEventCostNs);
         reports[rank] = controller.epochAllRanks(world, rank, stats.virtualNs,
                                                  local, measurement, runtimeNs);
     });
@@ -809,6 +1023,141 @@ TEST(Controller, EpochAllRanksRepatchesDivergentRanksToConvergedPolicy) {
     EXPECT_EQ(procs[0]->xray().patchedFunctionTiers(),
               procs[1]->xray().patchedFunctionTiers());
     (void)noisy;
+}
+
+TEST(Controller, EpochAllRanksPerRankControllersDecideAsOneWhicheverRankReduces) {
+    // One controller per rank, the reducing (last-arriving) rank alternating
+    // between epochs, through a kill-switch trip and re-arm: every epoch must
+    // match a world whose ranks share ONE controller. A rank that did not
+    // reduce must leave the collective with the reducer's model and
+    // kill-switch state, or the world's next decision depends on which rank
+    // happens to arrive last.
+    binsim::AppModel model;
+    model.name = "rotate";
+    for (auto [name, instr] : {std::pair{"main", 100u}, {"kernel", 300u},
+                               {"noisy", 50u}}) {
+        binsim::AppFunction fn;
+        fn.name = name;
+        fn.unit = "a.cpp";
+        fn.metrics.numInstructions = instr;
+        fn.flags.hasBody = true;
+        model.functions.push_back(fn);
+    }
+    model.entry = 0;
+    model.functions[0].calls.push_back({1, 4});
+    model.functions[1].calls.push_back({2, 20000});
+    binsim::CompileOptions copts;
+    copts.xrayThreshold.instructionThreshold = 1;
+    const binsim::CompiledProgram compiled = binsim::compile(model, copts);
+    cg::MetaCgBuilder builder;
+    const cg::CallGraph graph = builder.build(model.toSourceModel());
+
+    // Survey epoch: 2 ranks x 20005 visits x 2 events x 100 ns over 2e7 ns
+    // = ratio 0.4, past the 5% budget, so the switch trips at epoch 1. The
+    // keep-only policy runs far under budget: re-arm at 3 onto a plan that
+    // excludes noisy. The planner re-admits noisy at 5, which trips the
+    // switch again at 6.
+    adapt::Config config;
+    config.budgetFraction = 0.05;
+    config.perEventCostNs = 100.0;
+    config.killSwitchFactor = 1.0;
+    config.killSwitchEpochs = 1;
+    config.killSwitchRearmEpochs = 2;
+    config.keep = {"kernel"};
+    config.maxEpochs = 100;
+
+    constexpr int kRanks = 2;
+    constexpr std::size_t kEpochs = 6;
+    struct RankRun {
+        std::vector<adapt::EpochReport> reports;
+        std::vector<adapt::EpochHealth> health;  ///< ctl.health() after each.
+    };
+    auto runWorld = [&](const std::function<adapt::Controller&(int)>& ctlOf,
+                        bool rotateReducer) {
+        mpi::MpiWorld world(kRanks);
+        std::vector<RankRun> runs(kRanks);
+        mpi::runRanks(world, [&](int rank) {
+            world.init(rank, 0.0);
+            adapt::Controller& ctl = ctlOf(rank);
+            RankRun& run = runs[static_cast<std::size_t>(rank)];
+            for (std::size_t e = 0; e < kEpochs; ++e) {
+                if (rotateReducer && static_cast<int>(e % kRanks) == rank) {
+                    // Arrive last, so this rank's controller reduces.
+                    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                }
+                // Uninstrumented regions record nothing; the definition
+                // order is the same on every rank so handles line up.
+                scorep::Measurement m;
+                FlatProfile profile(m);
+                const select::InstrumentationConfig& ic = ctl.currentIc();
+                auto add = [&](const char* name, std::uint64_t visits,
+                               std::uint64_t ns) {
+                    const bool on = ic.contains(name);
+                    profile.add(name, on ? visits : 0, on ? ns : 0);
+                };
+                add("main", 1, 1000);
+                add("kernel", 4, 4'000'000);
+                add("noisy", 20000, 200'000);
+                run.reports.push_back(
+                    ctl.epochAllRanks(world, rank, 0.0, profile.tree, m, 1e7));
+                run.health.push_back(ctl.health());
+            }
+        });
+        return runs;
+    };
+
+    binsim::Process sharedProcess(compiled);
+    dyncapi::DynCapi sharedDyn(sharedProcess);
+    adapt::Controller shared(graph, sharedDyn, config);
+    shared.start(adapt::surveyOfDefinedFunctions(graph));
+    const std::vector<adapt::EpochReport> reference =
+        runWorld([&](int) -> adapt::Controller& { return shared; }, false)[0]
+            .reports;
+    ASSERT_EQ(reference.size(), kEpochs);
+    ASSERT_TRUE(reference[0].killSwitchTripped);
+    ASSERT_EQ(reference[0].health, adapt::EpochHealth::SafeMode);
+    ASSERT_TRUE(reference[2].killSwitchRearmed);
+    ASSERT_TRUE(reference[5].killSwitchTripped);
+
+    std::vector<std::unique_ptr<binsim::Process>> procs;
+    std::vector<std::unique_ptr<dyncapi::DynCapi>> dyns;
+    std::vector<std::unique_ptr<adapt::Controller>> ctls;
+    for (int rank = 0; rank < kRanks; ++rank) {
+        procs.push_back(std::make_unique<binsim::Process>(compiled));
+        dyns.push_back(std::make_unique<dyncapi::DynCapi>(*procs.back()));
+        ctls.push_back(
+            std::make_unique<adapt::Controller>(graph, *dyns.back(), config));
+        ctls.back()->start(adapt::surveyOfDefinedFunctions(graph));
+    }
+    const std::vector<RankRun> runs = runWorld(
+        [&](int rank) -> adapt::Controller& {
+            return *ctls[static_cast<std::size_t>(rank)];
+        },
+        true);
+
+    for (std::size_t r = 0; r < kRanks; ++r) {
+        for (std::size_t e = 0; e < kEpochs; ++e) {
+            const adapt::EpochReport& got = runs[r].reports[e];
+            const adapt::EpochReport& want = reference[e];
+            EXPECT_EQ(got.policyFingerprint, want.policyFingerprint)
+                << "rank " << r << " epoch " << e + 1;
+            EXPECT_EQ(got.measuredOverheadRatio, want.measuredOverheadRatio)
+                << "rank " << r << " epoch " << e + 1;
+            EXPECT_EQ(got.health, want.health)
+                << "rank " << r << " epoch " << e + 1;
+            EXPECT_EQ(got.killSwitchTripped, want.killSwitchTripped)
+                << "rank " << r << " epoch " << e + 1;
+            EXPECT_EQ(got.killSwitchRearmed, want.killSwitchRearmed)
+                << "rank " << r << " epoch " << e + 1;
+            // Every controller is in safe mode exactly while the world is.
+            EXPECT_EQ(runs[r].health[e] == adapt::EpochHealth::SafeMode,
+                      want.health == adapt::EpochHealth::SafeMode)
+                << "rank " << r << " epoch " << e + 1;
+        }
+        EXPECT_EQ(ctls[r]->currentPolicy().fingerprint(),
+                  shared.currentPolicy().fingerprint())
+            << "rank " << r;
+    }
 }
 
 }  // namespace

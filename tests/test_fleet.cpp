@@ -735,24 +735,95 @@ void expectSameVisitsByName(const TotalsByName& expected,
     }
 }
 
+/// An adapt::Config variant the fleet == epochAllRanks property is pinned
+/// under, on top of the base knobs both property tests share. Both paths
+/// run the one adapt::Decider, so every knob must move them identically.
+struct FleetConfigCase {
+    const char* name;
+    void (*tune)(adapt::Config& config);
+    /// Each path folds visit counts into its OWN copy of the graph
+    /// (Config::foldVisitMetricsInto must name the graph the controller or
+    /// aggregator was built over); the copies must agree after every epoch.
+    bool foldVisitMetrics = false;
+    /// The reference run must trip AND re-arm the kill-switch, so the
+    /// variant exercises both transitions rather than passing vacuously.
+    bool tripsKillSwitch = false;
+};
+
+const FleetConfigCase kBaseConfigCase{"Base", [](adapt::Config&) {}};
+
+/// The variants are shared by both property tests. Under a 0.15% budget
+/// both the real-execution and the synthetic streams overshoot on their
+/// first epoch only, so the switch trips at epoch 1 in both and re-arms
+/// after two in-budget epochs, with safe mode keeping "kernel" instrumented
+/// (a policy no planned epoch produces, so a missed trip shows up as a
+/// fingerprint mismatch).
+const FleetConfigCase kFleetConfigCases[] = {
+    {"KillSwitchTripsAndRearms",
+     [](adapt::Config& config) {
+         config.budgetFraction = 0.0015;
+         config.killSwitchFactor = 1.0;
+         config.killSwitchEpochs = 1;
+         config.killSwitchRearmEpochs = 2;
+         config.keep = {"kernel"};
+     },
+     false, true},
+    {"FoldsVisitMetrics", [](adapt::Config&) {}, true},
+};
+
+void PrintTo(const FleetConfigCase& variant, std::ostream* os) {
+    *os << variant.name;
+}
+
+class FleetAggregationConfigs
+    : public ::testing::TestWithParam<FleetConfigCase> {};
+
+/// The graph's FunctionMetrics::profiledVisits, by function name.
+std::map<std::string, std::uint32_t> profiledVisitsByName(
+    const cg::CallGraph& graph) {
+    std::map<std::string, std::uint32_t> visits;
+    for (cg::FunctionId id = 0; id < graph.size(); ++id) {
+        visits[graph.name(id)] = graph.desc(id).metrics.profiledVisits;
+    }
+    return visits;
+}
+
+/// The kill-switch transitions the reference made, as (trips, rearms).
+std::pair<int, int> killSwitchTransitions(
+    const std::vector<adapt::EpochReport>& reports) {
+    std::pair<int, int> transitions{0, 0};
+    for (const adapt::EpochReport& report : reports) {
+        transitions.first += report.killSwitchTripped ? 1 : 0;
+        transitions.second += report.killSwitchRearmed ? 1 : 0;
+    }
+    return transitions;
+}
+
 // The acceptance property: the same per-rank event streams driven once
 // through Controller::epochAllRanks (one shared controller, MPI-style
 // collectives) and once through the fleet path (one aggregator, per-process
 // controllers, wire deltas) converge on bit-identical policies, overhead
 // numbers and profiles every epoch — including a rank that joins the fleet
 // mid-run and catches up through the baseline protocol.
-TEST(FleetAggregation, MatchesEpochAllRanksBitForBit) {
+void expectFleetMatchesEpochAllRanks(const FleetConfigCase& variant) {
     const binsim::AppModel model = syntheticModel();
     binsim::CompileOptions copts;
     copts.xrayThreshold.instructionThreshold = 1;
     const binsim::CompiledProgram compiled = binsim::compile(model, copts);
     cg::MetaCgBuilder builder;
-    const cg::CallGraph graph = builder.build(model.toSourceModel());
+    cg::CallGraph graph = builder.build(model.toSourceModel());
+    cg::CallGraph fleetGraph = builder.build(model.toSourceModel());
 
     adapt::Config config;
     config.budgetFraction = 0.05;
     config.maxEpochs = 10;
     config.perEventCostNs = 100.0;
+    variant.tune(config);
+    adapt::Config fleetConfig = config;
+    if (variant.foldVisitMetrics) {
+        config.foldVisitMetricsInto = &graph;
+        fleetConfig.foldVisitMetricsInto = &fleetGraph;
+    }
     const select::InstrumentationConfig survey =
         adapt::surveyOfDefinedFunctions(graph);
 
@@ -767,6 +838,7 @@ TEST(FleetAggregation, MatchesEpochAllRanksBitForBit) {
     reference.start(survey);
 
     std::vector<adapt::EpochReport> refReports;
+    std::vector<std::map<std::string, std::uint32_t>> refVisits;
     TotalsByName refTotals;
     for (int epoch = 1; epoch <= kEpochs; ++epoch) {
         // A fresh world per epoch: the synthetic app makes no MPI calls of
@@ -804,6 +876,7 @@ TEST(FleetAggregation, MatchesEpochAllRanksBitForBit) {
                       reports[0].policyFingerprint);
         }
         refReports.push_back(reports[0]);
+        refVisits.push_back(profiledVisitsByName(graph));
         const scorep::ProfileTree merged = measurement.mergedProfile();
         for (const auto& [handle, totals] : merged.regionTotals()) {
             auto& t = refTotals[measurement.region(handle).name];
@@ -814,14 +887,14 @@ TEST(FleetAggregation, MatchesEpochAllRanksBitForBit) {
 
     // --- fleet: one aggregator, per-process controllers and clients -------
     fleet::AggregatorOptions aggOptions;
-    aggOptions.config = config;
-    fleet::Aggregator aggregator(graph, survey, aggOptions);
-    const std::vector<std::string> universe = sortedRegionUniverse(graph);
+    aggOptions.config = fleetConfig;
+    fleet::Aggregator aggregator(fleetGraph, survey, aggOptions);
+    const std::vector<std::string> universe = sortedRegionUniverse(fleetGraph);
 
     std::vector<std::unique_ptr<FleetRank>> ranks;
     for (int r = 0; r < kRanks - 1; ++r) {
-        ranks.push_back(std::make_unique<FleetRank>(compiled, graph, config,
-                                                    survey, aggregator));
+        ranks.push_back(std::make_unique<FleetRank>(
+            compiled, fleetGraph, fleetConfig, survey, aggregator));
     }
 
     for (int epoch = 1; epoch <= kEpochs; ++epoch) {
@@ -830,7 +903,7 @@ TEST(FleetAggregation, MatchesEpochAllRanksBitForBit) {
             // baseline, so it is patched identically to everyone else
             // BEFORE its first measured epoch.
             ranks.push_back(std::make_unique<FleetRank>(
-                compiled, graph, config, survey, aggregator));
+                compiled, fleetGraph, fleetConfig, survey, aggregator));
             EXPECT_EQ(ranks.back()->client->policyFingerprint(),
                       refReports[static_cast<std::size_t>(kJoinEpoch) - 2]
                           .policyFingerprint);
@@ -865,6 +938,13 @@ TEST(FleetAggregation, MatchesEpochAllRanksBitForBit) {
                       expected.policyFingerprint)
                 << "epoch " << epoch << " rank " << r;
         }
+        // The fleet trips and re-arms on the same epochs as the reference.
+        EXPECT_EQ(aggregator.safeMode(),
+                  expected.health == adapt::EpochHealth::SafeMode)
+            << "epoch " << epoch;
+        EXPECT_EQ(profiledVisitsByName(fleetGraph),
+                  refVisits[static_cast<std::size_t>(epoch) - 1])
+            << "epoch " << epoch;
     }
 
     EXPECT_EQ(aggregator.epochsCompleted(),
@@ -874,6 +954,19 @@ TEST(FleetAggregation, MatchesEpochAllRanksBitForBit) {
     expectSameVisitsByName(refTotals, aggregator.totalsByName());
     EXPECT_EQ(aggregator.stats().divergentClients, 0u);
     EXPECT_EQ(aggregator.stats().decodeErrors, 0u);
+    if (variant.tripsKillSwitch) {
+        const auto [trips, rearms] = killSwitchTransitions(refReports);
+        EXPECT_GE(trips, 1);
+        EXPECT_GE(rearms, 1);
+    }
+}
+
+TEST(FleetAggregation, MatchesEpochAllRanksBitForBit) {
+    expectFleetMatchesEpochAllRanks(kBaseConfigCase);
+}
+
+TEST_P(FleetAggregationConfigs, MatchesEpochAllRanksBitForBit) {
+    expectFleetMatchesEpochAllRanks(GetParam());
 }
 
 /// Deterministic per-rank profile stream: a pure function of (rank, epoch),
@@ -911,18 +1004,26 @@ scorep::ProfileTree syntheticRankProfile(scorep::Measurement& measurement,
 // bit-identical — per-epoch fingerprints, overhead ratios, budgets, AND the
 // aggregated profile down to the last exclusive nanosecond, late joiner
 // included.
-TEST(FleetAggregation, SyntheticStreamsAggregateBitIdentically) {
+void expectSyntheticStreamsAggregateBitIdentically(
+    const FleetConfigCase& variant) {
     const binsim::AppModel model = syntheticModel();
     binsim::CompileOptions copts;
     copts.xrayThreshold.instructionThreshold = 1;
     const binsim::CompiledProgram compiled = binsim::compile(model, copts);
     cg::MetaCgBuilder builder;
-    const cg::CallGraph graph = builder.build(model.toSourceModel());
+    cg::CallGraph graph = builder.build(model.toSourceModel());
+    cg::CallGraph fleetGraph = builder.build(model.toSourceModel());
 
     adapt::Config config;
     config.budgetFraction = 0.05;
     config.maxEpochs = 10;
     config.perEventCostNs = 100.0;
+    variant.tune(config);
+    adapt::Config fleetConfig = config;
+    if (variant.foldVisitMetrics) {
+        config.foldVisitMetricsInto = &graph;
+        fleetConfig.foldVisitMetricsInto = &fleetGraph;
+    }
     const select::InstrumentationConfig survey =
         adapt::surveyOfDefinedFunctions(graph);
 
@@ -940,6 +1041,7 @@ TEST(FleetAggregation, SyntheticStreamsAggregateBitIdentically) {
     reference.start(survey);
     scorep::Measurement refMeasurement;
     std::vector<adapt::EpochReport> refReports;
+    std::vector<std::map<std::string, std::uint32_t>> refVisits;
     TotalsByName refTotals;
     for (int epoch = 1; epoch <= kEpochs; ++epoch) {
         mpi::MpiWorld world(kRanks);
@@ -968,12 +1070,13 @@ TEST(FleetAggregation, SyntheticStreamsAggregateBitIdentically) {
                       reports[0].policyFingerprint);
         }
         refReports.push_back(reports[0]);
+        refVisits.push_back(profiledVisitsByName(graph));
     }
 
     // --- fleet: headless clients over the same streams ---------------------
     fleet::AggregatorOptions aggOptions;
-    aggOptions.config = config;
-    fleet::Aggregator aggregator(graph, survey, aggOptions);
+    aggOptions.config = fleetConfig;
+    fleet::Aggregator aggregator(fleetGraph, survey, aggOptions);
     std::vector<std::unique_ptr<scorep::Measurement>> measurements(kRanks);
     std::vector<std::unique_ptr<fleet::FleetClient>> clients(kRanks);
     for (int r = 0; r < kRanks - 1; ++r) {
@@ -1021,13 +1124,38 @@ TEST(FleetAggregation, SyntheticStreamsAggregateBitIdentically) {
             EXPECT_EQ(report.withinBudget, expected.withinBudget)
                 << "epoch " << epoch << " rank " << r;
         }
+        EXPECT_EQ(aggregator.safeMode(),
+                  expected.health == adapt::EpochHealth::SafeMode)
+            << "epoch " << epoch;
+        EXPECT_EQ(profiledVisitsByName(fleetGraph),
+                  refVisits[static_cast<std::size_t>(epoch) - 1])
+            << "epoch " << epoch;
     }
 
     EXPECT_EQ(aggregator.convergedFingerprint(),
               refReports.back().policyFingerprint);
     expectSameTotalsByName(refTotals, aggregator.totalsByName());
     EXPECT_EQ(aggregator.stats().divergentClients, 0u);
+    if (variant.tripsKillSwitch) {
+        const auto [trips, rearms] = killSwitchTransitions(refReports);
+        EXPECT_GE(trips, 1);
+        EXPECT_GE(rearms, 1);
+    }
 }
+
+TEST(FleetAggregation, SyntheticStreamsAggregateBitIdentically) {
+    expectSyntheticStreamsAggregateBitIdentically(kBaseConfigCase);
+}
+
+TEST_P(FleetAggregationConfigs, SyntheticStreamsAggregateBitIdentically) {
+    expectSyntheticStreamsAggregateBitIdentically(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Decider, FleetAggregationConfigs, ::testing::ValuesIn(kFleetConfigCases),
+    [](const ::testing::TestParamInfo<FleetConfigCase>& info) {
+        return std::string(info.param.name);
+    });
 
 /// Headless-client fixtures for the protocol and soak tests.
 cg::CallGraph tinyGraph() {

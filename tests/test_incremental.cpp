@@ -741,9 +741,9 @@ TEST(ControllerFolding, EpochFoldsVisitsAsMetricTouches) {
     cg::MetaCgBuilder builder;
     cg::CallGraph graph = builder.build(model.toSourceModel());
 
-    adapt::ControllerOptions options;
+    adapt::Config options;
     options.budgetFraction = 0.5;
-    options.model.perEventCostNs = 10.0;
+    options.perEventCostNs = 10.0;
     options.foldVisitMetricsInto = &graph;
     adapt::Controller controller(graph, dyn, options);
     controller.start(adapt::surveyOfDefinedFunctions(graph));

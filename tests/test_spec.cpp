@@ -1,6 +1,8 @@
 // Unit tests for the selection DSL: lexer, parser, imports, diagnostics.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "spec/lexer.hpp"
 #include "spec/parser.hpp"
 #include "support/error.hpp"
@@ -111,6 +113,28 @@ TEST(Parser, RejectsSyntaxErrors) {
     EXPECT_THROW(spec::parseSpec("= foo()"), support::ParseError);
     EXPECT_THROW(spec::parseSpec("join %%"), support::ParseError);
     EXPECT_THROW(spec::parseSpec(""), support::Error);
+}
+
+TEST(Parser, HostileNestingFailsTypedNotStackOverflow) {
+    // 100k nested calls: an unbounded recursive descent would overflow the
+    // stack here; the depth limit turns it into a typed parse error.
+    std::string hostile;
+    for (int i = 0; i < 100000; ++i) {
+        hostile += "join(";
+    }
+    EXPECT_THROW(spec::parseSpec(hostile), support::ParseError);
+
+    // Up to the limit, nesting still parses.
+    auto nested = [](int depth) {
+        std::string text;
+        for (int i = 0; i < depth; ++i) {
+            text += "join(";
+        }
+        text += "%%";
+        return text + std::string(static_cast<std::size_t>(depth), ')');
+    };
+    EXPECT_NO_THROW(spec::parseSpec(nested(256)));
+    EXPECT_THROW(spec::parseSpec(nested(257)), support::ParseError);
 }
 
 TEST(Parser, RejectsDuplicateNamedDefinitions) {

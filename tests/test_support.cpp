@@ -1,6 +1,9 @@
 // Unit tests for the support library: JSON, strings/glob, bitset, RNG.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "support/bitset.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -81,6 +84,28 @@ TEST(Json, RejectsMalformedInput) {
     EXPECT_THROW(Json::parse("{\"a\" 1}"), ParseError);
 }
 
+TEST(Json, HostileNestingFailsTypedNotStackOverflow) {
+    // A 2M-deep run of '[' used to recurse once per level and overflow the
+    // stack; the depth limit turns it into a typed parse error.
+    EXPECT_THROW(Json::parse(std::string(2'000'000, '[')), ParseError);
+
+    // Up to the limit, arrays and objects still parse.
+    auto arrays = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(Json::parse(arrays(512)));
+    EXPECT_THROW(Json::parse(arrays(513)), ParseError);
+    auto objects = [](std::size_t depth) {
+        std::string text;
+        for (std::size_t i = 0; i < depth; ++i) {
+            text += "{\"a\":";
+        }
+        return text + "1" + std::string(depth, '}');
+    };
+    EXPECT_NO_THROW(Json::parse(objects(512)));
+    EXPECT_THROW(Json::parse(objects(513)), ParseError);
+}
+
 TEST(Json, ParseErrorCarriesLocation) {
     try {
         Json::parse("{\n  \"a\": ]\n}");
@@ -128,6 +153,14 @@ struct GlobCase {
     const char* text;
     bool expected;
 };
+
+// gtest_discover_tests names each case after its printed parameter; without
+// this printer the default byte dump embeds the string addresses, so the
+// test names would change with every address-space layout.
+void PrintTo(const GlobCase& c, std::ostream* os) {
+    *os << "'" << c.pattern << "' " << (c.expected ? "matches" : "rejects")
+        << " '" << c.text << "'";
+}
 
 class GlobTest : public ::testing::TestWithParam<GlobCase> {};
 
