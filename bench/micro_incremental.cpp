@@ -15,15 +15,24 @@
 //
 // A third case churns edges inside the hot region itself — the honest worst
 // case where footprints intersect the delta and stages must re-run.
+//
+// BM_RefineStep times a whole refinement step, not only Pipeline::run: the
+// session's selection (pipeline, has-body mask, inline compensation, IC
+// build) and the delta repatch that applies its IC, reported apart.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "binsim/process.hpp"
 #include "cg/call_graph.hpp"
 #include "cg/csr_view.hpp"
+#include "dyncapi/dyncapi.hpp"
+#include "dyncapi/refinement.hpp"
 #include "select/pipeline.hpp"
 #include "select/selector_cache.hpp"
 #include "spec/parser.hpp"
@@ -181,6 +190,67 @@ BENCHMARK(BM_CsrSnapshot)
     ->ArgsProduct({{20000, 200000}, {0, 1}})
     ->ArgNames({"nodes", "patch"})
     ->Unit(benchmark::kMicrosecond);
+
+/// The refinement loop's inputs: a selection-scale OpenFOAM graph and its
+/// XRay build (built once per node count, outside the timing).
+const bench::PreparedApp& refineApp(std::uint32_t nodes) {
+    static std::map<std::uint32_t, bench::PreparedApp> apps;
+    auto it = apps.find(nodes);
+    if (it == apps.end()) {
+        apps::OpenFoamParams params = apps::OpenFoamParams::selectionScale();
+        params.targetNodes = nodes;
+        it = apps.emplace(nodes, bench::prepare("openfoam", apps::makeOpenFoam(params)))
+                 .first;
+    }
+    return it->second;
+}
+
+/// One closed-loop refinement step per iteration: RefinementSession::select
+/// of the next paper spec (in rotation, so every step changes the IC), then
+/// DynCapi::applyIcDelta of its IC. `select_ms` and `apply_ms` split the
+/// step; `flipped` is the functions each delta patched or unpatched.
+void BM_RefineStep(benchmark::State& state) {
+    using Clock = std::chrono::steady_clock;
+    const bench::PreparedApp& app = refineApp(static_cast<std::uint32_t>(state.range(0)));
+    static const spec::ModuleResolver resolver = apps::bundledResolver();
+    const dyncapi::ProcessSymbolOracle oracle(app.compiled);
+    select::SelectionOptions base;
+    base.resolver = &resolver;
+    base.symbolOracle = &oracle;
+    const std::vector<apps::NamedSpec> specs = apps::evaluationSpecs();
+
+    binsim::Process process(app.compiled);
+    dyncapi::DynCapi dyn(process);
+    dyncapi::RefinementSession session(app.graph);
+    // The session starts where the loop does: the first spec applied.
+    dyn.applyIc(session.select(specs[0].text, specs[0].name, base).ic);
+
+    std::size_t next = 1;
+    double selectNs = 0.0;
+    double applyNs = 0.0;
+    double flipped = 0.0;
+    for (auto _ : state) {
+        const apps::NamedSpec& spec = specs[next++ % specs.size()];
+        const Clock::time_point start = Clock::now();
+        select::SelectionReport report = session.select(spec.text, spec.name, base);
+        const Clock::time_point selected = Clock::now();
+        dyncapi::DeltaStats delta = dyn.applyIcDelta(report.ic);
+        const Clock::time_point applied = Clock::now();
+        benchmark::DoNotOptimize(report.ic.functions.data());
+        benchmark::DoNotOptimize(delta.pagesTouched);
+        selectNs += std::chrono::duration<double, std::nano>(selected - start).count();
+        applyNs += std::chrono::duration<double, std::nano>(applied - selected).count();
+        flipped += static_cast<double>(delta.functionsPatched + delta.functionsUnpatched);
+    }
+    state.counters["select_ms"] =
+        benchmark::Counter(selectNs / 1e6, benchmark::Counter::kAvgIterations);
+    state.counters["apply_ms"] =
+        benchmark::Counter(applyNs / 1e6, benchmark::Counter::kAvgIterations);
+    state.counters["flipped"] =
+        benchmark::Counter(flipped, benchmark::Counter::kAvgIterations);
+}
+
+BENCHMARK(BM_RefineStep)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -25,8 +25,11 @@ constexpr std::size_t kParallelBuildThreshold = 1 << 14;
 /// predecessor the next delta will patch from.
 constexpr std::size_t kMaxViewsPerGraph = 2;
 
+/// A multiple of 64, so every shard of a node range owns whole bitset words
+/// (the has-body mask is filled shard by shard).
 std::size_t buildGrain(std::size_t n, const support::ThreadPool& pool) {
-    return std::max<std::size_t>(1024, n / (pool.threadCount() * 4));
+    const std::size_t grain = std::max<std::size_t>(1024, n / (pool.threadCount() * 4));
+    return (grain + 63) / 64 * 64;
 }
 
 struct RegistryCounters {
@@ -47,7 +50,8 @@ RegistryCounters& counters() {
                                       const std::atomic<std::uint64_t>& v) {
                     out.push_back({name, obs::MetricKind::Counter,
                                    static_cast<double>(
-                                       v.load(std::memory_order_relaxed))});
+                                       v.load(std::memory_order_relaxed)),
+                                   0, {}});
                 };
                 counter("capi_csr_full_builds_total", c.fullBuilds);
                 counter("capi_csr_patch_builds_total", c.patchBuilds);
@@ -147,6 +151,14 @@ CsrView::CsrView(const CallGraph& graph, support::ThreadPool* pool) {
     names->len.resize(n);
     auto arena = std::make_shared<std::string>();
     auto stmts = std::make_shared<std::vector<std::uint32_t>>(n);
+    auto hasBody = std::make_shared<support::DynamicBitset>(n);
+    auto readDesc = [&](FunctionId id) {
+        const FunctionDesc& desc = graph.desc(id);
+        (*stmts)[id] = desc.metrics.numStatements;
+        if (desc.flags.hasBody) {
+            hasBody->set(id);
+        }
+    };
     if (pool != nullptr) {
         const std::size_t grain = buildGrain(n, *pool);
         pool->parallelFor(n, grain, [&](std::size_t lo, std::size_t hi) {
@@ -166,8 +178,7 @@ CsrView::CsrView(const CallGraph& graph, support::ThreadPool* pool) {
                 const std::string& name = graph.name(static_cast<FunctionId>(id));
                 std::copy(name.begin(), name.end(),
                           arena->begin() + names->start[id]);
-                (*stmts)[id] =
-                    graph.desc(static_cast<FunctionId>(id)).metrics.numStatements;
+                readDesc(static_cast<FunctionId>(id));
             }
         });
     } else {
@@ -181,13 +192,13 @@ CsrView::CsrView(const CallGraph& graph, support::ThreadPool* pool) {
         arena->reserve(arenaBytes);
         for (std::size_t id = 0; id < n; ++id) {
             *arena += graph.name(static_cast<FunctionId>(id));
-            (*stmts)[id] =
-                graph.desc(static_cast<FunctionId>(id)).metrics.numStatements;
+            readDesc(static_cast<FunctionId>(id));
         }
     }
     names->pool = std::move(arena);
     names_ = std::move(names);
     numStatements_ = std::move(stmts);
+    hasBody_ = std::move(hasBody);
 }
 
 std::shared_ptr<const CsrView> CsrView::tryPatch(const CsrView& prev,
@@ -216,6 +227,7 @@ std::shared_ptr<const CsrView> CsrView::tryPatch(const CsrView& prev,
     support::DynamicBitset overridesDirty(nOld);
     support::DynamicBitset overriddenByDirty(nOld);
     support::DynamicBitset metricDirty(nOld);
+    support::DynamicBitset flagDirty(nOld);
     support::DynamicBitset nameDirty(nOld);
     auto mark = [nOld](support::DynamicBitset& bits, FunctionId id) {
         if (id < nOld) {
@@ -240,11 +252,15 @@ std::shared_ptr<const CsrView> CsrView::tryPatch(const CsrView& prev,
                 mark(overridesDirty, a);
                 mark(overriddenByDirty, a);
                 mark(metricDirty, a);
+                mark(flagDirty, a);
                 mark(nameDirty, a);
                 break;
             case DeltaKind::MetricTouch:
-            case DeltaKind::DescTouch:
                 mark(metricDirty, a);
+                break;
+            case DeltaKind::DescTouch:  // A merge sighting may gain a body.
+                mark(metricDirty, a);
+                mark(flagDirty, a);
                 break;
             case DeltaKind::NodeAdd:     // Appended rows always (re)read.
             case DeltaKind::EntryChange:  // entry_ recomputed from the graph.
@@ -374,6 +390,25 @@ std::shared_ptr<const CsrView> CsrView::tryPatch(const CsrView& prev,
             (*stmts)[id] = graph.desc(static_cast<FunctionId>(id)).metrics.numStatements;
         }
         view->numStatements_ = std::move(stmts);
+    }
+
+    if (!flagDirty.any() && nNew == nOld) {
+        view->hasBody_ = prev.hasBody_;
+    } else {
+        auto hasBody = std::make_shared<support::DynamicBitset>(*prev.hasBody_);
+        hasBody->resize(nNew);
+        auto reread = [&](std::size_t id) {
+            if (graph.desc(static_cast<FunctionId>(id)).flags.hasBody) {
+                hasBody->set(id);
+            } else {
+                hasBody->reset(id);
+            }
+        };
+        flagDirty.forEach(reread);
+        for (std::size_t id = nOld; id < nNew; ++id) {
+            reread(id);
+        }
+        view->hasBody_ = std::move(hasBody);
     }
 
     return view;

@@ -6,8 +6,8 @@
 // separately allocated adjacency vectors and drags the cold FunctionDesc
 // strings through the cache with it. CsrView flattens each edge relation into
 // flat per-node (start, length) rows over one shared edge pool, interns all
-// function names into a single arena, and lifts the metrics the hot selectors
-// read (statement counts) into flat arrays. A whole-graph BFS/Tarjan walk then
+// function names into a single arena, and lifts the per-node fields the hot
+// paths read (statement counts, the has-a-body flag) into flat arrays. A whole-graph BFS/Tarjan walk then
 // touches a handful of contiguous allocations instead of ~4 per node.
 //
 // Snapshots are immutable and registered per graph identity + generation:
@@ -31,6 +31,7 @@
 
 #include "cg/delta.hpp"
 #include "cg/types.hpp"
+#include "support/bitset.hpp"
 
 namespace capi::support {
 class ThreadPool;
@@ -111,6 +112,10 @@ public:
     /// hot read; avoids touching FunctionDesc in the aggregation loops).
     std::uint32_t numStatements(FunctionId id) const { return (*numStatements_)[id]; }
 
+    /// Bit per node: desc(id).flags.hasBody. Selection restricts its result
+    /// to these instrumentable definitions with one word-wise AND.
+    const support::DynamicBitset& definedMask() const { return *hasBody_; }
+
 private:
     /// High bit of `start` routes a row into the view-local tail instead of
     /// the shared pool (patched rows; edge pools stay < 2^31 entries).
@@ -164,6 +169,7 @@ private:
     std::shared_ptr<const Rows> overriddenBy_;
     std::shared_ptr<const NameArena> names_;
     std::shared_ptr<const std::vector<std::uint32_t>> numStatements_;
+    std::shared_ptr<const support::DynamicBitset> hasBody_;
 };
 
 }  // namespace capi::cg

@@ -216,7 +216,7 @@ InitStats DynCapi::applyPolicy(const select::InstrumentationPolicy& policy) {
     std::vector<xray::XRayRuntime::TieredFlip> retier;
     for (std::size_t i = 0; i < policy.functions.size(); ++i) {
         const std::string& name = policy.functions[i];
-        std::optional<xray::PackedId> pid = resolvePolicyEntry(policy, name);
+        std::optional<xray::PackedId> pid = resolveEntry(policy.staticIds, name);
         if (pid.has_value() && xr.patchFunction(*pid)) {
             ++stats.patchedFunctions;
             if (policy.regions[i].tier == select::Tier::Sampled) {
@@ -233,8 +233,7 @@ InitStats DynCapi::applyPolicy(const select::InstrumentationPolicy& policy) {
     stats.pagesTouched = process_->memory().pagesMadeWritable() - pagesBefore;
     stats.patchSeconds = timer.elapsedSec();
     stats.totalSeconds = stats.symbolResolutionSeconds + stats.patchSeconds;
-    currentPolicy_ = policy;
-    syncGates(currentPolicy_);
+    commitGates(&policy);
     return stats;
 }
 
@@ -242,41 +241,47 @@ InitStats DynCapi::applyIc(const select::InstrumentationConfig& ic) {
     return applyPolicy(select::InstrumentationPolicy::fullOf(ic));
 }
 
-std::optional<xray::PackedId> DynCapi::resolveIcEntry(
-    const select::InstrumentationConfig& ic, const std::string& name) const {
-    auto staticIt = ic.staticIds.find(name);
-    if (staticIt != ic.staticIds.end()) {
+std::optional<xray::PackedId> DynCapi::resolveEntry(const StaticIds& staticIds,
+                                                    const std::string& name) const {
+    auto staticIt = staticIds.find(name);
+    if (staticIt != staticIds.end()) {
         return staticIt->second;  // Static-ID extension: no name resolution.
     }
     return resolveName(name);
 }
 
-std::optional<xray::PackedId> DynCapi::resolvePolicyEntry(
-    const select::InstrumentationPolicy& policy, const std::string& name) const {
-    auto staticIt = policy.staticIds.find(name);
-    if (staticIt != policy.staticIds.end()) {
-        return staticIt->second;
-    }
-    return resolveName(name);
+DeltaStats DynCapi::applyPolicyDelta(const select::InstrumentationPolicy& policy) {
+    DeltaStats stats = applyDelta(policy.functions, &policy.regions, policy.staticIds);
+    commitGates(&policy);
+    return stats;
 }
 
-DeltaStats DynCapi::applyPolicyDelta(const select::InstrumentationPolicy& policy) {
+DeltaStats DynCapi::applyIcDelta(const select::InstrumentationConfig& ic) {
+    DeltaStats stats = applyDelta(ic.functions, nullptr, ic.staticIds);
+    commitGates(nullptr);
+    return stats;
+}
+
+DeltaStats DynCapi::applyDelta(const std::vector<std::string>& functions,
+                               const std::vector<select::RegionPolicy>* regions,
+                               const StaticIds& staticIds) {
     DeltaStats stats;
-    stats.requestedFunctions = policy.functions.size();
+    stats.requestedFunctions = functions.size();
 
     support::Timer timer;
     xray::XRayRuntime& xr = process_->xray();
 
-    // Requested (function, tier) set, resolved to live packed ids. An entry
-    // that resolves but has no live sled (its object was dlclosed) counts as
-    // unavailable here, matching applyPolicy's failed patchFunction.
+    // Requested (function, tier) set, resolved to packed ids. An entry that
+    // resolves but has no live sled (its object was dlclosed) is never in
+    // the patched set, so it lands in toPatch and the transaction counts it
+    // unavailable below, matching applyPolicy's failed patchFunction.
     std::unordered_map<xray::PackedId, std::uint8_t> target;
-    target.reserve(policy.functions.size());
-    for (std::size_t i = 0; i < policy.functions.size(); ++i) {
-        std::optional<xray::PackedId> pid =
-            resolvePolicyEntry(policy, policy.functions[i]);
-        if (pid.has_value() && xr.functionAddress(*pid) != 0) {
-            target[*pid] = policy.regions[i].tier == select::Tier::Sampled
+    target.reserve(functions.size());
+    for (std::size_t i = 0; i < functions.size(); ++i) {
+        std::optional<xray::PackedId> pid = resolveEntry(staticIds, functions[i]);
+        if (pid.has_value()) {
+            target[*pid] = regions != nullptr &&
+                                   (*regions)[i].tier == select::Tier::Sampled
                                ? xray::XRayRuntime::kSampledTier
                                : xray::XRayRuntime::kFullTier;
         } else {
@@ -316,42 +321,43 @@ DeltaStats DynCapi::applyPolicyDelta(const select::InstrumentationPolicy& policy
 
     xray::XRayRuntime::DeltaPatchStats patch =
         xr.patchDeltaTiered(toPatch, toUnpatch, toRetier);
-    // Per-list unavailability: a toPatch entry that went stale between the
-    // pre-check above and patchDelta (dlclose raced us) is a failed request,
-    // like applyPolicy's failed patchFunction; a stale toUnpatch entry is
-    // simply already effectively unpatched and not a policy request at all.
+    // Per-list unavailability: a toPatch entry without a live sled is a
+    // failed request, like applyPolicy's failed patchFunction; a stale
+    // toUnpatch entry (dlclose raced us) is simply already effectively
+    // unpatched and not a policy request at all.
     stats.functionsPatched = toPatch.size() - patch.unavailablePatch;
     stats.functionsUnpatched = toUnpatch.size() - patch.unavailableUnpatch;
     stats.requestedUnavailable += patch.unavailablePatch;
     stats.pagesTouched = patch.pagesMadeWritable;
     stats.patchSeconds = timer.elapsedSec();
-    currentPolicy_ = policy;
-    syncGates(currentPolicy_);
     return stats;
 }
 
-DeltaStats DynCapi::applyIcDelta(const select::InstrumentationConfig& ic) {
-    return applyPolicyDelta(select::InstrumentationPolicy::fullOf(ic));
+void DynCapi::commitGates(const select::InstrumentationPolicy* policy) {
+    sampledGates_.clear();
+    if (policy != nullptr) {
+        for (std::size_t i = 0; i < policy->functions.size(); ++i) {
+            const select::RegionPolicy& region = policy->regions[i];
+            if (region.tier == select::Tier::Sampled) {
+                sampledGates_.emplace_back(policy->functions[i], region.sampling);
+            }
+        }
+    }
+    syncGates();
 }
 
-void DynCapi::syncGates(const select::InstrumentationPolicy& policy) {
+void DynCapi::syncGates() {
     if (cygBackend_ == nullptr || cygBackend_->adapter == nullptr) {
         return;
     }
     scorep::Measurement& measurement = cygBackend_->adapter->measurement();
     measurement.clearAllSampling();
-    for (std::size_t i = 0; i < policy.functions.size(); ++i) {
-        const select::RegionPolicy& region = policy.regions[i];
-        if (region.tier != select::Tier::Sampled) {
-            continue;
-        }
+    for (const auto& [name, sampling] : sampledGates_) {
         // Defining by name yields the same handle the adapter's resolver
         // produces for events of this function, so the gate and the events
         // meet at one region.
-        scorep::RegionHandle handle =
-            measurement.defineRegion(policy.functions[i]);
-        measurement.setRegionSampling(handle, region.sampling.everyN,
-                                      region.sampling.minIntervalNs);
+        scorep::RegionHandle handle = measurement.defineRegion(name);
+        measurement.setRegionSampling(handle, sampling.everyN, sampling.minIntervalNs);
     }
 }
 
@@ -382,7 +388,7 @@ void DynCapi::attachCygHandler(scorep::CygProfileAdapter& adapter) {
     // A freshly attached measurement starts with empty gates; re-sync them
     // from the live policy so Sampled regions stay sampled across per-epoch
     // Measurement swaps.
-    syncGates(currentPolicy_);
+    syncGates();
 }
 
 void DynCapi::attachTalpHandler(talp::TalpRuntime& talp) {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -90,31 +91,27 @@ public:
     /// applyPolicy(policy) would. Tier-only transitions (Full <-> Sampled)
     /// update the runtime tag and the measurement gate without touching any
     /// code page. Sound across dlopen/dlclose because the current set is
-    /// read from the sleds, not from a cached previous policy. This is what
-    /// makes the adaptive controller's epoch loop cheap (see src/adapt/).
+    /// read from the runtime's patched set, which follows the sleds, not
+    /// from a cached previous policy. This is what makes the adaptive
+    /// controller's epoch loop cheap (see src/adapt/).
     ///
     /// Failure contract: the underlying patch transaction is all-or-nothing
     /// (see XRayRuntime::patchDeltaTiered). If it fails, the rolled-back
-    /// xray::PatchError propagates out of this call *before* currentPolicy_
-    /// or the measurement gates are updated — a failed apply commits
-    /// nothing, and currentPolicy() still names the live (last successfully
-    /// applied) policy. The adaptive controller relies on exactly this to
-    /// retry or revert (see adapt::Controller).
+    /// xray::PatchError propagates out of this call *before* the sampling
+    /// gates are updated — a failed apply commits nothing, and the gates
+    /// still follow the live (last successfully applied) policy. The
+    /// adaptive controller relies on exactly this to retry or revert (see
+    /// adapt::Controller).
     DeltaStats applyPolicyDelta(const select::InstrumentationPolicy& policy);
 
     /// Binary-set overload: the Full|Off degenerate case, forwarded through
     /// applyPolicy.
     InitStats applyIc(const select::InstrumentationConfig& ic);
 
-    /// Binary-set overload of applyPolicyDelta.
+    /// Binary-set overload of applyPolicyDelta: the same diff against the
+    /// live sleds, every entry at the Full tier. Copies no name list: it
+    /// costs the IC's size plus the patched set, not the sledded functions.
     DeltaStats applyIcDelta(const select::InstrumentationConfig& ic);
-
-    /// The policy most recently applied (gate specs are re-synced from it
-    /// when a measurement backend attaches). Patch state itself is always
-    /// read back from the sleds, never from this cache.
-    const select::InstrumentationPolicy& currentPolicy() const {
-        return currentPolicy_;
-    }
 
     /// Patches every sled (the `xray full` configuration).
     InitStats patchAll();
@@ -153,15 +150,22 @@ private:
     struct TalpBackend;
     struct CygBackend;
 
+    using StaticIds = std::map<std::string, std::uint32_t>;
+
     void resolveAllObjects();
-    std::optional<xray::PackedId> resolveIcEntry(
-        const select::InstrumentationConfig& ic, const std::string& name) const;
-    std::optional<xray::PackedId> resolvePolicyEntry(
-        const select::InstrumentationPolicy& policy, const std::string& name) const;
+    /// The static ID when the IC/policy carries one, else name resolution.
+    std::optional<xray::PackedId> resolveEntry(const StaticIds& staticIds,
+                                               const std::string& name) const;
+    /// applyPolicyDelta's diff and transaction; `regions` null = all Full.
+    DeltaStats applyDelta(const std::vector<std::string>& functions,
+                          const std::vector<select::RegionPolicy>* regions,
+                          const StaticIds& staticIds);
+    /// Records the policy's Sampled regions (none for null) and syncs gates.
+    void commitGates(const select::InstrumentationPolicy* policy);
     /// Rewrites the attached measurement's sampling gates to match
-    /// `policy` (no-op without a cyg/Score-P backend; TALP regions carry no
-    /// gate, their Sampled tier measures like Full).
-    void syncGates(const select::InstrumentationPolicy& policy);
+    /// sampledGates_ (no-op without a cyg/Score-P backend; TALP regions
+    /// carry no gate, their Sampled tier measures like Full).
+    void syncGates();
 
     binsim::Process* process_;
     /// addressByObject_[objectId][localFid] = runtime entry address (0 = none).
@@ -177,7 +181,10 @@ private:
     std::unique_ptr<CygBackend> cygBackend_;
     std::unique_ptr<TalpBackend> talpBackend_;
 
-    select::InstrumentationPolicy currentPolicy_;
+    /// The live policy's Sampled regions with their gate specs, in policy
+    /// order — all a freshly attached backend needs re-armed. Patch state
+    /// itself is always read back from the runtime, never cached here.
+    std::vector<std::pair<std::string, select::SamplingSpec>> sampledGates_;
 };
 
 }  // namespace capi::dyncapi

@@ -50,7 +50,8 @@ Aggregator::Aggregator(const cg::CallGraph& graph,
       options_(std::move(options)),
       data_(options_.dataQueueCapacity),
       decider_(graph, options_.config,
-               {.plan = fleetSpanNames().plan,
+               {.model = std::nullopt,
+                .plan = fleetSpanNames().plan,
                 .planCategory = obs::SpanCategory::Fleet}) {
     // The fleet converges from the same starting point every client's
     // controller starts from: the survey policy, fully instrumented.
@@ -217,7 +218,7 @@ Aggregator::Session Aggregator::connect() {
     // Late-joiner catch-up, half one: a full-policy baseline so the client
     // converges onto the fleet's current policy before its first epoch.
     sendPolicyTo(it->second, currentFrameBase());
-    return Session{it->first, it->second.policyChannel.get()};
+    return Session{it->first, it->second.policyChannel.get(), false, {}};
 }
 
 Aggregator::Session Aggregator::resume(std::uint64_t clientId) {

@@ -34,13 +34,13 @@ Measurement::Measurement(MeasurementOptions options)
                                      "\"}";
             out.push_back({"capi_scorep_probe_events" + base,
                            obs::MetricKind::Counter,
-                           static_cast<double>(probeEvents())});
+                           static_cast<double>(probeEvents()), 0, {}});
             out.push_back({"capi_scorep_filtered_events" + base,
                            obs::MetricKind::Counter,
-                           static_cast<double>(filteredEvents())});
+                           static_cast<double>(filteredEvents()), 0, {}});
             out.push_back({"capi_scorep_suppressed_events" + base,
                            obs::MetricKind::Counter,
-                           static_cast<double>(suppressedEvents())});
+                           static_cast<double>(suppressedEvents()), 0, {}});
         });
 }
 

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "support/error.hpp"
 #include "support/hash.hpp"
@@ -39,6 +40,7 @@ std::string InstrumentationConfig::toScorePFilter() const {
 
 InstrumentationConfig InstrumentationConfig::fromScorePFilter(const std::string& text) {
     InstrumentationConfig ic;
+    std::vector<std::string> names;
     bool inBlock = false;
     bool sawBlock = false;
     int lineNo = 0;
@@ -78,11 +80,12 @@ InstrumentationConfig InstrumentationConfig::fromScorePFilter(const std::string&
         if (fields.size() <= nameIndex) {
             throw support::ParseError("filter: INCLUDE without a name", lineNo, 1);
         }
-        ic.addFunction(fields[nameIndex]);
+        names.push_back(std::move(fields[nameIndex]));
     }
     if (!sawBlock) {
         throw support::Error("filter: missing SCOREP_REGION_NAMES_BEGIN block");
     }
+    ic.setFunctions(std::move(names));
     return ic;
 }
 
@@ -114,9 +117,12 @@ InstrumentationConfig InstrumentationConfig::fromJson(const support::Json& doc) 
     ic.specName = doc.getString("spec", "");
     ic.application = doc.getString("application", "");
     if (const support::Json* fns = doc.find("functions")) {
+        std::vector<std::string_view> names;
+        names.reserve(fns->asArray().size());
         for (const support::Json& fn : fns->asArray()) {
-            ic.addFunction(fn.asString());
+            names.push_back(fn.asString());
         }
+        ic.setFunctions(std::move(names));
     }
     if (const support::Json* ids = doc.find("staticIds")) {
         for (const auto& [name, id] : ids->asObject()) {

@@ -9,7 +9,9 @@
 //    symbols that cannot be resolved at runtime).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <string>
@@ -32,7 +34,18 @@ struct InstrumentationConfig {
     std::string application;
 
     bool contains(const std::string& name) const;
+    /// Inserts one name in order: O(size()) per call, for edits.
     void addFunction(std::string name);
+    /// Replaces the list with `names`, sorted and de-duplicated in
+    /// O(k log k); every bulk build of an IC goes through here. Views (into
+    /// a CsrView name arena or a parsed document) sort without copying.
+    template <typename Name>
+    void setFunctions(std::vector<Name> names) {
+        std::sort(names.begin(), names.end());
+        names.erase(std::unique(names.begin(), names.end()), names.end());
+        functions.assign(std::make_move_iterator(names.begin()),
+                         std::make_move_iterator(names.end()));
+    }
     std::size_t size() const { return functions.size(); }
 
     /// Score-P filter-file format:

@@ -1,8 +1,9 @@
 #include "select/inline_compensation.hpp"
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cg/csr_view.hpp"
@@ -13,41 +14,73 @@ namespace capi::select {
 
 namespace {
 
-/// True when the journal proves the caller relation is unchanged since
-/// `fromGeneration`: the delta is known and contains no node, call-edge or
-/// override record. Metric/desc touches are structurally irrelevant here
-/// (names are pinned, and compensation reads nothing else of a desc), and
-/// an entry-point change does not alter the caller relation.
-bool callerRelationUnchanged(const cg::CallGraph& graph,
-                             std::uint64_t fromGeneration) {
-    std::optional<cg::GraphDelta> delta = graph.deltaSince(fromGeneration);
-    if (!delta.has_value()) {
-        return false;  // History trimmed: cannot prove anything.
-    }
-    return delta->addedNodes.empty() && delta->removedNodes.empty() &&
-           delta->addedCallEdges.empty() && delta->removedCallEdges.empty() &&
-           delta->addedOverrides.empty() && delta->removedOverrides.empty();
+/// True when the journal delta contains no node, call-edge or override
+/// record. Metric/desc touches are structurally irrelevant here (names are
+/// pinned, and compensation reads nothing else of a desc), and an
+/// entry-point change does not alter the caller relation.
+bool callerRelationUnchanged(const cg::GraphDelta& delta) {
+    return delta.addedNodes.empty() && delta.removedNodes.empty() &&
+           delta.addedCallEdges.empty() && delta.removedCallEdges.empty() &&
+           delta.addedOverrides.empty() && delta.removedOverrides.empty();
 }
 
 }  // namespace
+
+void InlineCompensationCache::Scratch::grow(std::size_t nodes) {
+    verdicts.resize(nodes, Verdict::Unknown);
+    visitedEpoch.resize(nodes, 0);
+}
+
+bool InlineCompensationCache::Scratch::symbolPresent(const cg::CallGraph& graph,
+                                                     const SymbolOracle& oracle,
+                                                     cg::FunctionId id) {
+    if (verdicts[id] == Verdict::Unknown) {
+        verdicts[id] =
+            oracle.hasSymbol(graph.name(id)) ? Verdict::Present : Verdict::Absent;
+    }
+    return verdicts[id] == Verdict::Present;
+}
 
 InlineCompensationStats compensateInlining(const cg::CallGraph& graph,
                                            FunctionSet& selection,
                                            const SymbolOracle& oracle,
                                            InlineCompensationCache* cache) {
-    if (cache != nullptr && cache->valid_ && cache->oracle_ == &oracle &&
-        cache->input_ == selection &&
-        callerRelationUnchanged(graph, cache->generation_)) {
-        // Same input, same caller relation, same oracle: replay. The stamp
-        // advances so the next probe diffs against the shortest journal
-        // suffix instead of re-scanning metric churn back to the recompute.
-        cache->generation_ = graph.generation();
-        ++cache->reuses_;
-        selection = cache->output_;
-        InlineCompensationStats stats = cache->stats_;
-        stats.reused = true;
-        return stats;
+    using Scratch = InlineCompensationCache::Scratch;
+    Scratch fresh;
+    Scratch& scratch = cache != nullptr ? cache->scratch_ : fresh;
+    if (cache != nullptr) {
+        // One journal read validates both the replay memo and the verdicts.
+        std::optional<cg::GraphDelta> delta;
+        if (cache->oracle_ == &oracle) {
+            delta = graph.deltaSince(cache->generation_);
+        }
+        if (!delta.has_value()) {
+            // Trimmed history or another oracle: nothing carries over.
+            cache->valid_ = false;
+            scratch.verdicts.clear();
+        } else if (cache->valid_ && callerRelationUnchanged(*delta) &&
+                   cache->input_ == selection) {
+            // Same input, same caller relation, same oracle: replay. The
+            // stamp advances so the next probe diffs against the shortest
+            // journal suffix instead of re-scanning metric churn back to the
+            // recompute.
+            cache->generation_ = graph.generation();
+            ++cache->reuses_;
+            selection = cache->output_;
+            InlineCompensationStats stats = cache->stats_;
+            stats.reused = true;
+            return stats;
+        } else {
+            // Removed nodes lost their names; added ones get fresh slots.
+            for (cg::FunctionId id : delta->removedNodes) {
+                if (id < scratch.verdicts.size()) {
+                    scratch.verdicts[id] = Scratch::Verdict::Unknown;
+                }
+            }
+        }
     }
+    scratch.grow(graph.size());
+
     InlineCompensationStats stats;
     FunctionSet beforeCompensation;
     if (cache != nullptr) {
@@ -63,7 +96,7 @@ InlineCompensationStats compensateInlining(const cg::CallGraph& graph,
     // Step 1: selected functions whose symbol is gone -> assumed inlined.
     std::vector<cg::FunctionId> inlined;
     selection.forEach([&](cg::FunctionId id) {
-        if (!oracle.hasSymbol(graph.name(id))) {
+        if (!scratch.symbolPresent(graph, oracle, id)) {
             inlined.push_back(id);
         }
     });
@@ -82,41 +115,31 @@ InlineCompensationStats compensateInlining(const cg::CallGraph& graph,
     // The visited set is epoch-stamped rather than a per-function bitset:
     // OpenFOAM-scale graphs remove tens of thousands of inlined functions,
     // and clearing a 410k-bit set per function would dominate the whole
-    // selection phase. The symbol-oracle verdict is also memoized, since the
-    // same hot callers are probed from many inlined functions.
+    // selection phase. The same hot callers are probed from many inlined
+    // functions, so their verdicts come from the memo.
     FunctionSet additions(graph.size());
-    std::vector<std::uint32_t> visitedEpoch(graph.size(), 0);
-    std::uint32_t epoch = 0;
-    enum class SymbolState : std::uint8_t { Unknown, Present, Absent };
-    std::vector<SymbolState> symbolCache(graph.size(), SymbolState::Unknown);
-    auto symbolPresent = [&](cg::FunctionId id) {
-        if (symbolCache[id] == SymbolState::Unknown) {
-            symbolCache[id] = oracle.hasSymbol(graph.name(id))
-                                  ? SymbolState::Present
-                                  : SymbolState::Absent;
-        }
-        return symbolCache[id] == SymbolState::Present;
-    };
-
-    std::deque<cg::FunctionId> queue;
+    std::vector<std::uint32_t>& visitedEpoch = scratch.visitedEpoch;
+    std::vector<cg::FunctionId>& queue = scratch.queue;
     for (cg::FunctionId id : inlined) {
-        ++epoch;
+        if (++scratch.epoch == 0) {  // Wrapped: forget every old stamp.
+            std::fill(visitedEpoch.begin(), visitedEpoch.end(), 0);
+            scratch.epoch = 1;
+        }
+        const std::uint32_t epoch = scratch.epoch;
         visitedEpoch[id] = epoch;
         std::span<const cg::FunctionId> callers = csr.callers(id);
         queue.assign(callers.begin(), callers.end());
-        while (!queue.empty()) {
-            cg::FunctionId caller = queue.front();
-            queue.pop_front();
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            const cg::FunctionId caller = queue[head];
             if (visitedEpoch[caller] == epoch) {
                 continue;
             }
             visitedEpoch[caller] = epoch;
-            if (symbolPresent(caller)) {
+            if (scratch.symbolPresent(graph, oracle, caller)) {
                 additions.add(caller);
             } else {
-                for (cg::FunctionId next : csr.callers(caller)) {
-                    queue.push_back(next);
-                }
+                std::span<const cg::FunctionId> next = csr.callers(caller);
+                queue.insert(queue.end(), next.begin(), next.end());
             }
         }
     }

@@ -43,23 +43,49 @@ struct InlineCompensationStats {
 /// The journal is consulted via CallGraph::deltaSince: trimmed history or
 /// any structural record (node / call-edge / override add or remove)
 /// invalidates, so the cache is purely an optimization channel.
+///
+/// The same journal check keeps the oracle's per-node symbol verdicts
+/// across runs with different inputs: a node's name only appears (NodeAdd)
+/// or disappears (NodeRemove), so exactly those verdicts are dropped, and
+/// trimmed history or another oracle drops them all. The walk's scratch
+/// arrays are reused too, so a run costs its selection and its caller walk,
+/// not the graph.
 class InlineCompensationCache {
 public:
     std::uint64_t reuses() const { return reuses_; }
     std::uint64_t recomputes() const { return recomputes_; }
-    void clear() { valid_ = false; }
+    void clear() {
+        valid_ = false;
+        oracle_ = nullptr;
+    }
 
 private:
     friend InlineCompensationStats compensateInlining(
         const cg::CallGraph& graph, FunctionSet& selection,
         const SymbolOracle& oracle, InlineCompensationCache* cache);
 
-    bool valid_ = false;
-    std::uint64_t generation_ = 0;     ///< Graph stamp at the last recompute.
+    /// Per-node memo of oracle.hasSymbol(graph.name(id)) plus the caller
+    /// walk's scratch arrays. Also used, fresh, by uncached runs.
+    struct Scratch {
+        enum class Verdict : std::uint8_t { Unknown, Present, Absent };
+        std::vector<Verdict> verdicts;
+        std::vector<std::uint32_t> visitedEpoch;
+        std::uint32_t epoch = 0;
+        std::vector<cg::FunctionId> queue;
+
+        /// Sizes the arrays for `nodes`; new slots are Unknown / unvisited.
+        void grow(std::size_t nodes);
+        bool symbolPresent(const cg::CallGraph& graph, const SymbolOracle& oracle,
+                           cg::FunctionId id);
+    };
+
+    bool valid_ = false;               ///< input_/output_/stats_ replayable.
+    std::uint64_t generation_ = 0;     ///< Graph stamp the memo is valid at.
     const SymbolOracle* oracle_ = nullptr;  ///< Identity; verdicts assumed stable.
     FunctionSet input_;                ///< Pre-compensation selection.
     FunctionSet output_;               ///< Post-compensation selection.
     InlineCompensationStats stats_;
+    Scratch scratch_;
     std::uint64_t reuses_ = 0;
     std::uint64_t recomputes_ = 0;
 };

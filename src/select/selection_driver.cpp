@@ -1,5 +1,10 @@
 #include "select/selection_driver.hpp"
 
+#include <memory>
+#include <string_view>
+#include <vector>
+
+#include "cg/csr_view.hpp"
 #include "spec/parser.hpp"
 #include "support/timer.hpp"
 
@@ -22,15 +27,12 @@ SelectionReport runSelection(const cg::CallGraph& graph,
     SelectionReport report;
     report.graphNodes = graph.size();
 
+    // The snapshot the pipeline and compensation share carries the has-body
+    // mask and the name arena, so no step below reads every FunctionDesc.
+    std::shared_ptr<const cg::CsrView> csr = cg::CsrView::snapshot(graph);
     FunctionSet selection = run.result;
     if (options.definedOnly) {
-        FunctionSet defined(graph.size());
-        for (cg::FunctionId id = 0; id < graph.size(); ++id) {
-            if (graph.desc(id).flags.hasBody) {
-                defined.add(id);
-            }
-        }
-        selection &= defined;
+        selection.bits() &= csr->definedMask();
     }
     report.selectedPre = selection.count();
 
@@ -43,8 +45,10 @@ SelectionReport runSelection(const cg::CallGraph& graph,
     report.selectedFinal = selection.count();
 
     report.ic.specName = options.specName;
-    selection.forEach(
-        [&](cg::FunctionId id) { report.ic.addFunction(graph.name(id)); });
+    std::vector<std::string_view> names;
+    names.reserve(report.selectedFinal);
+    selection.forEach([&](cg::FunctionId id) { names.push_back(csr->name(id)); });
+    report.ic.setFunctions(std::move(names));
 
     report.pipelineRun = std::move(run);
     report.selectionSeconds = timer.elapsedSec();

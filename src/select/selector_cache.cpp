@@ -122,7 +122,7 @@ SelectorCache::SelectorCache(std::size_t maxEntries)
             const std::string base = "{cache=\"" + std::to_string(seq) + "\"}";
             auto counter = [&out](std::string name, std::uint64_t value) {
                 out.push_back({std::move(name), obs::MetricKind::Counter,
-                               static_cast<double>(value)});
+                               static_cast<double>(value), 0, {}});
             };
             counter("capi_select_cache_hits_total" + base, totals.hits);
             counter("capi_select_cache_misses_total" + base, totals.misses);
@@ -136,7 +136,7 @@ SelectorCache::SelectorCache(std::size_t maxEntries)
                     totals.evictions);
             out.push_back({"capi_select_cache_entries" + base,
                            obs::MetricKind::Gauge,
-                           static_cast<double>(totals.entries)});
+                           static_cast<double>(totals.entries), 0, {}});
             for (std::size_t i = 0; i < totals.perShard.size(); ++i) {
                 const ShardStats& shard = totals.perShard[i];
                 const std::string labels = "{cache=\"" + std::to_string(seq) +
@@ -150,7 +150,7 @@ SelectorCache::SelectorCache(std::size_t maxEntries)
                         shard.invalidations);
                 out.push_back({"capi_select_cache_shard_entries" + labels,
                                obs::MetricKind::Gauge,
-                               static_cast<double>(shard.entries)});
+                               static_cast<double>(shard.entries), 0, {}});
             }
         });
 }

@@ -38,11 +38,11 @@ Registry& registry() {
                     out.push_back({"capi_fault_hits_total{site=\"" + name +
                                        "\"}",
                                    obs::MetricKind::Counter,
-                                   static_cast<double>(site.counters.hits)});
+                                   static_cast<double>(site.counters.hits), 0, {}});
                     out.push_back({"capi_fault_fires_total{site=\"" + name +
                                        "\"}",
                                    obs::MetricKind::Counter,
-                                   static_cast<double>(site.counters.fires)});
+                                   static_cast<double>(site.counters.fires), 0, {}});
                 }
             });
     (void)collectorId;

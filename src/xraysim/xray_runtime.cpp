@@ -40,6 +40,7 @@ XRayRuntime::ObjectRecord XRayRuntime::makeRecord(
         record.sledsOfFunction[record.sleds.sleds[i].function].push_back(i);
     }
     record.tierOfFunction.assign(record.sleds.functionCount(), kFullTier);
+    record.patched = support::DynamicBitset(record.sleds.functionCount());
     return record;
 }
 
@@ -136,7 +137,7 @@ const XRayRuntime::ObjectRecord* XRayRuntime::findObject(ObjectId id) const {
     return &objects_[id];
 }
 
-void XRayRuntime::writeSled(const ObjectRecord& obj, ObjectId id,
+void XRayRuntime::writeSled(ObjectRecord& obj, ObjectId id,
                             const SledEntry& sled, bool patch) {
     CodeCell cell;
     if (patch) {
@@ -153,6 +154,24 @@ void XRayRuntime::writeSled(const ObjectRecord& obj, ObjectId id,
         cell.operand = 0;
     }
     memory_->write(runtimeAddress(obj, sled.address), cell);
+    // The first sled's cell speaks for the function (functionPatched); the
+    // bit follows it only once the write went through.
+    if (&sled == &obj.sleds.sleds[obj.sledsOfFunction[sled.function].front()]) {
+        if (patch) {
+            obj.patched.set(sled.function);
+        } else {
+            obj.patched.reset(sled.function);
+        }
+    }
+}
+
+void XRayRuntime::syncPatchedBit(ObjectRecord& obj, FunctionId function) {
+    const SledEntry& first = obj.sleds.sleds[obj.sledsOfFunction[function].front()];
+    if (memory_->read(runtimeAddress(obj, first.address)).instr != Instr::NopSled) {
+        obj.patched.set(function);
+    } else {
+        obj.patched.reset(function);
+    }
 }
 
 PatchStats XRayRuntime::applyToObject(ObjectRecord& obj, ObjectId id, bool patch) {
@@ -282,7 +301,7 @@ bool XRayRuntime::patchFunction(PackedId function) {
     SingleFunctionPatcher patcher{*memory_};
     patcher.apply(addresses);
     for (std::uint32_t sledIndex : obj->sledsOfFunction[fnId]) {
-        writeSled(*obj, objId, obj->sleds.sleds[sledIndex], /*patch=*/true);
+        writeSled(objects_[objId], objId, obj->sleds.sleds[sledIndex], /*patch=*/true);
     }
     patcher.seal(addresses);
     objects_[objId].tierOfFunction[fnId] = kFullTier;
@@ -307,7 +326,7 @@ bool XRayRuntime::unpatchFunction(PackedId function) {
     SingleFunctionPatcher patcher{*memory_};
     patcher.apply(addresses);
     for (std::uint32_t sledIndex : obj->sledsOfFunction[fnId]) {
-        writeSled(*obj, objId, obj->sleds.sleds[sledIndex], /*patch=*/false);
+        writeSled(objects_[objId], objId, obj->sleds.sleds[sledIndex], /*patch=*/false);
     }
     patcher.seal(addresses);
     objects_[objId].tierOfFunction[fnId] = kFullTier;
@@ -480,6 +499,12 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
         for (auto it = tierUndo.rbegin(); it != tierUndo.rend(); ++it) {
             objects_[it->object].tierOfFunction[it->function] = it->previous;
         }
+        // The restored cells are the truth the patched set must match again.
+        for (ObjectId objId = 0; objId <= kMaxObjectId; ++objId) {
+            for (const Flip& flip : flipsOfObject[objId]) {
+                syncPatchedBit(objects_[objId], flip.function);
+            }
+        }
         for (const auto& [first, last] : touchedRuns) {
             memory_->mprotect(first * kPageSize, (last - first + 1) * kPageSize,
                               /*writable=*/false);
@@ -519,28 +544,24 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
     return stats;
 }
 
+template <typename Fn>
+void XRayRuntime::forEachPatched(Fn&& fn) const {
+    for (ObjectId objId = 0; objId <= kMaxObjectId; ++objId) {
+        const ObjectRecord& obj = objects_[objId];
+        if (obj.inUse) {
+            obj.patched.forEach([&](std::size_t fnId) {
+                fn(obj, objId, static_cast<FunctionId>(fnId));
+            });
+        }
+    }
+}
+
 std::vector<PackedId> XRayRuntime::patchedFunctions() const {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<PackedId> patched;
-    for (ObjectId objId = 0; objId <= kMaxObjectId; ++objId) {
-        const ObjectRecord& obj = objects_[objId];
-        if (!obj.inUse) {
-            continue;
-        }
-        for (FunctionId fnId = 0; fnId < obj.sledsOfFunction.size(); ++fnId) {
-            if (obj.sledsOfFunction[fnId].empty()) {
-                continue;
-            }
-            // All of a function's sleds flip together through every patching
-            // API, so the first sled's state speaks for the function (as in
-            // functionPatched).
-            const SledEntry& sled = obj.sleds.sleds[obj.sledsOfFunction[fnId][0]];
-            if (memory_->read(runtimeAddress(obj, sled.address)).instr !=
-                Instr::NopSled) {
-                patched.push_back(packId(objId, fnId));
-            }
-        }
-    }
+    forEachPatched([&](const ObjectRecord&, ObjectId objId, FunctionId fnId) {
+        patched.push_back(packId(objId, fnId));
+    });
     return patched;
 }
 
@@ -558,22 +579,9 @@ std::vector<std::pair<PackedId, std::uint8_t>> XRayRuntime::patchedFunctionTiers
     const {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::pair<PackedId, std::uint8_t>> patched;
-    for (ObjectId objId = 0; objId <= kMaxObjectId; ++objId) {
-        const ObjectRecord& obj = objects_[objId];
-        if (!obj.inUse) {
-            continue;
-        }
-        for (FunctionId fnId = 0; fnId < obj.sledsOfFunction.size(); ++fnId) {
-            if (obj.sledsOfFunction[fnId].empty()) {
-                continue;
-            }
-            const SledEntry& sled = obj.sleds.sleds[obj.sledsOfFunction[fnId][0]];
-            if (memory_->read(runtimeAddress(obj, sled.address)).instr !=
-                Instr::NopSled) {
-                patched.emplace_back(packId(objId, fnId), obj.tierOfFunction[fnId]);
-            }
-        }
-    }
+    forEachPatched([&](const ObjectRecord& obj, ObjectId objId, FunctionId fnId) {
+        patched.emplace_back(packId(objId, fnId), obj.tierOfFunction[fnId]);
+    });
     return patched;
 }
 

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/bitset.hpp"
 #include "xraysim/code_memory.hpp"
 #include "xraysim/packed_id.hpp"
 #include "xraysim/sled.hpp"
@@ -160,7 +161,10 @@ public:
     std::vector<std::pair<PackedId, std::uint8_t>> patchedFunctionTiers() const;
 
     /// Packed ids of every function whose sleds are currently patched, over
-    /// all registered objects (the ground truth a delta is computed against).
+    /// all registered objects, in ascending id order. Read from the
+    /// per-object patched set, which every sled write keeps equal to the
+    /// entry cells (functionPatched), so this costs O(patched) plus one word
+    /// per 64 functions, not a read of every sledded function's cell.
     std::vector<PackedId> patchedFunctions() const;
 
     /// Runtime address of a function's entry sled (__xray_function_address).
@@ -198,6 +202,10 @@ private:
         /// zeroed on (re-)registration, so a recycled object id never
         /// inherits a predecessor's tiers.
         std::vector<std::uint8_t> tierOfFunction;
+        /// Bit per local function id: its first sled's cell is patched.
+        /// Written with that cell (writeSled) and re-read from the cells on
+        /// rollback; zeroed on (re-)registration like the tier tags.
+        support::DynamicBitset patched;
     };
 
     std::uint64_t runtimeAddress(const ObjectRecord& obj, std::uint64_t linkAddr) const {
@@ -208,8 +216,14 @@ private:
     ObjectRecord makeRecord(ObjectRegistration&& registration) const;
     void initializeSleds(const ObjectRecord& obj);
     PatchStats applyToObject(ObjectRecord& obj, ObjectId id, bool patch);
-    void writeSled(const ObjectRecord& obj, ObjectId id, const SledEntry& sled,
+    /// Rewrites one sled cell; writing a function's first sled also updates
+    /// its bit in obj.patched. `sled` must be an element of obj.sleds.sleds.
+    void writeSled(ObjectRecord& obj, ObjectId id, const SledEntry& sled,
                    bool patch);
+    /// Re-reads the function's patched bit from its first sled's cell.
+    void syncPatchedBit(ObjectRecord& obj, FunctionId function);
+    template <typename Fn>
+    void forEachPatched(Fn&& fn) const;
     const ObjectRecord* findObject(ObjectId id) const;
 
     CodeMemory* memory_;

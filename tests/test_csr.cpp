@@ -75,6 +75,7 @@ void expectViewMatchesGraph(const cg::CsrView& csr, const cg::CallGraph& graph) 
         EXPECT_EQ(csr.callerCount(id), graph.callers(id).size());
         EXPECT_EQ(csr.calleeCount(id), graph.callees(id).size());
         EXPECT_EQ(csr.numStatements(id), graph.desc(id).metrics.numStatements);
+        EXPECT_EQ(csr.definedMask().test(id), graph.desc(id).flags.hasBody);
     }
 }
 

@@ -11,7 +11,10 @@
 #include "binsim/compiler.hpp"
 #include "binsim/process.hpp"
 #include "dyncapi/dyncapi.hpp"
+#include "support/error.hpp"
+#include "support/fault.hpp"
 #include "support/rng.hpp"
+#include "xraysim/xray_runtime.hpp"
 
 namespace {
 
@@ -261,5 +264,147 @@ TEST(DeltaRepatch, TouchesOnlyChangedPages) {
     EXPECT_LE(delta.pagesTouched, 4u);  // one function's sleds, worst case
     EXPECT_LT(delta.pagesTouched, fullStats.pagesTouched);
 }
+
+// ------------------------------------------------- indexed patched set --
+
+namespace fault = capi::support::fault;
+
+/// The reference the runtime's patched set must equal: every sledded
+/// function of every registered object whose entry cell reads patched
+/// (functionPatched reads the first sled's cell), with its tier tag.
+std::vector<std::pair<xray::PackedId, std::uint8_t>> cellScan(
+    const xray::XRayRuntime& xr) {
+    std::vector<std::pair<xray::PackedId, std::uint8_t>> patched;
+    for (xray::ObjectId obj = 0; obj <= xray::kMaxObjectId; ++obj) {
+        if (!xr.objectRegistered(obj)) {
+            continue;
+        }
+        for (xray::FunctionId fn = 0; fn < xr.functionCount(obj); ++fn) {
+            const xray::PackedId pid = xray::packId(obj, fn);
+            if (xr.functionPatched(pid)) {
+                patched.emplace_back(pid, xr.functionTierTag(pid));
+            }
+        }
+    }
+    return patched;
+}
+
+class PatchedSetProperty : public ::testing::TestWithParam<std::uint64_t> {
+protected:
+    void TearDown() override { fault::disarmAll(); }
+};
+
+/// Seeded sequences of every operation that writes sleds or tier tags —
+/// single-function flips, tiered delta transactions with retiers, whole
+/// object and whole process passes, DSO close/re-open (re-registration),
+/// and transactions killed mid-flight by an injected MachineFault, which
+/// roll back — must leave the indexed patched set equal to the cell scan.
+TEST_P(PatchedSetProperty, IndexMatchesCellScanAfterEveryOperation) {
+    constexpr std::uint32_t kPerObject = 40;
+    constexpr std::size_t kSteps = 120;
+    AppModel model = patchModel(kPerObject);
+    CompileOptions copts;
+    copts.xrayThreshold.instructionThreshold = 1;
+    CompiledProgram compiled = compile(model, copts);
+    Process process(compiled);
+    xray::XRayRuntime& xr = process.xray();
+
+    support::SplitMix64 rng(GetParam());
+    std::vector<bool> open = {true, true};
+    auto randomObject = [&]() -> xray::ObjectId {
+        const std::size_t pick = rng.nextBelow(3);
+        if (pick == 0) {
+            return xray::kMainExecutableObjectId;
+        }
+        // A closed DSO's id is a valid but unregistered target.
+        return process.xrayObjectId(static_cast<int>(pick - 1)).value_or(200);
+    };
+    auto randomFunction = [&] {
+        return xray::packId(randomObject(),
+                            static_cast<xray::FunctionId>(rng.nextBelow(kPerObject + 2)));
+    };
+    auto randomTier = [&] {
+        return rng.nextBool(0.5) ? xray::XRayRuntime::kFullTier
+                                 : xray::XRayRuntime::kSampledTier;
+    };
+    auto randomTransaction = [&] {
+        std::vector<xray::XRayRuntime::TieredFlip> toPatch;
+        std::vector<xray::PackedId> toUnpatch;
+        std::vector<xray::XRayRuntime::TieredFlip> toRetier;
+        for (std::size_t i = rng.nextBelow(30); i > 0; --i) {
+            toPatch.push_back({randomFunction(), randomTier()});
+        }
+        for (std::size_t i = rng.nextBelow(20); i > 0; --i) {
+            toUnpatch.push_back(randomFunction());
+        }
+        for (const auto& [pid, tag] : xr.patchedFunctionTiers()) {
+            if (rng.nextBool(0.2)) {
+                toRetier.push_back({pid, randomTier()});
+            }
+        }
+        xr.patchDeltaTiered(toPatch, toUnpatch, toRetier);
+    };
+
+    std::size_t rollbacks = 0;
+    for (std::size_t step = 0; step < kSteps; ++step) {
+        switch (rng.nextBelow(8)) {
+            case 0:
+                xr.patchFunction(randomFunction());
+                break;
+            case 1:
+                xr.unpatchFunction(randomFunction());
+                break;
+            case 2:
+            case 3:
+                randomTransaction();
+                break;
+            case 4: {
+                const xray::ObjectId obj = randomObject();
+                if (xr.objectRegistered(obj)) {
+                    rng.nextBool(0.5) ? xr.patchObject(obj) : xr.unpatchObject(obj);
+                } else {
+                    rng.nextBool(0.5) ? xr.patchAll() : xr.unpatchAll();
+                }
+                break;
+            }
+            case 5: {
+                // Close or re-open a DSO; re-opening registers it again with
+                // NOP sleds, possibly under another object id.
+                const std::size_t dso = rng.nextBelow(2);
+                ASSERT_TRUE(open[dso] ? process.dlcloseDso(dso) : process.dlopenDso(dso));
+                open[dso] = !open[dso];
+                break;
+            }
+            default: {
+                // A transaction whose Nth sled write or mprotect fails: all
+                // of it rolls back.
+                fault::FaultSpec spec;
+                spec.afterHits = rng.nextBelow(40);
+                spec.maxFires = 1;
+                fault::arm(rng.nextBool(0.7) ? fault::sites::kXraySledWrite
+                                             : fault::sites::kXrayMprotect,
+                           spec, GetParam() + step);
+                try {
+                    randomTransaction();
+                } catch (const xray::PatchError&) {
+                    ++rollbacks;
+                }
+                fault::disarmAll();
+                break;
+            }
+        }
+        const auto reference = cellScan(xr);
+        ASSERT_EQ(xr.patchedFunctionTiers(), reference) << "step " << step;
+        std::vector<xray::PackedId> ids;
+        for (const auto& [pid, tag] : reference) {
+            ids.push_back(pid);
+        }
+        ASSERT_EQ(xr.patchedFunctions(), ids) << "step " << step;
+    }
+    EXPECT_GT(rollbacks, 0u);  // The fault branch must actually roll back.
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PatchedSetProperty,
+                         ::testing::Values(1u, 7u, 42u, 2023u));
 
 }  // namespace

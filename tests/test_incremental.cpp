@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "adapt/controller.hpp"
@@ -289,6 +290,7 @@ void expectCsrEquals(const cg::CsrView& a, const cg::CsrView& b) {
         ASSERT_EQ(a.name(id), b.name(id)) << id;
         ASSERT_EQ(a.numStatements(id), b.numStatements(id)) << id;
     }
+    ASSERT_TRUE(a.definedMask() == b.definedMask());
 }
 
 class CsrPatchProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -589,6 +591,129 @@ TEST(InlineCompensationCache, MetricOnlyDeltaReplaysTheCallerWalk) {
     FunctionSet fourth = selection;
     EXPECT_TRUE(select::compensateInlining(graph, fourth, oracle, &cache).reused);
     EXPECT_TRUE(fourth == third);
+}
+
+/// SetSymbolOracle that counts its probes, to show which verdicts a
+/// compensation run had to ask for.
+class CountingOracle final : public select::SymbolOracle {
+public:
+    explicit CountingOracle(std::unordered_set<std::string> symbols)
+        : symbols_(std::move(symbols)) {}
+    void add(const std::string& name) { symbols_.add(name); }
+    bool hasSymbol(const std::string& name) const override {
+        ++probes;
+        return symbols_.hasSymbol(name);
+    }
+    mutable std::size_t probes = 0;
+
+private:
+    select::SetSymbolOracle symbols_;
+};
+
+TEST(InlineCompensationCache, SymbolVerdictsSurviveStructuralDeltas) {
+    // main -> caller -> leaf and main -> other; only leaf lacks a symbol.
+    cg::CallGraph graph = testutil::makeGraph(
+        {{.name = "main"}, {.name = "caller"}, {.name = "leaf"}, {.name = "other"}},
+        {{"main", "caller"}, {"caller", "leaf"}, {"main", "other"}});
+    CountingOracle oracle({"main", "caller", "other"});
+    select::InlineCompensationCache cache;
+    auto id = [&](const char* name) { return graph.lookup(name); };
+
+    // Compensates `ids` through the cache and without it; both must agree.
+    // Returns the oracle probes the cached run made.
+    auto compareRuns = [&](const CountingOracle& probe,
+                           std::initializer_list<cg::FunctionId> ids) {
+        FunctionSet input(graph.size());
+        for (cg::FunctionId fn : ids) {
+            input.add(fn);
+        }
+        FunctionSet cached = input;
+        FunctionSet uncached = input;
+        const std::size_t before = probe.probes;
+        select::InlineCompensationStats viaCache =
+            select::compensateInlining(graph, cached, probe, &cache);
+        const std::size_t probes = probe.probes - before;
+        select::InlineCompensationStats direct =
+            select::compensateInlining(graph, uncached, probe);
+        EXPECT_TRUE(cached == uncached);
+        EXPECT_EQ(viaCache.removed, direct.removed);
+        EXPECT_EQ(viaCache.added, direct.added);
+        return probes;
+    };
+
+    EXPECT_EQ(compareRuns(oracle, {id("leaf"), id("other")}), 3u);  // + caller.
+    // Another input on the same graph re-walks but asks the oracle nothing:
+    // step 1 and the walk both read the memo.
+    EXPECT_EQ(compareRuns(oracle, {id("caller"), id("leaf")}), 0u);
+
+    // A node added with a symbol, calling the inlined leaf: only the new
+    // node's verdict is unknown.
+    cg::FunctionDesc fresh;
+    fresh.name = fresh.prettyName = "fresh";
+    fresh.flags.hasBody = true;
+    graph.addCallEdge(graph.addFunction(fresh), id("leaf"));
+    oracle.add("fresh");
+    EXPECT_EQ(compareRuns(oracle, {id("leaf"), id("fresh")}), 1u);
+
+    // A node added without a symbol on a second route into the leaf: the
+    // walk passes through it up to main, whose verdict is new as well.
+    cg::FunctionDesc ghost;
+    ghost.name = ghost.prettyName = "ghost";
+    ghost.flags.hasBody = true;
+    const cg::FunctionId ghostId = graph.addFunction(ghost);
+    graph.addCallEdge(id("main"), ghostId);
+    graph.addCallEdge(ghostId, id("leaf"));
+    EXPECT_EQ(compareRuns(oracle, {id("leaf"), ghostId}), 2u);
+
+    // Removal tombstones a name: a selection holding the dead id must not
+    // see the verdict of the name it lost.
+    const cg::FunctionId freshId = id("fresh");
+    graph.removeFunction(freshId);
+    EXPECT_EQ(compareRuns(oracle, {freshId, id("other")}), 1u);
+    // Compaction renumbers every id, which the journal cannot express, so
+    // every verdict is dropped.
+    graph.compact();
+    EXPECT_EQ(compareRuns(oracle, {id("leaf"), id("ghost")}), 4u);  // + caller, main.
+
+    // Verdicts belong to one oracle: another one starts from scratch.
+    CountingOracle stripped({"main", "other"});
+    compareRuns(stripped, {id("leaf"), id("ghost")});
+    EXPECT_GT(stripped.probes, 0u);
+}
+
+TEST(RefinementSession, DeclarationGainingABodyIsSelectedNextStep) {
+    // `kernel` is first sighted as a declaration (a call from another TU),
+    // so the has-body mask drops it from the IC.
+    cg::CallGraph graph = testutil::makeGraph(
+        {{.name = "main"},
+         {.name = "solver"},
+         {.name = "kernel", .flops = 40, .hasBody = false}},
+        {{"main", "solver"}, {"solver", "kernel"}});
+    select::SetSymbolOracle oracle({"main", "solver", "kernel"});
+    select::SelectionOptions base;
+    base.symbolOracle = &oracle;
+    const char* spec = "onCallPathTo(flops(\">=\", 10, %%))";
+
+    dyncapi::RefinementSession session(graph);
+    select::SelectionReport before = session.select(spec, "kernels", base);
+    EXPECT_TRUE(before.ic.contains("solver"));
+    EXPECT_FALSE(before.ic.contains("kernel"));
+
+    // The defining TU's sighting merges into the node as a DescTouch; the
+    // shared snapshot patches its mask instead of rebuilding.
+    cg::FunctionDesc definition = graph.desc(graph.lookup("kernel"));
+    definition.flags.hasBody = true;
+    graph.addFunction(definition);
+    EXPECT_TRUE(cg::CsrView::snapshot(graph)->patched());
+
+    select::SelectionReport after = session.select(spec, "kernels", base);
+    EXPECT_TRUE(after.ic.contains("kernel"));
+    // A copy has a fresh identity, so its selection builds every index cold.
+    const cg::CallGraph twin(graph);
+    select::SelectionOptions cold = base;
+    cold.specText = spec;
+    cold.specName = "kernels";
+    EXPECT_EQ(after.ic.functions, select::runSelection(twin, cold).ic.functions);
 }
 
 // --------------------------------------- incremental == full property sweep --
