@@ -1,6 +1,6 @@
 // Fleet streaming-path micro benches: CCT delta extraction + wire encode
-// throughput, decode and merge-apply throughput, and the end-to-end
-// aggregator epoch pipeline.
+// throughput, decode and merge-apply throughput, the end-to-end aggregator
+// epoch pipeline, and a steady-state epoch at policy scale (6000 regions).
 //
 // The headline counter is delta_vs_full_x on BM_FleetDeltaExtractEncode:
 // encoded bytes of a full-CCT baseline frame divided by the per-epoch delta
@@ -13,16 +13,22 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adapt/controller.hpp"
+#include "apps/openfoam.hpp"
 #include "cg/call_graph.hpp"
+#include "cg/metacg_builder.hpp"
 #include "fleet/aggregator.hpp"
 #include "fleet/client.hpp"
 #include "fleet/wire.hpp"
+#include "obs/trace.hpp"
 #include "scorepsim/measurement.hpp"
 #include "scorepsim/profile.hpp"
 #include "scorepsim/profile_delta.hpp"
+#include "support/rng.hpp"
+#include "support/timer.hpp"
 
 namespace {
 
@@ -244,6 +250,137 @@ void BM_FleetEpochPipeline(benchmark::State& state) {
         static_cast<double>(std::max<std::uint64_t>(1, stats.framesMerged));
 }
 BENCHMARK(BM_FleetEpochPipeline)->Arg(8)->Arg(64)->Arg(256);
+
+constexpr double kChurnFraction = 0.05;
+constexpr int kChurnWarmupEpochs = 8;
+
+/// A steady-state fleet epoch at policy scale, on the end-to-end fleet
+/// workload's input: N headless clients over the 6000-function OpenFOAM
+/// execution-scale graph, each touching a seeded 5% of the regions per
+/// epoch (every region on the first epoch). Times steady-state epochs —
+/// sends, the epoch close and every client's adopt — after untimed warm-up
+/// epochs; profile generation is excluded.
+/// ns_per_client_epoch shows whether an epoch costs the policy once or
+/// once per client. The per-phase counters (ms per epoch) come from the
+/// system's own trace spans: fleet.merge, fleet.observe, fleet.decide and
+/// fleet.broadcast of the epoch close, and fleet.adopt summed over clients.
+void BM_FleetEpochChurn(benchmark::State& state) {
+    const auto clientCount = static_cast<std::size_t>(state.range(0));
+    apps::OpenFoamParams params = apps::OpenFoamParams::executionScale();
+    params.seed = 401;
+    const cg::CallGraph graph =
+        cg::MetaCgBuilder{}.build(apps::makeOpenFoam(params).toSourceModel());
+    std::vector<std::string> regions;
+    for (cg::FunctionId id = 0; id < graph.size(); ++id) {
+        regions.push_back(graph.name(id));
+    }
+    std::sort(regions.begin(), regions.end());
+
+    fleet::AggregatorOptions options;
+    options.config.budgetFraction = 0.05;
+    options.config.perEventCostNs = 200.0;
+    options.dataQueueCapacity = clientCount + 8;
+    fleet::Aggregator aggregator(graph, adapt::surveyOfDefinedFunctions(graph),
+                                 options);
+    std::vector<std::unique_ptr<scorep::Measurement>> measurements;
+    std::vector<std::unique_ptr<fleet::FleetClient>> clients;
+    for (std::size_t i = 0; i < clientCount; ++i) {
+        measurements.push_back(std::make_unique<scorep::Measurement>());
+        clients.push_back(std::make_unique<fleet::FleetClient>(aggregator));
+    }
+
+    support::SplitMix64 rng(0xF1EE7'C4A2ull);
+    std::vector<scorep::ProfileTree> profiles(clientCount);
+    auto generate = [&](bool everyRegion) {
+        for (std::size_t i = 0; i < clientCount; ++i) {
+            profiles[i] = scorep::ProfileTree{};
+            for (const std::string& region : regions) {
+                if (!everyRegion && !rng.nextBool(kChurnFraction)) {
+                    continue;
+                }
+                const std::size_t node = profiles[i].childOf(
+                    profiles[i].root(), measurements[i]->defineRegion(region));
+                profiles[i].node(node).visits += 1 + rng.nextBelow(97);
+                profiles[i].node(node).inclusiveNs +=
+                    10'000 + rng.nextBelow(100'000);
+            }
+        }
+    };
+    std::uint64_t epoch = 0;
+    auto runEpoch = [&] {
+        ++epoch;
+        for (std::size_t i = 0; i < clientCount; ++i) {
+            clients[i]->sendEpoch(profiles[i], *measurements[i],
+                                  1e9 + 1e6 * static_cast<double>(i));
+            aggregator.pump();
+        }
+        while (aggregator.epochsCompleted() < epoch) {
+            aggregator.pump();
+        }
+        for (auto& client : clients) {
+            client->awaitPolicy();
+        }
+    };
+    // The first epoch ships every region; the next ones trim the all-Full
+    // survey policy by thousands of regions. Time the steady state after.
+    generate(true);
+    runEpoch();
+    for (int warmup = 0; warmup < kChurnWarmupEpochs; ++warmup) {
+        generate(false);
+        runEpoch();
+    }
+
+    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+    const std::vector<std::pair<const char*, std::uint32_t>> phases = {
+        {"merge_ms", recorder.internName("fleet.merge")},
+        {"observe_ms", recorder.internName("fleet.observe")},
+        {"decide_ms", recorder.internName("fleet.decide")},
+        {"broadcast_ms", recorder.internName("fleet.broadcast")},
+        {"adopt_ms", recorder.internName("fleet.adopt")}};
+    std::vector<double> phaseNs(phases.size(), 0.0);
+    auto collectSpans = [&] {
+        for (const obs::TraceEvent& event : recorder.drain()) {
+            for (std::size_t p = 0; p < phases.size(); ++p) {
+                if (event.nameId == phases[p].second) {
+                    phaseNs[p] += static_cast<double>(event.durNs);
+                }
+            }
+        }
+    };
+    (void)recorder.drain();
+    recorder.setEnabled(true);
+
+    std::uint64_t epochNs = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        collectSpans();
+        generate(false);
+        state.ResumeTiming();
+        const std::uint64_t start = support::nowNs();
+        runEpoch();
+        epochNs += support::nowNs() - start;
+        benchmark::DoNotOptimize(clients.front()->policyFingerprint());
+    }
+    recorder.setEnabled(false);
+    collectSpans();
+
+    const double epochs = static_cast<double>(
+        std::max<std::int64_t>(1, state.iterations()));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(clientCount));
+    state.counters["ns_per_epoch"] = static_cast<double>(epochNs) / epochs;
+    state.counters["ns_per_client_epoch"] =
+        static_cast<double>(epochNs) /
+        (epochs * static_cast<double>(clientCount));
+    for (std::size_t p = 0; p < phases.size(); ++p) {
+        state.counters[phases[p].first] = phaseNs[p] / epochs / 1e6;
+    }
+}
+BENCHMARK(BM_FleetEpochChurn)
+    ->Arg(8)
+    ->Arg(24)
+    ->Arg(96)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

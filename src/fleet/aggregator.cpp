@@ -18,6 +18,8 @@ namespace {
 struct FleetSpanNames {
     std::uint32_t epoch;
     std::uint32_t merge;
+    std::uint32_t observe;
+    std::uint32_t decide;
     std::uint32_t plan;
     std::uint32_t broadcast;
     std::uint32_t evict;
@@ -31,6 +33,8 @@ const FleetSpanNames& fleetSpanNames() {
         obs::TraceRecorder& r = obs::TraceRecorder::global();
         return FleetSpanNames{r.internName("fleet.epoch"),
                               r.internName("fleet.merge"),
+                              r.internName("fleet.observe"),
+                              r.internName("fleet.decide"),
                               r.internName("fleet.plan"),
                               r.internName("fleet.broadcast"),
                               r.internName("fleet.evict"),
@@ -56,6 +60,7 @@ Aggregator::Aggregator(const cg::CallGraph& graph,
     // The fleet converges from the same starting point every client's
     // controller starts from: the survey policy, fully instrumented.
     decider_.start(std::move(surveyIc));
+    publish();
 
     static std::atomic<std::uint64_t> nextSeq{0};
     const std::uint64_t seq = nextSeq.fetch_add(1, std::memory_order_relaxed);
@@ -90,6 +95,8 @@ Aggregator::Aggregator(const cg::CallGraph& graph,
             counter("capi_fleet_frames_merged_total", snapshot.framesMerged);
             counter("capi_fleet_bytes_in_total", snapshot.bytesIn);
             counter("capi_fleet_bytes_out_total", snapshot.bytesOut);
+            counter("capi_fleet_policy_frames_encoded_total",
+                    snapshot.policyFramesEncoded);
             counter("capi_fleet_epochs_total", epochs);
             counter("capi_fleet_decode_errors_total", snapshot.decodeErrors);
             counter("capi_fleet_resyncs_total", snapshot.resyncs);
@@ -138,6 +145,7 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
                                               snap.safeMode,
                                               snap.overBudgetStreak,
                                               snap.inBudgetStreak});
+    publish();
 
     regionNames_ = snap.regionNames;
     for (std::size_t i = 0; i < regionNames_.size(); ++i) {
@@ -163,11 +171,27 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
         ref.inclusiveNs = node.inclusiveNs;
     }
 
-    lastTotals_.clear();
+    lastTotals_.assign(regionNames_.size(), std::nullopt);
     for (const auto& [name, totals] : snap.lastTotals) {
-        lastTotals_.emplace(name, totals);
+        auto it = regionIds_.find(name);
+        if (it == regionIds_.end()) {
+            throw WireError("snapshot totals name an unknown region");
+        }
+        lastTotals_[it->second] = totals;
     }
 
+    // Clients restored onto the same diff base share one snapshot of it,
+    // so the first broadcast after a restore still encodes once per base.
+    std::vector<PublishedPtr> bases{published_};
+    auto baseFor = [&bases](const select::InstrumentationPolicy& policy) {
+        for (const PublishedPtr& base : bases) {
+            if (samePolicy(base->policy, policy)) {
+                return base;
+            }
+        }
+        bases.push_back(std::make_shared<const PublishedPolicy>(policy));
+        return bases.back();
+    };
     for (const SnapshotClient& sc : snap.clients) {
         ClientState state;
         state.id = sc.id;
@@ -181,7 +205,7 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
         }
         state.runtimeAckedNs = sc.runtimeAckedNs;
         state.epochsAcked = sc.epochsAcked;
-        state.lastSentPolicy = sc.lastSentPolicy;
+        state.lastSent = baseFor(sc.lastSentPolicy);
         state.needsBaseline = sc.needsBaseline;
         state.evicted = sc.evicted;
         state.missedEpochs = sc.missedEpochs;
@@ -217,7 +241,7 @@ Aggregator::Session Aggregator::connect() {
     ++stats_.clientsConnected;
     // Late-joiner catch-up, half one: a full-policy baseline so the client
     // converges onto the fleet's current policy before its first epoch.
-    sendPolicyTo(it->second, currentFrameBase());
+    sendPolicyTo(it->second, encodePolicyFrameFrom(nullptr));
     return Session{it->first, it->second.policyChannel.get(), false, {}};
 }
 
@@ -260,7 +284,7 @@ Aggregator::Session Aggregator::resume(std::uint64_t clientId) {
     }
     session.resume.runtimeNs = client.runtimeAckedNs;
     session.resume.coveredEpochs = client.epochsAcked;
-    session.resume.lastPolicyFingerprint = client.lastSentPolicy.fingerprint();
+    session.resume.lastPolicyFingerprint = client.lastSent->fingerprint;
     session.resume.incarnation = incarnation_;
     return session;
 }
@@ -308,7 +332,12 @@ std::vector<std::uint8_t> Aggregator::checkpointLocked() {
         snap.nodes.push_back(SnapshotNode{tree.parentOf(i), node.region,
                                           node.visits, node.inclusiveNs});
     }
-    snap.lastTotals.assign(lastTotals_.begin(), lastTotals_.end());
+    // regionIds_ walks names in order: the list comes out sorted.
+    for (const auto& [name, handle] : regionIds_) {
+        if (handle < lastTotals_.size() && lastTotals_[handle]) {
+            snap.lastTotals.emplace_back(name, *lastTotals_[handle]);
+        }
+    }
     for (const auto& [id, client] : clients_) {
         SnapshotClient sc;
         sc.id = id;
@@ -322,7 +351,7 @@ std::vector<std::uint8_t> Aggregator::checkpointLocked() {
                                   client.suppressedAcked.end());
         sc.runtimeAckedNs = client.runtimeAckedNs;
         sc.epochsAcked = client.epochsAcked;
-        sc.lastSentPolicy = client.lastSentPolicy;
+        sc.lastSentPolicy = client.lastSent->policy;
         // Pending frames re-encode to their exact original bytes: the codec
         // is canonical, so decode-then-encode is the identity.
         for (const DeltaFrame& frame : client.pending) {
@@ -459,7 +488,7 @@ void Aggregator::handleFrame(const std::vector<std::uint8_t>& bytes) {
                 it->second.needsBaseline = true;
                 // Answer immediately — the client is blocked waiting for a
                 // baseline, not for the next epoch.
-                sendPolicyTo(it->second, currentFrameBase());
+                sendPolicyTo(it->second, encodePolicyFrameFrom(nullptr));
                 return;
             }
             case FrameType::Bye: {
@@ -559,8 +588,8 @@ void Aggregator::closeEpoch(bool timedOut) {
     double worldRuntimeNs = 0.0;
     std::size_t divergent = 0;
     select::PolicyDelta divergenceDiag;
-    std::map<std::string, std::uint64_t> suppressedByName;
-    const std::uint64_t reducerFingerprint = decider_.policy().fingerprint();
+    std::vector<std::uint64_t> suppressedByHandle(regionNames_.size(), 0);
+    const std::uint64_t reducerFingerprint = published_->fingerprint;
     std::size_t framesMerged = 0;
     for (auto& [id, client] : clients_) {
         if (client.pending.empty()) {
@@ -579,15 +608,13 @@ void Aggregator::closeEpoch(bool timedOut) {
             // Diagnosis, not just a count: when the client measured under
             // exactly the policy we last managed to deliver to it (the
             // lagging case), the region-level gap is reconstructible.
-            if (frame.policyFingerprint ==
-                client.lastSentPolicy.fingerprint()) {
-                divergenceDiag = select::policyDiff(client.lastSentPolicy,
-                                                    decider_.policy());
+            if (frame.policyFingerprint == client.lastSent->fingerprint) {
+                divergenceDiag = select::policyDiff(client.lastSent->policy,
+                                                    published_->policy);
             }
         }
         for (const SuppressedDelta& entry : frame.suppressed) {
-            suppressedByName[regionNames_[fleetHandleFor(client,
-                                                         entry.region)]] +=
+            suppressedByHandle[fleetHandleFor(client, entry.region)] +=
                 entry.visits;
         }
         ++framesMerged;
@@ -598,15 +625,22 @@ void Aggregator::closeEpoch(bool timedOut) {
     mergeSpan.setArg(framesMerged);
     mergeSpan.end();
 
-    // 2. The epoch's observation: cumulative per-name totals differenced
+    // 2. The epoch's observation: cumulative per-region totals differenced
     // against the last epoch's snapshot. Matches the per-epoch merged tree
-    // an epochAllRanks reference reduces, region for region.
-    auto totalsNow = totalsByNameLocked();
+    // an epochAllRanks reference reduces, region for region. Fleet handles
+    // are 1:1 with names; walking regionIds_ visits them in name order, so
+    // the name-keyed observations are built by appending.
+    obs::ScopedSpan observeSpan(spans.observe, obs::SpanCategory::Fleet);
+    TotalsByHandle totalsNow = totalsByHandleLocked();
     adapt::Decider::Observations byName;
-    for (const auto& [name, totals] : totalsNow) {
+    for (const auto& [name, handle] : regionIds_) {
+        if (!totalsNow[handle]) {
+            continue;  // no fleet-tree node: suppressed visits alone do not count
+        }
+        const scorep::ProfileTree::RegionTotals& totals = *totalsNow[handle];
         scorep::ProfileTree::RegionTotals last;
-        if (auto it = lastTotals_.find(name); it != lastTotals_.end()) {
-            last = it->second;
+        if (handle < lastTotals_.size() && lastTotals_[handle]) {
+            last = *lastTotals_[handle];
         }
         const std::uint64_t dVisits =
             totals.visits >= last.visits ? totals.visits - last.visits : 0;
@@ -614,25 +648,28 @@ void Aggregator::closeEpoch(bool timedOut) {
             totals.exclusiveNs >= last.exclusiveNs
                 ? totals.exclusiveNs - last.exclusiveNs
                 : 0;
-        const std::uint64_t suppressed = [&] {
-            auto it = suppressedByName.find(name);
-            return it == suppressedByName.end() ? std::uint64_t{0} : it->second;
-        }();
+        const std::uint64_t suppressed = suppressedByHandle[handle];
         // Untouched regions stay out of the fold: the model's activeIc decay
         // (regions instrumented but silent this epoch) and freeze semantics
         // (regions not instrumented at all) both key off absence.
         if (dVisits == 0 && dExclusive == 0 && suppressed == 0) {
             continue;
         }
-        byName[name] = adapt::OverheadModel::RegionObservation{
-            static_cast<double>(dVisits), static_cast<double>(dExclusive),
-            static_cast<double>(suppressed)};
+        byName.emplace_hint(byName.end(), name,
+                            adapt::OverheadModel::RegionObservation{
+                                static_cast<double>(dVisits),
+                                static_cast<double>(dExclusive),
+                                static_cast<double>(suppressed)});
     }
     lastTotals_ = std::move(totalsNow);
+    observeSpan.setArg(byName.size());
+    observeSpan.end();
 
     // 3. The identical decision the in-process controller would make.
+    obs::ScopedSpan decideSpan(spans.decide, obs::SpanCategory::Fleet);
     adapt::Decision decision = decider_.decide(byName, worldRuntimeNs);
     decider_.adopt(std::move(decision.policy), std::move(decision.ic));
+    decideSpan.end();
 
     ++epochsCompleted_;
     ++stats_.epochsCompleted;
@@ -640,22 +677,32 @@ void Aggregator::closeEpoch(bool timedOut) {
     lastBudgetNs_ = decision.budgetNs;
     lastWithinBudget_ = decision.withinBudget;
 
-    // 4. Broadcast the converged policy: per-client deltas against what each
-    // client last received, baselines for fresh or resyncing clients.
-    // Evicted clients are skipped (their frozen lastSentPolicy keeps the
-    // diff chain anchored at what they actually have); Lagging clients get a
+    // 4. Publish the converged policy once and broadcast it: a delta
+    // against what each client last received, a baseline for fresh or
+    // resyncing clients. Clients sharing a diff base (every in-sync client
+    // shares the previous published policy) share one encoded frame.
+    // Evicted clients are skipped (their frozen lastSent keeps the diff
+    // chain anchored at what they actually have); Lagging clients get a
     // best-effort trySend — a stalled client's full queue must never block
     // the epoch pipeline for everyone else.
     obs::ScopedSpan broadcastSpan(spans.broadcast, obs::SpanCategory::Fleet);
-    const PolicyFrame base = currentFrameBase();
+    publish();
+    std::map<const PublishedPolicy*, std::vector<std::uint8_t>> framesByBase;
     std::size_t framesOut = 0;
     for (auto& [id, client] : clients_) {
         if (client.evicted) {
             continue;
         }
+        const PublishedPolicy* base =
+            client.needsBaseline ? nullptr : client.lastSent.get();
+        auto frame = framesByBase.find(base);
+        if (frame == framesByBase.end()) {
+            frame = framesByBase.emplace(base, encodePolicyFrameFrom(base))
+                        .first;
+        }
         const bool lagging =
             std::binary_search(missedIds.begin(), missedIds.end(), id);
-        sendPolicyTo(client, base, /*blocking=*/!lagging);
+        sendPolicyTo(client, frame->second, /*blocking=*/!lagging);
         ++framesOut;
     }
     broadcastSpan.setArg(framesOut);
@@ -671,47 +718,80 @@ void Aggregator::closeEpoch(bool timedOut) {
     epochOpenedAtNs_ = anyPending ? support::nowNs() : 0;
 }
 
-PolicyFrame Aggregator::currentFrameBase() const {
+const Aggregator::PublishedPtr& Aggregator::nothingSent() {
+    static const PublishedPtr empty =
+        std::make_shared<const PublishedPolicy>(select::InstrumentationPolicy{});
+    return empty;
+}
+
+bool Aggregator::samePolicy(const select::InstrumentationPolicy& a,
+                            const select::InstrumentationPolicy& b) {
+    auto sameRegion = [](const select::RegionPolicy& x,
+                         const select::RegionPolicy& y) {
+        return x.tier == y.tier && x.sampling == y.sampling;
+    };
+    return a.functions == b.functions &&
+           std::equal(a.regions.begin(), a.regions.end(), b.regions.begin(),
+                      b.regions.end(), sameRegion) &&
+           a.staticIds == b.staticIds && a.specName == b.specName &&
+           a.application == b.application;
+}
+
+void Aggregator::publish() {
+    published_ = std::make_shared<const PublishedPolicy>(decider_.policy());
+}
+
+std::vector<std::uint8_t> Aggregator::encodePolicyFrameFrom(
+    const PublishedPolicy* base) {
+    const select::InstrumentationPolicy& policy = published_->policy;
     PolicyFrame frame;
     frame.epoch = epochsCompleted_;
-    frame.fingerprint = decider_.policy().fingerprint();
+    frame.incarnation = incarnation_;
+    frame.fingerprint = published_->fingerprint;
     frame.measuredOverheadRatio = lastRatio_;
     frame.budgetNs = lastBudgetNs_;
     frame.withinBudget = lastWithinBudget_;
-    return frame;
-}
-
-void Aggregator::sendPolicyTo(ClientState& client, const PolicyFrame& base,
-                              bool blocking) {
-    const select::InstrumentationPolicy& policy = decider_.policy();
-    PolicyFrame frame = base;
-    frame.incarnation = incarnation_;
-    if (client.needsBaseline) {
-        frame.baseline = true;
-        frame.prevFingerprint = 0;
+    frame.baseline = base == nullptr;
+    if (base == nullptr) {
         for (std::size_t i = 0; i < policy.functions.size(); ++i) {
-            frame.upserts.push_back(PolicyFrameEntry{
-                policy.functions[i], policy.regions[i]});
+            frame.upserts.push_back(
+                PolicyFrameEntry{policy.functions[i], policy.regions[i]});
         }
     } else {
-        frame.baseline = false;
-        frame.prevFingerprint = client.lastSentPolicy.fingerprint();
-        for (std::size_t i = 0; i < policy.functions.size(); ++i) {
-            const std::string& name = policy.functions[i];
-            const select::RegionPolicy* before =
-                client.lastSentPolicy.policyOf(name);
-            if (before == nullptr || *before != policy.regions[i]) {
+        // One merge of the two sorted function lists: upserts come out in
+        // policy order, removals in the base's order.
+        frame.prevFingerprint = base->fingerprint;
+        const select::InstrumentationPolicy& before = base->policy;
+        std::size_t i = 0;
+        std::size_t j = 0;
+        while (i < policy.functions.size() || j < before.functions.size()) {
+            const int order =
+                i == policy.functions.size()   ? 1
+                : j == before.functions.size() ? -1
+                    : policy.functions[i].compare(before.functions[j]);
+            if (order < 0) {
                 frame.upserts.push_back(
-                    PolicyFrameEntry{name, policy.regions[i]});
-            }
-        }
-        for (const std::string& name : client.lastSentPolicy.functions) {
-            if (!policy.contains(name)) {
-                frame.removed.push_back(name);
+                    PolicyFrameEntry{policy.functions[i], policy.regions[i]});
+                ++i;
+            } else if (order > 0) {
+                frame.removed.push_back(before.functions[j]);
+                ++j;
+            } else {
+                if (before.regions[j] != policy.regions[i]) {
+                    frame.upserts.push_back(PolicyFrameEntry{
+                        policy.functions[i], policy.regions[i]});
+                }
+                ++i;
+                ++j;
             }
         }
     }
-    std::vector<std::uint8_t> bytes = encodePolicyFrame(frame);
+    ++stats_.policyFramesEncoded;
+    return encodePolicyFrame(frame);
+}
+
+void Aggregator::sendPolicyTo(ClientState& client,
+                              std::vector<std::uint8_t> bytes, bool blocking) {
     const std::size_t byteCount = bytes.size();
     const SendResult result = blocking
                                   ? client.policyChannel->send(std::move(bytes))
@@ -723,7 +803,7 @@ void Aggregator::sendPolicyTo(ClientState& client, const PolicyFrame& base,
         // The diff base only advances when the frame actually landed — a
         // refused frame leaves the chain anchored at what the client has,
         // so the NEXT delivered update still chains cleanly (no resync).
-        client.lastSentPolicy = policy;
+        client.lastSent = published_;
         client.needsBaseline = false;
     } else if (result == SendResult::Backpressure) {
         ++stats_.laggingPolicyDrops;
@@ -844,7 +924,7 @@ select::PolicyDelta Aggregator::lastDivergence() const {
 
 std::uint64_t Aggregator::convergedFingerprint() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return decider_.policy().fingerprint();
+    return published_->fingerprint;
 }
 
 bool Aggregator::safeMode() const {
@@ -854,7 +934,7 @@ bool Aggregator::safeMode() const {
 
 select::InstrumentationPolicy Aggregator::convergedPolicy() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return decider_.policy();
+    return published_->policy;
 }
 
 scorep::ProfileTree Aggregator::fleetProfile() const {
@@ -867,18 +947,33 @@ scorep::ProfileTree Aggregator::fleetProfile() const {
 std::map<std::string, scorep::ProfileTree::RegionTotals>
 Aggregator::totalsByName() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return totalsByNameLocked();
-}
-
-std::map<std::string, scorep::ProfileTree::RegionTotals>
-Aggregator::totalsByNameLocked() const {
+    const TotalsByHandle totals = totalsByHandleLocked();
     std::map<std::string, scorep::ProfileTree::RegionTotals> byName;
-    for (const auto& [handle, totals] : fleetTree_.regionTotals()) {
-        scorep::ProfileTree::RegionTotals& entry = byName[regionNames_[handle]];
-        entry.visits += totals.visits;
-        entry.exclusiveNs += totals.exclusiveNs;
+    for (const auto& [name, handle] : regionIds_) {
+        if (totals[handle]) {
+            byName.emplace_hint(byName.end(), name, *totals[handle]);
+        }
     }
     return byName;
+}
+
+Aggregator::TotalsByHandle Aggregator::totalsByHandleLocked() const {
+    TotalsByHandle totals(regionNames_.size());
+    const std::vector<std::uint64_t> exclusive = fleetTree_.exclusiveAll();
+    for (std::size_t i = 0; i < fleetTree_.nodeCount(); ++i) {
+        const scorep::ProfileNode node = fleetTree_.node(i);
+        if (node.region == scorep::kNoRegion) {
+            continue;
+        }
+        std::optional<scorep::ProfileTree::RegionTotals>& entry =
+            totals[node.region];
+        if (!entry) {
+            entry.emplace();
+        }
+        entry->visits += node.visits;
+        entry->exclusiveNs += exclusive[i];
+    }
+    return totals;
 }
 
 AggregatorStats Aggregator::stats() const {

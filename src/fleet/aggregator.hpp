@@ -16,10 +16,14 @@
 //   2. differences the cumulative fleet totals against the last epoch's
 //      snapshot into per-epoch, name-keyed observations,
 //   3. decides the next policy from them (adapt::Decider::decide),
-//   4. broadcasts: clients that saw the previous policy get upserts +
-//      removals; fresh or resyncing clients get a full baseline. A client
-//      whose fingerprint chain breaks asks for a resync instead of running
-//      diverged (fleet/client.hpp).
+//   4. publishes the adopted policy once (an immutable shared snapshot
+//      carrying its fingerprint) and broadcasts it: each distinct diff base
+//      is diffed and encoded once, so every client that saw the previous
+//      policy gets a copy of one shared update frame (upserts + removals);
+//      a client anchored elsewhere gets its own diff, and fresh or
+//      resyncing clients a full baseline. A client whose fingerprint chain
+//      breaks asks for a resync instead of running diverged
+//      (fleet/client.hpp).
 //
 // Determinism: given the same per-client epoch streams, the converged
 // policy fingerprints are bit-identical to a Controller::epochAllRanks
@@ -33,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -99,6 +104,9 @@ struct AggregatorStats {
     std::uint64_t bytesIn = 0;
     std::uint64_t bytesOut = 0;     ///< Policy frames, encoded size.
     std::uint64_t policyFramesSent = 0;
+    /// Policy frames encoded. One broadcast encodes one frame per distinct
+    /// diff base, however many clients it is sent to.
+    std::uint64_t policyFramesEncoded = 0;
     std::uint64_t epochsCompleted = 0;
     std::uint64_t decodeErrors = 0;  ///< WireError frames dropped at the door.
     std::uint64_t resyncs = 0;
@@ -228,6 +236,22 @@ public:
     std::size_t clientCount() const;
 
 private:
+    /// One published policy: immutable once built, so every client whose
+    /// diff base it is can share it instead of holding a private copy. The
+    /// fingerprint is computed once, here.
+    struct PublishedPolicy {
+        explicit PublishedPolicy(select::InstrumentationPolicy p)
+            : policy(std::move(p)), fingerprint(policy.fingerprint()) {}
+        const select::InstrumentationPolicy policy;
+        const std::uint64_t fingerprint;
+    };
+    using PublishedPtr = std::shared_ptr<const PublishedPolicy>;
+    /// The empty policy: what a client that never received a frame has.
+    static const PublishedPtr& nothingSent();
+    /// Equal in every field a checkpoint encodes (sampling specs included).
+    static bool samePolicy(const select::InstrumentationPolicy& a,
+                           const select::InstrumentationPolicy& b);
+
     struct ClientState {
         std::uint64_t id = 0;
         std::unique_ptr<Channel> policyChannel;
@@ -238,7 +262,7 @@ private:
         std::deque<DeltaFrame> pending;
         /// The policy this client last received, the diff base for the next
         /// policy frame. A broken chain (resync) falls back to a baseline.
-        select::InstrumentationPolicy lastSentPolicy;
+        PublishedPtr lastSent = nothingSent();
         bool needsBaseline = false;
         // --- acked session state, updated at INGEST (not merge) so a
         // checkpoint that also carries the pending queue is self-consistent,
@@ -263,18 +287,26 @@ private:
     /// timeout, and quorum is met.
     bool timeoutClosable(std::uint64_t nowNs) const;
     void closeEpoch(bool timedOut);
-    /// blocking=false is the Lagging-client path: trySend, and on refusal
-    /// leave the diff chain anchored (never block the epoch pipeline on a
-    /// stalled client's full queue).
-    void sendPolicyTo(ClientState& client, const PolicyFrame& base,
+    /// Publishes decider_.policy(); called after every Decider start,
+    /// adopt and restoreState, so published_ always mirrors it.
+    void publish();
+    /// Encodes the frame that moves a client from `base` to the published
+    /// policy: a baseline when `base` is null, else an update whose upserts
+    /// follow policy order and whose removals follow `base` order.
+    std::vector<std::uint8_t> encodePolicyFrameFrom(const PublishedPolicy* base);
+    /// Sends `bytes`, the frame encodePolicyFrameFrom() built for this
+    /// client's base. blocking=false is the Lagging-client path: trySend,
+    /// and on refusal leave the diff chain anchored (never block the epoch
+    /// pipeline on a stalled client's full queue).
+    void sendPolicyTo(ClientState& client, std::vector<std::uint8_t> bytes,
                       bool blocking = true);
-    /// The policy-frame header for the current converged policy: epoch,
-    /// fingerprint and the last epoch's headline numbers.
-    PolicyFrame currentFrameBase() const;
     scorep::RegionHandle fleetHandleFor(ClientState& client,
                                         std::uint32_t clientHandle);
-    std::map<std::string, scorep::ProfileTree::RegionTotals>
-    totalsByNameLocked() const;
+    /// Cumulative totals per fleet region handle; regions without a
+    /// fleet-tree node are std::nullopt.
+    using TotalsByHandle =
+        std::vector<std::optional<scorep::ProfileTree::RegionTotals>>;
+    TotalsByHandle totalsByHandleLocked() const;
 
     const cg::CallGraph* graph_;
     AggregatorOptions options_;
@@ -294,12 +326,14 @@ private:
     /// Fleet-side region interning: name <-> dense handle.
     std::vector<std::string> regionNames_;
     std::map<std::string, scorep::RegionHandle> regionIds_;
-    /// Cumulative per-name totals at the last closed epoch; the difference
-    /// against the current totals is the epoch's observation.
-    std::map<std::string, scorep::ProfileTree::RegionTotals> lastTotals_;
+    /// Cumulative totals per fleet handle at the last closed epoch; the
+    /// difference against the current totals is the epoch's observation.
+    TotalsByHandle lastTotals_;
 
     // --- the fleet's decision state ----------------------------------------
     adapt::Decider decider_;
+    /// decider_.policy() as published to the clients.
+    PublishedPtr published_;
     std::uint64_t epochsCompleted_ = 0;
     std::uint64_t incarnation_ = 1;
     /// nowNs() when the open epoch's first delta was ingested; 0 = no epoch

@@ -1,6 +1,8 @@
 #include "fleet/client.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <string_view>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -26,6 +28,152 @@ const ClientSpanNames& clientSpanNames() {
                                r.internName("fleet.adopt")};
     }();
     return names;
+}
+
+/// The policy a frame describes, walked as one merge of sorted lists. The
+/// result equals setRegion() per upsert and then per removal on the base
+/// (of repeated upsert names the last wins). The aggregator sends both
+/// lists sorted; anything else is sorted here first.
+class FrameMerge {
+public:
+    static constexpr std::size_t kFromFrame = static_cast<std::size_t>(-1);
+
+    /// Locates every name the frame mentions in the base once, so each
+    /// walk compares no strings.
+    FrameMerge(const PolicyFrame& frame,
+               const select::InstrumentationPolicy& base)
+        : base_(base) {
+        std::vector<const PolicyFrameEntry*> upserts;
+        upserts.reserve(frame.upserts.size());
+        for (const PolicyFrameEntry& entry : frame.upserts) {
+            upserts.push_back(&entry);
+        }
+        auto byName = [](const PolicyFrameEntry* a, const PolicyFrameEntry* b) {
+            return a->name < b->name;
+        };
+        if (!std::is_sorted(upserts.begin(), upserts.end(), byName)) {
+            std::stable_sort(upserts.begin(), upserts.end(), byName);
+        }
+        std::vector<std::string_view> removed(frame.removed.begin(),
+                                              frame.removed.end());
+        std::sort(removed.begin(), removed.end());
+
+        const std::vector<std::string>& names = base.functions;
+        auto from = names.begin();
+        std::size_t j = 0;
+        std::size_t r = 0;
+        while (j < upserts.size() || r < removed.size()) {
+            const std::string_view name =
+                r == removed.size() ||
+                        (j < upserts.size() && upserts[j]->name < removed[r])
+                    ? std::string_view(upserts[j]->name)
+                    : removed[r];
+            Change change;
+            from = std::lower_bound(from, names.end(), name);
+            change.at = static_cast<std::size_t>(from - names.begin());
+            change.inBase = from != names.end() && *from == name;
+            const PolicyFrameEntry* upsert = nullptr;
+            for (; j < upserts.size() && upserts[j]->name == name; ++j) {
+                upsert = upserts[j];
+            }
+            bool isRemoved = false;
+            for (; r < removed.size() && removed[r] == name; ++r) {
+                isRemoved = true;
+            }
+            if (upsert != nullptr && !isRemoved) {
+                change.region = upsert->policy;
+                if (change.region.tier == select::Tier::Full) {
+                    change.region.sampling = select::SamplingSpec{};  // as setRegion()
+                }
+                if (change.region.tier != select::Tier::Off) {
+                    change.upsert = upsert;
+                }
+            }
+            changes_.push_back(change);
+        }
+    }
+
+    /// Calls visit(name, region, baseIndex) for each entry of the result in
+    /// name order; baseIndex is the entry's index in the base when it is
+    /// kept from there, kFromFrame when the frame supplies it. The walk
+    /// compares no names, so visit may move from the base entries it gets.
+    template <typename Visit>
+    void forEach(Visit&& visit) const {
+        std::size_t i = 0;
+        auto visitBaseUpTo = [&](std::size_t end) {
+            for (; i < end; ++i) {
+                visit(base_.functions[i], base_.regions[i], i);
+            }
+        };
+        for (const Change& change : changes_) {
+            visitBaseUpTo(change.at);
+            if (change.upsert != nullptr) {
+                visit(change.upsert->name, change.region, kFromFrame);
+            }
+            if (change.inBase) {
+                ++i;  // replaced or dropped
+            }
+        }
+        visitBaseUpTo(base_.size());
+    }
+
+private:
+    /// One name the frame mentions: an upsert, a removal, or both.
+    struct Change {
+        std::size_t at = 0;  ///< lower_bound of the name in the base.
+        bool inBase = false;
+        /// The upsert the result takes the entry from (the last one for
+        /// the name); null when the name ends up Off.
+        const PolicyFrameEntry* upsert = nullptr;
+        select::RegionPolicy region;  ///< upsert's, normalized.
+    };
+
+    const select::InstrumentationPolicy& base_;
+    std::vector<Change> changes_;
+};
+
+/// Applies `frame` to `policy` (to nothing, for a baseline) only if the
+/// result hashes to the frame's fingerprint. One pass builds the result in
+/// `spare`, moving the names it keeps out of `policy`, and hashes every
+/// entry; on a match the two swap (`spare` keeps the old lists, whose
+/// capacity the next frame reuses), on a mismatch the names move back and
+/// `policy` is as it was. Returns whether the frame verified.
+bool applyVerified(const PolicyFrame& frame,
+                   select::InstrumentationPolicy& policy,
+                   select::InstrumentationPolicy& spare) {
+    const select::InstrumentationPolicy none;
+    const select::InstrumentationPolicy& base = frame.baseline ? none : policy;
+    const FrameMerge merge(frame, base);
+    spare.functions.clear();
+    spare.regions.clear();
+    select::PolicyDigest digest;
+    merge.forEach([&](const std::string& name,
+                      const select::RegionPolicy& region,
+                      std::size_t baseIndex) {
+        if (baseIndex == FrameMerge::kFromFrame) {
+            spare.functions.push_back(name);
+        } else {
+            spare.functions.push_back(std::move(policy.functions[baseIndex]));
+        }
+        spare.regions.push_back(region);
+        digest.add(spare.functions.back(), region);
+    });
+    if (digest.value(base.staticIds) != frame.fingerprint) {
+        std::size_t k = 0;
+        merge.forEach([&](const std::string&, const select::RegionPolicy&,
+                          std::size_t baseIndex) {
+            if (baseIndex != FrameMerge::kFromFrame) {
+                policy.functions[baseIndex] = std::move(spare.functions[k]);
+            }
+            ++k;
+        });
+        return false;
+    }
+    spare.staticIds = base.staticIds;
+    spare.specName = frame.baseline ? "fleet" : base.specName;
+    spare.application = base.application;
+    std::swap(policy, spare);
+    return true;
 }
 
 }  // namespace
@@ -234,8 +382,9 @@ adapt::EpochReport FleetClient::awaitPolicy() {
             continue;
         }
         obs::ScopedSpan adoptSpan(spans.adopt, obs::SpanCategory::Fleet);
-        adoptFrame(frame);
-        if (policy_.fingerprint() != frame.fingerprint) {
+        // Commit only after the fingerprint verifies, so policy() always
+        // matches policyFingerprint().
+        if (!applyVerified(frame, policy_, spare_)) {
             if (frame.baseline) {
                 // A baseline that does not reconstruct is not recoverable
                 // by another resync (static IDs, say, are not carried on
@@ -245,6 +394,9 @@ adapt::EpochReport FleetClient::awaitPolicy() {
             }
             requestResync();
             continue;
+        }
+        if (frame.baseline) {
+            ++stats_.baselinesReceived;
         }
         fingerprint_ = frame.fingerprint;
         awaitingBaseline_ = false;
@@ -263,25 +415,6 @@ adapt::EpochReport FleetClient::awaitPolicy() {
         }
         lastReport_ = report;
         return report;
-    }
-}
-
-void FleetClient::adoptFrame(const PolicyFrame& frame) {
-    if (frame.baseline) {
-        select::InstrumentationPolicy fresh;
-        fresh.specName = "fleet";
-        for (const PolicyFrameEntry& entry : frame.upserts) {
-            fresh.setRegion(entry.name, entry.policy);
-        }
-        policy_ = std::move(fresh);
-        ++stats_.baselinesReceived;
-        return;
-    }
-    for (const PolicyFrameEntry& entry : frame.upserts) {
-        policy_.setRegion(entry.name, entry.policy);
-    }
-    for (const std::string& name : frame.removed) {
-        policy_.setRegion(name, select::RegionPolicy{});
     }
 }
 

@@ -148,6 +148,9 @@ public:
     bool reconnect(Aggregator& aggregator);
 
     std::uint64_t clientId() const { return session_.clientId; }
+    /// The aggregator-owned channel this client's policy frames arrive on
+    /// (replaced by reconnect()).
+    Channel& policyChannel() const { return *session_.policyChannel; }
     /// Last aggregator incarnation observed on a policy frame (0 until the
     /// first frame arrives).
     std::uint64_t aggregatorIncarnation() const { return incarnation_; }
@@ -161,7 +164,6 @@ private:
     FleetClient(Aggregator& aggregator, adapt::Controller* controller,
                 FleetClientOptions options);
 
-    void adoptFrame(const PolicyFrame& frame);
     void requestResync();
     adapt::EpochReport reportOf(const PolicyFrame& frame) const;
     /// Rewinds local bookkeeping to a resume()'s acked state.
@@ -201,6 +203,9 @@ private:
     std::map<scorep::RegionHandle, std::uint64_t> suppressedShipped_;
 
     select::InstrumentationPolicy policy_;
+    /// The previous policy's lists, kept for their capacity: the next frame
+    /// is built here and swapped with policy_ once it verifies.
+    select::InstrumentationPolicy spare_;
     std::uint64_t fingerprint_ = 0;
     std::uint64_t incarnation_ = 0;  ///< 0 = no policy frame seen yet.
     bool awaitingBaseline_ = true;

@@ -238,16 +238,16 @@ InstrumentationConfig InstrumentationPolicy::patchSet() const {
 }
 
 std::uint64_t InstrumentationPolicy::fingerprint() const {
-    std::uint64_t digest = support::kFnvOffsetBasis;
+    PolicyDigest digest;
     for (std::size_t i = 0; i < functions.size(); ++i) {
-        std::uint64_t entry = support::fnv1a(functions[i]);
-        entry = support::hashCombine(entry, static_cast<std::uint64_t>(regions[i].tier));
-        if (regions[i].tier == Tier::Sampled) {
-            entry = support::hashCombine(entry, regions[i].sampling.everyN);
-            entry = support::hashCombine(entry, regions[i].sampling.minIntervalNs);
-        }
-        digest = support::hashCombine(digest, entry);
+        digest.add(functions[i], regions[i]);
     }
+    return digest.value(staticIds);
+}
+
+std::uint64_t PolicyDigest::value(
+    const std::map<std::string, std::uint32_t>& staticIds) const {
+    std::uint64_t digest = digest_;
     for (const auto& [name, id] : staticIds) {
         digest = support::hashCombine(digest, support::fnv1a(name));
         digest = support::hashCombine(digest, id);

@@ -15,8 +15,10 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "support/hash.hpp"
 #include "support/json.hpp"
 
 namespace capi::select {
@@ -166,6 +168,28 @@ struct InstrumentationPolicy {
 
     support::Json toJson() const;
     static InstrumentationPolicy fromJson(const support::Json& doc);
+};
+
+/// InstrumentationPolicy::fingerprint(), computed incrementally: add() each
+/// entry in list order, then value() with the static IDs. For callers that
+/// know a policy's entries before (or without) building it.
+class PolicyDigest {
+public:
+    void add(std::string_view name, const RegionPolicy& region) {
+        std::uint64_t entry = support::fnv1a(name);
+        entry = support::hashCombine(entry,
+                                     static_cast<std::uint64_t>(region.tier));
+        if (region.tier == Tier::Sampled) {
+            entry = support::hashCombine(entry, region.sampling.everyN);
+            entry = support::hashCombine(entry, region.sampling.minIntervalNs);
+        }
+        digest_ = support::hashCombine(digest_, entry);
+    }
+    std::uint64_t value(
+        const std::map<std::string, std::uint32_t>& staticIds) const;
+
+private:
+    std::uint64_t digest_ = support::kFnvOffsetBasis;
 };
 
 /// Tier-transition diff between two policies. `added`/`removed` mirror

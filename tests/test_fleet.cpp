@@ -12,10 +12,12 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +33,7 @@
 #include "fleet/client.hpp"
 #include "fleet/wire.hpp"
 #include "mpisim/mpi_world.hpp"
+#include "obs/metrics.hpp"
 #include "scorepsim/cyg_adapter.hpp"
 #include "scorepsim/measurement.hpp"
 #include "scorepsim/profile.hpp"
@@ -1608,6 +1611,536 @@ TEST(FleetCheckpoint, RestoreContinuesBitIdenticallyToUninterruptedTwin) {
     fleet::SnapshotFrame sc = fleet::decodeSnapshotFrame(again.checkpoint());
     sc.incarnation = sa.incarnation;
     EXPECT_EQ(fleet::encodeSnapshotFrame(sc), fleet::encodeSnapshotFrame(sa));
+}
+
+// ----------------------------------------------------- broadcast tests --
+
+/// `regions` leaf functions under main: policies large enough to change
+/// tiers, gain and lose regions from one epoch to the next.
+cg::CallGraph wideGraph(std::size_t regions) {
+    cg::CallGraph graph;
+    auto add = [&](const std::string& name) {
+        cg::FunctionDesc desc;
+        desc.name = name;
+        desc.prettyName = name;
+        desc.flags.hasBody = true;
+        return graph.addFunction(desc);
+    };
+    const cg::FunctionId mainFn = add("main");
+    for (std::size_t i = 0; i < regions; ++i) {
+        graph.addCallEdge(mainFn, add("region_" + std::to_string(i)));
+    }
+    return graph;
+}
+
+/// One epoch's flat profile touching a seeded subset of the graph's
+/// regions with seeded counters.
+scorep::ProfileTree seededProfile(const cg::CallGraph& graph,
+                                  scorep::Measurement& measurement,
+                                  support::SplitMix64& rng) {
+    scorep::ProfileTree tree;
+    for (cg::FunctionId id = 0; id < graph.size(); ++id) {
+        if (id != 0 && !rng.nextBool(0.4)) {
+            continue;
+        }
+        const std::size_t node = tree.childOf(
+            tree.root(), measurement.defineRegion(graph.name(id)));
+        tree.node(node).visits += 1 + rng.nextBelow(5000);
+        tree.node(node).inclusiveNs += 1000 + rng.nextBelow(2'000'000);
+    }
+    return tree;
+}
+
+/// Closes `channel` unless destroyed within `timeout`: a client that waits
+/// for a frame nobody sends (a resync no aggregator answers) then fails its
+/// test instead of hanging it.
+class ChannelWatchdog {
+public:
+    ChannelWatchdog(fleet::Channel& channel, std::chrono::milliseconds timeout)
+        : thread_([this, &channel, timeout] {
+              std::unique_lock<std::mutex> lock(mutex_);
+              if (!done_changed_.wait_for(lock, timeout,
+                                          [this] { return done_; })) {
+                  channel.close();
+              }
+          }) {}
+    ChannelWatchdog(const ChannelWatchdog&) = delete;
+    ChannelWatchdog& operator=(const ChannelWatchdog&) = delete;
+    ~ChannelWatchdog() {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            done_ = true;
+        }
+        done_changed_.notify_one();
+        thread_.join();
+    }
+
+private:
+    std::mutex mutex_;
+    std::condition_variable done_changed_;
+    bool done_ = false;
+    std::thread thread_;
+};
+
+/// The policy frame as the aggregator built it for one client at a time,
+/// before broadcasts shared frames: a baseline when `lastSent` is null,
+/// else the client's last-sent policy diffed by a binary search per name —
+/// upserts in policy order, removals in last-sent order. The header fields
+/// other than the fingerprints come from `header`.
+fleet::PolicyFrame referencePolicyFrame(
+    const fleet::PolicyFrame& header,
+    const select::InstrumentationPolicy* lastSent,
+    const select::InstrumentationPolicy& policy) {
+    fleet::PolicyFrame frame;
+    frame.epoch = header.epoch;
+    frame.incarnation = header.incarnation;
+    frame.fingerprint = policy.fingerprint();
+    frame.measuredOverheadRatio = header.measuredOverheadRatio;
+    frame.budgetNs = header.budgetNs;
+    frame.withinBudget = header.withinBudget;
+    frame.baseline = lastSent == nullptr;
+    if (lastSent == nullptr) {
+        for (std::size_t i = 0; i < policy.functions.size(); ++i) {
+            frame.upserts.push_back(
+                fleet::PolicyFrameEntry{policy.functions[i], policy.regions[i]});
+        }
+        return frame;
+    }
+    frame.prevFingerprint = lastSent->fingerprint();
+    for (std::size_t i = 0; i < policy.functions.size(); ++i) {
+        const select::RegionPolicy* before =
+            lastSent->policyOf(policy.functions[i]);
+        if (before == nullptr || *before != policy.regions[i]) {
+            frame.upserts.push_back(
+                fleet::PolicyFrameEntry{policy.functions[i], policy.regions[i]});
+        }
+    }
+    for (const std::string& name : lastSent->functions) {
+        if (!policy.contains(name)) {
+            frame.removed.push_back(name);
+        }
+    }
+    return frame;
+}
+
+// The broadcast property: encoding one frame per diff base must put on
+// every client's channel exactly the bytes the per-client algorithm built —
+// for in-sync clients; for Lagging clients whose refused trySends leave
+// them anchored on an older policy; for clients that resync; and across a
+// checkpoint/restore mid-run, which must itself round-trip byte for byte.
+TEST(FleetBroadcast, SharedFramesEqualPerClientReferenceFrames) {
+    const cg::CallGraph graph = wideGraph(48);
+    const select::InstrumentationConfig survey =
+        adapt::surveyOfDefinedFunctions(graph);
+    fleet::AggregatorOptions options;
+    options.config.perEventCostNs = 100.0;
+    options.config.enableSampledTier = true;
+    options.config.sampledEveryN = 8;
+    options.policyQueueCapacity = 2;
+    // A client without a frame at close is Lagging (best-effort trySend)
+    // and is never evicted, so every broadcast still tries it.
+    options.epochPolicy.timeoutNs = 1;
+    options.epochPolicy.quorum = 1;
+    options.epochPolicy.graceEpochs = 0;
+
+    enum class Kind { InSync, Lagging, Resyncing };
+    const std::vector<Kind> kinds = {Kind::InSync,    Kind::Lagging,
+                                     Kind::InSync,    Kind::Resyncing,
+                                     Kind::Lagging,   Kind::InSync,
+                                     Kind::Resyncing};
+    constexpr int kEpochs = 30;
+    constexpr int kRestoreAfter = 13;
+    support::SplitMix64 rng(0x5EED'B40Aull);
+
+    auto aggregator = std::make_unique<fleet::Aggregator>(graph, survey, options);
+    // Every policy the fleet converged on, by fingerprint, and the
+    // fingerprint each epoch closed on.
+    std::map<std::uint64_t, select::InstrumentationPolicy> converged;
+    std::vector<std::uint64_t> convergedAt;
+    auto recordConverged = [&] {
+        converged[aggregator->convergedFingerprint()] =
+            aggregator->convergedPolicy();
+        convergedAt.resize(aggregator->epochsCompleted() + 1);
+        convergedAt.back() = aggregator->convergedFingerprint();
+    };
+    recordConverged();
+
+    std::vector<std::unique_ptr<scorep::Measurement>> measurements;
+    std::vector<std::unique_ptr<fleet::FleetClient>> clients;
+    // Fingerprint of the last frame each client was sent: its diff base.
+    std::vector<std::uint64_t> lastSent;
+    for (std::size_t c = 0; c < kinds.size(); ++c) {
+        measurements.push_back(std::make_unique<scorep::Measurement>());
+        clients.push_back(std::make_unique<fleet::FleetClient>(*aggregator));
+        lastSent.push_back(aggregator->convergedFingerprint());
+    }
+
+    std::size_t updates = 0;
+    std::size_t baselines = 0;
+    std::size_t anchoredElsewhere = 0;  // updates not based on the last epoch
+    std::size_t upserts = 0;
+    std::size_t removals = 0;
+    std::uint64_t laggingDrops = 0;
+    std::uint64_t encoded = 0;
+    std::uint64_t sent = 0;
+    auto addStats = [&](const fleet::AggregatorStats& stats) {
+        laggingDrops += stats.laggingPolicyDrops;
+        encoded += stats.policyFramesEncoded;
+        sent += stats.policyFramesSent;
+    };
+
+    // Drains client c's policy channel, checks every frame against the
+    // reference built from the client's last-sent policy, then hands the
+    // frames back for the client to adopt.
+    auto deliver = [&](std::size_t c) {
+        fleet::Channel& channel = clients[c]->policyChannel();
+        std::vector<std::vector<std::uint8_t>> frames;
+        while (auto bytes = channel.tryReceive()) {
+            frames.push_back(std::move(*bytes));
+        }
+        for (const std::vector<std::uint8_t>& bytes : frames) {
+            const fleet::PolicyFrame frame = fleet::decodePolicyFrame(bytes);
+            auto target = converged.find(frame.fingerprint);
+            ASSERT_NE(target, converged.end()) << "client " << c;
+            const select::InstrumentationPolicy* base = nullptr;
+            if (!frame.baseline) {
+                auto it = converged.find(lastSent[c]);
+                ASSERT_NE(it, converged.end()) << "client " << c;
+                base = &it->second;
+            }
+            const fleet::PolicyFrame reference =
+                referencePolicyFrame(frame, base, target->second);
+            ASSERT_EQ(fleet::encodePolicyFrame(reference), bytes)
+                << "client " << c << " epoch " << frame.epoch;
+            if (frame.baseline) {
+                ++baselines;
+            } else {
+                ++updates;
+                ASSERT_GE(frame.epoch, 1u);
+                if (frame.prevFingerprint != convergedAt[frame.epoch - 1]) {
+                    ++anchoredElsewhere;
+                }
+            }
+            upserts += frame.upserts.size();
+            removals += frame.removed.size();
+            lastSent[c] = frame.fingerprint;
+        }
+        for (std::vector<std::uint8_t>& bytes : frames) {
+            ASSERT_EQ(channel.send(std::move(bytes)), fleet::SendResult::Ok);
+        }
+        const ChannelWatchdog watchdog(channel, std::chrono::seconds(10));
+        while (channel.stats().depth > 0) {
+            clients[c]->awaitPolicy();
+        }
+        EXPECT_EQ(clients[c]->policyFingerprint(), lastSent[c]);
+    };
+
+    std::vector<bool> stalled(kinds.size(), false);
+    for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+        for (std::size_t c = 0; c < kinds.size(); ++c) {
+            if (kinds[c] == Kind::Lagging) {
+                // Stalls for seeded stretches, neither sending nor reading
+                // its queue; on return it first adopts what was queued.
+                const bool stall = epoch < kEpochs && rng.nextBool(0.6);
+                if (stalled[c] && !stall) {
+                    ASSERT_NO_FATAL_FAILURE(deliver(c));
+                }
+                stalled[c] = stall;
+                if (stall) {
+                    continue;
+                }
+            }
+            if (kinds[c] == Kind::Resyncing && rng.nextBool(0.5)) {
+                ASSERT_EQ(aggregator->dataChannel().send(
+                              fleet::encodeControlFrame(
+                                  fleet::FrameType::Resync,
+                                  clients[c]->clientId())),
+                          fleet::SendResult::Ok);
+            }
+            ASSERT_EQ(clients[c]->sendEpoch(
+                          seededProfile(graph, *measurements[c], rng),
+                          *measurements[c], 1e8 + 1e6 * static_cast<double>(c)),
+                      fleet::SendResult::Ok);
+        }
+        while (aggregator->epochsCompleted() <
+               static_cast<std::uint64_t>(epoch)) {
+            aggregator->pump();
+        }
+        recordConverged();
+        for (std::size_t c = 0; c < kinds.size(); ++c) {
+            if (!stalled[c]) {
+                ASSERT_NO_FATAL_FAILURE(deliver(c));
+            }
+        }
+
+        if (epoch == kRestoreAfter) {
+            // Stalled clients catch up on what was queued for them (their
+            // diff base stays wherever the refused frames left it), then the
+            // aggregator is checkpointed, restored and reconnected.
+            for (std::size_t c = 0; c < kinds.size(); ++c) {
+                if (stalled[c]) {
+                    ASSERT_NO_FATAL_FAILURE(deliver(c));
+                    stalled[c] = false;
+                }
+            }
+            const std::vector<std::uint8_t> snapshot = aggregator->checkpoint();
+            auto restored = std::make_unique<fleet::Aggregator>(
+                graph, survey, snapshot, options);
+            fleet::SnapshotFrame again =
+                fleet::decodeSnapshotFrame(restored->checkpoint());
+            again.incarnation = fleet::decodeSnapshotFrame(snapshot).incarnation;
+            EXPECT_EQ(fleet::encodeSnapshotFrame(again), snapshot);
+            for (auto& client : clients) {
+                EXPECT_TRUE(client->reconnect(*restored));
+            }
+            addStats(aggregator->stats());
+            aggregator = std::move(restored);
+        }
+    }
+    addStats(aggregator->stats());
+
+    for (std::size_t c = 0; c < kinds.size(); ++c) {
+        EXPECT_EQ(clients[c]->policyFingerprint(),
+                  aggregator->convergedFingerprint())
+            << "client " << c;
+        EXPECT_EQ(clients[c]->stats().resyncs, 0u) << "client " << c;
+    }
+    // Every path was exercised: shared updates, per-client updates of
+    // anchored clients, baselines, refused trySends, and policies that gain
+    // and lose regions.
+    EXPECT_GT(updates, 0u);
+    EXPECT_GT(anchoredElsewhere, 0u);
+    EXPECT_GT(baselines, 0u);
+    EXPECT_GT(laggingDrops, 0u);
+    EXPECT_GT(upserts, 0u);
+    EXPECT_GT(removals, 0u);
+    EXPECT_LT(encoded, sent);
+}
+
+// The fold's absence rule: a region without a fleet-tree node contributes
+// nothing to the epoch's observations, even when a client reports
+// suppressed visits for it — the model ends up exactly as if the
+// suppressed entry had never been sent.
+TEST(FleetAggregation, SuppressedVisitsWithoutATreeNodeContributeNothing) {
+    const cg::CallGraph graph = tinyGraph();
+    const select::InstrumentationConfig survey =
+        adapt::surveyOfDefinedFunctions(graph);
+    fleet::AggregatorOptions options;
+    options.config.perEventCostNs = 100.0;
+    auto closeOneEpoch = [&](bool reportSuppressed) {
+        fleet::Aggregator aggregator(graph, survey, options);
+        const fleet::Aggregator::Session session = aggregator.connect();
+        fleet::DeltaFrame frame;
+        frame.clientId = session.clientId;
+        frame.epoch = 1;
+        frame.coveredEpochs = 1;
+        frame.runtimeNs = 1e9;
+        frame.policyFingerprint = aggregator.convergedFingerprint();
+        frame.newRegions = {{0, "kernel"}, {1, "noisy"}};
+        frame.cct.baseNodeCount = 1;
+        frame.cct.newNodes.push_back(scorep::CctNewNode{0, 0});
+        frame.cct.changed.push_back(scorep::CctNodeChange{1, 10, 1'000'000});
+        if (reportSuppressed) {
+            frame.suppressed.push_back(fleet::SuppressedDelta{1, 5000});
+        }
+        EXPECT_EQ(aggregator.dataChannel().send(fleet::encodeDeltaFrame(frame)),
+                  fleet::SendResult::Ok);
+        while (aggregator.epochsCompleted() < 1) {
+            EXPECT_TRUE(aggregator.pump());
+        }
+        // The client's own acked counters differ by construction.
+        fleet::SnapshotFrame snap =
+            fleet::decodeSnapshotFrame(aggregator.checkpoint());
+        snap.clients.clear();
+        return fleet::encodeSnapshotFrame(snap);
+    };
+    EXPECT_EQ(closeOneEpoch(true), closeOneEpoch(false));
+}
+
+// The encode count: a steady-state epoch over 64 in-sync clients encodes
+// one update frame and sends it 64 times; the Prometheus collector exports
+// the same count.
+TEST(FleetBroadcast, InSyncClientsShareOneEncodedFrame) {
+    const cg::CallGraph graph = tinyGraph();
+    fleet::AggregatorOptions options;
+    options.config.perEventCostNs = 100.0;
+    constexpr std::size_t kClients = 64;
+    options.dataQueueCapacity = kClients + 8;
+    fleet::Aggregator aggregator(graph, adapt::surveyOfDefinedFunctions(graph),
+                                 options);
+    std::vector<std::unique_ptr<scorep::Measurement>> measurements;
+    std::vector<std::unique_ptr<fleet::FleetClient>> clients;
+    for (std::size_t i = 0; i < kClients; ++i) {
+        measurements.push_back(std::make_unique<scorep::Measurement>());
+        clients.push_back(std::make_unique<fleet::FleetClient>(aggregator));
+    }
+    auto runEpoch = [&](std::uint64_t epoch) {
+        for (std::size_t i = 0; i < kClients; ++i) {
+            ASSERT_EQ(clients[i]->sendEpoch(
+                          flatProfile(*measurements[i], i * 7 + epoch),
+                          *measurements[i], 1e9),
+                      fleet::SendResult::Ok);
+        }
+        while (aggregator.epochsCompleted() < epoch) {
+            ASSERT_TRUE(aggregator.pump());
+        }
+        for (auto& client : clients) {
+            client->awaitPolicy();
+            ASSERT_EQ(client->policyFingerprint(),
+                      aggregator.convergedFingerprint());
+        }
+    };
+    ASSERT_NO_FATAL_FAILURE(runEpoch(1));
+    const fleet::AggregatorStats before = aggregator.stats();
+    ASSERT_NO_FATAL_FAILURE(runEpoch(2));
+    const fleet::AggregatorStats after = aggregator.stats();
+    EXPECT_EQ(after.policyFramesEncoded - before.policyFramesEncoded, 1u);
+    EXPECT_EQ(after.policyFramesSent - before.policyFramesSent, kClients);
+
+    std::size_t exported = 0;
+    for (const obs::Sample& sample : obs::MetricsRegistry::global().snapshot()) {
+        if (sample.name.rfind("capi_fleet_policy_frames_encoded_total{", 0) ==
+            0) {
+            ++exported;
+            EXPECT_EQ(sample.kind, obs::MetricKind::Counter);
+            EXPECT_EQ(sample.value,
+                      static_cast<double>(after.policyFramesEncoded));
+        }
+    }
+    EXPECT_EQ(exported, 1u);
+}
+
+// The client's one-merge adopt equals the setRegion()-per-entry semantics
+// it replaced, on seeded frames the aggregator never sends too: unsorted
+// and repeated upserts, removals of absent or just-upserted names, Full
+// entries carrying a sampling spec, and baselines.
+TEST(FleetBroadcast, ClientMergeEqualsSetRegionPerEntry) {
+    const cg::CallGraph graph = tinyGraph();
+    fleet::AggregatorOptions options;
+    options.config.perEventCostNs = 100.0;
+    fleet::Aggregator aggregator(graph, adapt::surveyOfDefinedFunctions(graph),
+                                 options);
+    fleet::FleetClient client(aggregator);
+    select::InstrumentationPolicy expected = client.policy();
+    support::SplitMix64 rng(0xAD0B7'3E6Eull);
+    auto randomName = [&] { return "r" + std::to_string(rng.nextBelow(24)); };
+
+    for (std::uint64_t round = 1; round <= 300; ++round) {
+        fleet::PolicyFrame frame;
+        frame.epoch = round;
+        frame.incarnation = aggregator.incarnation();
+        frame.baseline = round % 17 == 0;
+        frame.prevFingerprint = expected.fingerprint();
+        const std::size_t upserts = rng.nextBelow(8);
+        for (std::size_t i = 0; i < upserts; ++i) {
+            const bool sampled = rng.nextBool(0.5);
+            frame.upserts.push_back(fleet::PolicyFrameEntry{
+                randomName(),
+                {sampled ? select::Tier::Sampled : select::Tier::Full,
+                 {static_cast<std::uint32_t>(1 + rng.nextBelow(64)),
+                  rng.nextBelow(3) * 1000}}});
+        }
+        const std::size_t removals = frame.baseline ? 0 : rng.nextBelow(5);
+        for (std::size_t i = 0; i < removals; ++i) {
+            frame.removed.push_back(i % 2 == 0 && !frame.upserts.empty()
+                                        ? frame.upserts.front().name
+                                        : randomName());
+        }
+        if (frame.baseline) {
+            expected = select::InstrumentationPolicy{};
+            expected.specName = "fleet";
+        }
+        for (const fleet::PolicyFrameEntry& entry : frame.upserts) {
+            expected.setRegion(entry.name, entry.policy);
+        }
+        for (const std::string& name : frame.removed) {
+            expected.setRegion(name, select::RegionPolicy{});
+        }
+        frame.fingerprint = expected.fingerprint();
+        ASSERT_EQ(client.policyChannel().send(fleet::encodePolicyFrame(frame)),
+                  fleet::SendResult::Ok);
+        {
+            const ChannelWatchdog watchdog(client.policyChannel(),
+                                           std::chrono::seconds(10));
+            client.awaitPolicy();
+        }
+
+        ASSERT_EQ(client.policyFingerprint(), frame.fingerprint)
+            << "round " << round;
+        const select::InstrumentationPolicy& actual = client.policy();
+        ASSERT_EQ(actual.functions, expected.functions) << "round " << round;
+        ASSERT_EQ(actual.regions.size(), expected.regions.size());
+        for (std::size_t i = 0; i < actual.regions.size(); ++i) {
+            EXPECT_EQ(actual.regions[i].tier, expected.regions[i].tier);
+            EXPECT_EQ(actual.regions[i].sampling.everyN,
+                      expected.regions[i].sampling.everyN);
+            EXPECT_EQ(actual.regions[i].sampling.minIntervalNs,
+                      expected.regions[i].sampling.minIntervalNs);
+        }
+        EXPECT_EQ(actual.specName, expected.specName);
+    }
+    EXPECT_EQ(client.stats().resyncs, 0u);
+}
+
+// A policy frame whose fingerprint does not verify is never committed: the
+// client keeps the policy it had, so policy() and policyFingerprint() still
+// agree when the aggregator goes away before the resync is answered.
+TEST(FleetBroadcast, UnverifiedPolicyFrameIsNeverCommitted) {
+    const cg::CallGraph graph = tinyGraph();
+    fleet::AggregatorOptions options;
+    options.config.perEventCostNs = 100.0;
+    fleet::Aggregator aggregator(graph, adapt::surveyOfDefinedFunctions(graph),
+                                 options);
+    scorep::Measurement measurement;
+    fleet::FleetClient client(aggregator);
+    ASSERT_EQ(client.sendEpoch(flatProfile(measurement, 1), measurement, 1e9),
+              fleet::SendResult::Ok);
+    while (aggregator.epochsCompleted() < 1) {
+        ASSERT_TRUE(aggregator.pump());
+    }
+    client.awaitPolicy();
+    const select::InstrumentationPolicy before = client.policy();
+    const std::uint64_t fingerprint = client.policyFingerprint();
+    ASSERT_EQ(before.fingerprint(), fingerprint);
+    ASSERT_FALSE(before.functions.empty());
+    auto expectUnchanged = [&] {
+        EXPECT_EQ(client.policyFingerprint(), fingerprint);
+        EXPECT_EQ(client.policy().fingerprint(), client.policyFingerprint());
+        EXPECT_EQ(client.policy().functions, before.functions);
+        EXPECT_EQ(client.policy().regions, before.regions);
+    };
+
+    // A baseline that does not reconstruct its fingerprint is fatal for the
+    // client, and is not committed either.
+    fleet::PolicyFrame baseline;
+    baseline.epoch = 1;
+    baseline.incarnation = aggregator.incarnation();
+    baseline.baseline = true;
+    baseline.fingerprint = fingerprint ^ 1;
+    baseline.upserts.push_back(
+        fleet::PolicyFrameEntry{"kernel", {select::Tier::Full, {}}});
+    ASSERT_EQ(client.policyChannel().send(fleet::encodePolicyFrame(baseline)),
+              fleet::SendResult::Ok);
+    EXPECT_THROW(client.awaitPolicy(), fleet::WireError);
+    expectUnchanged();
+
+    // An update that chains onto the client's policy but does not arrive
+    // at its advertised fingerprint; the aggregator stops before answering
+    // the resync the client asks for.
+    fleet::PolicyFrame update;
+    update.epoch = 2;
+    update.incarnation = aggregator.incarnation();
+    update.prevFingerprint = fingerprint;
+    update.fingerprint = fingerprint ^ 1;
+    update.upserts.push_back(fleet::PolicyFrameEntry{
+        "zz_new_region", {select::Tier::Sampled, {8, 0}}});
+    update.removed.push_back(before.functions.front());
+    ASSERT_EQ(client.policyChannel().send(fleet::encodePolicyFrame(update)),
+              fleet::SendResult::Ok);
+    aggregator.stop();
+    client.awaitPolicy();
+    EXPECT_EQ(client.stats().resyncs, 1u);
+    expectUnchanged();
 }
 
 // ----------------------------------------------------- liveness tests --
