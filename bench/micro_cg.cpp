@@ -1,5 +1,5 @@
 // Micro-benchmarks of the MetaCG substrate: local construction, whole-program
-// merge, JSON (de)serialization throughput, and Node-vs-CSR adjacency
+// merge, MetaCG text read/write throughput, and Node-vs-CSR adjacency
 // traversal (the data-layout win every selector rides on).
 #include <benchmark/benchmark.h>
 
@@ -33,31 +33,33 @@ void BM_BuildWholeProgramCg(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildWholeProgramCg)->Arg(10000)->Arg(50000);
 
-void BM_MetaCgToJson(benchmark::State& state) {
+void BM_MetaCgWrite(benchmark::State& state) {
     binsim::AppModel model = modelOfSize(static_cast<std::uint32_t>(state.range(0)));
     cg::MetaCgBuilder builder;
     cg::CallGraph graph = builder.build(model.toSourceModel());
     for (auto _ : state) {
-        std::string text = cg::toMetaCgJson(graph).dump();
-        benchmark::DoNotOptimize(text.size());
+        std::string text = cg::writeMetaCg(graph);
+        benchmark::DoNotOptimize(text.data());
+        benchmark::ClobberMemory();
         state.counters["bytes"] = static_cast<double>(text.size());
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_MetaCgToJson)->Arg(10000)->Arg(50000);
+BENCHMARK(BM_MetaCgWrite)->Arg(10000)->Arg(50000);
 
-void BM_MetaCgFromJson(benchmark::State& state) {
+void BM_MetaCgRead(benchmark::State& state) {
     binsim::AppModel model = modelOfSize(static_cast<std::uint32_t>(state.range(0)));
     cg::MetaCgBuilder builder;
     cg::CallGraph graph = builder.build(model.toSourceModel());
-    std::string text = cg::toMetaCgJson(graph).dump();
+    std::string text = cg::writeMetaCg(graph);
     for (auto _ : state) {
-        cg::CallGraph parsed = cg::fromMetaCgJson(support::Json::parse(text));
+        cg::CallGraph parsed = cg::readMetaCg(text);
         benchmark::DoNotOptimize(parsed.size());
     }
+    state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_MetaCgFromJson)->Arg(10000)->Arg(50000);
+BENCHMARK(BM_MetaCgRead)->Arg(10000)->Arg(50000);
 
 // --- Node-vs-CSR traversal -------------------------------------------------
 // The same whole-graph edge walk (every callee row, then every caller row),

@@ -222,7 +222,7 @@ bool containsSorted(const std::vector<FunctionId>& vec, FunctionId value) {
     return std::binary_search(vec.begin(), vec.end(), value);
 }
 
-FunctionId CallGraph::addFunction(const FunctionDesc& desc) {
+FunctionId CallGraph::addFunction(FunctionDesc desc) {
     generation_ = nextGenerationStamp();
     auto it = byName_.find(desc.name);
     if (it != byName_.end()) {
@@ -230,8 +230,7 @@ FunctionId CallGraph::addFunction(const FunctionDesc& desc) {
         // A definition sighting supplies the authoritative metadata; merge so
         // declaration-only TUs do not erase what the defining TU recorded.
         if (desc.flags.hasBody && !existing.desc.flags.hasBody) {
-            FunctionDesc merged = desc;
-            existing.desc = merged;
+            existing.desc = std::move(desc);
         } else if (desc.flags.hasBody && existing.desc.flags.hasBody) {
             // Two definitions (inline functions in headers): keep first, but
             // accumulate flags that any sighting may set.
@@ -245,11 +244,12 @@ FunctionId CallGraph::addFunction(const FunctionDesc& desc) {
         return it->second;
     }
     FunctionId id = static_cast<FunctionId>(nodes_.size());
-    nodes_.push_back(Node{desc, {}, {}, {}, {}, true});
-    byName_.emplace(desc.name, id);
+    nodes_.push_back(Node{std::move(desc), {}, {}, {}, {}, true});
+    const std::string& name = nodes_.back().desc.name;
+    byName_.emplace(name, id);
     ++aliveCount_;
     journalAppend(DeltaKind::NodeAdd, id);
-    if (!entry_.has_value() && desc.name == "main") {
+    if (!entry_.has_value() && name == "main") {
         // No explicit entry: entryPoint() falls back to lookup("main"), so
         // this add silently changed it. Journal that, or cached traversal
         // results anchored on the old (absent) entry would survive.
@@ -422,7 +422,7 @@ bool CallGraph::hasEdge(FunctionId caller, FunctionId callee) const {
 }
 
 FunctionId CallGraph::lookup(std::string_view name) const {
-    auto it = byName_.find(std::string(name));
+    auto it = byName_.find(name);
     return it == byName_.end() ? kInvalidFunction : it->second;
 }
 

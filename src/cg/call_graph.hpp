@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -53,7 +54,7 @@ public:
     /// Adds a node (or merges metadata into an existing node of the same
     /// name) and returns its id. Merging keeps the definition's metadata:
     /// a declaration-only sighting never downgrades `hasBody`.
-    FunctionId addFunction(const FunctionDesc& desc);
+    FunctionId addFunction(FunctionDesc desc);
 
     /// Adds caller->callee; no-op if the edge already exists.
     void addCallEdge(FunctionId caller, FunctionId callee);
@@ -224,7 +225,15 @@ private:
     void releaseSnapshots() noexcept;
 
     std::vector<Node> nodes_;
-    std::unordered_map<std::string, FunctionId> byName_;
+    /// Hashes std::string and std::string_view alike, so lookup() by view
+    /// allocates nothing.
+    struct NameHash {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view name) const noexcept {
+            return std::hash<std::string_view>{}(name);
+        }
+    };
+    std::unordered_map<std::string, FunctionId, NameHash, std::equal_to<>> byName_;
     std::optional<FunctionId> entry_;
     std::size_t aliveCount_ = 0;
     std::uint64_t generation_ = nextGenerationStamp();

@@ -4,20 +4,36 @@
 // with version info and a `_CG` object mapping function names to their edges,
 // override relations and `meta` blob. Static metrics live under
 // `meta.capiMetrics`, where the real pipeline stores tool-specific metadata.
+//
+// readMetaCg and writeMetaCg hold the format rules: both stream between the
+// text and the CallGraph without building a JSON tree. The Json overloads
+// are adapters over them.
 #pragma once
 
+#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "cg/call_graph.hpp"
 #include "support/json.hpp"
 
 namespace capi::cg {
 
-/// Serializes a call graph into MetaCG v2 JSON.
-support::Json toMetaCgJson(const CallGraph& graph);
+/// Parses MetaCG v2 text into a call graph: one node per `_CG` member in
+/// file order, then the call edges and override relations in the same
+/// order. `_MetaCG` may come before or after `_CG`.
+/// Throws support::Error on malformed JSON (support::ParseError), a missing
+/// or unsupported header, a missing `_CG` section, a function listed twice,
+/// or an edge to an unknown function.
+CallGraph readMetaCg(std::string_view text);
 
-/// Parses MetaCG v2 JSON back into a call graph.
-/// Throws support::Error on structural problems.
+/// Writes the call graph as pretty-printed MetaCG v2 text.
+void writeMetaCg(const CallGraph& graph, std::ostream& out);
+std::string writeMetaCg(const CallGraph& graph);
+
+/// Tree adapters: Json::parse(writeMetaCg(graph)) and
+/// readMetaCg(doc.dump()).
+support::Json toMetaCgJson(const CallGraph& graph);
 CallGraph fromMetaCgJson(const support::Json& doc);
 
 /// File helpers.

@@ -106,10 +106,11 @@ public:
 
     /// Guards list reads: every element consumes at least `minBytes`, so a
     /// corrupted count larger than the bytes left is rejected before any
-    /// allocation scales with it.
+    /// allocation scales with it. Divides rather than multiplies: a huge
+    /// count must not wrap the product back under the limit.
     std::size_t listCount(std::size_t minBytes, const char* what) {
         const std::uint64_t count = varint();
-        if (count * minBytes > remaining()) {
+        if (count > remaining() / minBytes) {
             throw WireError(std::string(what) + " count exceeds frame size");
         }
         return static_cast<std::size_t>(count);
@@ -708,6 +709,9 @@ SnapshotFrame decodeSnapshotFrame(const std::vector<std::uint8_t>& bytes) {
         const std::size_t pendingCount = in.listCount(1, "pending frame");
         for (std::size_t i = 0; i < pendingCount; ++i) {
             const std::uint64_t size = in.varint();
+            if (size > in.remaining()) {
+                throw WireError("pending frame exceeds snapshot size");
+            }
             std::vector<std::uint8_t> pending;
             pending.reserve(static_cast<std::size_t>(size));
             for (std::uint64_t b = 0; b < size; ++b) {

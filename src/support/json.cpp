@@ -1,9 +1,12 @@
 #include "support/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <limits>
 
 namespace capi::support {
 
@@ -40,7 +43,7 @@ bool Json::asBool() const {
 
 std::int64_t Json::asInt() const {
     if (isInt()) return int_;
-    if (isDouble()) return static_cast<std::int64_t>(double_);
+    if (isDouble()) return JsonReader::Number{false, 0, double_}.asInt();
     typeError("a number");
 }
 
@@ -116,9 +119,7 @@ void Json::push_back(Json v) {
     asArray().push_back(std::move(v));
 }
 
-namespace {
-
-void writeEscaped(std::string& out, const std::string& s) {
+void appendJsonString(std::string& out, std::string_view s) {
     out.push_back('"');
     for (char c : s) {
         switch (c) {
@@ -142,6 +143,8 @@ void writeEscaped(std::string& out, const std::string& s) {
     out.push_back('"');
 }
 
+namespace {
+
 void indentTo(std::string& out, int indent) {
     out.append(static_cast<std::size_t>(indent) * 2, ' ');
 }
@@ -163,7 +166,7 @@ void Json::writeTo(std::string& out, bool pretty, int indent) const {
             }
             break;
         }
-        case Type::String: writeEscaped(out, string_); break;
+        case Type::String: appendJsonString(out, string_); break;
         case Type::Array: {
             const Array& a = *array_;
             if (a.empty()) {
@@ -201,7 +204,7 @@ void Json::writeTo(std::string& out, bool pretty, int indent) const {
                     out.push_back('\n');
                     indentTo(out, indent + 1);
                 }
-                writeEscaped(out, key);
+                appendJsonString(out, key);
                 out.push_back(':');
                 if (pretty) out.push_back(' ');
                 value.writeTo(out, pretty, indent + 1);
@@ -224,243 +227,313 @@ std::string Json::dump(bool pretty) const {
 
 namespace {
 
-/// Deepest object/array nesting a document may use. Each level costs two
-/// stack frames (parseValue + parseObject/parseArray), so hostile input such
-/// as a multi-megabyte run of '[' fails with a ParseError here instead of
-/// overflowing the stack. Real MetaCG documents nest a handful of levels.
-constexpr int kMaxNestingDepth = 512;
+/// Deepest object/array nesting a document may use. The reader itself keeps
+/// no recursion, but Json::parse builds its tree recursively, so hostile
+/// input such as a multi-megabyte run of '[' fails with a ParseError here
+/// instead of overflowing the stack. Real MetaCG documents nest a handful of
+/// levels.
+constexpr std::size_t kMaxNestingDepth = 512;
 
-/// Hand-written recursive-descent JSON parser with line/column diagnostics.
-class JsonParser {
-public:
-    explicit JsonParser(std::string_view text) : text_(text) {}
-
-    Json parseDocument() {
-        Json v = parseValue();
-        skipWhitespace();
-        if (pos_ != text_.size()) {
-            fail("trailing characters after JSON document");
-        }
-        return v;
-    }
-
-private:
-    [[noreturn]] void fail(const std::string& message) const {
-        throw ParseError("JSON: " + message, line_, column_);
-    }
-
-    bool atEnd() const { return pos_ >= text_.size(); }
-
-    char peek() const {
-        if (atEnd()) fail("unexpected end of input");
-        return text_[pos_];
-    }
-
-    char advance() {
-        char c = peek();
-        ++pos_;
-        if (c == '\n') {
-            ++line_;
-            column_ = 1;
-        } else {
-            ++column_;
-        }
-        return c;
-    }
-
-    void expect(char c) {
-        if (atEnd() || peek() != c) {
-            fail(std::string("expected '") + c + "'");
-        }
-        advance();
-    }
-
-    void skipWhitespace() {
-        while (!atEnd()) {
-            char c = text_[pos_];
-            if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-                advance();
-            } else {
-                break;
-            }
-        }
-    }
-
-    bool consumeKeyword(std::string_view kw) {
-        if (text_.substr(pos_, kw.size()) == kw) {
-            for (std::size_t i = 0; i < kw.size(); ++i) advance();
-            return true;
-        }
-        return false;
-    }
-
-    Json parseValue() {
-        skipWhitespace();
-        char c = peek();
-        switch (c) {
-            case '{':
-            case '[': {
-                // An exception abandons the whole parse, so the level is
-                // only released on the success path.
-                if (depth_ == kMaxNestingDepth) {
-                    fail("nesting deeper than " +
-                         std::to_string(kMaxNestingDepth) + " levels");
-                }
-                ++depth_;
-                Json nested = c == '{' ? parseObject() : parseArray();
-                --depth_;
-                return nested;
-            }
-            case '"': return Json(parseString());
-            case 't':
-                if (consumeKeyword("true")) return Json(true);
-                fail("invalid keyword");
-            case 'f':
-                if (consumeKeyword("false")) return Json(false);
-                fail("invalid keyword");
-            case 'n':
-                if (consumeKeyword("null")) return Json(nullptr);
-                fail("invalid keyword");
-            default: return parseNumber();
-        }
-    }
-
-    Json parseObject() {
-        expect('{');
-        JsonObject obj;
-        skipWhitespace();
-        if (peek() == '}') {
-            advance();
-            return Json(std::move(obj));
-        }
-        while (true) {
-            skipWhitespace();
-            std::string key = parseString();
-            skipWhitespace();
-            expect(':');
-            obj[key] = parseValue();
-            skipWhitespace();
-            char c = advance();
-            if (c == '}') break;
-            if (c != ',') fail("expected ',' or '}' in object");
-        }
-        return Json(std::move(obj));
-    }
-
-    Json parseArray() {
-        expect('[');
-        Json::Array arr;
-        skipWhitespace();
-        if (peek() == ']') {
-            advance();
-            return Json(std::move(arr));
-        }
-        while (true) {
-            arr.push_back(parseValue());
-            skipWhitespace();
-            char c = advance();
-            if (c == ']') break;
-            if (c != ',') fail("expected ',' or ']' in array");
-        }
-        return Json(std::move(arr));
-    }
-
-    std::string parseString() {
-        if (peek() != '"') fail("expected string");
-        advance();
-        std::string out;
-        while (true) {
-            char c = advance();
-            if (c == '"') break;
-            if (c == '\\') {
-                char esc = advance();
-                switch (esc) {
-                    case '"': out.push_back('"'); break;
-                    case '\\': out.push_back('\\'); break;
-                    case '/': out.push_back('/'); break;
-                    case 'n': out.push_back('\n'); break;
-                    case 't': out.push_back('\t'); break;
-                    case 'r': out.push_back('\r'); break;
-                    case 'b': out.push_back('\b'); break;
-                    case 'f': out.push_back('\f'); break;
-                    case 'u': {
-                        unsigned code = 0;
-                        for (int i = 0; i < 4; ++i) {
-                            char h = advance();
-                            code <<= 4;
-                            if (h >= '0' && h <= '9') {
-                                code |= static_cast<unsigned>(h - '0');
-                            } else if (h >= 'a' && h <= 'f') {
-                                code |= static_cast<unsigned>(h - 'a' + 10);
-                            } else if (h >= 'A' && h <= 'F') {
-                                code |= static_cast<unsigned>(h - 'A' + 10);
-                            } else {
-                                fail("invalid \\u escape");
-                            }
-                        }
-                        // Encode as UTF-8 (basic multilingual plane only).
-                        if (code < 0x80) {
-                            out.push_back(static_cast<char>(code));
-                        } else if (code < 0x800) {
-                            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-                            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-                        } else {
-                            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-                            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-                            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-                        }
-                        break;
-                    }
-                    default: fail("invalid escape sequence");
-                }
-            } else {
-                out.push_back(c);
-            }
-        }
-        return out;
-    }
-
-    Json parseNumber() {
-        std::size_t start = pos_;
-        if (!atEnd() && (peek() == '-' || peek() == '+')) advance();
-        bool isDouble = false;
-        while (!atEnd()) {
-            char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-                advance();
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+') {
-                if (c == '.' || c == 'e' || c == 'E') isDouble = true;
-                advance();
-            } else {
-                break;
-            }
-        }
-        std::string_view tok = text_.substr(start, pos_ - start);
-        if (tok.empty()) fail("expected number");
-        if (!isDouble) {
-            std::int64_t value = 0;
-            auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), value);
-            if (ec == std::errc() && ptr == tok.data() + tok.size()) {
-                return Json(value);
-            }
-        }
-        double value = 0.0;
-        auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), value);
-        if (ec != std::errc() || ptr != tok.data() + tok.size()) {
-            fail("malformed number");
-        }
-        return Json(value);
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-    int line_ = 1;
-    int column_ = 1;
-    int depth_ = 0;
-};
+bool isJsonSpace(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
 
 }  // namespace
 
-Json Json::parse(std::string_view text) { return JsonParser(text).parseDocument(); }
+std::int64_t JsonReader::Number::asInt() const {
+    if (isInt) return intValue;
+    constexpr double kLimit = 9223372036854775808.0;  // 2^63
+    if (std::isnan(doubleValue)) return 0;
+    if (doubleValue >= kLimit) return std::numeric_limits<std::int64_t>::max();
+    if (doubleValue < -kLimit) return std::numeric_limits<std::int64_t>::min();
+    return static_cast<std::int64_t>(doubleValue);
+}
+
+void JsonReader::fail(const std::string& message) const {
+    // Line and column of the current byte: counted here, on the error path,
+    // rather than tracked on every character of a successful read.
+    const std::string_view before = text_.substr(0, pos_);
+    const std::size_t lastNewline = before.rfind('\n');
+    const auto line = 1 + std::count(before.begin(), before.end(), '\n');
+    const std::size_t column =
+        lastNewline == std::string_view::npos ? pos_ + 1 : pos_ - lastNewline;
+    throw ParseError("JSON: " + message, static_cast<int>(line),
+                     static_cast<int>(column));
+}
+
+void JsonReader::skipWhitespace() {
+    while (pos_ < text_.size() && isJsonSpace(text_[pos_])) ++pos_;
+}
+
+char JsonReader::next() {
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    return text_[pos_++];
+}
+
+void JsonReader::expect(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) {
+        fail(std::string("expected '") + c + "'");
+    }
+    ++pos_;
+}
+
+void JsonReader::enter(char bracket) {
+    skipWhitespace();
+    if (pos_ < text_.size() && text_[pos_] == bracket &&
+        open_.size() == kMaxNestingDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxNestingDepth) + " levels");
+    }
+    expect(bracket);
+    open_.push_back(bracket);
+    first_ = true;
+}
+
+bool JsonReader::consumeKeyword(std::string_view keyword) {
+    if (text_.substr(pos_, keyword.size()) != keyword) return false;
+    pos_ += keyword.size();
+    return true;
+}
+
+JsonReader::Kind JsonReader::peek() {
+    skipWhitespace();
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    switch (text_[pos_]) {
+        case '{': return Kind::Object;
+        case '[': return Kind::Array;
+        case '"': return Kind::String;
+        case 't':
+        case 'f': return Kind::Bool;
+        case 'n': return Kind::Null;
+        default: return Kind::Number;
+    }
+}
+
+void JsonReader::beginObject() { enter('{'); }
+
+void JsonReader::beginArray() { enter('['); }
+
+std::optional<std::string_view> JsonReader::nextMember() {
+    skipWhitespace();
+    const char c = next();
+    if (c == '}') {
+        open_.pop_back();
+        first_ = false;
+        return std::nullopt;
+    }
+    if (first_) {
+        --pos_;  // The first member has no separator.
+        first_ = false;
+    } else if (c != ',') {
+        fail("expected ',' or '}' in object");
+    }
+    skipWhitespace();
+    std::string_view key = readString(&keyScratch_);
+    skipWhitespace();
+    expect(':');
+    return key;
+}
+
+bool JsonReader::nextElement() {
+    skipWhitespace();
+    const char c = next();
+    if (c == ']') {
+        open_.pop_back();
+        first_ = false;
+        return false;
+    }
+    if (first_) {
+        --pos_;
+        first_ = false;
+    } else if (c != ',') {
+        fail("expected ',' or ']' in array");
+    }
+    return true;
+}
+
+std::string_view JsonReader::string() {
+    skipWhitespace();
+    return readString(&valueScratch_);
+}
+
+std::string_view JsonReader::readString(std::string* scratch) {
+    if (pos_ >= text_.size() || text_[pos_] != '"') fail("expected string");
+    const std::size_t start = ++pos_;
+    // Fast path: no escape before the closing quote, so the text itself is
+    // the value.
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') ++pos_;
+    if (pos_ >= text_.size()) fail("unexpected end of input");
+    if (text_[pos_] == '"') {
+        return text_.substr(start, pos_++ - start);
+    }
+    // Escapes: decode into scratch space (validate only, when skipping).
+    if (scratch != nullptr) scratch->assign(text_.substr(start, pos_ - start));
+    auto put = [scratch](char ch) {
+        if (scratch != nullptr) scratch->push_back(ch);
+    };
+    while (true) {
+        const char c = next();
+        if (c == '"') break;
+        if (c != '\\') {
+            put(c);
+            continue;
+        }
+        const char esc = next();
+        switch (esc) {
+            case '"': put('"'); break;
+            case '\\': put('\\'); break;
+            case '/': put('/'); break;
+            case 'n': put('\n'); break;
+            case 't': put('\t'); break;
+            case 'r': put('\r'); break;
+            case 'b': put('\b'); break;
+            case 'f': put('\f'); break;
+            case 'u': {
+                unsigned code = 0;
+                for (int i = 0; i < 4; ++i) {
+                    const char h = next();
+                    code <<= 4;
+                    if (h >= '0' && h <= '9') {
+                        code |= static_cast<unsigned>(h - '0');
+                    } else if (h >= 'a' && h <= 'f') {
+                        code |= static_cast<unsigned>(h - 'a' + 10);
+                    } else if (h >= 'A' && h <= 'F') {
+                        code |= static_cast<unsigned>(h - 'A' + 10);
+                    } else {
+                        fail("invalid \\u escape");
+                    }
+                }
+                // Encode as UTF-8 (basic multilingual plane only).
+                if (code < 0x80) {
+                    put(static_cast<char>(code));
+                } else if (code < 0x800) {
+                    put(static_cast<char>(0xC0 | (code >> 6)));
+                    put(static_cast<char>(0x80 | (code & 0x3F)));
+                } else {
+                    put(static_cast<char>(0xE0 | (code >> 12)));
+                    put(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+                    put(static_cast<char>(0x80 | (code & 0x3F)));
+                }
+                break;
+            }
+            default: fail("invalid escape sequence");
+        }
+    }
+    return scratch != nullptr ? std::string_view(*scratch) : std::string_view();
+}
+
+JsonReader::Number JsonReader::number() {
+    skipWhitespace();
+    const std::size_t start = pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) ++pos_;
+    bool isDouble = false;
+    while (pos_ < text_.size()) {
+        const char c = text_[pos_];
+        if (std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '-' || c == '+') {
+            ++pos_;
+        } else if (c == '.' || c == 'e' || c == 'E') {
+            isDouble = true;
+            ++pos_;
+        } else {
+            break;
+        }
+    }
+    const std::string_view tok = text_.substr(start, pos_ - start);
+    if (tok.empty()) fail("expected number");
+    const char* end = tok.data() + tok.size();
+    Number value;
+    if (!isDouble) {
+        auto [ptr, ec] = std::from_chars(tok.data(), end, value.intValue);
+        if (ec == std::errc() && ptr == end) return value;
+    }
+    value.isInt = false;
+    auto [ptr, ec] = std::from_chars(tok.data(), end, value.doubleValue);
+    if (ec != std::errc() || ptr != end) fail("malformed number");
+    return value;
+}
+
+bool JsonReader::boolean() {
+    skipWhitespace();
+    if (consumeKeyword("true")) return true;
+    if (consumeKeyword("false")) return false;
+    fail("invalid keyword");
+}
+
+void JsonReader::null() {
+    skipWhitespace();
+    if (!consumeKeyword("null")) fail("invalid keyword");
+}
+
+void JsonReader::skip() {
+    const std::size_t floor = open_.size();
+    do {
+        if (open_.size() > floor) {
+            // Inside a container this call opened: step to its next value,
+            // or close it.
+            const bool more =
+                open_.back() == '{' ? nextMember().has_value() : nextElement();
+            if (!more) continue;
+        }
+        switch (peek()) {
+            case Kind::Object: beginObject(); break;
+            case Kind::Array: beginArray(); break;
+            case Kind::String: readString(nullptr); break;
+            case Kind::Number: number(); break;
+            case Kind::Bool: boolean(); break;
+            case Kind::Null: null(); break;
+        }
+    } while (open_.size() > floor);
+}
+
+void JsonReader::finish() {
+    skipWhitespace();
+    if (pos_ != text_.size()) fail("trailing characters after JSON document");
+}
+
+bool JsonReader::inText(std::string_view s) const {
+    const std::less_equal<const char*> le;
+    return le(text_.data(), s.data()) &&
+           le(s.data() + s.size(), text_.data() + text_.size());
+}
+
+namespace {
+
+/// Json::parse's tree builder; recursion is bounded by the reader's nesting
+/// limit.
+Json buildValue(JsonReader& in) {
+    switch (in.peek()) {
+        case JsonReader::Kind::Object: {
+            in.beginObject();
+            JsonObject obj;
+            while (std::optional<std::string_view> key = in.nextMember()) {
+                // Copy the key first: nested keys reuse its scratch space.
+                std::string name(*key);
+                Json value = buildValue(in);
+                obj[name] = std::move(value);
+            }
+            return Json(std::move(obj));
+        }
+        case JsonReader::Kind::Array: {
+            in.beginArray();
+            Json::Array arr;
+            while (in.nextElement()) arr.push_back(buildValue(in));
+            return Json(std::move(arr));
+        }
+        case JsonReader::Kind::String: return Json(in.string());
+        case JsonReader::Kind::Number: {
+            const JsonReader::Number n = in.number();
+            return n.isInt ? Json(n.intValue) : Json(n.doubleValue);
+        }
+        case JsonReader::Kind::Bool: return Json(in.boolean());
+        case JsonReader::Kind::Null: in.null(); return Json(nullptr);
+    }
+    return Json();
+}
+
+}  // namespace
+
+Json Json::parse(std::string_view text) {
+    JsonReader in(text);
+    Json doc = buildValue(in);
+    in.finish();
+    return doc;
+}
 
 }  // namespace capi::support

@@ -1,14 +1,19 @@
-// Minimal JSON value model, parser and writer.
+// Minimal JSON pull reader, value model and writer.
 //
 // Used for the MetaCG-style call-graph interchange format and for IC files.
 // Supports the JSON subset needed there: null, bool, integers, doubles,
 // strings with escapes, arrays and objects. Object member order is preserved
 // so emitted files diff cleanly.
+//
+// JsonReader is the one lexer: Json::parse builds its value tree on top of
+// it, and large documents (MetaCG call graphs) are read straight into their
+// own data structures without a tree.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,6 +24,82 @@
 namespace capi::support {
 
 class Json;
+
+/// Pull reader over one JSON document held in caller-owned text.
+///
+/// The caller walks the document: peek() names the next value's kind, and
+/// exactly one of the value calls (string/number/boolean/null/beginObject/
+/// beginArray/skip) consumes it. Inside an object, nextMember() yields each
+/// key and leaves the reader at its value; inside an array, nextElement()
+/// does the same for each element. Both return false once they have
+/// consumed the closing bracket. Everything the walk passes over — skipped
+/// values included — is fully validated, so a reader that reaches finish()
+/// has accepted exactly the documents Json::parse accepts.
+///
+/// Strings are returned as views into the text; only strings with escapes
+/// are decoded, into scratch space that the next key (for keys) or the next
+/// string value (for values) overwrites. inText() tells the two apart.
+/// Malformed input throws ParseError with the line and column of the
+/// offending byte, worked out from its offset only when reading fails.
+class JsonReader {
+public:
+    enum class Kind { Null, Bool, Number, String, Array, Object };
+
+    /// A JSON number: integers are kept exact, anything else is a double.
+    struct Number {
+        bool isInt = true;
+        std::int64_t intValue = 0;
+        double doubleValue = 0.0;
+
+        /// The value as an integer; doubles truncate toward zero and
+        /// saturate at the int64 range (NaN reads as 0).
+        std::int64_t asInt() const;
+    };
+
+    explicit JsonReader(std::string_view text) : text_(text) {}
+
+    /// Kind of the next value; throws at the end of the input.
+    Kind peek();
+
+    void beginObject();
+    /// Next member's key, or nullopt after consuming the closing '}'.
+    std::optional<std::string_view> nextMember();
+    void beginArray();
+    /// True when another element follows; false after consuming ']'.
+    bool nextElement();
+
+    std::string_view string();
+    Number number();
+    bool boolean();
+    void null();
+    /// Consumes (and validates) the next value, however deeply nested.
+    void skip();
+    /// Requires that only whitespace remains after the document.
+    void finish();
+
+    /// True when `s` views the input text rather than scratch space, i.e.
+    /// it stays valid as long as the text does.
+    bool inText(std::string_view s) const;
+
+private:
+    [[noreturn]] void fail(const std::string& message) const;
+    void skipWhitespace();
+    char next();
+    void expect(char c);
+    void enter(char bracket);
+    bool consumeKeyword(std::string_view keyword);
+    std::string_view readString(std::string* scratch);
+
+    std::string_view text_;
+    std::size_t pos_ = 0;
+    /// Open containers, innermost last ('{' or '['); bounded by the
+    /// nesting limit.
+    std::string open_;
+    /// Set by begin*(): the container has yielded nothing yet.
+    bool first_ = false;
+    std::string keyScratch_;
+    std::string valueScratch_;
+};
 
 /// Object representation: insertion-ordered key/value list with a side index
 /// for O(log n) lookup.
@@ -117,5 +198,8 @@ private:
     std::shared_ptr<Array> array_;
     std::shared_ptr<JsonObject> object_;
 };
+
+/// Appends `s` as a quoted, escaped JSON string (the writer's escaping).
+void appendJsonString(std::string& out, std::string_view s);
 
 }  // namespace capi::support

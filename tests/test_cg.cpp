@@ -1,13 +1,29 @@
 // Unit tests for the call-graph substrate: construction, MetaCG build/merge,
-// virtual-call over-approximation, function-pointer resolution, JSON
-// round-trips, reachability and profile validation.
+// virtual-call over-approximation, function-pointer resolution, MetaCG JSON
+// read/write (golden bytes, hostile input against the old tree reader),
+// reachability and profile validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <optional>
+#include <set>
+#include <sstream>
+#include <string>
+#include <tuple>
+
+#include "apps/lulesh.hpp"
+#include "apps/openfoam.hpp"
 #include "cg/call_graph.hpp"
 #include "cg/metacg_builder.hpp"
 #include "cg/metacg_json.hpp"
 #include "cg/reachability.hpp"
 #include "cg/validation.hpp"
+#include "support/json.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -215,6 +231,118 @@ TEST(MetaCgBuilder, FunctionPointerUniqueCandidateResolves) {
 
 // ----------------------------------------------------------- MetaCG JSON ---
 
+/// The MetaCG reader before it streamed: two passes over a parsed tree
+/// (nodes with their metadata, then call edges and overrides). The
+/// hostile-input test holds readMetaCg to it.
+cg::CallGraph referenceFromMetaCgDom(const support::Json& doc) {
+    using support::Json;
+    const Json* header = doc.find("_MetaCG");
+    if (header == nullptr) {
+        throw support::Error("MetaCG: missing _MetaCG header");
+    }
+    if (header->getString("version", "") != "2.0") {
+        throw support::Error("MetaCG: unsupported version '" +
+                             header->getString("version", "<none>") + "'");
+    }
+    const Json* cgObj = doc.find("_CG");
+    if (cgObj == nullptr || !cgObj->isObject()) {
+        throw support::Error("MetaCG: missing _CG section");
+    }
+
+    cg::CallGraph graph;
+
+    // Pass 1: nodes with metadata.
+    for (const auto& [name, fn] : cgObj->asObject()) {
+        cg::FunctionDesc desc;
+        desc.name = name;
+        desc.flags.hasBody = fn.getBool("hasBody", false);
+        desc.flags.isVirtual = fn.getBool("isVirtual", false);
+        if (const Json* metaBlob = fn.find("meta")) {
+            if (const Json* m = metaBlob->find("capiMetrics")) {
+                desc.prettyName = m->getString("prettyName", name);
+                desc.translationUnit = m->getString("translationUnit", "");
+                desc.sourceFile = m->getString("sourceFile", "");
+                desc.line = static_cast<std::uint32_t>(m->getInt("line", 0));
+                desc.signature = m->getString("signature", "");
+                desc.metrics.numStatements =
+                    static_cast<std::uint32_t>(m->getInt("numStatements", 0));
+                desc.metrics.flops = static_cast<std::uint32_t>(m->getInt("flops", 0));
+                desc.metrics.loopDepth =
+                    static_cast<std::uint32_t>(m->getInt("loopDepth", 0));
+                desc.metrics.cyclomaticComplexity =
+                    static_cast<std::uint32_t>(m->getInt("cyclomaticComplexity", 1));
+                desc.metrics.numCallSites =
+                    static_cast<std::uint32_t>(m->getInt("numCallSites", 0));
+                desc.metrics.numInstructions =
+                    static_cast<std::uint32_t>(m->getInt("numInstructions", 0));
+                desc.flags.inlineSpecified = m->getBool("inlineSpecified", false);
+                desc.flags.inSystemHeader = m->getBool("inSystemHeader", false);
+                desc.flags.isMpi = m->getBool("isMpi", false);
+                desc.flags.addressTaken = m->getBool("addressTaken", false);
+                desc.flags.hiddenVisibility = m->getBool("hiddenVisibility", false);
+            }
+        }
+        if (desc.prettyName.empty()) {
+            desc.prettyName = name;
+        }
+        graph.addFunction(desc);
+    }
+
+    // Pass 2: edges and override relations.
+    for (const auto& [name, fn] : cgObj->asObject()) {
+        cg::FunctionId caller = graph.lookup(name);
+        if (const Json* callees = fn.find("callees")) {
+            for (const Json& calleeName : callees->asArray()) {
+                cg::FunctionId callee = graph.lookup(calleeName.asString());
+                if (callee == cg::kInvalidFunction) {
+                    throw support::Error("MetaCG: edge to unknown function '" +
+                                         calleeName.asString() + "'");
+                }
+                graph.addCallEdge(caller, callee);
+            }
+        }
+        if (const Json* overrides = fn.find("overrides")) {
+            for (const Json& baseName : overrides->asArray()) {
+                cg::FunctionId base = graph.lookup(baseName.asString());
+                if (base != cg::kInvalidFunction) {
+                    graph.addOverride(base, caller);
+                }
+            }
+        }
+    }
+    return graph;
+}
+
+auto descFields(const cg::FunctionDesc& d) {
+    return std::tie(d.name, d.prettyName, d.translationUnit, d.sourceFile, d.line,
+                    d.signature, d.flags.hasBody, d.flags.inlineSpecified,
+                    d.flags.inSystemHeader, d.flags.isVirtual, d.flags.isMpi,
+                    d.flags.addressTaken, d.flags.hiddenVisibility,
+                    d.metrics.numStatements, d.metrics.flops, d.metrics.loopDepth,
+                    d.metrics.cyclomaticComplexity, d.metrics.numCallSites,
+                    d.metrics.numInstructions, d.metrics.profiledVisits);
+}
+
+/// Empty when the graphs are equal node by node — descriptor, callees,
+/// callers, overrides and overriddenBy — else the first difference.
+std::string graphDifference(const cg::CallGraph& a, const cg::CallGraph& b) {
+    if (a.size() != b.size()) {
+        return "size " + std::to_string(a.size()) + " vs " + std::to_string(b.size());
+    }
+    for (cg::FunctionId id = 0; id < a.size(); ++id) {
+        const cg::CallGraph::Node& x = a.node(id);
+        const cg::CallGraph::Node& y = b.node(id);
+        if (descFields(x.desc) != descFields(y.desc) || x.callees != y.callees ||
+            x.callers != y.callers || x.overrides != y.overrides ||
+            x.overriddenBy != y.overriddenBy || x.alive != y.alive) {
+            return "node " + std::to_string(id) + " ('" + x.desc.name + "')";
+        }
+    }
+    if (a.entryPoint() != b.entryPoint()) return "entry point";
+    return "";
+}
+
+
 TEST(MetaCgJson, RoundTripPreservesStructureAndMetadata) {
     cg::CallGraph g = capi::testutil::listing3Graph();
     g.addOverride(g.lookup("solve"), g.lookup("scalarSolve"));
@@ -258,6 +386,359 @@ TEST(MetaCgJson, RejectsEdgeToUnknownFunction) {
     fn["callees"] = callees;
     doc["_CG"]["f"] = fn;
     EXPECT_THROW(cg::fromMetaCgJson(doc), support::Error);
+}
+
+TEST(MetaCgJson, ReadsHeaderAfterGraph) {
+    cg::CallGraph g = capi::testutil::listing3Graph();
+    const std::string text = cg::writeMetaCg(g);
+    // Move the `_MetaCG` member behind `_CG`.
+    const std::size_t cg = text.find("\"_CG\"");
+    ASSERT_NE(cg, std::string::npos);
+    const std::string header = text.substr(4, cg - 4);  // `"_MetaCG": {...},\n  `
+    const std::string body = text.substr(cg, text.size() - 2 - cg);
+    const std::string reordered = "{" + body + ",\n" + header.substr(0, header.rfind(',')) + "\n}";
+    cg::CallGraph round = cg::readMetaCg(reordered);
+    EXPECT_EQ(cg::writeMetaCg(round), text);
+}
+
+TEST(MetaCgJson, RejectsDuplicateFunctionKeys) {
+    const std::string text = R"({"_MetaCG": {"version": "2.0"}, "_CG": {
+        "f": {"hasBody": false}, "g": {"callees": ["f"]}, "f": {"hasBody": true}}})";
+    try {
+        cg::readMetaCg(text);
+        FAIL() << "expected support::Error";
+    } catch (const support::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("'f' listed twice"), std::string::npos) << e.what();
+    }
+    // The one place the stream reader and a parsed tree part ways: the tree
+    // keeps the first position and the last value.
+    support::Json doc = support::Json::parse(text);
+    const support::JsonObject& fns = doc.find("_CG")->asObject();
+    ASSERT_EQ(fns.size(), 2u);
+    EXPECT_EQ(fns.begin()->first, "f");
+    EXPECT_TRUE(fns.begin()->second.getBool("hasBody", false));
+}
+
+TEST(MetaCgJson, RejectsMalformedSectionsTyped) {
+    const std::string header = R"("_MetaCG": {"version": "2.0"})";
+    const std::string malformed[] = {
+             std::string("[]"),
+             "{" + header + "}",
+             "{" + header + R"(, "_CG": [])" + "}",
+             "{" + header + R"(, "_CG": {"f": {"callees": "g"}}})",
+             "{" + header + R"(, "_CG": {"f": {"overrides": [1]}}})",
+             "{" + header + R"(, "_CG": {"f": {}}} trailing)",
+             R"({"_MetaCG": {"version": 2}, "_CG": {}})",
+             R"({"_MetaCG": {"version": "2.0"}, "_MetaCG": {}, "_CG": {}})",
+         };
+    for (const std::string& text : malformed) {
+        EXPECT_THROW(cg::readMetaCg(text), support::Error) << text;
+    }
+    // A later member replaces an earlier one: a bad first `_CG` is harmless.
+    EXPECT_EQ(cg::readMetaCg("{" + header + R"(, "_CG": {"f": {"callees": 1}},
+                              "_CG": {"g": {}}})").size(), 1u);
+}
+
+TEST(MetaCgJson, ReadsEscapedNamesAndSkipsUnknownMembers) {
+    const std::string text = R"({"tool": {"nested": [1, {"x": null}]},
+        "\u005fMetaCG": {"version": "2\u002e0", "extra": true},
+        "_CG": {
+          "m\u0061in": {"callees": ["w\u00e9rk", "main"], "unknown": [[]], "hasBody": true,
+                   "meta": {"capiMetrics": {"line": 7.9, "flops": "many", "prettyName": ""}}},
+          "w\u00e9rk": {"overrides": ["missing"], "isVirtual": 1}
+        }})";
+    cg::CallGraph g = cg::readMetaCg(text);
+    ASSERT_EQ(g.size(), 2u);
+    const cg::FunctionId main = g.lookup("main");
+    const cg::FunctionId work = g.lookup("w\xc3\xa9rk");
+    ASSERT_EQ(main, 0u);
+    ASSERT_EQ(work, 1u);
+    EXPECT_TRUE(g.hasEdge(main, work));
+    EXPECT_TRUE(g.hasEdge(main, main));
+    EXPECT_TRUE(g.desc(main).flags.hasBody);
+    EXPECT_EQ(g.desc(main).line, 7u);
+    EXPECT_EQ(g.desc(main).metrics.flops, 0u);
+    EXPECT_EQ(g.desc(main).prettyName, "main");
+    EXPECT_FALSE(g.desc(work).flags.isVirtual);
+    EXPECT_TRUE(g.overrides(work).empty());
+}
+
+TEST(MetaCgJson, WriterReproducesGoldenBytes) {
+    // tests/data/metacg_golden_lulesh.json was written by the tree-based
+    // writer (`metacg_tool --app lulesh --nodes 300`).
+    std::ifstream in(CAPI_TEST_DATA_DIR "/metacg_golden_lulesh.json", std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden file";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+
+    apps::LuleshParams params;
+    params.targetNodes = 300;
+    cg::MetaCgBuilder builder;
+    const cg::CallGraph graph = builder.build(apps::makeLulesh(params).toSourceModel());
+    const std::string text = cg::writeMetaCg(graph);
+    ASSERT_EQ(text.size(), golden.str().size());
+    EXPECT_TRUE(text == golden.str())
+        << "first difference at byte "
+        << std::mismatch(text.begin(), text.end(), golden.str().begin()).first - text.begin();
+
+    std::ostringstream streamed;
+    cg::writeMetaCg(graph, streamed);
+    EXPECT_TRUE(streamed.str() == golden.str());
+    EXPECT_EQ(graphDifference(cg::readMetaCg(golden.str()), graph), "");
+}
+
+TEST(MetaCgJson, WriterEmitsCanonicalTreeText) {
+    // Escapes, overrides and tombstones: the streamed text is exactly what
+    // dumping its own parse tree prints, so no key repeats and every value
+    // is in the tree writer's form.
+    apps::OpenFoamParams params = apps::OpenFoamParams::executionScale();
+    params.targetNodes = 60;
+    cg::MetaCgBuilder builder;
+    cg::CallGraph graph = builder.build(apps::makeOpenFoam(params).toSourceModel());
+    cg::FunctionDesc odd;
+    odd.name = "quote\"back\\slash\ttab\x01\xc3\xa9";
+    odd.prettyName = "line\nbreak";
+    const cg::FunctionId oddId = graph.addFunction(odd);
+    graph.addCallEdge(graph.lookup("main"), oddId);
+    graph.removeFunction(3);
+    graph.removeFunction(5);
+    const std::string text = cg::writeMetaCg(graph);
+    EXPECT_TRUE(text == cg::toMetaCgJson(graph).dump(true));
+    EXPECT_EQ(cg::readMetaCg(text).lookup(odd.name), graph.size() - 2);
+}
+
+// --- hostile input: the stream reader against the tree walk it replaced ---
+
+std::string metaCgText(const binsim::AppModel& model) {
+    cg::MetaCgBuilder builder;
+    return cg::writeMetaCg(builder.build(model.toSourceModel()));
+}
+
+/// End of the JSON value that starts at `pos` in well-formed text.
+std::size_t valueEnd(const std::string& text, std::size_t pos) {
+    int depth = 0;
+    for (std::size_t i = pos; i < text.size(); ++i) {
+        const char c = text[i];
+        if (c == '"') {
+            for (++i; i < text.size() && text[i] != '"'; ++i) {
+                if (text[i] == '\\') ++i;
+            }
+            if (depth == 0) return std::min(i + 1, text.size());
+        } else if (c == '{' || c == '[') {
+            ++depth;
+        } else if (c == '}' || c == ']') {
+            if (depth == 0) return i;
+            if (--depth == 0) return i + 1;
+        } else if (depth == 0 && (c == ',' || c == '\n')) {
+            return i;
+        }
+    }
+    return text.size();
+}
+
+/// Position just past `"key": ` at a random occurrence, or npos.
+std::size_t randomValueOf(const std::string& text, const std::string& key,
+                          support::SplitMix64& rng) {
+    const std::string needle = "\"" + key + "\": ";
+    std::size_t at = text.find(needle, rng.nextBelow(text.size()));
+    if (at == std::string::npos) at = text.find(needle);
+    return at == std::string::npos ? at : at + needle.size();
+}
+
+std::string nested(std::size_t depth, bool objects) {
+    if (!objects) return std::string(depth, '[') + std::string(depth, ']');
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "{\"d\": ";
+    return text + "0" + std::string(depth, '}');
+}
+
+/// One seeded mutation of well-formed MetaCG text.
+std::string mutate(std::string text, support::SplitMix64& rng) {
+    if (text.empty()) return text;
+    static const char* const kKeys[] = {
+        "callees", "overrides", "callers", "hasBody", "isVirtual", "meta",
+        "capiMetrics", "prettyName", "line", "numStatements", "isMpi",
+        "cyclomaticComplexity", "_CG", "_MetaCG", "version"};
+    static const char* const kValues[] = {
+        "null", "true", "false", "0", "-7", "4294967301", "2.5", "1e300",
+        "-1e300", "1e999", "\"s\"", "\"\"", "[]", "{}", "[\"main\"]", "[1, 2]",
+        "{\"capiMetrics\": {\"line\": 3}}", "\"2.0\"", "01", "-", "+1",
+        "[\"nowhere\"]"};
+    const std::size_t size = text.size();
+    switch (rng.nextBelow(10)) {
+        case 0:  // truncate
+            text.resize(rng.nextBelow(size));
+            break;
+        case 1:  // bit-flip
+            for (std::uint64_t n = 1 + rng.nextBelow(3); n > 0; --n) {
+                text[rng.nextBelow(size)] ^= static_cast<char>(1u << rng.nextBelow(8));
+            }
+            break;
+        case 2: {  // stomp
+            static const std::string kBytes = "{}[]\":,\\ \n0123456789-+.eEtrufalsn\x01\xff";
+            const std::size_t at = rng.nextBelow(size);
+            for (std::uint64_t n = 1 + rng.nextBelow(8); n > 0 && at + n <= text.size(); --n) {
+                text[at + n - 1] = kBytes[rng.nextBelow(kBytes.size())];
+            }
+            break;
+        }
+        case 3: {  // append
+            static const char* const kTails[] = {" \n", "x", "{}", "]", ",", "\"", "null",
+                                                 "\t\r\n  "};
+            text += kTails[rng.nextBelow(std::size(kTails))];
+            break;
+        }
+        case 4: {  // deep-nest: around the 512-level limit
+            const std::string deep = nested(490 + rng.nextBelow(40), rng.nextBool(0.5));
+            const std::size_t value = randomValueOf(text, "line", rng);
+            if (rng.nextBool(0.5) && value != std::string::npos) {
+                text.replace(value, valueEnd(text, value) - value, deep);
+            } else {
+                text.insert(1, "\"deep\": " + deep + ",");
+            }
+            break;
+        }
+        case 5: {  // swap a value's type
+            const std::size_t value = randomValueOf(text, kKeys[rng.nextBelow(std::size(kKeys))], rng);
+            if (value != std::string::npos) {
+                text.replace(value, valueEnd(text, value) - value,
+                             kValues[rng.nextBelow(std::size(kValues))]);
+            }
+            break;
+        }
+        case 6: {  // reorder `_MetaCG` / `_CG`, sometimes repeating either
+            const std::size_t metaAt = randomValueOf(text, "_MetaCG", rng);
+            const std::size_t cgAt = randomValueOf(text, "_CG", rng);
+            if (metaAt == std::string::npos || cgAt == std::string::npos) break;
+            const std::string meta = text.substr(metaAt, valueEnd(text, metaAt) - metaAt);
+            const std::string cg = text.substr(cgAt, valueEnd(text, cgAt) - cgAt);
+            switch (rng.nextBelow(4)) {
+                case 0: text = "{\"_CG\": " + cg + ", \"_MetaCG\": " + meta + "}"; break;
+                case 1: text = "{\"_CG\": {}, \"_MetaCG\": " + meta + ", \"_CG\": " + cg + "}"; break;
+                case 2: text = "{\"_CG\": " + cg + ", \"_MetaCG\": " + meta + ", \"_CG\": {}}"; break;
+                default:
+                    text = "{\"_MetaCG\": " + meta + ", \"_CG\": " + cg +
+                           ", \"_MetaCG\": {\"version\": \"1.0\"}}";
+            }
+            break;
+        }
+        case 7: {  // repeat a member, before or after the original
+            const char* key = kKeys[rng.nextBelow(std::size(kKeys))];
+            const std::size_t value = randomValueOf(text, key, rng);
+            if (value == std::string::npos) break;
+            const std::string other = std::string("\"") + key + "\": " +
+                                      kValues[rng.nextBelow(std::size(kValues))];
+            if (rng.nextBool(0.5)) {
+                text.insert(valueEnd(text, value), ", " + other);
+            } else {
+                text.insert(value - std::strlen(key) - 4, other + ", ");
+            }
+            break;
+        }
+        case 8: {  // unknown members
+            static const char* const kUnknown[] = {
+                "\"x-tool\": {\"callees\": [\"nowhere\"]}", "\"x\": [1, {\"a\": [true, null]}]",
+                "\"\\u0078\": \"\\u0041\"", "\"y\": -0.5e3"};
+            for (std::uint64_t n = 1 + rng.nextBelow(3); n > 0; --n) {
+                const std::size_t brace = text.find('{', rng.nextBelow(size));
+                if (brace == std::string::npos) continue;
+                const std::size_t next = text.find_first_not_of(" \n", brace + 1);
+                const bool empty = next != std::string::npos && text[next] == '}';
+                text.insert(brace + 1, std::string(kUnknown[rng.nextBelow(std::size(kUnknown))]) +
+                                           (empty ? "" : ", "));
+            }
+            break;
+        }
+        default: {  // \u escapes: in place of a plain character, or new ones
+            const std::size_t quote = text.find('"', rng.nextBelow(size));
+            if (quote == std::string::npos || quote + 2 >= text.size()) break;
+            const std::size_t at = quote + 1;
+            const unsigned char c = static_cast<unsigned char>(text[at]);
+            if (rng.nextBool(0.7) && c >= 0x20 && c < 0x7f && c != '"' && c != '\\') {
+                char escape[8];
+                std::snprintf(escape, sizeof escape, "\\u%04X", c);
+                text.replace(at, 1, escape);
+            } else {
+                static const char* const kEscapes[] = {"\\u00e9", "\\n", "\\/", "\\u0000", "\\uZZ"};
+                text.insert(at, kEscapes[rng.nextBelow(std::size(kEscapes))]);
+            }
+            break;
+        }
+    }
+    return text;
+}
+
+/// True when the `_CG` section a tree would keep (the last one) lists a
+/// function twice.
+bool lastCgHasDuplicateKey(const std::string& text) {
+    support::JsonReader in(text);
+    bool duplicate = false;
+    in.beginObject();
+    while (std::optional<std::string_view> key = in.nextMember()) {
+        if (*key != "_CG" || in.peek() != support::JsonReader::Kind::Object) {
+            in.skip();
+            continue;
+        }
+        std::set<std::string> names;
+        duplicate = false;
+        in.beginObject();
+        while (std::optional<std::string_view> name = in.nextMember()) {
+            duplicate |= !names.emplace(*name).second;
+            in.skip();
+        }
+    }
+    return duplicate;
+}
+
+TEST(MetaCgJson, HostileInputMatchesTreeReaderOrFailsTyped) {
+    apps::LuleshParams lulesh;
+    lulesh.targetNodes = 60;
+    apps::OpenFoamParams openfoam = apps::OpenFoamParams::executionScale();
+    openfoam.targetNodes = 60;
+    const std::string clean[] = {metaCgText(apps::makeLulesh(lulesh)),
+                                 metaCgText(apps::makeOpenFoam(openfoam))};
+    constexpr int kMutants = 2000;
+    int accepted = 0;
+    int rejected = 0;
+    int duplicates = 0;
+    support::SplitMix64 rng(0x5EED'0C6A);
+    for (int i = 0; i < kMutants; ++i) {
+        std::string text = mutate(clean[i % 2], rng);
+        if (rng.nextBool(0.25)) text = mutate(std::move(text), rng);
+
+        std::optional<cg::CallGraph> reference;
+        std::optional<cg::CallGraph> streamed;
+        std::string referenceError;
+        std::string streamError;
+        try {
+            reference.emplace(referenceFromMetaCgDom(support::Json::parse(text)));
+        } catch (const support::Error& e) {
+            referenceError = e.what();
+        }
+        try {
+            streamed.emplace(cg::readMetaCg(text));
+        } catch (const support::Error& e) {
+            streamError = e.what();
+        }
+        if (reference && streamed) {
+            ++accepted;
+            EXPECT_EQ(graphDifference(*reference, *streamed), "") << "mutant " << i;
+        } else if (!reference && !streamed) {
+            ++rejected;
+        } else if (reference && streamError.find("listed twice") != std::string::npos) {
+            ++duplicates;
+            EXPECT_TRUE(lastCgHasDuplicateKey(text)) << "mutant " << i;
+        } else {
+            ADD_FAILURE() << "mutant " << i << ": tree reader "
+                          << (reference ? "accepted" : "rejected: " + referenceError)
+                          << ", stream reader "
+                          << (streamed ? "accepted" : "rejected: " + streamError);
+        }
+    }
+    // Both outcomes are well exercised.
+    EXPECT_GT(accepted, kMutants / 5);
+    EXPECT_GT(rejected, kMutants / 5);
+    EXPECT_EQ(accepted + rejected + duplicates, kMutants);
 }
 
 // ---------------------------------------------------------- reachability ---

@@ -1465,6 +1465,49 @@ TEST(FleetCheckpoint, SnapshotCorruptionSweepFailsTypedNeverCrashes) {
     EXPECT_GT(rejected, 0);
 }
 
+/// Payload of a sealed snapshot of one client with empty session state.
+/// Its last 16 bytes are that client's tail: watermark count, acked count,
+/// runtime, epochs acked, an empty last-sent policy (4 bytes) and the
+/// pending-frame count — all zero.
+std::vector<std::uint8_t> oneClientSnapshotPayload() {
+    fleet::SnapshotFrame frame;
+    frame.nextClientId = 1;
+    frame.clients.emplace_back();
+    const std::vector<std::uint8_t> bytes = fleet::encodeSnapshotFrame(frame);
+    EXPECT_NO_THROW(fleet::decodeSnapshotFrame(bytes));
+    std::size_t header = 5;
+    while (bytes[header] & 0x80) ++header;
+    std::vector<std::uint8_t> payload(bytes.begin() + static_cast<std::ptrdiff_t>(header + 1),
+                                      bytes.end() - 8);
+    EXPECT_EQ(goldenSeal(6, payload), bytes);
+    EXPECT_TRUE(std::all_of(payload.end() - 16, payload.end(),
+                            [](std::uint8_t b) { return b == 0; }));
+    return payload;
+}
+
+TEST(FleetCheckpoint, ListCountThatWrapsTheSizeCheckFailsTyped) {
+    // A watermark node count of 2^63 at two bytes per node multiplies to
+    // 2^64, which wraps to 0 and used to pass the size check, reaching
+    // reserve() with the count.
+    std::vector<std::uint8_t> payload = oneClientSnapshotPayload();
+    payload.resize(payload.size() - 16);
+    appendVarint(payload, std::uint64_t{1} << 63);
+    payload.resize(payload.size() + 15, 0);
+    EXPECT_THROW(fleet::decodeSnapshotFrame(goldenSeal(6, payload)),
+                 fleet::WireError);
+}
+
+TEST(FleetCheckpoint, PendingFrameLargerThanSnapshotFailsTyped) {
+    // One pending frame whose size varint claims 2^64 - 1 bytes: checked
+    // against the bytes left before anything is reserved.
+    std::vector<std::uint8_t> payload = oneClientSnapshotPayload();
+    payload.pop_back();
+    appendVarint(payload, 1);
+    appendVarint(payload, ~std::uint64_t{0});
+    EXPECT_THROW(fleet::decodeSnapshotFrame(goldenSeal(6, payload)),
+                 fleet::WireError);
+}
+
 TEST(FleetCheckpoint, CorruptOrForeignSnapshotRestoreRejectsTyped) {
     const cg::CallGraph graph = tinyGraph();
     const select::InstrumentationConfig survey =

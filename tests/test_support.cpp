@@ -1,8 +1,12 @@
 // Unit tests for the support library: JSON, strings/glob, bitset, RNG.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "support/bitset.hpp"
 #include "support/json.hpp"
@@ -13,6 +17,7 @@ namespace {
 
 using capi::support::DynamicBitset;
 using capi::support::Json;
+using capi::support::JsonReader;
 using capi::support::ParseError;
 using capi::support::SplitMix64;
 
@@ -123,6 +128,85 @@ TEST(Json, TypedGettersUseDefaults) {
     EXPECT_EQ(doc.getString("s", "d"), "x");
     EXPECT_EQ(doc.getString("n", "d"), "d");  // wrong type -> default
     EXPECT_TRUE(doc.getBool("b", false));
+}
+
+TEST(JsonReader, WalksMembersAndElementsInOrder) {
+    JsonReader in(R"( {"a": [1, -2.5, "x"], "b": {"c": true, "d": null}, "e": []} )");
+    in.beginObject();
+    EXPECT_EQ(in.nextMember(), "a");
+    in.beginArray();
+    ASSERT_TRUE(in.nextElement());
+    const JsonReader::Number one = in.number();
+    EXPECT_TRUE(one.isInt);
+    EXPECT_EQ(one.intValue, 1);
+    ASSERT_TRUE(in.nextElement());
+    EXPECT_EQ(in.peek(), JsonReader::Kind::Number);
+    EXPECT_DOUBLE_EQ(in.number().doubleValue, -2.5);
+    ASSERT_TRUE(in.nextElement());
+    EXPECT_EQ(in.string(), "x");
+    EXPECT_FALSE(in.nextElement());
+    EXPECT_EQ(in.nextMember(), "b");
+    EXPECT_EQ(in.peek(), JsonReader::Kind::Object);
+    in.skip();
+    EXPECT_EQ(in.nextMember(), "e");
+    in.beginArray();
+    EXPECT_FALSE(in.nextElement());
+    EXPECT_EQ(in.nextMember(), std::nullopt);
+    in.finish();
+}
+
+TEST(JsonReader, StringsViewTheTextUnlessEscaped) {
+    const std::string text = R"(["plain", "esc\u0061ped", "tab\t"])";
+    JsonReader in(text);
+    in.beginArray();
+    ASSERT_TRUE(in.nextElement());
+    const std::string_view plain = in.string();
+    EXPECT_EQ(plain, "plain");
+    EXPECT_TRUE(in.inText(plain));
+    ASSERT_TRUE(in.nextElement());
+    const std::string_view decoded = in.string();
+    EXPECT_EQ(decoded, "escaped");
+    EXPECT_FALSE(in.inText(decoded));
+    ASSERT_TRUE(in.nextElement());
+    EXPECT_EQ(in.string(), "tab\t");
+    EXPECT_FALSE(in.nextElement());
+}
+
+TEST(JsonReader, SkipValidatesWhatItSkips) {
+    auto skipAll = [](const std::string& text) {
+        JsonReader in(text);
+        in.skip();
+        in.finish();
+    };
+    EXPECT_NO_THROW(skipAll(R"({"a": [1, {"b": "\u00e9"}], "c": null})"));
+    EXPECT_THROW(skipAll(R"({"a": [1, 2x]})"), ParseError);
+    EXPECT_THROW(skipAll(R"({"a": "\q"})"), ParseError);
+    EXPECT_THROW(skipAll(R"({"a": tru})"), ParseError);
+    EXPECT_THROW(skipAll(R"({"a": 1,})"), ParseError);
+    EXPECT_NO_THROW(skipAll(std::string(512, '[') + std::string(512, ']')));
+    EXPECT_THROW(skipAll(std::string(513, '[') + std::string(513, ']')), ParseError);
+}
+
+TEST(JsonReader, FailureReportsLineAndColumnOfTheOffendingByte) {
+    JsonReader in("{\n  \"a\": 1,\n  \"b\" 2\n}");
+    in.beginObject();
+    ASSERT_TRUE(in.nextMember());
+    in.number();
+    try {
+        in.nextMember();
+        FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+        EXPECT_EQ(e.line(), 3);
+        EXPECT_EQ(e.column(), 7);
+    }
+}
+
+TEST(JsonReader, NumbersAsIntTruncateAndSaturate) {
+    EXPECT_EQ(Json::parse("2.9").asInt(), 2);
+    EXPECT_EQ(Json::parse("-2.9").asInt(), -2);
+    EXPECT_EQ(Json::parse("1e300").asInt(), std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(Json::parse("-1e300").asInt(), std::numeric_limits<std::int64_t>::min());
+    EXPECT_THROW(Json::parse("1e999"), ParseError);
 }
 
 // -------------------------------------------------------------- strings ----
