@@ -135,7 +135,7 @@ void runPlannerBench(benchmark::State& state, bool parallel) {
     adapt::BudgetPlanner planner(graph);
     adapt::Config options;
     options.budgetFraction = 0.05;
-    options.threads = parallel ? 0 : 1;
+    options.pool = parallel ? &support::Executor::pool() : nullptr;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             planner.plan(fixture.candidate, fixture.model, options).ic.size());

@@ -6,16 +6,11 @@
 #include <unordered_set>
 #include <utility>
 
-#include "support/executor.hpp"
 #include "support/thread_pool.hpp"
 
 namespace capi::adapt {
 
 namespace {
-
-/// Below this candidate count the sharded lookup phase costs more than the
-/// loop it splits (same family as select's sharding threshold).
-constexpr std::size_t kParallelPlanThreshold = 1 << 14;
 
 struct CandidateInfo {
     std::uint64_t group = 0;
@@ -98,14 +93,7 @@ PlanResult BudgetPlanner::plan(const select::InstrumentationConfig& candidate,
             }
         }
     };
-    support::ThreadPool* pool =
-        config.pool != nullptr ? config.pool : support::Executor::poolFor(config.threads);
-    if (pool != nullptr && pool->threadCount() > 1 && count >= kParallelPlanThreshold) {
-        std::size_t grain = std::max<std::size_t>(512, count / (pool->threadCount() * 4));
-        pool->parallelFor(count, grain, lookupRange);
-    } else {
-        lookupRange(0, count);
-    }
+    support::parallelFor(config.pool, count, /*minGrain=*/512, lookupRange);
 
     // Phase 2 (serial, deterministic): fold candidates into groups in
     // candidate order.

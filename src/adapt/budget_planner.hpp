@@ -10,8 +10,8 @@
 // ns), which is deterministic and within a group-size of optimal for this
 // shape of instance; `keep`-listed groups are admitted first regardless of
 // budget. The per-candidate lookups (graph id, SCC component, model
-// estimate) dominate at OpenFOAM scale and shard over the process-wide
-// support::Executor pool; the greedy sweep itself consumes a per-candidate
+// estimate) dominate at OpenFOAM scale and shard over Config::pool; the
+// greedy sweep itself consumes a per-candidate
 // array in fixed order, so results are thread-count invariant.
 #pragma once
 

@@ -67,10 +67,9 @@ struct Config {
     /// Epoch cap for run() convenience loops (the controller itself keeps
     /// accepting epochs beyond it).
     std::size_t maxEpochs = 10;
-    /// Selection/planning parallelism, as in PipelineOptions: 1 = serial
-    /// reference, anything else borrows the process-wide Executor pool
-    /// unless `pool` injects one.
-    std::size_t threads = 1;
+    /// Selection and planning parallelism, as in PipelineOptions: null runs
+    /// serially; the controller's RefinementSession and the planner's
+    /// lookup phase both run on this pool.
     support::ThreadPool* pool = nullptr;
     /// When set (to the SAME graph the controller or aggregator was
     /// constructed over), every epoch folds measured per-region visit

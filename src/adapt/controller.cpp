@@ -58,7 +58,7 @@ Controller::Controller(const cg::CallGraph& graph, dyncapi::DynCapi& dyn,
                {.model = controllerSpanNames().model,
                 .plan = controllerSpanNames().plan}),
       session_(std::make_unique<dyncapi::RefinementSession>(
-          graph, decider_.config().threads)) {
+          graph, decider_.config().pool)) {
     // Lifetime HealthStats and the latest epoch's headline numbers, exported
     // from end-of-epoch snapshot copies so the collector never races the
     // controller's working state.

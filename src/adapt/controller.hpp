@@ -92,7 +92,7 @@ class Controller {
 public:
     /// `graph` and `dyn` must outlive the controller. Owns a
     /// dyncapi::RefinementSession so spec-driven survey selection shares
-    /// stage results across epochs and borrows the process-wide pool.
+    /// stage results across epochs; it selects on Config::pool.
     Controller(const cg::CallGraph& graph, dyncapi::DynCapi& dyn,
                Config config = {});
     ~Controller();

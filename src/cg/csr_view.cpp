@@ -17,20 +17,13 @@ namespace capi::cg {
 
 namespace {
 
-/// Below this node count the sharded build's bookkeeping outweighs the
-/// copies it splits (same threshold family as the selector halves).
-constexpr std::size_t kParallelBuildThreshold = 1 << 14;
-
 /// Snapshot chain depth kept per graph: the current view plus the
 /// predecessor the next delta will patch from.
 constexpr std::size_t kMaxViewsPerGraph = 2;
 
-/// A multiple of 64, so every shard of a node range owns whole bitset words
-/// (the has-body mask is filled shard by shard).
-std::size_t buildGrain(std::size_t n, const support::ThreadPool& pool) {
-    const std::size_t grain = std::max<std::size_t>(1024, n / (pool.threadCount() * 4));
-    return (grain + 63) / 64 * 64;
-}
+/// Smallest node range a build shard copies. support::parallelFor cuts
+/// shards at multiples of 64, so each owns whole words of the has-body mask.
+constexpr std::size_t kBuildGrain = 1024;
 
 struct RegistryCounters {
     std::atomic<std::uint64_t> fullBuilds{0};
@@ -69,13 +62,12 @@ std::atomic<bool>& patchingFlag() {
 
 }  // namespace
 
-/// Flattens one adjacency relation into (start, len) rows over one pool. The
-/// per-node vectors are already sorted and unique, so a straight copy
-/// preserves that invariant. With a pool: per-node sizes are counted in
-/// parallel, prefix-summed serially (O(V), cheap), and each shard then
-/// copies its rows into the offset-determined slice of the pool —
-/// bit-identical to the serial append loop because every element's position
-/// is fixed by the prefix sums alone.
+/// Flattens one adjacency relation into (start, len) rows over one edge
+/// array. The per-node vectors are already sorted and unique, so a straight
+/// copy preserves that invariant. Per-node sizes are counted, prefix-summed
+/// (O(V), serial) and each row is then copied into its offset-determined
+/// slice — sharded over `pool` for large graphs, bit-identical at any width
+/// because every element's position is fixed by the prefix sums alone.
 template <typename RowGetter>
 std::shared_ptr<const CsrView::Rows> CsrView::buildRows(
     std::size_t n, RowGetter&& rowOf, support::ThreadPool* pool) {
@@ -83,42 +75,24 @@ std::shared_ptr<const CsrView::Rows> CsrView::buildRows(
     rows->start.resize(n);
     rows->len.resize(n);
     auto edges = std::make_shared<std::vector<FunctionId>>();
-    if (pool != nullptr) {
-        const std::size_t grain = buildGrain(n, *pool);
-        pool->parallelFor(n, grain, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t id = lo; id < hi; ++id) {
-                rows->len[id] = static_cast<std::uint32_t>(
-                    rowOf(static_cast<FunctionId>(id)).size());
-            }
-        });
-        std::uint32_t running = 0;
-        for (std::size_t id = 0; id < n; ++id) {
-            rows->start[id] = running;
-            running += rows->len[id];
+    support::parallelFor(pool, n, kBuildGrain, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t id = lo; id < hi; ++id) {
+            rows->len[id] =
+                static_cast<std::uint32_t>(rowOf(static_cast<FunctionId>(id)).size());
         }
-        edges->resize(running);
-        pool->parallelFor(n, grain, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t id = lo; id < hi; ++id) {
-                const auto& row = rowOf(static_cast<FunctionId>(id));
-                std::copy(row.begin(), row.end(),
-                          edges->begin() + rows->start[id]);
-            }
-        });
-        rows->pool = std::move(edges);
-        return rows;
-    }
-    std::size_t total = 0;
+    });
+    std::uint32_t running = 0;
     for (std::size_t id = 0; id < n; ++id) {
-        rows->start[id] = static_cast<std::uint32_t>(total);
-        const std::size_t degree = rowOf(static_cast<FunctionId>(id)).size();
-        rows->len[id] = static_cast<std::uint32_t>(degree);
-        total += degree;
+        rows->start[id] = running;
+        running += rows->len[id];
     }
-    edges->reserve(total);
-    for (std::size_t id = 0; id < n; ++id) {
-        const auto& row = rowOf(static_cast<FunctionId>(id));
-        edges->insert(edges->end(), row.begin(), row.end());
-    }
+    edges->resize(running);
+    support::parallelFor(pool, n, kBuildGrain, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t id = lo; id < hi; ++id) {
+            const auto& row = rowOf(static_cast<FunctionId>(id));
+            std::copy(row.begin(), row.end(), edges->begin() + rows->start[id]);
+        }
+    });
     rows->pool = std::move(edges);
     return rows;
 }
@@ -128,10 +102,6 @@ CsrView::CsrView(const CallGraph& graph, support::ThreadPool* pool) {
     generation_ = graph.generation();
     nodeCount_ = n;
     entry_ = graph.entryPoint();
-    if (pool != nullptr && (pool->threadCount() <= 1 || n < kParallelBuildThreshold)) {
-        pool = nullptr;
-    }
-
     callees_ = buildRows(n, [&](FunctionId id) -> const std::vector<FunctionId>& {
         return graph.callees(id);
     }, pool);
@@ -152,49 +122,30 @@ CsrView::CsrView(const CallGraph& graph, support::ThreadPool* pool) {
     auto arena = std::make_shared<std::string>();
     auto stmts = std::make_shared<std::vector<std::uint32_t>>(n);
     auto hasBody = std::make_shared<support::DynamicBitset>(n);
-    auto readDesc = [&](FunctionId id) {
-        const FunctionDesc& desc = graph.desc(id);
-        (*stmts)[id] = desc.metrics.numStatements;
-        if (desc.flags.hasBody) {
-            hasBody->set(id);
+    support::parallelFor(pool, n, kBuildGrain, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t id = lo; id < hi; ++id) {
+            names->len[id] = static_cast<std::uint32_t>(
+                graph.name(static_cast<FunctionId>(id)).size());
         }
-    };
-    if (pool != nullptr) {
-        const std::size_t grain = buildGrain(n, *pool);
-        pool->parallelFor(n, grain, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t id = lo; id < hi; ++id) {
-                names->len[id] = static_cast<std::uint32_t>(
-                    graph.name(static_cast<FunctionId>(id)).size());
-            }
-        });
-        std::uint32_t running = 0;
-        for (std::size_t id = 0; id < n; ++id) {
-            names->start[id] = running;
-            running += names->len[id];
-        }
-        arena->resize(running);
-        pool->parallelFor(n, grain, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t id = lo; id < hi; ++id) {
-                const std::string& name = graph.name(static_cast<FunctionId>(id));
-                std::copy(name.begin(), name.end(),
-                          arena->begin() + names->start[id]);
-                readDesc(static_cast<FunctionId>(id));
-            }
-        });
-    } else {
-        std::size_t arenaBytes = 0;
-        for (std::size_t id = 0; id < n; ++id) {
-            names->start[id] = static_cast<std::uint32_t>(arenaBytes);
-            const std::size_t bytes = graph.name(static_cast<FunctionId>(id)).size();
-            names->len[id] = static_cast<std::uint32_t>(bytes);
-            arenaBytes += bytes;
-        }
-        arena->reserve(arenaBytes);
-        for (std::size_t id = 0; id < n; ++id) {
-            *arena += graph.name(static_cast<FunctionId>(id));
-            readDesc(static_cast<FunctionId>(id));
-        }
+    });
+    std::uint32_t running = 0;
+    for (std::size_t id = 0; id < n; ++id) {
+        names->start[id] = running;
+        running += names->len[id];
     }
+    arena->resize(running);
+    support::parallelFor(pool, n, kBuildGrain, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t id = lo; id < hi; ++id) {
+            const auto fid = static_cast<FunctionId>(id);
+            const std::string& name = graph.name(fid);
+            std::copy(name.begin(), name.end(), arena->begin() + names->start[id]);
+            const FunctionDesc& desc = graph.desc(fid);
+            (*stmts)[id] = desc.metrics.numStatements;
+            if (desc.flags.hasBody) {
+                hasBody->set(id);
+            }
+        }
+    });
     names->pool = std::move(arena);
     names_ = std::move(names);
     numStatements_ = std::move(stmts);
@@ -495,14 +446,9 @@ std::shared_ptr<const CsrView> CsrView::snapshot(const CallGraph& graph) {
         if (view != nullptr) {
             counters().patchBuilds.fetch_add(1, std::memory_order_relaxed);
         } else {
-            // Large graphs borrow the process-wide pool (0 = "hardware
-            // width"); the ctor falls back to the serial reference path
-            // below threshold.
-            support::ThreadPool* pool =
-                graph.size() >= kParallelBuildThreshold
-                    ? support::Executor::poolFor(0)
-                    : nullptr;
-            view = std::make_shared<const CsrView>(graph, pool);
+            // Full builds borrow the process-wide pool; below the shard
+            // threshold they run inline.
+            view = std::make_shared<const CsrView>(graph, &support::Executor::pool());
             counters().fullBuilds.fetch_add(1, std::memory_order_relaxed);
         }
         promise.set_value(view);

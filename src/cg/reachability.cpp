@@ -1,7 +1,7 @@
 #include "cg/reachability.hpp"
 
-#include <algorithm>
 #include <deque>
+#include <mutex>
 
 #include "support/thread_pool.hpp"
 
@@ -44,46 +44,32 @@ DynamicBitset serialClosure(const CsrView& csr, const DynamicBitset& seeds,
     return visited;
 }
 
-/// One frontier expansion with the frontier sharded over word ranges. Each
-/// worker expands the frontier bits inside its own word range into a private
-/// partial bitset; partials are OR-merged. Set union is order-independent,
-/// so the result is bit-identical to a serial scan.
+/// One frontier expansion, sharded over word ranges once the frontier has
+/// kParallelFrontierThreshold members. Each shard expands the frontier bits
+/// inside its own word range into a private partial bitset and ORs it into
+/// the result. Set union is order-independent, so the result is
+/// bit-identical to a serial scan.
 DynamicBitset expandFrontier(const CsrView& csr, const DynamicBitset& frontier,
                              EdgeDir dir, support::ThreadPool* pool) {
     DynamicBitset next(csr.size());
-    const std::size_t words = frontier.wordCount();
-    const bool parallel = pool != nullptr && pool->threadCount() > 1 &&
-                          frontier.count() >= kParallelFrontierThreshold;
-    if (!parallel) {
-        frontier.forEach([&](std::size_t id) {
-            for (FunctionId n : rowOf(csr, static_cast<FunctionId>(id), dir)) {
-                next.set(n);
-            }
-        });
-        return next;
-    }
-
-    const std::size_t grainWords =
-        std::max<std::size_t>(64, words / (pool->threadCount() * 4));
-    const std::size_t chunkCount = (words + grainWords - 1) / grainWords;
-    std::vector<DynamicBitset> partials(chunkCount);
-    pool->parallelFor(chunkCount, 1, [&](std::size_t clo, std::size_t chi) {
-        for (std::size_t chunk = clo; chunk < chi; ++chunk) {
-            std::size_t wlo = chunk * grainWords;
-            std::size_t whi = std::min(words, wlo + grainWords);
+    std::mutex merge;
+    support::ThreadPool* shards =
+        support::shouldShard(pool, frontier.count(), kParallelFrontierThreshold)
+            ? pool
+            : nullptr;
+    support::parallelFor(
+        shards, frontier.wordCount(), /*minGrain=*/64,
+        [&](std::size_t wlo, std::size_t whi) {
             DynamicBitset partial(csr.size());
             frontier.forEachInWordRange(wlo, whi, [&](std::size_t id) {
-                for (FunctionId n :
-                     rowOf(csr, static_cast<FunctionId>(id), dir)) {
+                for (FunctionId n : rowOf(csr, static_cast<FunctionId>(id), dir)) {
                     partial.set(n);
                 }
             });
-            partials[chunk] = std::move(partial);
-        }
-    });
-    for (DynamicBitset& partial : partials) {
-        next |= partial;
-    }
+            std::lock_guard<std::mutex> lock(merge);
+            next |= partial;
+        },
+        /*threshold=*/0);
     return next;
 }
 
@@ -104,8 +90,7 @@ DynamicBitset parallelClosure(const CsrView& csr, const DynamicBitset& seeds,
 
 DynamicBitset closure(const CsrView& csr, const DynamicBitset& seeds,
                       EdgeDir dir, support::ThreadPool* pool) {
-    if (pool != nullptr && pool->threadCount() > 1 &&
-        csr.size() >= kParallelFrontierThreshold) {
+    if (support::shouldShard(pool, csr.size(), kParallelFrontierThreshold)) {
         return parallelClosure(csr, seeds, dir, pool);
     }
     return serialClosure(csr, seeds, dir);

@@ -4,13 +4,11 @@
 #include <string_view>
 #include <unordered_set>
 
-#include "support/executor.hpp"
-
 namespace capi::dyncapi {
 
 RefinementSession::RefinementSession(const cg::CallGraph& graph,
-                                     std::size_t threads)
-    : graph_(&graph), threads_(threads) {}
+                                     support::ThreadPool* pool)
+    : graph_(&graph), pool_(pool) {}
 
 RefinementSession::~RefinementSession() = default;
 
@@ -21,14 +19,9 @@ select::SelectionReport RefinementSession::select(
     base.specName = specName;
     base.cache = &cache_;
     base.inlineCache = &inlineCache_;
-    // Parallel sessions borrow the process-wide Executor pool: refinement
-    // rounds are exactly the repeated-selection workload pool reuse targets.
-    // A pool the caller injected through `base` wins — that is the width
-    // cap for embedders sharing cores with the measured application.
     if (base.pool == nullptr) {
-        base.pool = support::Executor::poolFor(threads_);
+        base.pool = pool_;
     }
-    base.threads = threads_;
     return select::runSelection(*graph_, base);
 }
 

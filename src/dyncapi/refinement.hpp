@@ -51,13 +51,12 @@ RefinementResult refineIc(const select::InstrumentationConfig& ic,
 
 /// Drives repeated select -> measure -> refine rounds against one call graph.
 ///
-/// The session owns a SelectorCache (parallel rounds borrow the process-wide
-/// support::Executor pool rather than owning threads), so every selection run
-/// through it memoizes pipeline stage results keyed by
-/// the graph's generation stamp. A later round that re-evaluates the same or
-/// an overlapping spec — the common case: only thresholds near the leaves of
-/// the selector tree change between rounds — answers unchanged stages from
-/// the cache instead of recomputing reachability closures. Runtime graph
+/// The session owns a SelectorCache, so every selection run through it
+/// memoizes pipeline stage results keyed by the graph's generation stamp. A
+/// later round that re-evaluates the same or an overlapping spec — the
+/// common case: only thresholds near the leaves of the selector tree change
+/// between rounds — answers unchanged stages from the cache instead of
+/// recomputing reachability closures. Runtime graph
 /// updates (a dlopen'd DSO adding or removing nodes, metric refreshes) bump
 /// the generation stamp and reconcile through the mutation journal: entries
 /// whose recorded read footprint the delta cannot have touched survive and
@@ -65,22 +64,22 @@ RefinementResult refineIc(const select::InstrumentationConfig& ic,
 /// needed.
 class RefinementSession {
 public:
-    /// `graph` must outlive the session. `threads` as in PipelineOptions:
-    /// 1 = serial; any other value runs on the process-wide Executor pool
-    /// at full hardware width (results are width-invariant). Embedders that
-    /// must cap worker threads — e.g. refinement running beside the measured
-    /// application — pass their own pool via SelectionOptions::pool in the
-    /// `base` argument of select(), which always wins.
+    /// `graph` must outlive the session. Every select() runs on `pool`, as
+    /// in PipelineOptions: null runs serially, &support::Executor::pool()
+    /// borrows the process-wide pool (results are width-invariant).
+    /// Embedders that must cap worker threads — e.g. refinement running
+    /// beside the measured application — pass a pool of that width; a
+    /// SelectionOptions::pool in the `base` argument of select() wins.
     explicit RefinementSession(const cg::CallGraph& graph,
-                               std::size_t threads = 1);
+                               support::ThreadPool* pool = nullptr);
     ~RefinementSession();
 
     RefinementSession(const RefinementSession&) = delete;
     RefinementSession& operator=(const RefinementSession&) = delete;
 
     /// Runs the full selection phase with the session's cache and pool.
-    /// `base` supplies resolver/oracle/flags; its specText/specName/cache/
-    /// pool/threads fields are overridden by the session.
+    /// `base` supplies resolver/oracle/flags and optionally a pool; its
+    /// specText/specName/cache fields are overridden by the session.
     select::SelectionReport select(const std::string& specText,
                                    const std::string& specName = "spec",
                                    select::SelectionOptions base = {}) const;
@@ -99,7 +98,7 @@ public:
 
 private:
     const cg::CallGraph* graph_;
-    std::size_t threads_;
+    support::ThreadPool* pool_;
     mutable select::SelectorCache cache_;
     /// Journal-validated memo for the compensation caller walk: rounds whose
     /// graph delta is metric-only (the steady state between measurement

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "spec/deps.hpp"
-#include "support/executor.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
@@ -50,208 +49,138 @@ Pipeline::Pipeline(const spec::SpecAst& ast, const SelectorRegistry& registry) {
 
 PipelineRun Pipeline::run(const cg::CallGraph& graph,
                           const PipelineOptions& options) const {
-    // Parallel runs without an injected pool borrow the process-wide
-    // Executor pool instead of spinning threads up per run.
-    support::ThreadPool* pool = options.pool != nullptr
-                                    ? options.pool
-                                    : support::Executor::poolFor(options.threads);
-    if (pool == nullptr || pool->threadCount() <= 1 || stages_.size() <= 1) {
-        return runSerial(graph, pool, options.cache);
-    }
-    return runParallel(graph, *pool, options.cache);
-}
-
-PipelineRun Pipeline::runSerial(const cg::CallGraph& graph,
-                                support::ThreadPool* pool,
-                                SelectorCache* cache) const {
-    EvalContext ctx(graph);
-    ctx.pool = pool;
+    const std::size_t count = stages_.size();
+    support::ThreadPool* pool = options.pool;
+    SelectorCache* cache = options.cache;
     if (cache != nullptr) {
         // Reconcile the cache with the graph's current revision: entries
         // whose footprint the journal delta cannot have touched survive.
         cache->beginRun(graph);
     }
     const std::uint64_t generation = graph.generation();
-    PipelineRun run;
-    run.result = FunctionSet(graph.size());
+
+    std::vector<FunctionSet> results(count);
+    std::vector<std::uint64_t> ns(count, 0);
+    std::vector<std::exception_ptr> errors(count);
     // Dirtiness propagation over the %ref DAG: a cached result is reused
     // only when the stage's own entry is live AND no dependency re-evaluated
     // to a different result. A re-evaluation that reproduces the cached bits
-    // exactly does not dirty its dependents.
-    std::vector<char> dirty(stages_.size(), 0);
-    for (std::size_t index = 0; index < stages_.size(); ++index) {
+    // exactly does not dirty its dependents. Like `results`, a stage writes
+    // its flag before it releases its dependents.
+    std::vector<char> dirty(count, 0);
+    std::atomic<std::size_t> cacheHits{0};
+    // Lowest index of a failed stage. Stages after it are skipped; stages
+    // before it still run, so the error rethrown below is the one a serial
+    // run meets first.
+    std::atomic<std::size_t> firstFailure{count};
+
+    auto evaluate = [&](std::size_t index) {
+        if (index > firstFailure.load(std::memory_order_acquire)) {
+            return;
+        }
         const Stage& stage = stages_[index];
-        support::Timer timer;
-        FunctionSet result;
-        bool depsDirty = false;
-        for (std::size_t dep : stage.deps) {
-            depsDirty = depsDirty || dirty[dep] != 0;
-        }
-        auto cached = cache != nullptr
-                          ? cache->lookup(generation, stage.canonicalHash)
-                          : nullptr;
-        if (cached != nullptr && !depsDirty) {
-            result = *cached;
-            ++run.cacheHits;
-        } else {
-            // Kind-sets allocate lazily on first touch, so an uncached run
-            // (footprint never stored) costs nothing either way.
-            Footprint footprint;
-            ctx.footprint = cache != nullptr ? &footprint : nullptr;
-            result = stage.selector->evaluate(ctx);
-            ctx.footprint = nullptr;
-            dirty[index] = 1;
-            if (cache != nullptr) {
-                // Re-validate against the last stored bits (live or stale):
-                // reproducing them exactly keeps dependents clean.
-                auto previous = cache->previousResult(stage.canonicalHash);
-                dirty[index] = previous == nullptr || !(*previous == result);
-                cache->store(generation, stage.canonicalHash, result,
-                             std::move(footprint));
+        try {
+            support::Timer timer;
+            EvalContext ctx(graph);
+            ctx.pool = pool;
+            bool depsDirty = false;
+            for (std::size_t dep : stage.deps) {
+                ctx.named[stages_[dep].name] = results[dep];
+                depsDirty = depsDirty || dirty[dep] != 0;
             }
-        }
-        run.timingsNs.emplace_back(stage.name, timer.elapsedNs());
-        run.sizes.emplace_back(stage.name, result.count());
-        if (stage.isNamed) {
-            ctx.named[stage.name] = result;
-        }
-        run.result = std::move(result);  // Last stage wins (entry point).
-    }
-    return run;
-}
-
-PipelineRun Pipeline::runParallel(const cg::CallGraph& graph,
-                                  support::ThreadPool& pool,
-                                  SelectorCache* cache) const {
-    const std::size_t count = stages_.size();
-    if (cache != nullptr) {
-        cache->beginRun(graph);
-    }
-    const std::uint64_t generation = graph.generation();
-
-    struct RunState {
-        std::vector<FunctionSet> results;
-        std::vector<std::uint64_t> ns;
-        std::vector<std::size_t> sizes;
-        std::vector<std::exception_ptr> errors;
-        /// Written by a stage before it releases its dependents; the
-        /// pending-counter acq_rel pair orders the read, same as `results`.
-        std::vector<char> dirty;
-        std::unique_ptr<std::atomic<std::size_t>[]> pending;
-        std::atomic<std::size_t> remaining{0};
-        std::atomic<std::size_t> cacheHits{0};
-        std::atomic<bool> abort{false};
-        std::mutex m;
-        std::condition_variable done;
-    };
-    RunState state;
-    state.results.resize(count);
-    state.ns.resize(count, 0);
-    state.sizes.resize(count, 0);
-    state.errors.resize(count);
-    state.dirty.resize(count, 0);
-    state.pending.reset(new std::atomic<std::size_t>[count]);
-    state.remaining.store(count, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < count; ++i) {
-        state.pending[i].store(stages_[i].deps.size(), std::memory_order_relaxed);
-    }
-
-    // Stage bodies run on pool workers; dependents are released as their
-    // last dependency finishes. run() returns only after `remaining` hits
-    // zero, so `state` on this stack frame outlives every task.
-    std::function<void(std::size_t)> executeStage = [&](std::size_t index) {
-        const Stage& stage = stages_[index];
-        if (!state.abort.load(std::memory_order_acquire)) {
-            try {
-                EvalContext ctx(graph);
-                ctx.pool = &pool;
-                bool depsDirty = false;
-                for (std::size_t dep : stage.deps) {
-                    ctx.named[stages_[dep].name] = state.results[dep];
-                    depsDirty = depsDirty || state.dirty[dep] != 0;
+            auto cached = cache != nullptr
+                              ? cache->lookup(generation, stage.canonicalHash)
+                              : nullptr;
+            if (cached != nullptr && !depsDirty) {
+                results[index] = *cached;
+                cacheHits.fetch_add(1, std::memory_order_relaxed);
+            } else {
+                // Kind-sets allocate lazily on first touch, so an uncached run
+                // (footprint never stored) costs nothing either way.
+                Footprint footprint;
+                ctx.footprint = cache != nullptr ? &footprint : nullptr;
+                results[index] = stage.selector->evaluate(ctx);
+                dirty[index] = 1;
+                if (cache != nullptr) {
+                    // Re-validate against the last stored bits (live or
+                    // stale): reproducing them exactly keeps dependents clean.
+                    auto previous = cache->previousResult(stage.canonicalHash);
+                    dirty[index] = previous == nullptr || !(*previous == results[index]);
+                    cache->store(generation, stage.canonicalHash, results[index],
+                                 std::move(footprint));
                 }
-                support::Timer timer;
-                FunctionSet result;
-                auto cached =
-                    cache != nullptr
-                        ? cache->lookup(generation, stage.canonicalHash)
-                        : nullptr;
-                if (cached != nullptr && !depsDirty) {
-                    result = *cached;
-                    state.cacheHits.fetch_add(1, std::memory_order_relaxed);
-                } else {
-                    Footprint footprint;
-                    ctx.footprint = cache != nullptr ? &footprint : nullptr;
-                    result = stage.selector->evaluate(ctx);
-                    ctx.footprint = nullptr;
-                    state.dirty[index] = 1;
-                    if (cache != nullptr) {
-                        // Re-validate against the last stored bits (live or
-                        // stale): reproducing them keeps dependents clean.
-                        auto previous =
-                            cache->previousResult(stage.canonicalHash);
-                        state.dirty[index] =
-                            previous == nullptr || !(*previous == result);
-                        cache->store(generation, stage.canonicalHash, result,
-                                     std::move(footprint));
-                    }
-                }
-                state.ns[index] = timer.elapsedNs();
-                state.sizes[index] = result.count();
-                state.results[index] = std::move(result);
-            } catch (...) {
-                state.errors[index] = std::current_exception();
-                state.abort.store(true, std::memory_order_release);
             }
-        }
-        for (std::size_t dependent : stages_[index].dependents) {
-            if (state.pending[dependent].fetch_sub(1, std::memory_order_acq_rel) ==
-                1) {
-                pool.submit([&executeStage, dependent] { executeStage(dependent); });
-            }
-        }
-        // The decrement must happen under the mutex: `state` lives on the
-        // waiting thread's stack, and a decrement outside the lock could let
-        // the waiter observe 0 and destroy `state` while this thread is
-        // still about to lock it.
-        {
-            std::lock_guard<std::mutex> lock(state.m);
-            if (state.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                state.done.notify_all();
+            ns[index] = timer.elapsedNs();
+        } catch (...) {
+            errors[index] = std::current_exception();
+            std::size_t lowest = firstFailure.load(std::memory_order_relaxed);
+            while (index < lowest &&
+                   !firstFailure.compare_exchange_weak(lowest, index,
+                                                       std::memory_order_acq_rel)) {
             }
         }
     };
 
-    for (std::size_t i = 0; i < count; ++i) {
-        if (stages_[i].deps.empty()) {
-            pool.submit([&executeStage, i] { executeStage(i); });
+    if (support::shouldShard(pool, count, /*threshold=*/2)) {
+        schedule(*pool, evaluate);
+    } else {
+        for (std::size_t i = 0; i < count; ++i) {
+            evaluate(i);
         }
     }
-    {
-        std::unique_lock<std::mutex> lock(state.m);
-        state.done.wait(lock, [&] {
-            return state.remaining.load(std::memory_order_acquire) == 0;
-        });
-    }
-
-    // Rethrow the error of the lowest-index failed stage so parallel runs
-    // report the same failure a serial evaluation would hit first.
-    for (std::size_t i = 0; i < count; ++i) {
-        if (state.errors[i]) {
-            std::rethrow_exception(state.errors[i]);
-        }
+    const std::size_t failed = firstFailure.load(std::memory_order_acquire);
+    if (failed < count) {
+        std::rethrow_exception(errors[failed]);
     }
 
     PipelineRun run;
-    run.cacheHits = state.cacheHits.load(std::memory_order_relaxed);
+    run.cacheHits = cacheHits.load(std::memory_order_relaxed);
     run.timingsNs.reserve(count);
     run.sizes.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-        run.timingsNs.emplace_back(stages_[i].name, state.ns[i]);
-        run.sizes.emplace_back(stages_[i].name, state.sizes[i]);
+        run.timingsNs.emplace_back(stages_[i].name, ns[i]);
+        run.sizes.emplace_back(stages_[i].name, results[i].count());
     }
-    run.result = std::move(state.results.back());
+    run.result = count == 0 ? FunctionSet(graph.size()) : std::move(results.back());
     return run;
+}
+
+void Pipeline::schedule(support::ThreadPool& pool,
+                        const std::function<void(std::size_t)>& evaluate) const {
+    const std::size_t count = stages_.size();
+    std::unique_ptr<std::atomic<std::size_t>[]> pending(
+        new std::atomic<std::size_t>[count]);
+    for (std::size_t i = 0; i < count; ++i) {
+        pending[i].store(stages_[i].deps.size(), std::memory_order_relaxed);
+    }
+    std::size_t remaining = count;  // Guarded by `mutex`.
+    std::mutex mutex;
+    std::condition_variable done;
+
+    // A finished stage submits each dependent whose last dependency it was,
+    // so a chain of any length runs without recursion. Its pending-counter
+    // acq_rel pair orders the dependent's reads of its result. The stage
+    // counts itself out under the mutex: this frame returns once `remaining`
+    // hits zero, and no task may touch it afterwards.
+    std::function<void(std::size_t)> task = [&](std::size_t index) {
+        evaluate(index);
+        for (std::size_t dependent : stages_[index].dependents) {
+            if (pending[dependent].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+                pool.submit([&task, dependent] { task(dependent); });
+            }
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        if (--remaining == 0) {
+            done.notify_all();
+        }
+    };
+    for (std::size_t i = 0; i < count; ++i) {
+        if (stages_[i].deps.empty()) {
+            pool.submit([&task, i] { task(i); });
+        }
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    done.wait(lock, [&] { return remaining == 0; });
 }
 
 }  // namespace capi::select

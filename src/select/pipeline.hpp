@@ -1,13 +1,16 @@
 // Selection pipeline: evaluates a parsed spec against a call graph.
 //
-// Definitions form a dependency DAG through their %ref edges. The serial
-// path (threads = 1, the default) evaluates them in spec order exactly as
-// CaPI does; the parallel path schedules independent definitions
-// concurrently on a fixed-size thread pool and additionally shards the hot
-// intra-definition primitives (reachability BFS, word combinators,
-// per-function filters) across the same pool. Both paths produce
-// bit-identical FunctionSets. The last definition is the pipeline entry
-// point whose result is the raw selection (paper Sec. III-A).
+// Definitions form a dependency DAG through their %ref edges. Without a
+// pool (the default) they are evaluated in spec order exactly as CaPI does;
+// with a pool of more than one worker, independent definitions run
+// concurrently on it, each released when its last dependency finishes, and
+// the hot intra-definition primitives (reachability BFS, word combinators,
+// per-function filters) shard over the same pool. Either way every stage
+// runs the same body and the FunctionSets are bit-identical. The last
+// definition is the pipeline entry point whose result is the raw selection
+// (paper Sec. III-A). A failing stage skips only the stages after it, so a
+// run reports the lowest failing definition, the error a serial run hits
+// first.
 //
 // An optional SelectorCache memoizes per-definition results keyed by
 // canonical selector hash and stamped with the call-graph generation, so
@@ -20,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,16 +39,10 @@ class ThreadPool;
 namespace capi::select {
 
 struct PipelineOptions {
-    /// Parallelism request: 1 = fully serial (the reference semantics);
-    /// anything else (0 or N > 1) runs definition-level and intra-definition
-    /// parallelism on the process-wide support::Executor pool. Results are
-    /// bit-identical at any width, so the request only selects serial vs.
-    /// parallel. Ignored when `pool` is provided.
-    std::size_t threads = 1;
-
-    /// Explicitly injected pool (custom size or lifetime); overrides the
-    /// shared Executor pool. When null and threads != 1, the Executor pool
-    /// is borrowed — no per-run thread spin-up.
+    /// Definition-level and intra-definition parallelism. Null runs fully
+    /// serially (the reference semantics); &support::Executor::pool()
+    /// borrows the process-wide pool, and a caller-owned pool caps the
+    /// width. Results are bit-identical at any width.
     support::ThreadPool* pool = nullptr;
 
     /// Cross-run memoization of stage results; may be shared between
@@ -98,12 +96,10 @@ private:
         std::uint64_t canonicalHash = 0;
     };
 
-    PipelineRun runSerial(const cg::CallGraph& graph,
-                          support::ThreadPool* pool,
-                          SelectorCache* cache) const;
-    PipelineRun runParallel(const cg::CallGraph& graph,
-                            support::ThreadPool& pool,
-                            SelectorCache* cache) const;
+    /// Runs evaluate(i) for every stage on `pool`, each stage released once
+    /// its last dependency finished; returns when all stages ran.
+    void schedule(support::ThreadPool& pool,
+                  const std::function<void(std::size_t)>& evaluate) const;
 
     std::vector<Stage> stages_;
 };

@@ -10,10 +10,6 @@ namespace capi::select {
 
 namespace {
 constexpr std::uint32_t kUnvisited = std::numeric_limits<std::uint32_t>::max();
-
-/// Below this node count the sharded condensation's atomic bookkeeping costs
-/// more than the plain loops it splits.
-constexpr std::size_t kParallelCondenseThreshold = 1 << 14;
 }  // namespace
 
 SccResult computeScc(const cg::CsrView& csr) {
@@ -94,10 +90,9 @@ SccCondensation condenseScc(const cg::CsrView& csr, const SccResult& scc,
     SccCondensation out;
     out.callerOffsets.assign(comps + 1, 0);
 
-    const bool parallel = pool != nullptr && pool->threadCount() > 1 &&
-                          n >= kParallelCondenseThreshold;
-
-    if (!parallel) {
+    // Below the shard threshold the atomic bookkeeping of the sharded fill
+    // costs more than the plain loops it splits.
+    if (!support::shouldShard(pool, n)) {
         out.localStmts.assign(comps, 0);
         // Count cross-component caller edges per component, prefix-sum into
         // offsets, then fill. Duplicate (comp, callerComp) pairs are kept,
@@ -141,9 +136,8 @@ SccCondensation condenseScc(const cg::CsrView& csr, const SccResult& scc,
         stmts[c].store(0, std::memory_order_relaxed);
         degree[c].store(0, std::memory_order_relaxed);
     }
-    const std::size_t grain =
-        std::max<std::size_t>(1024, n / (pool->threadCount() * 4));
-    pool->parallelFor(n, grain, [&](std::size_t lo, std::size_t hi) {
+    constexpr std::size_t kGrain = 1024;
+    support::parallelFor(pool, n, kGrain, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
             const auto id = static_cast<cg::FunctionId>(i);
             std::uint32_t comp = scc.component[id];
@@ -173,7 +167,7 @@ SccCondensation condenseScc(const cg::CsrView& csr, const SccResult& scc,
     for (std::size_t c = 0; c < comps; ++c) {
         cursor[c].store(out.callerOffsets[c], std::memory_order_relaxed);
     }
-    pool->parallelFor(n, grain, [&](std::size_t lo, std::size_t hi) {
+    support::parallelFor(pool, n, kGrain, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
             const auto id = static_cast<cg::FunctionId>(i);
             std::uint32_t comp = scc.component[id];

@@ -18,11 +18,8 @@ SelectionReport runSelection(const cg::CallGraph& graph,
                             ? spec::parseSpec(options.specText, *options.resolver)
                             : spec::parseSpec(options.specText);
     Pipeline pipeline(ast);
-    PipelineOptions pipelineOptions;
-    pipelineOptions.threads = options.threads;
-    pipelineOptions.pool = options.pool;
-    pipelineOptions.cache = options.cache;
-    PipelineRun run = pipeline.run(graph, pipelineOptions);
+    PipelineRun run =
+        pipeline.run(graph, {.pool = options.pool, .cache = options.cache});
 
     SelectionReport report;
     report.graphNodes = graph.size();

@@ -26,10 +26,7 @@ struct SelectionOptions {
     /// Restrict the IC to functions with a body (declarations such as MPI
     /// library entry points cannot carry XRay sleds).
     bool definedOnly = true;
-    /// Parallel evaluation and cross-run memoization (see PipelineOptions):
-    /// threads != 1 runs on the process-wide support::Executor pool unless
-    /// `pool` injects a specific one.
-    std::size_t threads = 1;
+    /// Parallel evaluation and cross-run memoization (see PipelineOptions).
     support::ThreadPool* pool = nullptr;
     SelectorCache* cache = nullptr;
     /// Optional journal-validated memo for the compensation step: refinement

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -16,10 +17,7 @@
 #include "cg/csr_view.hpp"
 #include "select/footprint.hpp"
 #include "select/function_set.hpp"
-
-namespace capi::support {
-class ThreadPool;
-}
+#include "support/thread_pool.hpp"
 
 namespace capi::select {
 
@@ -34,6 +32,18 @@ struct EvalContext {
     /// hot loops (reachability BFS, word combinators, per-function filters)
     /// over this pool. Results are bit-identical to the serial path.
     support::ThreadPool* pool = nullptr;
+
+    /// Runs body(wordBegin, wordEnd) over the words of a node bitset,
+    /// sharded over `pool` once the set spans kShardThreshold nodes. Each
+    /// call owns a disjoint word range, so DynamicBitset::setWord/set
+    /// inside it stay race-free and the result is bit-identical to one
+    /// serial pass.
+    void forEachWordShard(
+        std::size_t wordCount,
+        const std::function<void(std::size_t, std::size_t)>& body) const {
+        support::parallelFor(pool, wordCount, /*minGrain=*/256, body,
+                             support::kShardThreshold / 64);
+    }
 
     /// Footprint collection target for the stage being evaluated (set by
     /// Pipeline when a SelectorCache is attached; null otherwise). Selectors

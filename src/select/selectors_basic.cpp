@@ -26,11 +26,9 @@
 #include <algorithm>
 #include <functional>
 
-#include "select/parallel_util.hpp"
 #include "select/registry.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
-#include "support/thread_pool.hpp"
 
 namespace capi::select {
 
@@ -130,11 +128,7 @@ protected:
                 }
             });
         };
-        if (useParallel(ctx, in.universe())) {
-            forEachWordRange(ctx, in.bits().wordCount(), filterWords);
-        } else {
-            filterWords(0, in.bits().wordCount());
-        }
+        ctx.forEachWordShard(in.bits().wordCount(), filterWords);
         return out;
     }
     bool tracksFootprint() const override { return true; }
@@ -166,37 +160,25 @@ protected:
 
     FunctionSet evaluateImpl(EvalContext& ctx) const override {
         FunctionSet result = inputs_.front()->evaluate(ctx);
-        if (inputs_.size() > 1 && useParallel(ctx, result.universe())) {
-            std::vector<FunctionSet> rest;
-            rest.reserve(inputs_.size() - 1);
-            for (std::size_t i = 1; i < inputs_.size(); ++i) {
-                rest.push_back(inputs_[i]->evaluate(ctx));
-            }
-            support::DynamicBitset& acc = result.bits();
-            forEachWordRange(
-                ctx, acc.wordCount(), [&](std::size_t lo, std::size_t hi) {
-                    for (std::size_t w = lo; w < hi; ++w) {
-                        std::uint64_t v = acc.word(w);
-                        for (const FunctionSet& s : rest) {
-                            if (op_ == SetOp::Union) {
-                                v |= s.bits().word(w);
-                            } else {
-                                v &= s.bits().word(w);
-                            }
-                        }
-                        acc.setWord(w, v);
-                    }
-                });
-            return result;
-        }
+        std::vector<FunctionSet> rest;
+        rest.reserve(inputs_.size() - 1);
         for (std::size_t i = 1; i < inputs_.size(); ++i) {
-            FunctionSet next = inputs_[i]->evaluate(ctx);
-            if (op_ == SetOp::Union) {
-                result |= next;
-            } else {
-                result &= next;
-            }
+            rest.push_back(inputs_[i]->evaluate(ctx));
         }
+        support::DynamicBitset& acc = result.bits();
+        ctx.forEachWordShard(acc.wordCount(), [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t w = lo; w < hi; ++w) {
+                std::uint64_t v = acc.word(w);
+                for (const FunctionSet& s : rest) {
+                    if (op_ == SetOp::Union) {
+                        v |= s.bits().word(w);
+                    } else {
+                        v &= s.bits().word(w);
+                    }
+                }
+                acc.setWord(w, v);
+            }
+        });
         return result;
     }
 
@@ -226,17 +208,12 @@ protected:
     FunctionSet evaluateImpl(EvalContext& ctx) const override {
         FunctionSet result = left_->evaluate(ctx);
         FunctionSet right = right_->evaluate(ctx);
-        if (useParallel(ctx, result.universe())) {
-            support::DynamicBitset& acc = result.bits();
-            forEachWordRange(
-                ctx, acc.wordCount(), [&](std::size_t lo, std::size_t hi) {
-                    for (std::size_t w = lo; w < hi; ++w) {
-                        acc.setWord(w, acc.word(w) & ~right.bits().word(w));
-                    }
-                });
-        } else {
-            result -= right;
-        }
+        support::DynamicBitset& acc = result.bits();
+        ctx.forEachWordShard(acc.wordCount(), [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t w = lo; w < hi; ++w) {
+                acc.setWord(w, acc.word(w) & ~right.bits().word(w));
+            }
+        });
         return result;
     }
 

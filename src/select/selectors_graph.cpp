@@ -18,11 +18,9 @@
 #include <algorithm>
 
 #include "cg/reachability.hpp"
-#include "select/parallel_util.hpp"
 #include "select/registry.hpp"
 #include "select/scc.hpp"
 #include "support/error.hpp"
-#include "support/thread_pool.hpp"
 
 namespace capi::select {
 namespace {
@@ -179,13 +177,9 @@ protected:
                 }
             });
         };
-        if (useParallel(ctx, csr.size())) {
-            // Each shard clears bits only inside its own words: remove(id)
-            // writes the word containing id, and id came from that word.
-            forEachWordRange(ctx, result.bits().wordCount(), filterWords);
-        } else {
-            filterWords(0, result.bits().wordCount());
-        }
+        // Each shard clears bits only inside its own words: remove(id) writes
+        // the word containing id, and id came from that word.
+        ctx.forEachWordShard(result.bits().wordCount(), filterWords);
         return result;
     }
     bool tracksFootprint() const override { return true; }
@@ -255,11 +249,7 @@ protected:
                 }
             });
         };
-        if (useParallel(ctx, csr.size())) {
-            forEachWordRange(ctx, in.bits().wordCount(), filterWords);
-        } else {
-            filterWords(0, in.bits().wordCount());
-        }
+        ctx.forEachWordShard(in.bits().wordCount(), filterWords);
         return out;
     }
     bool tracksFootprint() const override { return true; }

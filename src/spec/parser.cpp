@@ -14,20 +14,28 @@ namespace {
 /// thousand nested calls overflows the stack; real specs nest a few levels.
 constexpr int kMaxNestingDepth = 256;
 
+/// State shared by one parseSpec call and every module it imports.
+struct ParseState {
+    SpecAst ast;
+    std::unordered_set<std::string> importStack;
+    std::unordered_set<std::string> importedModules;
+    /// Names defined so far, imported modules included: a duplicate check
+    /// costs one lookup, not a scan of every earlier definition.
+    std::unordered_set<std::string> definedNames;
+};
+
 class Parser {
 public:
     Parser(std::string_view text, const ModuleResolver* resolver)
         : tokens_(tokenize(text)), resolver_(resolver) {}
 
-    void parseInto(SpecAst& ast, const std::string& moduleName,
-                   std::unordered_set<std::string>& importStack,
-                   std::unordered_set<std::string>& importedModules) {
+    void parseInto(ParseState& state, const std::string& moduleName) {
         while (!check(TokenKind::EndOfInput)) {
             if (check(TokenKind::Directive)) {
-                parseDirective(ast, importStack, importedModules);
+                parseDirective(state);
                 continue;
             }
-            parseDefinition(ast, moduleName);
+            parseDefinition(state, moduleName);
         }
     }
 
@@ -56,8 +64,7 @@ private:
         return consume();
     }
 
-    void parseDirective(SpecAst& ast, std::unordered_set<std::string>& importStack,
-                        std::unordered_set<std::string>& importedModules) {
+    void parseDirective(ParseState& state) {
         Token directive = consume();
         if (directive.text != "import") {
             fail("unknown directive '!" + directive.text + "'", directive);
@@ -66,10 +73,10 @@ private:
         Token module = expect(TokenKind::String, "module name string");
         expect(TokenKind::RParen, "')'");
 
-        if (importedModules.contains(module.text)) {
+        if (state.importedModules.contains(module.text)) {
             return;  // Idempotent: a module is expanded once.
         }
-        if (importStack.contains(module.text)) {
+        if (state.importStack.contains(module.text)) {
             throw support::ParseError("spec: import cycle through '" + module.text + "'",
                                       module.line, module.column);
         }
@@ -83,27 +90,25 @@ private:
             throw support::ParseError("spec: cannot resolve module '" + module.text + "'",
                                       module.line, module.column);
         }
-        importStack.insert(module.text);
+        state.importStack.insert(module.text);
         Parser nested(*text, resolver_);
-        nested.parseInto(ast, module.text, importStack, importedModules);
-        importStack.erase(module.text);
-        importedModules.insert(module.text);
+        nested.parseInto(state, module.text);
+        state.importStack.erase(module.text);
+        state.importedModules.insert(module.text);
     }
 
-    void parseDefinition(SpecAst& ast, const std::string& moduleName) {
+    void parseDefinition(ParseState& state, const std::string& moduleName) {
         Definition def;
         def.sourceModule = moduleName;
         if (check(TokenKind::Identifier) && lookahead(1).kind == TokenKind::Equals) {
             def.name = consume().text;  // identifier
             consume();                  // '='
-            for (const Definition& existing : ast.definitions) {
-                if (!existing.name.empty() && existing.name == def.name) {
-                    fail("duplicate definition of '" + def.name + "'", current());
-                }
+            if (!state.definedNames.insert(def.name).second) {
+                fail("duplicate definition of '" + def.name + "'", current());
             }
         }
         def.expr = parseExpr();
-        ast.definitions.push_back(std::move(def));
+        state.ast.definitions.push_back(std::move(def));
     }
 
     ExprPtr parseExpr() {
@@ -182,30 +187,21 @@ private:
     const ModuleResolver* resolver_;
 };
 
+SpecAst parse(std::string_view text, const ModuleResolver* resolver) {
+    ParseState state;
+    Parser(text, resolver).parseInto(state, "");
+    if (state.ast.definitions.empty()) {
+        throw support::Error("spec: no selector definitions");
+    }
+    return std::move(state.ast);
+}
+
 }  // namespace
 
 SpecAst parseSpec(std::string_view text, const ModuleResolver& resolver) {
-    SpecAst ast;
-    std::unordered_set<std::string> importStack;
-    std::unordered_set<std::string> importedModules;
-    Parser parser(text, &resolver);
-    parser.parseInto(ast, "", importStack, importedModules);
-    if (ast.definitions.empty()) {
-        throw support::Error("spec: no selector definitions");
-    }
-    return ast;
+    return parse(text, &resolver);
 }
 
-SpecAst parseSpec(std::string_view text) {
-    SpecAst ast;
-    std::unordered_set<std::string> importStack;
-    std::unordered_set<std::string> importedModules;
-    Parser parser(text, nullptr);
-    parser.parseInto(ast, "", importStack, importedModules);
-    if (ast.definitions.empty()) {
-        throw support::Error("spec: no selector definitions");
-    }
-    return ast;
-}
+SpecAst parseSpec(std::string_view text) { return parse(text, nullptr); }
 
 }  // namespace capi::spec

@@ -10,8 +10,4 @@ ThreadPool& Executor::pool() {
     return shared;
 }
 
-ThreadPool* Executor::poolFor(std::size_t threads) {
-    return threads == 1 ? nullptr : &pool();
-}
-
 }  // namespace capi::support

@@ -1,20 +1,20 @@
 // Process-wide shared thread pool for the selection engine.
 //
-// Pipeline runs, runSelection() calls and dyncapi::RefinementSession rounds
-// used to construct a fresh ThreadPool per run, paying thread spin-up and
-// tear-down on every selection — noticeable exactly where the paper's
-// turnaround argument cares, in the re-run-selection-often loop. Executor
-// owns one lazily-initialized pool sized to hardware concurrency that every
-// entry point borrows instead. Selection results are thread-count-invariant
-// (the parallel engine is bit-identical to serial at any width), so sharing
-// one full-width pool never changes what a run computes, only how fast.
+// Constructing a ThreadPool per selection run pays thread spin-up and
+// tear-down on every run — noticeable exactly where the paper's turnaround
+// argument cares, in the re-run-selection-often loop. Executor owns one
+// lazily-initialized pool sized to hardware concurrency that callers borrow
+// instead. Selection results are thread-count-invariant (the parallel engine
+// is bit-identical to serial at any width), so sharing one full-width pool
+// never changes what a run computes, only how fast.
 //
-// `threads == 1` keeps its meaning as the serial reference path everywhere;
-// callers that want a custom pool (size, lifetime) still inject their own
-// via PipelineOptions::pool / SelectionOptions::pool, which always wins.
+// A ThreadPool* is the only parallelism input of the selection engine
+// (PipelineOptions::pool, SelectionOptions::pool, adapt::Config::pool, the
+// RefinementSession constructor): null runs serially, &Executor::pool()
+// runs on this shared pool, and embedders that must cap the width pass a
+// pool of their own. cg::CsrView::snapshot borrows this pool for large
+// full builds.
 #pragma once
-
-#include <cstddef>
 
 namespace capi::support {
 
@@ -25,11 +25,6 @@ public:
     /// The shared pool; created with hardware concurrency on first use and
     /// reused for the rest of the process.
     static ThreadPool& pool();
-
-    /// Maps a PipelineOptions-style `threads` request to a pool to borrow:
-    /// 1 -> nullptr (serial reference semantics), anything else (0 = "use
-    /// hardware concurrency", N > 1 = "run parallel") -> the shared pool.
-    static ThreadPool* poolFor(std::size_t threads);
 };
 
 }  // namespace capi::support

@@ -143,4 +143,21 @@ void ThreadPool::parallelFor(
     }
 }
 
+bool shouldShard(const ThreadPool* pool, std::size_t size,
+                 std::size_t threshold) noexcept {
+    return pool != nullptr && pool->threadCount() > 1 && size >= threshold;
+}
+
+void parallelFor(ThreadPool* pool, std::size_t n, std::size_t minGrain,
+                 const std::function<void(std::size_t, std::size_t)>& body,
+                 std::size_t threshold) {
+    if (!shouldShard(pool, n, threshold)) {
+        body(0, n);
+        return;
+    }
+    const std::size_t grain =
+        std::max(minGrain, n / (pool->threadCount() * 4));
+    pool->parallelFor(n, (grain + 63) / 64 * 64, body);
+}
+
 }  // namespace capi::support

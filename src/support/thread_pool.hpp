@@ -8,6 +8,10 @@
 // parallelFor() is deadlock-safe under nesting: the calling thread claims
 // chunks itself via an atomic cursor, so even when every worker is busy (or
 // the caller *is* a worker running a pipeline stage) the loop completes.
+//
+// The free functions below are the one place that decides whether a loop is
+// worth sharding: every caller passes the pool it was given (possibly null)
+// and its element count, and the loop runs inline when sharding cannot pay.
 #pragma once
 
 #include <condition_variable>
@@ -55,5 +59,23 @@ private:
     std::condition_variable available_;
     bool stopping_ = false;
 };
+
+/// Below this many elements (graph nodes, plan candidates) a sharded loop's
+/// bookkeeping costs more than the loop it splits.
+inline constexpr std::size_t kShardThreshold = std::size_t{1} << 14;
+
+/// Whether `size` elements of work are worth sharding over `pool`: there is
+/// a pool, it has more than one worker, and `size` reaches `threshold`.
+bool shouldShard(const ThreadPool* pool, std::size_t size,
+                 std::size_t threshold = kShardThreshold) noexcept;
+
+/// Runs body(begin, end) over [0, n). Runs body(0, n) inline unless
+/// shouldShard(pool, n, threshold); otherwise splits [0, n) into chunks of
+/// at least `minGrain` elements, about four per worker, on `pool` (see
+/// ThreadPool::parallelFor). Chunk boundaries are multiples of 64, so the
+/// chunks of a node range own whole bitset words.
+void parallelFor(ThreadPool* pool, std::size_t n, std::size_t minGrain,
+                 const std::function<void(std::size_t, std::size_t)>& body,
+                 std::size_t threshold = kShardThreshold);
 
 }  // namespace capi::support

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -453,7 +455,6 @@ TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
     adapt::BudgetPlanner planner(graph);
     adapt::Config serial;
     serial.budgetFraction = 0.05;
-    serial.threads = 1;
     adapt::PlanResult serialPlan = planner.plan(candidate, model, serial);
     ASSERT_FALSE(serialPlan.excluded.empty());
     ASSERT_GT(serialPlan.ic.size(), 0u);
@@ -768,6 +769,59 @@ TEST(Controller, ConvergesAndReAdmitsOnSyntheticApp) {
     EXPECT_TRUE(second.withinBudget);
     EXPECT_TRUE(controller.converged());
     EXPECT_LE(controller.epochsRun(), 5u);
+}
+
+TEST(Controller, SelectsOnTheInjectedPool) {
+    binsim::AppModel model;
+    model.name = "pooled";
+    for (const char* name : {"main", "kernel"}) {
+        binsim::AppFunction fn;
+        fn.name = name;
+        fn.unit = "a.cpp";
+        fn.metrics.numInstructions = 100;
+        fn.flags.hasBody = true;
+        model.functions.push_back(fn);
+    }
+    model.entry = 0;
+    model.functions[0].calls.push_back({1, 1});
+    binsim::CompileOptions copts;
+    copts.xrayThreshold.instructionThreshold = 1;
+    binsim::Process process(binsim::compile(model, copts));
+    dyncapi::DynCapi dyn(process);
+    cg::MetaCgBuilder builder;
+    cg::CallGraph graph = builder.build(model.toSourceModel());
+
+    // Park both workers of the injected pool: a selection scheduled on it
+    // cannot finish before the gate opens, while one that runs serially or
+    // on another pool finishes at once.
+    support::ThreadPool pool(2);
+    std::promise<void> gate;
+    std::shared_future<void> open = gate.get_future().share();
+    std::atomic<int> parked{0};
+    for (int i = 0; i < 2; ++i) {
+        pool.submit([open, &parked] {
+            parked.fetch_add(1);
+            open.wait();
+        });
+    }
+    while (parked.load() < 2) {
+        std::this_thread::yield();
+    }
+
+    adapt::Config options;
+    options.pool = &pool;
+    adapt::Controller controller(graph, dyn, options);
+    std::future<select::SelectionReport> selection =
+        std::async(std::launch::async, [&controller] {
+            return controller.startFromSpec("a = defined(%%)\n"
+                                            "b = flops(\">=\", 0, %%)\n"
+                                            "intersect(%a, %b)\n");
+        });
+    EXPECT_EQ(selection.wait_for(std::chrono::milliseconds(200)),
+              std::future_status::timeout);
+    gate.set_value();
+    EXPECT_EQ(selection.get().selectedFinal, 2u);
+    EXPECT_TRUE(controller.currentIc().contains("kernel"));
 }
 
 TEST(Controller, LuleshConvergesUnderFivePercentWithDeltaRepatching) {

@@ -26,6 +26,7 @@
 #include "spec/parser.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -786,7 +787,8 @@ TEST_P(IncrementalEquivalence, MatchesFullRecomputeAcrossMutationSequences) {
     serialOpts.cache = &serialCache;
     PipelineOptions parallelOpts;
     parallelOpts.cache = &parallelCache;
-    parallelOpts.threads = 4;
+    support::ThreadPool pool(4);
+    parallelOpts.pool = &pool;
 
     pipeline.run(graph, serialOpts);  // Warm both caches before mutating.
     pipeline.run(graph, parallelOpts);
@@ -818,7 +820,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEquivalence,
 TEST(IncrementalEquivalence, FinalIcMatchesFullSelection) {
     cg::CallGraph graph = randomGraph(4242, 400);
     support::SplitMix64 rng(4242);
-    dyncapi::RefinementSession session(graph, /*threads=*/2);
+    support::ThreadPool pool(2);
+    dyncapi::RefinementSession session(graph, &pool);
     session.select(kIncrementalSpec, "inc");
     for (int round = 0; round < 5; ++round) {
         mutateRandomly(graph, rng, 1 + rng.nextBelow(6));

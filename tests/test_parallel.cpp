@@ -190,10 +190,11 @@ TEST_P(ParallelPipelineProperty, ParallelResultsBitIdenticalToSerial) {
     cg::CallGraph graph = randomGraph(GetParam(), 600);
     Pipeline pipeline(spec::parseSpec(kWideSpec));
 
-    select::PipelineRun serial = pipeline.run(graph);  // default: threads = 1
+    select::PipelineRun serial = pipeline.run(graph);  // default: no pool
     for (std::size_t threads : {2, 4, 8}) {
+        support::ThreadPool pool(threads);
         PipelineOptions options;
-        options.threads = threads;
+        options.pool = &pool;
         select::PipelineRun parallel = pipeline.run(graph, options);
         EXPECT_TRUE(parallel.result == serial.result)
             << "threads=" << threads << " seed=" << GetParam();
@@ -257,20 +258,13 @@ TEST(Executor, PoolIsProcessWideAndReused) {
     EXPECT_GE(a.threadCount(), 1u);
 }
 
-TEST(Executor, PoolForMapsSerialToNull) {
-    EXPECT_EQ(support::Executor::poolFor(1), nullptr);
-    EXPECT_EQ(support::Executor::poolFor(0), &support::Executor::pool());
-    EXPECT_EQ(support::Executor::poolFor(8), &support::Executor::pool());
-}
-
 TEST(Executor, PipelineBorrowsSharedPoolForParallelRuns) {
     cg::CallGraph graph = randomGraph(31, 400);
     Pipeline pipeline(spec::parseSpec(kWideSpec));
     select::FunctionSet serial = pipeline.run(graph).result;
     PipelineOptions options;
-    options.threads = 0;  // "hardware concurrency" -> Executor pool.
+    options.pool = &support::Executor::pool();
     EXPECT_TRUE(pipeline.run(graph, options).result == serial);
-    options.threads = 4;  // Any parallel request borrows the same pool.
     EXPECT_TRUE(pipeline.run(graph, options).result == serial);
 }
 
@@ -278,9 +272,57 @@ TEST(ParallelPipeline, RefBeforeDefinitionThrowsInBothModes) {
     cg::CallGraph graph = randomGraph(3, 50);
     Pipeline pipeline(spec::parseSpec("join(%undefined, %%)"));
     EXPECT_THROW(pipeline.run(graph), support::Error);
+    support::ThreadPool pool(4);
     PipelineOptions options;
-    options.threads = 4;
+    options.pool = &pool;
     EXPECT_THROW(pipeline.run(graph, options), support::Error);
+}
+
+std::string errorOf(const Pipeline& pipeline, const cg::CallGraph& graph,
+                    const PipelineOptions& options) {
+    try {
+        pipeline.run(graph, options);
+    } catch (const support::Error& e) {
+        return e.what();
+    }
+    return "<no error>";
+}
+
+TEST(ParallelPipeline, PoolReportsTheErrorASerialRunMeetsFirst) {
+    // `c` has no resolved dependency and fails at once, while `b` waits for
+    // the slow reachability stage `a`. A pool must still run `b` — it comes
+    // before `c` in definition order — and report its error, as a serial
+    // run does.
+    cg::CallGraph graph = randomGraph(77, 200000);
+    Pipeline pipeline(spec::parseSpec("a = onCallPathTo(%%)\n"
+                                      "b = join(%a, %undefinedFirst)\n"
+                                      "c = join(%undefinedSecond)\n"
+                                      "%c\n"));
+    const std::string serial = errorOf(pipeline, graph, {});
+    EXPECT_NE(serial.find("undefinedFirst"), std::string::npos) << serial;
+    support::ThreadPool pool(4);
+    EXPECT_EQ(errorOf(pipeline, graph, {.pool = &pool}), serial);
+}
+
+TEST(ParallelPipeline, LongRefChainRunsWithAndWithoutPool) {
+    // 100k definitions, each referencing the one before: parsing stays
+    // linear, and the scheduler releases each dependent without recursing.
+    constexpr std::size_t kLength = 100000;
+    std::string text = "d0 = flops(\">=\", 10, %%)\n";
+    for (std::size_t i = 1; i < kLength; ++i) {
+        text += "d" + std::to_string(i) + " = %d" + std::to_string(i - 1) + "\n";
+    }
+    Pipeline pipeline(spec::parseSpec(text));
+    ASSERT_EQ(pipeline.definitionCount(), kLength);
+    cg::CallGraph graph = randomGraph(8, 200);
+    select::PipelineRun serial = pipeline.run(graph);
+    support::ThreadPool pool(4);
+    select::PipelineRun parallel = pipeline.run(graph, {.pool = &pool});
+    EXPECT_TRUE(parallel.result == serial.result);
+    EXPECT_TRUE(serial.result == Pipeline(spec::parseSpec("flops(\">=\", 10, %%)"))
+                                     .run(graph)
+                                     .result);
+    EXPECT_EQ(parallel.sizes, serial.sizes);
 }
 
 TEST(ParallelPipeline, SharedExternalPoolAcrossRuns) {
@@ -311,7 +353,8 @@ TEST(SelectorCache, SecondRunIsServedFromCache) {
     EXPECT_TRUE(warm.result == cold.result);
 
     // Parallel run against the same cache: still all hits, same bits.
-    options.threads = 4;
+    support::ThreadPool pool(4);
+    options.pool = &pool;
     select::PipelineRun parallel = pipeline.run(graph, options);
     EXPECT_EQ(parallel.cacheHits, pipeline.definitionCount());
     EXPECT_TRUE(parallel.result == cold.result);
@@ -365,9 +408,10 @@ TEST(SelectorCache, ResultsWithCacheMatchResultsWithout) {
     cg::CallGraph graph = randomGraph(13, 500);
     Pipeline pipeline(spec::parseSpec(kWideSpec));
     select::SelectorCache cache;
+    support::ThreadPool pool(4);
     PipelineOptions cached;
     cached.cache = &cache;
-    cached.threads = 4;
+    cached.pool = &pool;
     select::FunctionSet bare = pipeline.run(graph).result;
     EXPECT_TRUE(pipeline.run(graph, cached).result == bare);
     EXPECT_TRUE(pipeline.run(graph, cached).result == bare);
@@ -425,7 +469,8 @@ TEST(SelectorCache, PerShardStatsSumToTotals) {
 
 TEST(RefinementSession, ReselectionReusesStageResults) {
     cg::CallGraph graph = randomGraph(21, 400);
-    dyncapi::RefinementSession session(graph, /*threads=*/2);
+    support::ThreadPool pool(2);
+    dyncapi::RefinementSession session(graph, &pool);
 
     select::SelectionReport first = session.select(kWideSpec, "wide");
     EXPECT_EQ(first.pipelineRun.cacheHits, 0u);

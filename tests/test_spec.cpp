@@ -140,6 +140,11 @@ TEST(Parser, HostileNestingFailsTypedNotStackOverflow) {
 TEST(Parser, RejectsDuplicateNamedDefinitions) {
     EXPECT_THROW(spec::parseSpec("a = join(%%)\na = join(%%)\n"),
                  support::ParseError);
+    // A name an imported module defines cannot be defined again.
+    spec::ModuleResolver resolver;
+    resolver.registerModule("m.capi", "a = join(%%)\n");
+    EXPECT_THROW(spec::parseSpec("!import(\"m.capi\")\na = join(%%)\n", resolver),
+                 support::ParseError);
 }
 
 TEST(Parser, ImportsRequireResolver) {

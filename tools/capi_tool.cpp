@@ -10,9 +10,11 @@
 //             [--filter-format] [--symbols nm.txt] [--module-path DIR]
 //             [--no-inline-compensation] [--threads N] [--verbose]
 //
-// --threads N evaluates the pipeline on the parallel selection engine
-// (N = 0 means hardware concurrency); results are bit-identical to the
-// default serial evaluation.
+// --threads N picks the pool the selection engine runs on: 1 (the default)
+// evaluates serially, 0 borrows the process-wide pool at hardware width, and
+// N > 1 runs on a pool of N workers the tool owns. Results are bit-identical
+// at any width. `adapt`, `trace` and `metrics` take the same flag for their
+// selection and planning.
 //
 // The `adapt` subcommand drives the adaptive overhead-budget controller on
 // a bundled app model (measurement epochs -> budget planning -> delta
@@ -58,6 +60,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -80,6 +83,8 @@
 #include "scorepsim/symbol_resolver.hpp"
 #include "select/selection_driver.hpp"
 #include "support/error.hpp"
+#include "support/executor.hpp"
+#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -94,6 +99,10 @@ struct Args {
     bool verbose = false;
     std::size_t threads = 1;
 };
+
+/// Upper bound for --threads: every worker is an OS thread, and a pool far
+/// wider than the host only adds contention.
+constexpr std::size_t kMaxThreads = 1024;
 
 void usage() {
     std::fprintf(stderr,
@@ -131,14 +140,40 @@ std::string readFile(const std::string& path) {
     return buffer.str();
 }
 
-std::size_t parseThreads(const std::string& value) {
-    bool numeric = !value.empty() &&
-                   value.find_first_not_of("0123456789") == std::string::npos;
-    if (!numeric) {
+/// Parses a count flag's value: a plain decimal number no larger than `max`.
+/// std::stoul alone accepts "-1" (wraps) and "4abc", and a later narrowing
+/// cast would wrap an oversized value silently.
+std::size_t parseCount(const std::string& value,
+                       std::size_t max = std::numeric_limits<std::size_t>::max()) {
+    if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
         throw capi::support::Error("expected a non-negative number, got '" +
                                    value + "'");
     }
-    return static_cast<std::size_t>(std::stoul(value));
+    std::size_t count = 0;
+    for (char c : value) {
+        const auto digit = static_cast<std::size_t>(c - '0');
+        if (count > (max - digit) / 10) {
+            throw capi::support::Error("'" + value + "' exceeds the maximum " +
+                                       std::to_string(max));
+        }
+        count = count * 10 + digit;
+    }
+    return count;
+}
+
+/// The pool --threads N selects: null for 1 (serial), the process-wide
+/// Executor pool for 0 (hardware width), else a pool of N workers held in
+/// `owned`.
+capi::support::ThreadPool* poolForThreads(
+    std::size_t threads, std::unique_ptr<capi::support::ThreadPool>& owned) {
+    if (threads == 1) {
+        return nullptr;
+    }
+    if (threads == 0) {
+        return &capi::support::Executor::pool();
+    }
+    owned = std::make_unique<capi::support::ThreadPool>(threads);
+    return owned.get();
 }
 
 /// The --stats per-epoch refinement spec. One literal on purpose: the warm-up
@@ -201,6 +236,7 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
     std::string flamePath;
     bool printStats = false;
     std::size_t ranks = 1;
+    std::size_t threads = 1;
     adapt::Config config;
     config.budgetFraction = 0.05;
     config.maxEpochs = 5;
@@ -218,19 +254,20 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
         try {
             if (arg == "--app") app = next();
             else if (arg == "--budget") config.budgetFraction = std::stod(next());
-            else if (arg == "--epochs") config.maxEpochs = parseThreads(next());
+            else if (arg == "--epochs") config.maxEpochs = parseCount(next());
             else if (arg == "--per-event-cost-ns")
                 config.perEventCostNs = std::stod(next());
             else if (arg == "--gate-cost-ns")
                 config.gateCostNs = std::stod(next());
             else if (arg == "--sampled-n") {
                 config.enableSampledTier = true;
-                config.sampledEveryN =
-                    static_cast<std::uint32_t>(parseThreads(next()));
+                config.sampledEveryN = static_cast<std::uint32_t>(
+                    parseCount(next(), std::numeric_limits<std::uint32_t>::max()));
             }
-            else if (arg == "--ranks") ranks = std::max<std::size_t>(1, parseThreads(next()));
+            else if (arg == "--ranks")
+                ranks = std::max<std::size_t>(1, parseCount(next()));
             else if (arg == "--keep") config.keep.push_back(next());
-            else if (arg == "--threads") config.threads = parseThreads(next());
+            else if (arg == "--threads") threads = parseCount(next(), kMaxThreads);
             else if (arg == "--output") outputPath = next();
             else if (arg == "--flame" && mode == AdaptMode::Trace)
                 flamePath = next();
@@ -283,6 +320,8 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
     copts.xrayThreshold.instructionThreshold = 1;
     binsim::Process process(binsim::compile(model, copts));
     dyncapi::DynCapi dyn(process);
+    std::unique_ptr<support::ThreadPool> ownedPool;
+    config.pool = poolForThreads(threads, ownedPool);
     if (printStats) {
         // Fold per-epoch visit counts into the graph as journaled metric
         // touches so the per-epoch refinement re-selection below exercises
@@ -494,17 +533,17 @@ int runFleet(int argc, char** argv) {
         try {
             if (arg == "--app") app = next();
             else if (arg == "--clients")
-                clientCount = std::max<std::size_t>(1, parseThreads(next()));
+                clientCount = std::max<std::size_t>(1, parseCount(next()));
             else if (arg == "--epochs")
-                epochs = std::max<std::size_t>(1, parseThreads(next()));
+                epochs = std::max<std::size_t>(1, parseCount(next()));
             else if (arg == "--budget") config.budgetFraction = std::stod(next());
             else if (arg == "--per-event-cost-ns")
                 config.perEventCostNs = std::stod(next());
             else if (arg == "--queue-capacity")
-                queueCapacity = parseThreads(next());
+                queueCapacity = parseCount(next());
             else if (arg == "--lossy") lossy = true;
             else if (arg == "--kill-after")
-                killAfter = std::max<std::size_t>(1, parseThreads(next()));
+                killAfter = std::max<std::size_t>(1, parseCount(next()));
             else if (arg == "--restore") restoreAfterKill = true;
             else if (arg == "--stats") printStats = true;
             else {
@@ -792,18 +831,11 @@ int main(int argc, char** argv) {
         else if (arg == "--filter-format") args.filterFormat = true;
         else if (arg == "--no-inline-compensation") args.inlineCompensation = false;
         else if (arg == "--threads") {
-            // std::stoul alone accepts "-1" (wraps) and "4abc"; require a
-            // pure decimal value.
-            std::string value = next();
-            bool numeric = !value.empty() &&
-                           value.find_first_not_of("0123456789") == std::string::npos;
             try {
-                if (!numeric) throw std::invalid_argument(value);
-                args.threads = static_cast<std::size_t>(std::stoul(value));
-            } catch (const std::exception&) {
-                std::fprintf(stderr,
-                             "capi_tool: --threads expects a non-negative "
-                             "number, got '%s'\n", value.c_str());
+                args.threads = parseCount(next(), kMaxThreads);
+            } catch (const std::exception& e) {
+                std::fprintf(stderr, "capi_tool: bad value for --threads: %s\n",
+                             e.what());
                 return 2;
             }
         }
@@ -844,7 +876,8 @@ int main(int argc, char** argv) {
         options.resolver = &resolver;
         options.symbolOracle = haveSymbols ? &oracle : nullptr;
         options.applyInlineCompensation = args.inlineCompensation && haveSymbols;
-        options.threads = args.threads;
+        std::unique_ptr<capi::support::ThreadPool> ownedPool;
+        options.pool = poolForThreads(args.threads, ownedPool);
 
         capi::select::SelectionReport report =
             capi::select::runSelection(graph, options);
