@@ -241,78 +241,6 @@ bool Controller::applyWithRetry(const select::InstrumentationPolicy& target,
     return false;
 }
 
-EpochReport Controller::epochAllRanks(mpi::MpiWorld& world, int rank,
-                                      double virtualNow,
-                                      const scorep::ProfileTree& localProfile,
-                                      const scorep::Measurement& measurement,
-                                      double runtimeNs) {
-    struct Slot {
-        const scorep::ProfileTree* local;
-        double runtimeNs;
-        std::uint64_t policyFingerprint;
-        EpochReport report;
-        /// The policy the reduction converged on, copied into every slot
-        /// under the world lock so divergent ranks can re-apply it after
-        /// they wake (satisfying the fingerprint-equality postcondition).
-        select::InstrumentationPolicy convergedPolicy;
-        /// The Decider that ran the reduction (every other one must catch up).
-        const Decider* reducer = nullptr;
-    };
-    // Each rank deposits the fingerprint of the tiered policy it believes is
-    // live, so the reducing rank can detect pre-epoch divergence across the
-    // world (a rank that missed a repatch, say) and surface it in the report.
-    Slot slot{&localProfile, runtimeNs, decider_.policy().fingerprint(), {}, {}};
-    // The last-arriving rank reduces every deposited tree, runs the epoch
-    // once and broadcasts the report back through the slots — one plan, one
-    // delta repatch, one IC for the whole world. Runtimes are SUMMED across
-    // ranks to match the merged profile's summed visit counts: the world's
-    // probe cost over the world's aggregate compute time is the average
-    // per-rank overhead, so the ratio (and the budget derived from it) does
-    // not scale with world size. Dropped ranks contribute no slot; the
-    // collective completes over the survivors (see MpiWorld's quorum policy).
-    world.allreduceData(
-        rank, virtualNow, &slot, [&](const std::vector<void*>& all) {
-            scorep::ProfileTree merged;
-            double worldRuntimeNs = 0.0;
-            const std::uint64_t reducerFingerprint =
-                decider_.policy().fingerprint();
-            std::size_t divergent = 0;
-            for (void* entry : all) {
-                auto* other = static_cast<Slot*>(entry);
-                merged.mergeFrom(*other->local);
-                worldRuntimeNs += other->runtimeNs;
-                if (other->policyFingerprint != reducerFingerprint) {
-                    ++divergent;
-                }
-            }
-            EpochReport report = epoch(merged, measurement, worldRuntimeNs);
-            report.divergentRanks = divergent;
-            lastReport_.divergentRanks = divergent;
-            for (void* entry : all) {
-                auto* other = static_cast<Slot*>(entry);
-                other->report = report;
-                other->convergedPolicy = decider_.policy();
-                other->reducer = &decider_;
-            }
-        });
-    // Visible to every rank in its own returned report; lastReport_ is only
-    // written by adoptPolicy on controllers that this rank exclusively owns.
-    slot.report.droppedRanks =
-        static_cast<std::size_t>(world.worldSize() - world.liveRankCount());
-    // Reconciliation: a rank driving its own controller (one per process,
-    // the real-MPI shape) wakes here with a stale Decider and policy. Take
-    // over the reducer's decision state, so the next reduction decides the
-    // same whichever rank arrives last, and adopt the converged policy, so
-    // every rank's fingerprint equals the report's on return. No data race:
-    // the reducer's writes happened-before the wake-up, and its Decider
-    // changes again only in a reduction, which waits for this rank.
-    if (slot.reducer != &decider_) {
-        decider_.followDecisionsOf(*slot.reducer);
-        slot.report = adoptPolicy(slot.convergedPolicy, slot.report);
-    }
-    return slot.report;
-}
-
 EpochReport Controller::adoptPolicy(
     const select::InstrumentationPolicy& converged,
     const EpochReport& worldReport) {
@@ -336,7 +264,7 @@ EpochReport Controller::adoptPolicy(
         }
         lastReport_ = report;
     } else if (lastReport_.epoch != report.epoch) {
-        // Same fingerprint but a controller that did not run the reduction
+        // Same fingerprint but a controller that did not plan this epoch
         // itself (already converged): adopt the world report.
         lastReport_ = report;
     } else {

@@ -28,7 +28,6 @@
 #include "binsim/execution_engine.hpp"
 #include "dyncapi/dyncapi.hpp"
 #include "dyncapi/refinement.hpp"
-#include "mpisim/mpi_world.hpp"
 #include "select/ic.hpp"
 
 namespace capi::adapt {
@@ -68,20 +67,12 @@ struct EpochReport : DecisionSummary {
     std::size_t promotedFunctions = 0;    ///< Sampled -> Full this epoch.
     std::size_t demotedFunctions = 0;     ///< Full -> Sampled this epoch.
     std::uint64_t policyFingerprint = 0;  ///< Fingerprint of the new policy.
-    /// epochAllRanks only: ranks whose pre-epoch policy fingerprint differed
-    /// from the reducing rank's — nonzero means the world had diverged going
-    /// into this epoch. Divergent ranks re-apply the converged policy on
-    /// their own controller before epochAllRanks returns, so the world
-    /// leaves every epoch converged on one policy.
-    std::size_t divergentRanks = 0;
-    /// Divergence *diagnosis*: when this controller's live policy disagreed
-    /// with the converged one (adoptPolicy on a divergent rank / fleet
-    /// client), the actual region-level diff live -> converged — which
-    /// regions diverged and in which direction, not just that a fingerprint
-    /// mismatched. Empty while converged.
+    /// Divergence *diagnosis*, filled by adoptPolicy: when this controller's
+    /// live policy disagreed with the converged one (a fleet client that
+    /// missed a repatch or planned privately), the region-level diff
+    /// live -> converged — which regions diverged and in which direction,
+    /// not just that a fingerprint mismatched. Empty while converged.
     select::PolicyDelta divergence;
-    /// epochAllRanks only: ranks dropped from the world as of this epoch.
-    std::size_t droppedRanks = 0;
     // --- self-healing ------------------------------------------------------
     EpochHealth health = EpochHealth::Healthy;  ///< State after this epoch.
     std::size_t retriesThisEpoch = 0;  ///< Patch re-applies this epoch.
@@ -119,25 +110,9 @@ public:
     EpochReport epoch(const scorep::ProfileTree& profile,
                       const scorep::Measurement& measurement, double runtimeNs);
 
-    /// MPI variant: a data-carrying allreduce merges every rank's profile
-    /// tree, one rank runs epoch() over the merged tree (with the runtimes
-    /// summed across ranks, matching the summed visit counts), and all
-    /// ranks return the identical report — so the whole world converges on
-    /// one IC, as the paper's MPI use case requires. Collective: every rank
-    /// must call it. Precondition: all ranks share ONE Measurement (the
-    /// in-process simulation's natural shape), so region handles mean the
-    /// same thing in every deposited tree. With one controller per rank,
-    /// every other rank's Decider takes over the reducer's decision state,
-    /// so the world decides the same whichever rank arrives last.
-    EpochReport epochAllRanks(mpi::MpiWorld& world, int rank, double virtualNow,
-                              const scorep::ProfileTree& localProfile,
-                              const scorep::Measurement& measurement,
-                              double runtimeNs);
-
-    /// Adopts a policy converged OFF this controller — by another rank's
-    /// reduction (epochAllRanks calls this after the collective) or by the
-    /// fleet aggregator (fleet::FleetClient drives a controller from
-    /// streamed policy deltas through here). When the live fingerprint
+    /// Adopts a policy converged OFF this controller, by the fleet
+    /// aggregator (fleet::FleetClient drives a controller from streamed
+    /// policy deltas through here). When the live fingerprint
     /// already matches `worldReport`'s, only the report is adopted;
     /// otherwise `converged` is applied with the usual retry machinery and
     /// a failure degrades health (kept last-good, reconciled next epoch).

@@ -79,14 +79,6 @@ void Decider::adopt(select::InstrumentationPolicy policy,
     ic_ = std::move(ic);
 }
 
-void Decider::followDecisionsOf(const Decider& other) {
-    model_ = other.model_;
-    safeMode_ = other.safeMode_;
-    overBudgetStreak_ = other.overBudgetStreak_;
-    inBudgetStreak_ = other.inBudgetStreak_;
-    obsEventsAtLastEpoch_ = other.obsEventsAtLastEpoch_;
-}
-
 select::InstrumentationPolicy Decider::safeModePolicy() const {
     select::InstrumentationConfig keepIc;
     keepIc.specName = "safe-mode";

@@ -3,8 +3,8 @@
 // next policy through decide(): model fold (+ self-cost bill, + metric
 // fold) -> kill-switch -> BudgetPlanner or the keep-only safe-mode policy.
 // The controller patches the Decision, the aggregator broadcasts it; that
-// the decision is the same is what makes a fleet run bit-identical to an
-// epochAllRanks reference.
+// the decision is the same is what makes a fleet run bit-identical to one
+// controller's epoch() over the merged profile and summed runtime.
 //
 // decide() does not commit: the owner adopt()s the policy once it is live
 // (the controller only after the patch lands), because the next epoch is
@@ -93,11 +93,6 @@ public:
     /// Makes `policy` (with its patch set `ic`) the policy in force.
     void adopt(select::InstrumentationPolicy policy,
                select::InstrumentationConfig ic);
-
-    /// Takes over `other`'s model, kill-switch state and self-cost baseline
-    /// but keeps the policy in force, so this decider's next decide() equals
-    /// the one `other` would make.
-    void followDecisionsOf(const Decider& other);
 
     /// Forces safe mode outside the kill-switch (the controller's last
     /// resort when even reverting a failed patch failed); the re-arm

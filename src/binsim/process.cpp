@@ -208,14 +208,4 @@ std::optional<std::uint32_t> Process::modelIndexOf(xray::PackedId id) const {
     return localToModel_[objectId][localId];
 }
 
-std::size_t Process::totalSleds() const {
-    std::size_t total = program_.executable.sledTable.size();
-    for (std::size_t d = 0; d < program_.dsos.size(); ++d) {
-        if (dsoLoaded_[d]) {
-            total += program_.dsos[d].sledTable.size();
-        }
-    }
-    return total;
-}
-
 }  // namespace capi::binsim

@@ -74,9 +74,6 @@ public:
     /// Reverse lookup: packed id -> model function index.
     std::optional<std::uint32_t> modelIndexOf(xray::PackedId id) const;
 
-    /// Total sleds across all live objects.
-    std::size_t totalSleds() const;
-
 private:
     void registerObjects();
     void rebuildExecInfo();

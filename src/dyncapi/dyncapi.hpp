@@ -129,13 +129,10 @@ public:
     double symbolResolutionSeconds() const { return resolutionSeconds_; }
 
     // --- measurement backends ----------------------------------------------
-    /// Default GCC -finstrument-functions-compatible interface.
+    /// GCC -finstrument-functions-compatible interface, which the Score-P
+    /// backend uses too (pair it with a resolver built via symbol injection
+    /// to cover DSOs).
     void attachCygHandler(scorep::CygProfileAdapter& adapter);
-    /// Score-P backend (same generic interface; pair it with a resolver
-    /// built via symbol injection to cover DSOs).
-    void attachScorePHandler(scorep::CygProfileAdapter& adapter) {
-        attachCygHandler(adapter);
-    }
     /// TALP backend: entry/exit drive monitoring-region start/stop.
     void attachTalpHandler(talp::TalpRuntime& talp);
     void detachHandler();

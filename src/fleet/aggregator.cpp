@@ -582,8 +582,8 @@ void Aggregator::closeEpoch(bool timedOut) {
     }
 
     // 1. Merge one frame per contributing client, in ascending client-id
-    // order — the runtime sum mirrors epochAllRanks' rank-order sum bit for
-    // bit.
+    // order — the runtime sum mirrors a reference controller's rank-order
+    // sum bit for bit.
     obs::ScopedSpan mergeSpan(spans.merge, obs::SpanCategory::Fleet);
     double worldRuntimeNs = 0.0;
     std::size_t divergent = 0;
@@ -627,7 +627,7 @@ void Aggregator::closeEpoch(bool timedOut) {
 
     // 2. The epoch's observation: cumulative per-region totals differenced
     // against the last epoch's snapshot. Matches the per-epoch merged tree
-    // an epochAllRanks reference reduces, region for region. Fleet handles
+    // a reference controller plans over, region for region. Fleet handles
     // are 1:1 with names; walking regionIds_ visits them in name order, so
     // the name-keyed observations are built by appending.
     obs::ScopedSpan observeSpan(spans.observe, obs::SpanCategory::Fleet);

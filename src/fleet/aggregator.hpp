@@ -11,8 +11,8 @@
 // unconsumed delta frame; frames beyond the first stay queued for E+1, so a
 // fast producer never outruns the epoch structure. Closing an epoch:
 //   1. folds each client's oldest frame into the fleet tree in ascending
-//      client-id order (the floating-point runtime sum must match the
-//      rank-order sum of an epochAllRanks reference run bit for bit),
+//      client-id order (the floating-point runtime sum must match a
+//      reference controller's rank-order sum bit for bit),
 //   2. differences the cumulative fleet totals against the last epoch's
 //      snapshot into per-epoch, name-keyed observations,
 //   3. decides the next policy from them (adapt::Decider::decide),
@@ -26,8 +26,9 @@
 //      (fleet/client.hpp).
 //
 // Determinism: given the same per-client epoch streams, the converged
-// policy fingerprints are bit-identical to a Controller::epochAllRanks
-// reference run over the same profiles — the property the tests pin. That
+// policy fingerprints are bit-identical to one reference Controller whose
+// epoch() gets, each epoch, the rank-order merge of the same profiles and
+// the rank-order sum of their runtimes — the property the tests pin. That
 // is why merge order, model fold order, and runtime summation order are all
 // fixed here rather than left to arrival order.
 #pragma once
@@ -61,8 +62,9 @@ public:
         : support::Error("fleet aggregator: " + what) {}
 };
 
-/// Epoch liveness policy, modelled on MpiWorld::CollectivePolicy: with both
-/// knobs set, a fleet epoch no longer waits forever for every client — it
+/// Epoch liveness policy for the fleet's epoch close only (mpi::
+/// CollectivePolicy governs the simulated application's own collectives;
+/// neither does the other's job). With both knobs set, a fleet epoch no longer waits forever for every client — it
 /// closes once `timeoutNs` has elapsed since the epoch's first delta arrived
 /// and at least `quorum` clients have one pending. Clients that miss a
 /// timeout close are Lagging; `graceEpochs` consecutive misses evict them
@@ -110,8 +112,9 @@ struct AggregatorStats {
     std::uint64_t epochsCompleted = 0;
     std::uint64_t decodeErrors = 0;  ///< WireError frames dropped at the door.
     std::uint64_t resyncs = 0;
-    std::uint64_t divergentClients = 0;  ///< Summed over epochs (cf.
-                                         ///< EpochReport::divergentRanks).
+    /// Merged frames measured under a policy other than the published one,
+    /// summed over epochs.
+    std::uint64_t divergentClients = 0;
     std::uint64_t clientsConnected = 0;
     std::uint64_t clientsDisconnected = 0;
     // --- liveness / fault-tolerance accounting ---------------------------

@@ -1,11 +1,11 @@
 // The producer side of fleet aggregation.
 //
-// A FleetClient wraps one process's adaptive loop: instead of joining an
-// epochAllRanks collective, it encodes the epoch's CCT delta against the
-// last acknowledged watermark, ships it to the Aggregator over the shared
-// data channel, and adopts the converged policy the aggregator pushes back
-// on this client's private policy channel (Controller::adoptPolicy — the
-// same reconciliation path divergent MPI ranks take).
+// A FleetClient wraps one process's adaptive loop: instead of planning
+// privately, it encodes the epoch's CCT delta against the last acknowledged
+// watermark, ships it to the Aggregator over the shared data channel, and
+// adopts the converged policy the aggregator pushes back on this client's
+// private policy channel (Controller::adoptPolicy, which repatches a
+// controller whose live policy diverged from the converged one).
 //
 // Late-joiner protocol, client half: construction connects, then blocks on
 // the policy channel for the full-policy baseline the aggregator queues at
@@ -109,8 +109,8 @@ public:
     FleetClient(const FleetClient&) = delete;
     FleetClient& operator=(const FleetClient&) = delete;
 
-    /// One fleet epoch: sendEpoch + awaitPolicy. With blocking sends this
-    /// is the drop-in replacement for Controller::epochAllRanks.
+    /// One fleet epoch: sendEpoch + awaitPolicy. With blocking sends, every
+    /// client's controller leaves the epoch on the one converged policy.
     adapt::EpochReport epoch(const scorep::ProfileTree& profile,
                              const scorep::Measurement& measurement,
                              double runtimeNs);

@@ -63,7 +63,6 @@ MpiWorld::MpiWorld(int worldSize, LatencyModel latency)
     }
     clocks_.assign(static_cast<std::size_t>(worldSize), 0.0);
     completions_.assign(static_cast<std::size_t>(worldSize), 0.0);
-    payloads_.assign(static_cast<std::size_t>(worldSize), nullptr);
     initialized_.assign(static_cast<std::size_t>(worldSize), false);
     finalized_.assign(static_cast<std::size_t>(worldSize), false);
     mpiTimeNs_.assign(static_cast<std::size_t>(worldSize), 0.0);
@@ -85,25 +84,6 @@ bool MpiWorld::generationCompleteLocked() const {
 }
 
 void MpiWorld::completeGenerationLocked() {
-    if (pendingCombine_) {
-        // Reduce over the arrived payloads only, in rank order: dropped
-        // ranks contributed nothing, exactly like a shrunk communicator.
-        std::vector<void*> arrivedPayloads;
-        arrivedPayloads.reserve(static_cast<std::size_t>(arrived_));
-        for (int r = 0; r < worldSize_; ++r) {
-            if (arrivedFlag_[static_cast<std::size_t>(r)] &&
-                payloads_[static_cast<std::size_t>(r)] != nullptr) {
-                arrivedPayloads.push_back(payloads_[static_cast<std::size_t>(r)]);
-            }
-        }
-        try {
-            pendingCombine_(arrivedPayloads);
-        } catch (...) {
-            abort_ = true;
-            cv_.notify_all();
-            throw;
-        }
-    }
     // Missing ranks must not pull the completion clocks around: mask their
     // stale deposits to -infinity, which both completion functions (global
     // max, neighbour max) ignore by construction.
@@ -123,7 +103,6 @@ void MpiWorld::completeGenerationLocked() {
     arrived_ = 0;
     arrivedFlag_.assign(static_cast<std::size_t>(worldSize_), 0);
     pendingCompletionFn_ = {};
-    pendingCombine_ = {};
     ++generation_;
     cv_.notify_all();
 }
@@ -196,8 +175,7 @@ void MpiWorld::waitWithTimeoutLocked(std::unique_lock<std::mutex>& lock,
 
 double MpiWorld::collectiveSync(
     int rank, double virtualNow, OpKind op,
-    const std::function<double(const std::vector<double>&, int)>& completionFn,
-    void* payload, const CombineFn* combine) {
+    const std::function<double(const std::vector<double>&, int)>& completionFn) {
     std::unique_lock<std::mutex> lock(mutex_);
     if (abort_) {
         throw support::Error("MPI aborted");
@@ -208,23 +186,14 @@ double MpiWorld::collectiveSync(
         throw RankDroppedError(rank);
     }
     clocks_[static_cast<std::size_t>(rank)] = virtualNow;
-    payloads_[static_cast<std::size_t>(rank)] = payload;
     arrivedFlag_[static_cast<std::size_t>(rank)] = 1;
     ++arrived_;
-    // Keep copies of this generation's functions: every rank passes
-    // equivalent ones by contract, and completion may be triggered by
-    // dropRank or a timed-out waiter rather than by the final arrival.
+    // Keep a copy of this generation's completion function: every rank
+    // passes an equivalent one by contract, and completion may be triggered
+    // by dropRank or a timed-out waiter rather than by the final arrival.
     pendingCompletionFn_ = completionFn;
-    if (combine != nullptr && *combine) {
-        pendingCombine_ = *combine;
-    }
     std::uint64_t myGeneration = generation_;
     if (generationCompleteLocked()) {
-        // Last live arrival reduces the deposited data, computes the
-        // completion clocks and releases the generation. A throwing combine
-        // aborts the world — the generation can never complete, so the
-        // blocked peers must be woken with an error, exactly as when a rank
-        // thread dies.
         completeGenerationLocked();
     } else if (policy_.timeoutNs == 0) {
         cv_.wait(lock, [&] { return generation_ != myGeneration || abort_; });
@@ -238,8 +207,7 @@ double MpiWorld::collectiveSync(
     return completions_[static_cast<std::size_t>(rank)];
 }
 
-double MpiWorld::runOp(int rank, double virtualNow, OpKind op, void* payload,
-                       const CombineFn* combine) {
+double MpiWorld::runOp(int rank, double virtualNow, OpKind op) {
     if (rank < 0 || rank >= worldSize_) {
         throw support::Error("MPI: bad rank");
     }
@@ -305,8 +273,7 @@ double MpiWorld::runOp(int rank, double virtualNow, OpKind op, void* payload,
                 [latency](const std::vector<double>& clocks, int) {
                     return *std::max_element(clocks.begin(), clocks.end()) +
                            latency;
-                },
-                payload, combine);
+                });
         }
     }
 
@@ -358,11 +325,6 @@ double MpiWorld::allreduce(int rank, double virtualNow) {
     return runOp(rank, virtualNow, OpKind::Allreduce);
 }
 
-double MpiWorld::allreduceData(int rank, double virtualNow, void* inout,
-                               const CombineFn& combine) {
-    return runOp(rank, virtualNow, OpKind::Allreduce, inout, &combine);
-}
-
 double MpiWorld::bcast(int rank, double virtualNow) {
     return runOp(rank, virtualNow, OpKind::Bcast);
 }
@@ -391,11 +353,6 @@ bool MpiWorld::finalized(int rank) const {
 void MpiWorld::setCollectivePolicy(CollectivePolicy policy) {
     std::lock_guard<std::mutex> lock(mutex_);
     policy_ = policy;
-}
-
-CollectivePolicy MpiWorld::collectivePolicy() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return policy_;
 }
 
 void MpiWorld::dropRank(int rank) {

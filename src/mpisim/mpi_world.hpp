@@ -118,28 +118,12 @@ public:
     double bcast(int rank, double virtualNow);
     double haloExchange(int rank, double virtualNow);
 
-    /// MPI_Allreduce carrying user data. Every rank deposits `inout`; when
-    /// the last rank arrives, its `combine` runs exactly once over the
-    /// deposited pointers (rank order) and must write the reduced value back
-    /// through every pointer — the receive-buffer contract of a real
-    /// allreduce. All ranks must pass equivalent combine functions; combine
-    /// runs under the world lock and must not call back into the world. A
-    /// throwing combine aborts the world: the blocked peers wake with an
-    /// error and the exception propagates on the reducing rank.
-    /// Clock/latency/interceptor semantics are identical to allreduce().
-    /// This is how the adaptive controller reduces per-rank profiles so
-    /// every rank converges on one IC.
-    using CombineFn = std::function<void(const std::vector<void*>&)>;
-    double allreduceData(int rank, double virtualNow, void* inout,
-                         const CombineFn& combine);
-
     bool initialized(int rank) const;
     bool finalized(int rank) const;
 
     /// Installs the fault-tolerance policy for subsequent collectives. Call
     /// while the ranks are quiescent (like setInterceptor's uninstall rule).
     void setCollectivePolicy(CollectivePolicy policy);
-    CollectivePolicy collectivePolicy() const;
 
     /// Removes a rank from the world. The rank's next collective throws
     /// RankDroppedError; a collective currently blocked on this rank
@@ -162,22 +146,18 @@ private:
     /// deposited clocks.
     double collectiveSync(int rank, double virtualNow, OpKind op,
                           const std::function<double(const std::vector<double>&, int)>&
-                              completionFn,
-                          void* payload = nullptr,
-                          const CombineFn* combine = nullptr);
+                              completionFn);
 
-    double runOp(int rank, double virtualNow, OpKind op, void* payload = nullptr,
-                 const CombineFn* combine = nullptr);
+    double runOp(int rank, double virtualNow, OpKind op);
 
     /// True when a generation is pending and every rank has either deposited
     /// its clock or been dropped — the completion condition that lets the
     /// world make progress without its dead ranks.
     bool generationCompleteLocked() const;
 
-    /// Runs the pending generation's combine over the *arrived* payloads,
-    /// computes completion clocks from the arrived ranks' clocks (missing
+    /// Computes completion clocks from the arrived ranks' clocks (missing
     /// ranks masked to -infinity, which both max-based completion functions
-    /// ignore), and releases the generation.
+    /// ignore) and releases the generation.
     void completeGenerationLocked();
 
     /// The timeout-armed wait path: sleeps in backoff-sized slices; when the
@@ -196,17 +176,15 @@ private:
     int arrived_ = 0;
     std::uint64_t generation_ = 0;
     std::vector<double> completions_;
-    std::vector<void*> payloads_;
     bool abort_ = false;
 
     CollectivePolicy policy_;
     std::vector<char> dropped_;      ///< Rank removed from the world.
     std::vector<char> arrivedFlag_;  ///< Deposited into the pending generation.
-    /// The pending generation's completion/combine functions, copied from
-    /// the arriving ranks (equivalent by contract) so completion triggered
-    /// from dropRank or straggler eviction can run them without an arrival.
+    /// The pending generation's completion function, copied from the
+    /// arriving ranks (equivalent by contract) so completion triggered from
+    /// dropRank or straggler eviction can run it without an arrival.
     std::function<double(const std::vector<double>&, int)> pendingCompletionFn_;
-    CombineFn pendingCombine_;
 
     std::vector<bool> initialized_;
     std::vector<bool> finalized_;

@@ -14,15 +14,6 @@ const SelectorFactory* SelectorRegistry::find(const std::string& name) const {
     return it == types_.end() ? nullptr : &it->second.factory;
 }
 
-std::vector<std::string> SelectorRegistry::typeNames() const {
-    std::vector<std::string> names;
-    names.reserve(types_.size());
-    for (const auto& [name, entry] : types_) {
-        names.push_back(name);
-    }
-    return names;
-}
-
 std::string SelectorRegistry::documentation(const std::string& name) const {
     auto it = types_.find(name);
     return it == types_.end() ? std::string() : it->second.documentation;

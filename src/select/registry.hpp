@@ -29,7 +29,6 @@ public:
                       std::string documentation = {});
 
     const SelectorFactory* find(const std::string& name) const;
-    std::vector<std::string> typeNames() const;
     std::string documentation(const std::string& name) const;
 
     /// Registry pre-populated with every built-in selector type.

@@ -333,16 +333,6 @@ bool XRayRuntime::unpatchFunction(PackedId function) {
     return true;
 }
 
-XRayRuntime::DeltaPatchStats XRayRuntime::patchDelta(
-    const std::vector<PackedId>& toPatch, const std::vector<PackedId>& toUnpatch) {
-    std::vector<TieredFlip> tiered;
-    tiered.reserve(toPatch.size());
-    for (PackedId pid : toPatch) {
-        tiered.push_back({pid, kFullTier});
-    }
-    return patchDeltaTiered(tiered, toUnpatch, {});
-}
-
 XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
     const std::vector<TieredFlip>& toPatch, const std::vector<PackedId>& toUnpatch,
     const std::vector<TieredFlip>& toRetier) {

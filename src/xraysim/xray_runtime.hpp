@@ -109,30 +109,13 @@ public:
     bool patchFunction(PackedId function);
     bool unpatchFunction(PackedId function);
 
-    /// Flips exactly the sleds of the listed functions in one pass: both
-    /// lists are grouped per object, the affected sled addresses coalesced
-    /// into contiguous page runs, and each run's protection toggled once.
-    /// Functions whose object is gone (dlclosed) or that have no sleds are
-    /// skipped and counted per list. Final state is identical to calling
-    /// patchFunction/unpatchFunction per entry; the page-touch count is
-    /// what the adaptive controller's delta repatching optimizes.
-    ///
-    /// Both delta entry points are TRANSACTIONAL: every cell and tier tag is
-    /// staged with an undo record before it is written, and a failure
-    /// anywhere mid-transaction (an mprotect or sled write throwing
-    /// MachineFault — see the injection sites in CodeMemory) rolls back all
-    /// already-applied flips, re-seals the touched page runs, and rethrows
-    /// as PatchError. Sled and tier state is therefore never torn: after
-    /// the call the process is bit-identical to either its pre-transaction
-    /// or its post-transaction state, nothing in between.
+    /// Per-list skip counts on top of the page/function counts.
     struct DeltaPatchStats : PatchStats {
         std::size_t unavailablePatch = 0;    ///< Skipped toPatch entries.
         std::size_t unavailableUnpatch = 0;  ///< Skipped toUnpatch entries.
         std::size_t functionsRetiered = 0;   ///< Tier-tag-only transitions.
         std::size_t unavailableRetier = 0;   ///< Skipped toRetier entries.
     };
-    DeltaPatchStats patchDelta(const std::vector<PackedId>& toPatch,
-                               const std::vector<PackedId>& toUnpatch);
 
     /// A patch request carrying the measurement tier of the function
     /// (kFullTier or kSampledTier). The tier is runtime bookkeeping riding
@@ -148,6 +131,22 @@ public:
     static constexpr std::uint8_t kFullTier = 0;
     static constexpr std::uint8_t kSampledTier = 1;
 
+    /// Flips exactly the sleds of the listed functions in one pass: both
+    /// flip lists are grouped per object, the affected sled addresses
+    /// coalesced into contiguous page runs, and each run's protection
+    /// toggled once. Functions whose object is gone (dlclosed) or that have
+    /// no sleds are skipped and counted per list. Final state is identical
+    /// to calling patchFunction/unpatchFunction per entry; the page-touch
+    /// count is what the adaptive controller's delta repatching optimizes.
+    ///
+    /// TRANSACTIONAL: every cell and tier tag is staged with an undo record
+    /// before it is written, and a failure anywhere mid-transaction (an
+    /// mprotect or sled write throwing MachineFault — see the injection
+    /// sites in CodeMemory) rolls back all already-applied flips, re-seals
+    /// the touched page runs, and rethrows as PatchError. Sled and tier
+    /// state is therefore never torn: after the call the process is
+    /// bit-identical to either its pre-transaction or its post-transaction
+    /// state, nothing in between.
     DeltaPatchStats patchDeltaTiered(const std::vector<TieredFlip>& toPatch,
                                      const std::vector<PackedId>& toUnpatch,
                                      const std::vector<TieredFlip>& toRetier);

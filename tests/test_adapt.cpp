@@ -1,18 +1,16 @@
 // Tests for src/adapt/: overhead model EWMA semantics, budget planner
 // (knapsack, SCC-group atomicity, keep list, thread-count invariance), the
 // Decider's kill-switch hysteresis, self-cost billing and state restore, and
-// the adaptive controller's converge-under-budget epoch loop, including the
-// cross-rank MPI variant and the delta-beats-full-repatch page accounting.
+// the adaptive controller's converge-under-budget epoch loop, including one
+// epoch over many ranks' merged profile and the delta-beats-full-repatch
+// page accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <functional>
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "adapt/budget_planner.hpp"
@@ -921,7 +919,11 @@ TEST(Controller, LuleshTieredHoldsHotRegionsAtSampled) {
     EXPECT_EQ(controller.currentIc().size(), policy.size());
 }
 
-TEST(Controller, EpochAllRanksConvergesWorldOnOneIc) {
+TEST(Controller, MergedRanksConvergeWorldOnOneIc) {
+    // The MPI shape of one controller driving many ranks: every rank
+    // measures into the ONE Measurement, then a single epoch() plans over
+    // the merged profile against the ranks' summed compute time, so the
+    // world's probe cost is charged once.
     apps::LuleshParams params;
     params.iterations = 5;
     params.kernelWorkUnits = 20;
@@ -949,269 +951,36 @@ TEST(Controller, EpochAllRanksConvergesWorldOnOneIc) {
     constexpr int kRanks = 2;
     mpi::MpiWorld world(kRanks);
     dyncapi::WorldMpiPort port(world);
-    std::vector<adapt::EpochReport> reports(kRanks);
+    std::vector<double> rankNs(kRanks, 0.0);
     mpi::runRanks(world, [&](int rank) {
         binsim::ExecutionEngine engine(process);
         engine.setMpiPort(&port);
-        binsim::RunStats stats = engine.run(rank, kRanks);
-        const scorep::ProfileTree& local = measurement.threadProfile();
-        double runtimeNs = adapt::virtualEpochRuntimeNs(
-            stats, measurement, options.perEventCostNs);
-        reports[rank] = controller.epochAllRanks(world, rank, stats.virtualNs,
-                                                 local, measurement, runtimeNs);
+        rankNs[static_cast<std::size_t>(rank)] =
+            engine.run(rank, kRanks).virtualNs;
     });
     dyn.detachHandler();
+    binsim::RunStats worldStats;
+    for (double ns : rankNs) {
+        worldStats.virtualNs += ns;
+    }
+    const adapt::EpochReport report = controller.epoch(
+        measurement.mergedProfile(), measurement,
+        adapt::virtualEpochRuntimeNs(worldStats, measurement,
+                                     options.perEventCostNs));
 
-    // One epoch ran for the whole world and every rank saw the same plan.
+    // One epoch ran for the whole world, applying one policy.
     EXPECT_EQ(controller.epochsRun(), 1u);
-    EXPECT_EQ(reports[0].epoch, 1u);
-    EXPECT_EQ(reports[1].epoch, 1u);
-    EXPECT_EQ(reports[0].icSize, reports[1].icSize);
-    EXPECT_EQ(reports[0].patch.functionsUnpatched,
-              reports[1].patch.functionsUnpatched);
-    EXPECT_GT(reports[0].patch.functionsUnpatched, 0u);
-    // Every rank applied the identical policy: same fingerprint on both
-    // sides, and the reducer's cross-rank divergence check found nothing.
-    EXPECT_EQ(reports[0].policyFingerprint, reports[1].policyFingerprint);
-    EXPECT_NE(reports[0].policyFingerprint, 0u);
-    EXPECT_EQ(reports[0].divergentRanks, 0u);
-    EXPECT_EQ(reports[1].divergentRanks, 0u);
-}
-
-TEST(Controller, EpochAllRanksRepatchesDivergentRanksToConvergedPolicy) {
-    // Two ranks with their OWN controller/process each (the multi-process
-    // deployment shape), deliberately skewed onto different policies before
-    // the collective epoch. epochAllRanks must leave every rank *patched*
-    // to the converged policy — fingerprint agreement alone is not enough.
-    binsim::AppModel model;
-    model.name = "diverge";
-    auto add = [&](const char* name, std::uint32_t instr, double virtualNs) {
-        binsim::AppFunction fn;
-        fn.name = name;
-        fn.unit = "a.cpp";
-        fn.metrics.numInstructions = instr;
-        fn.flags.hasBody = true;
-        fn.workVirtualNs = virtualNs;
-        model.functions.push_back(fn);
-        return static_cast<std::uint32_t>(model.functions.size() - 1);
-    };
-    std::uint32_t mainFn = add("main", 100, 100.0);
-    std::uint32_t kernel = add("kernel", 300, 1'000'000.0);
-    std::uint32_t noisy = add("noisy", 50, 10.0);
-    model.entry = mainFn;
-    model.functions[mainFn].calls.push_back({kernel, 4});
-    model.functions[kernel].calls.push_back({noisy, 20000});
-
-    binsim::CompileOptions copts;
-    copts.xrayThreshold.instructionThreshold = 1;
-    binsim::CompiledProgram compiled = binsim::compile(model, copts);
-    cg::MetaCgBuilder builder;
-    cg::CallGraph graph = builder.build(model.toSourceModel());
-
-    adapt::Config config;
-    config.budgetFraction = 0.05;
-    config.perEventCostNs = 100.0;
-    config.maxEpochs = 10;
-
-    constexpr int kRanks = 2;
-    std::vector<std::unique_ptr<binsim::Process>> procs;
-    std::vector<std::unique_ptr<dyncapi::DynCapi>> dyns;
-    std::vector<std::unique_ptr<adapt::Controller>> ctls;
-    for (int rank = 0; rank < kRanks; ++rank) {
-        procs.push_back(std::make_unique<binsim::Process>(compiled));
-        dyns.push_back(std::make_unique<dyncapi::DynCapi>(*procs.back()));
-        ctls.push_back(
-            std::make_unique<adapt::Controller>(graph, *dyns.back(), config));
-        ctls.back()->start(adapt::surveyOfDefinedFunctions(graph));
-    }
-
-    // Skew: rank 1 runs a private epoch whose profile blows the budget, so
-    // its controller evicts noisy while rank 0 still carries the survey.
-    {
-        scorep::Measurement m;
-        FlatProfile profile(m);
-        profile.add("main", 1, 1000);
-        profile.add("kernel", 4, 4'000'000);
-        profile.add("noisy", 20000, 200'000);
-        ctls[1]->epoch(profile.tree, m, 1e7);
-    }
-    ASSERT_NE(ctls[0]->currentPolicy().fingerprint(),
-              ctls[1]->currentPolicy().fingerprint());
-
-    mpi::MpiWorld world(kRanks);
-    std::vector<adapt::EpochReport> reports(kRanks);
-    mpi::runRanks(world, [&](int rank) {
-        world.init(rank, 0.0);
-        // Identical region-definition order on every rank, so the deposited
-        // trees' handles line up for the cross-rank merge.
-        scorep::Measurement m;
-        FlatProfile profile(m);
-        profile.add("main", 1, 1000);
-        profile.add("kernel", 4, 4'000'000);
-        profile.add("noisy", 20000, 200'000);
-        reports[static_cast<std::size_t>(rank)] =
-            ctls[static_cast<std::size_t>(rank)]->epochAllRanks(
-                world, rank, 0.0, profile.tree, m, 1e7);
-    });
-
-    // The reducer saw exactly one rank whose pre-epoch policy differed.
-    EXPECT_EQ(reports[0].divergentRanks, 1u);
-    EXPECT_EQ(reports[0].policyFingerprint, reports[1].policyFingerprint);
-    EXPECT_EQ(reports[0].droppedRanks, 0u);
-    for (int rank = 0; rank < kRanks; ++rank) {
-        auto r = static_cast<std::size_t>(rank);
-        // Every rank's controller adopted the converged policy...
-        EXPECT_EQ(ctls[r]->currentPolicy().fingerprint(),
-                  reports[r].policyFingerprint)
-            << "rank " << rank;
-        EXPECT_FALSE(ctls[r]->currentIc().contains("noisy")) << "rank " << rank;
-        // ...and actually re-applied it: the cached policy matches the live
-        // sled state exactly (a re-apply is a complete no-op).
-        dyncapi::DeltaStats noop =
-            dyns[r]->applyPolicyDelta(ctls[r]->currentPolicy());
-        EXPECT_EQ(noop.pagesTouched, 0u) << "rank " << rank;
-        EXPECT_EQ(noop.functionsPatched, 0u) << "rank " << rank;
-        EXPECT_EQ(noop.functionsUnpatched, 0u) << "rank " << rank;
-    }
-    // Both processes left the epoch patched identically, tier tags included.
-    EXPECT_EQ(procs[0]->xray().patchedFunctionTiers(),
-              procs[1]->xray().patchedFunctionTiers());
-    (void)noisy;
-}
-
-TEST(Controller, EpochAllRanksPerRankControllersDecideAsOneWhicheverRankReduces) {
-    // One controller per rank, the reducing (last-arriving) rank alternating
-    // between epochs, through a kill-switch trip and re-arm: every epoch must
-    // match a world whose ranks share ONE controller. A rank that did not
-    // reduce must leave the collective with the reducer's model and
-    // kill-switch state, or the world's next decision depends on which rank
-    // happens to arrive last.
-    binsim::AppModel model;
-    model.name = "rotate";
-    for (auto [name, instr] : {std::pair{"main", 100u}, {"kernel", 300u},
-                               {"noisy", 50u}}) {
-        binsim::AppFunction fn;
-        fn.name = name;
-        fn.unit = "a.cpp";
-        fn.metrics.numInstructions = instr;
-        fn.flags.hasBody = true;
-        model.functions.push_back(fn);
-    }
-    model.entry = 0;
-    model.functions[0].calls.push_back({1, 4});
-    model.functions[1].calls.push_back({2, 20000});
-    binsim::CompileOptions copts;
-    copts.xrayThreshold.instructionThreshold = 1;
-    const binsim::CompiledProgram compiled = binsim::compile(model, copts);
-    cg::MetaCgBuilder builder;
-    const cg::CallGraph graph = builder.build(model.toSourceModel());
-
-    // Survey epoch: 2 ranks x 20005 visits x 2 events x 100 ns over 2e7 ns
-    // = ratio 0.4, past the 5% budget, so the switch trips at epoch 1. The
-    // keep-only policy runs far under budget: re-arm at 3 onto a plan that
-    // excludes noisy. The planner re-admits noisy at 5, which trips the
-    // switch again at 6.
-    adapt::Config config;
-    config.budgetFraction = 0.05;
-    config.perEventCostNs = 100.0;
-    config.killSwitchFactor = 1.0;
-    config.killSwitchEpochs = 1;
-    config.killSwitchRearmEpochs = 2;
-    config.keep = {"kernel"};
-    config.maxEpochs = 100;
-
-    constexpr int kRanks = 2;
-    constexpr std::size_t kEpochs = 6;
-    struct RankRun {
-        std::vector<adapt::EpochReport> reports;
-        std::vector<adapt::EpochHealth> health;  ///< ctl.health() after each.
-    };
-    auto runWorld = [&](const std::function<adapt::Controller&(int)>& ctlOf,
-                        bool rotateReducer) {
-        mpi::MpiWorld world(kRanks);
-        std::vector<RankRun> runs(kRanks);
-        mpi::runRanks(world, [&](int rank) {
-            world.init(rank, 0.0);
-            adapt::Controller& ctl = ctlOf(rank);
-            RankRun& run = runs[static_cast<std::size_t>(rank)];
-            for (std::size_t e = 0; e < kEpochs; ++e) {
-                if (rotateReducer && static_cast<int>(e % kRanks) == rank) {
-                    // Arrive last, so this rank's controller reduces.
-                    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-                }
-                // Uninstrumented regions record nothing; the definition
-                // order is the same on every rank so handles line up.
-                scorep::Measurement m;
-                FlatProfile profile(m);
-                const select::InstrumentationConfig& ic = ctl.currentIc();
-                auto add = [&](const char* name, std::uint64_t visits,
-                               std::uint64_t ns) {
-                    const bool on = ic.contains(name);
-                    profile.add(name, on ? visits : 0, on ? ns : 0);
-                };
-                add("main", 1, 1000);
-                add("kernel", 4, 4'000'000);
-                add("noisy", 20000, 200'000);
-                run.reports.push_back(
-                    ctl.epochAllRanks(world, rank, 0.0, profile.tree, m, 1e7));
-                run.health.push_back(ctl.health());
-            }
-        });
-        return runs;
-    };
-
-    binsim::Process sharedProcess(compiled);
-    dyncapi::DynCapi sharedDyn(sharedProcess);
-    adapt::Controller shared(graph, sharedDyn, config);
-    shared.start(adapt::surveyOfDefinedFunctions(graph));
-    const std::vector<adapt::EpochReport> reference =
-        runWorld([&](int) -> adapt::Controller& { return shared; }, false)[0]
-            .reports;
-    ASSERT_EQ(reference.size(), kEpochs);
-    ASSERT_TRUE(reference[0].killSwitchTripped);
-    ASSERT_EQ(reference[0].health, adapt::EpochHealth::SafeMode);
-    ASSERT_TRUE(reference[2].killSwitchRearmed);
-    ASSERT_TRUE(reference[5].killSwitchTripped);
-
-    std::vector<std::unique_ptr<binsim::Process>> procs;
-    std::vector<std::unique_ptr<dyncapi::DynCapi>> dyns;
-    std::vector<std::unique_ptr<adapt::Controller>> ctls;
-    for (int rank = 0; rank < kRanks; ++rank) {
-        procs.push_back(std::make_unique<binsim::Process>(compiled));
-        dyns.push_back(std::make_unique<dyncapi::DynCapi>(*procs.back()));
-        ctls.push_back(
-            std::make_unique<adapt::Controller>(graph, *dyns.back(), config));
-        ctls.back()->start(adapt::surveyOfDefinedFunctions(graph));
-    }
-    const std::vector<RankRun> runs = runWorld(
-        [&](int rank) -> adapt::Controller& {
-            return *ctls[static_cast<std::size_t>(rank)];
-        },
-        true);
-
-    for (std::size_t r = 0; r < kRanks; ++r) {
-        for (std::size_t e = 0; e < kEpochs; ++e) {
-            const adapt::EpochReport& got = runs[r].reports[e];
-            const adapt::EpochReport& want = reference[e];
-            EXPECT_EQ(got.policyFingerprint, want.policyFingerprint)
-                << "rank " << r << " epoch " << e + 1;
-            EXPECT_EQ(got.measuredOverheadRatio, want.measuredOverheadRatio)
-                << "rank " << r << " epoch " << e + 1;
-            EXPECT_EQ(got.health, want.health)
-                << "rank " << r << " epoch " << e + 1;
-            EXPECT_EQ(got.killSwitchTripped, want.killSwitchTripped)
-                << "rank " << r << " epoch " << e + 1;
-            EXPECT_EQ(got.killSwitchRearmed, want.killSwitchRearmed)
-                << "rank " << r << " epoch " << e + 1;
-            // Every controller is in safe mode exactly while the world is.
-            EXPECT_EQ(runs[r].health[e] == adapt::EpochHealth::SafeMode,
-                      want.health == adapt::EpochHealth::SafeMode)
-                << "rank " << r << " epoch " << e + 1;
-        }
-        EXPECT_EQ(ctls[r]->currentPolicy().fingerprint(),
-                  shared.currentPolicy().fingerprint())
-            << "rank " << r;
-    }
+    EXPECT_EQ(report.epoch, 1u);
+    EXPECT_GT(report.patch.functionsUnpatched, 0u);
+    EXPECT_NE(report.policyFingerprint, 0u);
+    EXPECT_EQ(report.policyFingerprint, controller.currentPolicy().fingerprint());
+    // The ratio is the world's probe cost over the world's compute time
+    // plus that cost — not one rank's time, which would count it N times.
+    const double worldProbeNs =
+        static_cast<double>(measurement.probeEvents()) * options.perEventCostNs;
+    EXPECT_GT(worldProbeNs, 0.0);
+    EXPECT_DOUBLE_EQ(report.measuredOverheadRatio,
+                     worldProbeNs / (worldStats.virtualNs + worldProbeNs));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Fault-injection framework + self-healing tests: deterministic seed-driven
 // fault schedules, bounded jittered backoff, the transactional
-// patchDelta/patchDeltaTiered rollback property (sled and tier state is
+// patchDeltaTiered rollback property (sled and tier state is
 // never torn, every injected failure is reported exactly once), and the
 // adaptive controller's retry / revert-to-last-good / overhead-kill-switch
 // state machine, including a randomized fault-storm soak.

@@ -3,8 +3,9 @@
 // semantics (blocking stalls, trySend drop counting, close); CCT delta
 // extract/apply round trips; and the aggregation server's headline
 // property — the fleet path converges on policies and overhead numbers
-// bit-identical to a Controller::epochAllRanks reference run over the same
-// per-rank event streams, including a mid-fleet late joiner — plus a
+// bit-identical to one reference Controller planning over the rank-order
+// merge of the same per-rank event streams, including a mid-fleet late
+// joiner — adoptPolicy repatching a client that diverged, plus a
 // 1000-client drop-and-coalesce soak with exact drop accounting.
 #include <gtest/gtest.h>
 
@@ -738,7 +739,7 @@ void expectSameVisitsByName(const TotalsByName& expected,
     }
 }
 
-/// An adapt::Config variant the fleet == epochAllRanks property is pinned
+/// An adapt::Config variant the fleet == merged-reference property is pinned
 /// under, on top of the base knobs both property tests share. Both paths
 /// run the one adapt::Decider, so every knob must move them identically.
 struct FleetConfigCase {
@@ -802,13 +803,31 @@ std::pair<int, int> killSwitchTransitions(
     return transitions;
 }
 
+/// The reference a fleet epoch must equal: one controller's epoch() over the
+/// rank-order merge of every rank's tree, against the rank-order sum of
+/// their runtimes. A rank absent from the fleet contributes an empty tree
+/// and 0 ns.
+adapt::EpochReport mergedReferenceEpoch(
+    adapt::Controller& reference,
+    const std::vector<scorep::ProfileTree>& profiles,
+    const std::vector<double>& runtimesNs,
+    const scorep::Measurement& measurement) {
+    scorep::ProfileTree merged;
+    double worldRuntimeNs = 0.0;
+    for (std::size_t r = 0; r < profiles.size(); ++r) {
+        merged.mergeFrom(profiles[r]);
+        worldRuntimeNs += runtimesNs[r];
+    }
+    return reference.epoch(merged, measurement, worldRuntimeNs);
+}
+
 // The acceptance property: the same per-rank event streams driven once
-// through Controller::epochAllRanks (one shared controller, MPI-style
-// collectives) and once through the fleet path (one aggregator, per-process
-// controllers, wire deltas) converge on bit-identical policies, overhead
-// numbers and profiles every epoch — including a rank that joins the fleet
-// mid-run and catches up through the baseline protocol.
-void expectFleetMatchesEpochAllRanks(const FleetConfigCase& variant) {
+// through one shared reference controller (mergedReferenceEpoch) and once
+// through the fleet path (one aggregator, per-process controllers, wire
+// deltas) converge on bit-identical policies, overhead numbers and
+// profiles every epoch — including a rank that joins the fleet mid-run and
+// catches up through the baseline protocol.
+void expectFleetMatchesMergedReference(const FleetConfigCase& variant) {
     const binsim::AppModel model = syntheticModel();
     binsim::CompileOptions copts;
     copts.xrayThreshold.instructionThreshold = 1;
@@ -834,7 +853,7 @@ void expectFleetMatchesEpochAllRanks(const FleetConfigCase& variant) {
     constexpr int kJoinEpoch = 3;  // the last rank starts producing here
     constexpr int kEpochs = 4;
 
-    // --- reference: one shared controller, epochAllRanks collectives ------
+    // --- reference: one shared controller over the merged ranks ----------
     binsim::Process refProcess(compiled);
     dyncapi::DynCapi refDyn(refProcess);
     adapt::Controller reference(graph, refDyn, config);
@@ -844,41 +863,32 @@ void expectFleetMatchesEpochAllRanks(const FleetConfigCase& variant) {
     std::vector<std::map<std::string, std::uint32_t>> refVisits;
     TotalsByName refTotals;
     for (int epoch = 1; epoch <= kEpochs; ++epoch) {
-        // A fresh world per epoch: the synthetic app makes no MPI calls of
-        // its own, so each rank inits explicitly before the collective.
-        mpi::MpiWorld world(kRanks);
         scorep::Measurement measurement;
         scorep::CygProfileAdapter adapter(
             measurement,
             scorep::SymbolResolver::withSymbolInjection(refProcess));
         refDyn.attachCygHandler(adapter);
-        scorep::ProfileTree idleTree;
-        std::vector<adapt::EpochReport> reports(kRanks);
+        // One thread per rank, so each rank's events land in its own thread
+        // profile of the shared Measurement. The not-yet-joined producer
+        // keeps an empty profile and zero runtime, the reference-side
+        // stand-in for "absent from the fleet".
+        mpi::MpiWorld world(kRanks);
+        std::vector<scorep::ProfileTree> profiles(kRanks);
+        std::vector<double> runtimesNs(kRanks, 0.0);
         mpi::runRanks(world, [&](int rank) {
-            world.init(rank, 0.0);
             if (rank == kRanks - 1 && epoch < kJoinEpoch) {
-                // The not-yet-joined producer: participates in the
-                // collective with an empty profile and zero runtime, the
-                // reference-side stand-in for "absent from the fleet".
-                reports[rank] = reference.epochAllRanks(
-                    world, rank, 0.0, idleTree, measurement, 0.0);
                 return;
             }
             binsim::ExecutionEngine engine(refProcess);
             binsim::RunStats stats = engine.run();
-            const scorep::ProfileTree& local = measurement.threadProfile();
+            profiles[rank] = measurement.threadProfile();
             // Deterministic embedder-supplied runtime, distinct per rank so
             // the summation order matters to the bit-identity claim.
-            reports[rank] = reference.epochAllRanks(
-                world, rank, stats.virtualNs, local, measurement,
-                stats.virtualNs * (1.0 + rank));
+            runtimesNs[rank] = stats.virtualNs * (1.0 + rank);
         });
         refDyn.detachHandler();
-        for (int rank = 1; rank < kRanks; ++rank) {
-            ASSERT_EQ(reports[rank].policyFingerprint,
-                      reports[0].policyFingerprint);
-        }
-        refReports.push_back(reports[0]);
+        refReports.push_back(
+            mergedReferenceEpoch(reference, profiles, runtimesNs, measurement));
         refVisits.push_back(profiledVisitsByName(graph));
         const scorep::ProfileTree merged = measurement.mergedProfile();
         for (const auto& [handle, totals] : merged.regionTotals()) {
@@ -964,12 +974,12 @@ void expectFleetMatchesEpochAllRanks(const FleetConfigCase& variant) {
     }
 }
 
-TEST(FleetAggregation, MatchesEpochAllRanksBitForBit) {
-    expectFleetMatchesEpochAllRanks(kBaseConfigCase);
+TEST(FleetAggregation, MatchesMergedReferenceBitForBit) {
+    expectFleetMatchesMergedReference(kBaseConfigCase);
 }
 
-TEST_P(FleetAggregationConfigs, MatchesEpochAllRanksBitForBit) {
-    expectFleetMatchesEpochAllRanks(GetParam());
+TEST_P(FleetAggregationConfigs, MatchesMergedReferenceBitForBit) {
+    expectFleetMatchesMergedReference(GetParam());
 }
 
 /// Deterministic per-rank profile stream: a pure function of (rank, epoch),
@@ -1047,32 +1057,22 @@ void expectSyntheticStreamsAggregateBitIdentically(
     std::vector<std::map<std::string, std::uint32_t>> refVisits;
     TotalsByName refTotals;
     for (int epoch = 1; epoch <= kEpochs; ++epoch) {
-        mpi::MpiWorld world(kRanks);
         std::vector<scorep::ProfileTree> profiles(kRanks);
+        std::vector<double> runtimesNs(kRanks, 0.0);
         for (int r = 0; r < kRanks; ++r) {
             if (r == kRanks - 1 && epoch < kJoinEpoch) {
-                continue;  // absent from the fleet: empty profile
+                continue;  // absent from the fleet: empty profile, 0 ns
             }
             profiles[r] = syntheticRankProfile(refMeasurement, r, epoch);
+            runtimesNs[r] = runtimeOf(r, epoch);
             for (const auto& [handle, totals] : profiles[r].regionTotals()) {
                 auto& t = refTotals[refMeasurement.region(handle).name];
                 t.visits += totals.visits;
                 t.exclusiveNs += totals.exclusiveNs;
             }
         }
-        std::vector<adapt::EpochReport> reports(kRanks);
-        mpi::runRanks(world, [&](int rank) {
-            world.init(rank, 0.0);
-            const bool idle = rank == kRanks - 1 && epoch < kJoinEpoch;
-            reports[rank] = reference.epochAllRanks(
-                world, rank, 0.0, profiles[rank], refMeasurement,
-                idle ? 0.0 : runtimeOf(rank, epoch));
-        });
-        for (int rank = 1; rank < kRanks; ++rank) {
-            ASSERT_EQ(reports[rank].policyFingerprint,
-                      reports[0].policyFingerprint);
-        }
-        refReports.push_back(reports[0]);
+        refReports.push_back(mergedReferenceEpoch(reference, profiles,
+                                                  runtimesNs, refMeasurement));
         refVisits.push_back(profiledVisitsByName(graph));
     }
 
@@ -1159,6 +1159,97 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<FleetConfigCase>& info) {
         return std::string(info.param.name);
     });
+
+/// A main -> kernel -> noisy tree: one flat epoch of the synthetic model
+/// with `noisyVisits` visits to the cheap, chatty leaf.
+scorep::ProfileTree flatEpochProfile(scorep::Measurement& measurement,
+                                     std::uint64_t noisyVisits) {
+    scorep::ProfileTree tree;
+    const std::size_t nMain =
+        tree.childOf(tree.root(), measurement.defineRegion("main"));
+    const std::size_t nKernel =
+        tree.childOf(nMain, measurement.defineRegion("kernel"));
+    const std::size_t nNoisy =
+        tree.childOf(nKernel, measurement.defineRegion("noisy"));
+    tree.node(nMain).visits = 1;
+    tree.node(nMain).inclusiveNs = 4'400'000;
+    tree.node(nKernel).visits = 4;
+    tree.node(nKernel).inclusiveNs = 4'200'000;
+    tree.node(nNoisy).visits = noisyVisits;
+    tree.node(nNoisy).inclusiveNs = 200'000;
+    return tree;
+}
+
+// Two controller-attached clients, one skewed off the fleet's policy by a
+// private Controller::epoch. The next fleet epoch must leave BOTH processes
+// patched to the converged policy — fingerprint agreement alone is not
+// enough — and the skewed client's report must say which region diverged.
+TEST(FleetAggregation, AdoptPolicyRepatchesSkewedClientToConvergedPolicy) {
+    const binsim::AppModel model = syntheticModel();
+    binsim::CompileOptions copts;
+    copts.xrayThreshold.instructionThreshold = 1;
+    const binsim::CompiledProgram compiled = binsim::compile(model, copts);
+    cg::MetaCgBuilder builder;
+    const cg::CallGraph graph = builder.build(model.toSourceModel());
+
+    adapt::Config config;
+    config.budgetFraction = 0.05;
+    config.perEventCostNs = 100.0;
+    config.maxEpochs = 10;
+    const select::InstrumentationConfig survey =
+        adapt::surveyOfDefinedFunctions(graph);
+    fleet::AggregatorOptions aggOptions;
+    aggOptions.config = config;
+    fleet::Aggregator aggregator(graph, survey, aggOptions);
+    FleetRank steady(compiled, graph, config, survey, aggregator);
+    FleetRank skewed(compiled, graph, config, survey, aggregator);
+
+    // Skew: a private epoch whose profile blows the budget (20005 visits x
+    // 2 events x 100 ns over 1e7 ns = 40%) evicts noisy on one controller
+    // only, while the fleet still runs the survey.
+    {
+        scorep::Measurement m;
+        skewed.controller.epoch(flatEpochProfile(m, 20000), m, 1e7);
+    }
+    ASSERT_FALSE(skewed.controller.currentIc().contains("noisy"));
+    ASSERT_NE(steady.controller.currentPolicy().fingerprint(),
+              skewed.controller.currentPolicy().fingerprint());
+
+    // A quiet fleet epoch: well inside the budget, so the converged policy
+    // keeps noisy instrumented.
+    for (FleetRank* rank : {&steady, &skewed}) {
+        scorep::Measurement m;
+        ASSERT_EQ(rank->client->sendEpoch(flatEpochProfile(m, 20), m, 1e7),
+                  fleet::SendResult::Ok);
+    }
+    while (aggregator.epochsCompleted() < 1) {
+        ASSERT_TRUE(aggregator.pump()) << "fleet epoch stalled";
+    }
+    steady.client->awaitPolicy();
+    const adapt::EpochReport report = skewed.client->awaitPolicy();
+
+    // The diagnosis names the region the skewed controller had dropped.
+    const std::vector<std::string>& readmitted = report.divergence.added;
+    EXPECT_NE(std::find(readmitted.begin(), readmitted.end(), "noisy"),
+              readmitted.end());
+    const std::uint64_t converged = aggregator.convergedFingerprint();
+    EXPECT_EQ(report.policyFingerprint, converged);
+    for (FleetRank* rank : {&steady, &skewed}) {
+        // Every controller adopted the converged policy...
+        EXPECT_EQ(rank->controller.currentPolicy().fingerprint(), converged);
+        EXPECT_TRUE(rank->controller.currentIc().contains("noisy"));
+        // ...and actually re-applied it: the cached policy matches the live
+        // sled state exactly (a re-apply is a complete no-op).
+        const dyncapi::DeltaStats noop =
+            rank->dyn.applyPolicyDelta(rank->controller.currentPolicy());
+        EXPECT_EQ(noop.pagesTouched, 0u);
+        EXPECT_EQ(noop.functionsPatched, 0u);
+        EXPECT_EQ(noop.functionsUnpatched, 0u);
+    }
+    // Both processes left the epoch patched identically, tier tags included.
+    EXPECT_EQ(steady.process.xray().patchedFunctionTiers(),
+              skewed.process.xray().patchedFunctionTiers());
+}
 
 /// Headless-client fixtures for the protocol and soak tests.
 cg::CallGraph tinyGraph() {

@@ -140,10 +140,10 @@ std::string readFile(const std::string& path) {
     return buffer.str();
 }
 
-/// Parses a count flag's value: a plain decimal number no larger than `max`.
+/// Parses a count flag's value: a plain decimal number in [min, max].
 /// std::stoul alone accepts "-1" (wraps) and "4abc", and a later narrowing
 /// cast would wrap an oversized value silently.
-std::size_t parseCount(const std::string& value,
+std::size_t parseCount(const std::string& value, std::size_t min = 0,
                        std::size_t max = std::numeric_limits<std::size_t>::max()) {
     if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
         throw capi::support::Error("expected a non-negative number, got '" +
@@ -157,6 +157,10 @@ std::size_t parseCount(const std::string& value,
                                        std::to_string(max));
         }
         count = count * 10 + digit;
+    }
+    if (count < min) {
+        throw capi::support::Error("'" + value + "' is below the minimum " +
+                                   std::to_string(min));
     }
     return count;
 }
@@ -260,14 +264,16 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
             else if (arg == "--gate-cost-ns")
                 config.gateCostNs = std::stod(next());
             else if (arg == "--sampled-n") {
+                // N = 1 records every visit and N = 0 none: only N >= 2
+                // samples.
                 config.enableSampledTier = true;
-                config.sampledEveryN = static_cast<std::uint32_t>(
-                    parseCount(next(), std::numeric_limits<std::uint32_t>::max()));
+                config.sampledEveryN = static_cast<std::uint32_t>(parseCount(
+                    next(), 2, std::numeric_limits<std::uint32_t>::max()));
             }
-            else if (arg == "--ranks")
-                ranks = std::max<std::size_t>(1, parseCount(next()));
+            else if (arg == "--ranks") ranks = parseCount(next(), 1);
             else if (arg == "--keep") config.keep.push_back(next());
-            else if (arg == "--threads") threads = parseCount(next(), kMaxThreads);
+            else if (arg == "--threads")
+                threads = parseCount(next(), 0, kMaxThreads);
             else if (arg == "--output") outputPath = next();
             else if (arg == "--flame" && mode == AdaptMode::Trace)
                 flamePath = next();
@@ -351,35 +357,32 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
         scorep::CygProfileAdapter adapter(
             measurement, scorep::SymbolResolver::withSymbolInjection(process));
         dyn.attachCygHandler(adapter);
-        adapt::EpochReport report;
+        binsim::RunStats stats;
         if (ranks == 1) {
-            binsim::ExecutionEngine engine(process);
-            binsim::RunStats stats = engine.run();
-            dyn.detachHandler();
-            report = controller.epoch(
-                measurement.mergedProfile(), measurement,
-                adapt::virtualEpochRuntimeNs(stats, measurement,
-                                             config.perEventCostNs,
-                                             config.gateCostNs));
+            stats = binsim::ExecutionEngine(process).run();
         } else {
-            // MPI shape: every rank measures locally; epochAllRanks merges
-            // the trees, plans once and reports per-rank policy divergence.
+            // MPI shape: every rank measures into the one Measurement; the
+            // world's compute time is the ranks' virtualNs summed in rank
+            // order, so the world's probe cost is charged once against it.
             mpi::MpiWorld world(static_cast<int>(ranks));
             dyncapi::WorldMpiPort port(world);
+            std::vector<double> rankNs(ranks, 0.0);
             mpi::runRanks(world, [&](int rank) {
                 binsim::ExecutionEngine engine(process);
                 engine.setMpiPort(&port);
-                binsim::RunStats stats =
-                    engine.run(rank, static_cast<int>(ranks));
-                report = controller.epochAllRanks(
-                    world, rank, stats.virtualNs, measurement.threadProfile(),
-                    measurement,
-                    adapt::virtualEpochRuntimeNs(stats, measurement,
-                                                 config.perEventCostNs,
-                                                 config.gateCostNs));
+                rankNs[static_cast<std::size_t>(rank)] =
+                    engine.run(rank, static_cast<int>(ranks)).virtualNs;
             });
-            dyn.detachHandler();
+            for (double ns : rankNs) {
+                stats.virtualNs += ns;
+            }
         }
+        dyn.detachHandler();
+        const adapt::EpochReport report = controller.epoch(
+            measurement.mergedProfile(), measurement,
+            adapt::virtualEpochRuntimeNs(stats, measurement,
+                                         config.perEventCostNs,
+                                         config.gateCostNs));
         if (mode == AdaptMode::Trace && !flamePath.empty()) {
             // Re-rendered every epoch so the export reflects the LAST one
             // (the converged instrumentation set), while the Measurement is
@@ -397,22 +400,13 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
                     static_cast<unsigned long long>(report.patch.pagesTouched),
                     report.withinBudget ? " [in budget]" : "");
         if (printStats) {
-            // Per-tier distribution of the freshly planned policy, the
-            // tier-only transitions the delta carried, and — on multi-rank
-            // epochs — whether any rank entered the epoch on a diverged
-            // policy (always 0 unless a rank missed a repatch).
+            // Per-tier distribution of the freshly planned policy and the
+            // tier-only transitions the delta carried.
             std::printf("  tiers: %zu full, %zu sampled (%zu promoted, %zu "
-                        "demoted); policy %016llx; divergent ranks %zu/%zu\n",
+                        "demoted); policy %016llx\n",
                         report.fullRegions, report.sampledRegions,
                         report.promotedFunctions, report.demotedFunctions,
-                        static_cast<unsigned long long>(report.policyFingerprint),
-                        report.divergentRanks, ranks);
-            if (!report.divergence.empty()) {
-                // The region-level diagnosis behind the divergent-rank
-                // count: what the diverged policy actually differed in.
-                std::printf("  divergence: %s\n",
-                            policyDeltaSummary(report.divergence).c_str());
-            }
+                        static_cast<unsigned long long>(report.policyFingerprint));
             // The self-healing loop's epoch verdict: state machine position,
             // what it took to get the patch in, and any kill-switch motion.
             const adapt::HealthStats& health = controller.healthStats();
@@ -832,7 +826,7 @@ int main(int argc, char** argv) {
         else if (arg == "--no-inline-compensation") args.inlineCompensation = false;
         else if (arg == "--threads") {
             try {
-                args.threads = parseCount(next(), kMaxThreads);
+                args.threads = parseCount(next(), 0, kMaxThreads);
             } catch (const std::exception& e) {
                 std::fprintf(stderr, "capi_tool: bad value for --threads: %s\n",
                              e.what());
