@@ -1160,6 +1160,163 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.name);
     });
 
+/// One rank's epoch over main, kernel, noisy and the library symbols memcpy
+/// and memset, which lie outside the call graph (and so outside the survey):
+/// a call chain in `order`, each region's exclusive time its own whatever
+/// its depth. Regions are defined on `measurement` in `order` and a chain
+/// has one node order, so two callers can give the same regions different
+/// handles and ship their definitions in different orders; visit counts and
+/// exclusive times do not depend on `order`.
+scorep::ProfileTree orderedRankProfile(scorep::Measurement& measurement,
+                                       const std::vector<std::string>& order,
+                                       int rank, int epoch) {
+    support::SplitMix64 rng(0xD15EA5Eull ^
+                            (static_cast<std::uint64_t>(rank) << 32) ^
+                            static_cast<std::uint64_t>(epoch));
+    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> draws;
+    draws["main"] = {1, 900'000 + rng.nextBelow(1000)};
+    draws["kernel"] = {3 + rng.nextBelow(5), 8'000'000 + rng.nextBelow(10'000)};
+    draws["noisy"] = {7'000 + rng.nextBelow(3'001), 400'000 + rng.nextBelow(10'000)};
+    draws["memcpy"] = {5'000 + rng.nextBelow(2'003), 300'000 + rng.nextBelow(10'000)};
+    draws["memset"] = {2'000 + rng.nextBelow(997), 100'000 + rng.nextBelow(1'000)};
+    scorep::ProfileTree tree;
+    std::uint64_t belowNs = 0;  // inclusive time of the rest of the chain
+    for (const std::string& name : order) {
+        belowNs += draws.at(name).second;
+    }
+    std::size_t node = tree.root();
+    for (const std::string& name : order) {
+        node = tree.childOf(node, measurement.defineRegion(name));
+        tree.node(node).visits = draws.at(name).first;
+        tree.node(node).inclusiveNs = belowNs;
+        belowNs -= draws.at(name).second;
+    }
+    return tree;
+}
+
+// Two properties of the observation fold, pinned on byte-identical streams:
+// (a) a fleet whose first sender defines its regions in the opposite order
+// from the reference Measurement (so the fleet numbers its regions, and
+// first sees the off-graph ones, in the opposite order) still decides bit
+// for bit like the merged reference, under a per-event cost whose products
+// do not sum exactly; (b) regions
+// outside the graph, which no plan can name, still bill their probes into
+// the measured probe cost.
+TEST(FleetAggregation, RegionDefinitionOrderAndOffGraphRegionsKeepTheDecision) {
+    const binsim::AppModel model = syntheticModel();
+    binsim::CompileOptions copts;
+    copts.xrayThreshold.instructionThreshold = 1;
+    const binsim::CompiledProgram compiled = binsim::compile(model, copts);
+    cg::MetaCgBuilder builder;
+    const cg::CallGraph graph = builder.build(model.toSourceModel());
+    ASSERT_EQ(graph.lookup("memcpy"), cg::kInvalidFunction);
+    ASSERT_EQ(graph.lookup("memset"), cg::kInvalidFunction);
+
+    adapt::Config config;
+    config.budgetFraction = 0.05;
+    config.maxEpochs = 10;
+    config.perEventCostNs = 97.31;
+    const select::InstrumentationConfig survey =
+        adapt::surveyOfDefinedFunctions(graph);
+
+    const std::vector<std::string> forward = {"main", "kernel", "noisy",
+                                              "memcpy", "memset"};
+    const std::vector<std::string> reversed(forward.rbegin(), forward.rend());
+    constexpr int kRanks = 2;
+    constexpr int kEpochs = 4;
+    auto runtimeOf = [](int rank, int epoch) {
+        return 3.3e7 * (1.0 + rank) + 1.7e5 * epoch;
+    };
+
+    // --- reference: one controller, one Measurement in forward order -------
+    binsim::Process refProcess(compiled);
+    dyncapi::DynCapi refDyn(refProcess);
+    adapt::Controller reference(graph, refDyn, config);
+    reference.start(survey);
+    scorep::Measurement refMeasurement;
+    std::vector<adapt::EpochReport> refReports;
+    TotalsByName refTotals;
+    for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+        std::vector<scorep::ProfileTree> profiles(kRanks);
+        std::vector<double> runtimesNs(kRanks);
+        std::uint64_t visits = 0;
+        std::uint64_t offGraphVisits = 0;
+        for (int r = 0; r < kRanks; ++r) {
+            profiles[r] = orderedRankProfile(refMeasurement, forward, r, epoch);
+            runtimesNs[r] = runtimeOf(r, epoch);
+            for (const auto& [handle, totals] : profiles[r].regionTotals()) {
+                const std::string& name = refMeasurement.region(handle).name;
+                auto& t = refTotals[name];
+                t.visits += totals.visits;
+                t.exclusiveNs += totals.exclusiveNs;
+                visits += totals.visits;
+                if (graph.lookup(name) == cg::kInvalidFunction) {
+                    offGraphVisits += totals.visits;
+                }
+            }
+        }
+        refReports.push_back(mergedReferenceEpoch(reference, profiles,
+                                                  runtimesNs, refMeasurement));
+        // (b): every recorded visit pays two probe events, off-graph ones
+        // included — and the off-graph share is far above rounding noise.
+        const double expectedCostNs =
+            static_cast<double>(visits) * 2.0 * config.perEventCostNs;
+        EXPECT_NEAR(refReports.back().measuredProbeCostNs, expectedCostNs,
+                    expectedCostNs * 1e-12)
+            << "epoch " << epoch;
+        EXPECT_GT(static_cast<double>(offGraphVisits) * 2.0 *
+                      config.perEventCostNs,
+                  expectedCostNs * 0.1)
+            << "epoch " << epoch;
+    }
+    // The budget must bite, so the plans carry information.
+    EXPECT_FALSE(refReports.front().withinBudget);
+
+    // --- fleet: client 1 defines in reverse order and sends first ----------
+    fleet::AggregatorOptions aggOptions;
+    aggOptions.config = config;
+    fleet::Aggregator aggregator(graph, survey, aggOptions);
+    std::vector<std::unique_ptr<scorep::Measurement>> measurements;
+    std::vector<std::unique_ptr<fleet::FleetClient>> clients;
+    for (int r = 0; r < kRanks; ++r) {
+        measurements.push_back(std::make_unique<scorep::Measurement>());
+        clients.push_back(std::make_unique<fleet::FleetClient>(aggregator));
+    }
+    for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+        for (int r = kRanks - 1; r >= 0; --r) {
+            ASSERT_EQ(clients[r]->sendEpoch(
+                          orderedRankProfile(*measurements[r],
+                                             r == 0 ? forward : reversed, r,
+                                             epoch),
+                          *measurements[r], runtimeOf(r, epoch)),
+                      fleet::SendResult::Ok);
+        }
+        while (aggregator.epochsCompleted() <
+               static_cast<std::uint64_t>(epoch)) {
+            ASSERT_TRUE(aggregator.pump()) << "fleet epoch " << epoch
+                                           << " stalled";
+        }
+        const adapt::EpochReport& expected =
+            refReports[static_cast<std::size_t>(epoch) - 1];
+        for (int r = 0; r < kRanks; ++r) {
+            const adapt::EpochReport report = clients[r]->awaitPolicy();
+            EXPECT_EQ(report.policyFingerprint, expected.policyFingerprint)
+                << "epoch " << epoch << " rank " << r;
+            EXPECT_EQ(report.measuredOverheadRatio,
+                      expected.measuredOverheadRatio)
+                << "epoch " << epoch << " rank " << r;
+            EXPECT_EQ(report.budgetNs, expected.budgetNs)
+                << "epoch " << epoch << " rank " << r;
+            EXPECT_EQ(report.withinBudget, expected.withinBudget)
+                << "epoch " << epoch << " rank " << r;
+        }
+    }
+    EXPECT_EQ(aggregator.convergedFingerprint(),
+              refReports.back().policyFingerprint);
+    expectSameTotalsByName(refTotals, aggregator.totalsByName());
+    EXPECT_EQ(aggregator.stats().divergentClients, 0u);
+}
+
 /// A main -> kernel -> noisy tree: one flat epoch of the synthetic model
 /// with `noisyVisits` visits to the cheap, chatty leaf.
 scorep::ProfileTree flatEpochProfile(scorep::Measurement& measurement,
