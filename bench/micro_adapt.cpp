@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "adapt/budget_planner.hpp"
 #include "adapt/overhead_model.hpp"
@@ -91,27 +92,23 @@ BENCHMARK(BM_DeltaRepatch)->Args({5000, 16})->Args({5000, 256});
 /// Planner fixture per graph size: candidate = every node, model populated
 /// with deterministic synthetic estimates.
 struct PlannerFixture {
-    std::unique_ptr<scorep::Measurement> measurement;
     adapt::OverheadModel model;
     select::InstrumentationConfig candidate;
 
     explicit PlannerFixture(const cg::CallGraph& graph)
-        : measurement(std::make_unique<scorep::Measurement>()),
-          model([] {
+        : model([] {
               adapt::Config options;
               options.perEventCostNs = 100.0;
               return options;
           }()) {
-        scorep::ProfileTree tree;
+        std::vector<adapt::RegionObservation> observed;
         for (cg::FunctionId id = 0; id < graph.size(); ++id) {
             const std::string& name = graph.name(id);
             candidate.addFunction(name);
-            scorep::RegionHandle handle = measurement->defineRegion(name);
-            std::size_t node = tree.childOf(tree.root(), handle);
-            tree.node(node).visits = (id * 7919u) % 3000u;
-            tree.node(node).inclusiveNs = (id * 104729u) % 1000000u;
+            observed.push_back({model.regionId(name), (id * 7919u) % 3000u,
+                                (id * 104729u) % 1000000u, 0});
         }
-        model.observeEpoch(tree, *measurement, 1e10);
+        model.observeEpoch(observed, 1e10);
     }
 };
 

@@ -157,8 +157,7 @@ PlanResult BudgetPlanner::plan(const select::InstrumentationConfig& candidate,
     // Emit the policy with its regions in sorted order (the parallel-vector
     // invariant), then project the binary patch set from it.
     const select::SamplingSpec sampledSpec{
-        std::max<std::uint32_t>(config.sampledEveryN, 1),
-        config.sampledMinIntervalNs};
+        std::max<std::uint32_t>(config.sampledEveryN, 1), 0};
     std::vector<std::pair<std::string_view, bool>> included;  // name, sampled
     included.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {

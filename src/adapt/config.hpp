@@ -59,9 +59,6 @@ struct Config {
     /// Decimation factor for demoted regions: one visit in N is timed, the
     /// other N-1 pay only gateCostNs each and are counted for extrapolation.
     std::uint32_t sampledEveryN = 64;
-    /// Optional rate cap for demoted regions (0 = none): admitted samples
-    /// are additionally spaced at least this many ns apart.
-    std::uint64_t sampledMinIntervalNs = 0;
 
     // --- controller --------------------------------------------------------
     /// Epoch cap for run() convenience loops (the controller itself keeps
@@ -81,10 +78,9 @@ struct Config {
     // --- self-healing ------------------------------------------------------
     /// Attempts to re-apply a failed policy patch within one epoch before
     /// reverting to the last known-good policy. Each retry waits one
-    /// retryBackoff delay (deterministic under retrySeed).
+    /// retryBackoff delay (jitter seeded with 0, so deterministic).
     std::size_t patchRetries = 3;
     support::BackoffOptions retryBackoff{};
-    std::uint64_t retrySeed = 0;
     /// Overhead kill-switch: when the measured overhead ratio exceeds
     /// budgetFraction * killSwitchFactor for killSwitchEpochs consecutive
     /// epochs, the Decider trips into safe mode (minimal keep-only

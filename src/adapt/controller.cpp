@@ -137,8 +137,8 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
     obs::ScopedSpan epochSpan(spans.epoch, obs::SpanCategory::Epoch);
     epochSpan.setArg(lastReport_.epoch + 1);
 
-    Decision decision = decider_.decide(
-        decider_.observationsOf(profile.regionTotals(), measurement), runtimeNs);
+    Decision decision =
+        decider_.decide(observe(profile, measurement), runtimeNs);
 
     EpochReport report;
     static_cast<DecisionSummary&>(report) = decision;
@@ -213,6 +213,46 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
     return report;
 }
 
+std::vector<RegionObservation> Controller::observe(
+    const scorep::ProfileTree& profile,
+    const scorep::Measurement& measurement) {
+    constexpr RegionId kUnmapped = ~RegionId{0};
+    if (measurement.instanceId() != regionIdsOf_) {
+        regionIds_.clear();
+        regionIdsOf_ = measurement.instanceId();
+    }
+    regionIds_.resize(measurement.regionCount(), kUnmapped);
+    auto idOf = [&](scorep::RegionHandle handle) {
+        RegionId& id = regionIds_.at(handle);
+        if (id == kUnmapped) {
+            id = decider_.regionId(measurement.region(handle).name);
+        }
+        return id;
+    };
+    // Handles are 1:1 with names within one Measurement: one slot per
+    // handle, kUnmapped where the epoch left the region untouched.
+    std::vector<RegionObservation> byHandle(regionIds_.size(), {kUnmapped});
+    for (const auto& [handle, totals] : profile.regionTotals()) {
+        byHandle[handle] = {idOf(handle), totals.visits, totals.exclusiveNs, 0};
+    }
+    // Sampled regions report their skipped visits through the gate's
+    // cumulative per-thread suppression counters, which the model
+    // differences per epoch. A region whose samples were all suppressed
+    // still lands in the fold with zero recorded visits.
+    for (const auto& [handle, count] : measurement.suppressedVisits()) {
+        const RegionId id = idOf(handle);
+        if (const std::uint64_t delta =
+                decider_.suppressedDelta(regionIdsOf_, id, count)) {
+            byHandle[handle].region = id;
+            byHandle[handle].suppressed = delta;
+        }
+    }
+    std::erase_if(byHandle, [](const RegionObservation& obs) {
+        return obs.region == kUnmapped;
+    });
+    return byHandle;
+}
+
 void Controller::publish() {
     std::lock_guard<std::mutex> lock(obsMutex_);
     obsHealth_ = healthStats_;
@@ -222,7 +262,7 @@ void Controller::publish() {
 bool Controller::applyWithRetry(const select::InstrumentationPolicy& target,
                                 EpochReport& report) {
     const Config& config = decider_.config();
-    support::Backoff backoff(config.retryBackoff, config.retrySeed);
+    support::Backoff backoff(config.retryBackoff, /*seed=*/0);
     for (std::size_t attempt = 0; attempt <= config.patchRetries; ++attempt) {
         try {
             report.patch = dyn_->applyPolicyDelta(target);
@@ -284,13 +324,6 @@ select::InstrumentationConfig surveyOfDefinedFunctions(
         }
     }
     return ic;
-}
-
-double virtualEpochRuntimeNs(const binsim::RunStats& stats,
-                             const scorep::Measurement& measurement,
-                             double perEventCostNs) {
-    return virtualEpochRuntimeNs(stats, measurement, perEventCostNs,
-                                 perEventCostNs);
 }
 
 double virtualEpochRuntimeNs(const binsim::RunStats& stats,

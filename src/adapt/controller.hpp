@@ -101,9 +101,10 @@ public:
     /// Installs a ready-made survey IC via full applyIc.
     dyncapi::InitStats start(select::InstrumentationConfig surveyIc);
 
-    /// One epoch: converts the measured profile into name-keyed
-    /// observations, lets the Decider fold them and re-plan over the survey
-    /// candidates under the budget, and delta-patches the result.
+    /// One epoch: turns the measured profile into observations keyed by the
+    /// Decider's region ids (through a handle -> id vector kept per
+    /// Measurement instance), lets the Decider fold them and re-plan over
+    /// the survey candidates under the budget, and delta-patches the result.
     /// `runtimeNs` is the epoch's runtime in the same time base as the
     /// model's perEventCostNs (wall or virtual — consistency is what
     /// matters).
@@ -143,6 +144,12 @@ public:
     dyncapi::RefinementSession& session() { return *session_; }
 
 private:
+    /// The epoch's observations: one per region handle of `measurement`
+    /// that `profile` recorded or whose gate suppressed visits this epoch.
+    std::vector<RegionObservation> observe(
+        const scorep::ProfileTree& profile,
+        const scorep::Measurement& measurement);
+
     /// Applies `target` with up to Config::patchRetries backoff-spaced
     /// re-applies on PatchError. Returns true and fills report.patch on
     /// success; false once the attempts are exhausted.
@@ -157,6 +164,10 @@ private:
     Decider decider_;
     std::unique_ptr<dyncapi::RefinementSession> session_;
     EpochReport lastReport_;
+    /// Measurement handle -> Decider region id, for the instance
+    /// regionIdsOf_ names; rebuilt lazily when the instance changes.
+    std::vector<RegionId> regionIds_;
+    std::uint64_t regionIdsOf_ = 0;
 
     /// A patch needed retries or reverted (or the kill-switch just
     /// re-armed); a clean epoch clears it.
@@ -179,16 +190,11 @@ select::InstrumentationConfig surveyOfDefinedFunctions(const cg::CallGraph& grap
 /// Epoch runtime for virtual-clock embedders: the engine's virtual time
 /// excludes probe cost, so add the modelled cost back to get the total a
 /// wall clock would have seen (wall-clock embedders pass elapsed time).
-/// This overload charges every probe event at the full rate — correct for
-/// binary (Full/Off) instrumentation, pessimistic under sampling gates.
-double virtualEpochRuntimeNs(const binsim::RunStats& stats,
-                             const scorep::Measurement& measurement,
-                             double perEventCostNs);
-
-/// Gate-aware variant for tiered policies: events whose visit the sampling
-/// gate suppressed cost a counter decrement, not a full probe, so they are
-/// charged at gateCostNs. Without this split the virtual clock would hide
-/// exactly the savings the Sampled tier exists to buy.
+/// Events whose visit the sampling gate suppressed cost a counter
+/// decrement, not a full probe, so they are charged at gateCostNs; without
+/// this split the virtual clock would hide exactly the savings the Sampled
+/// tier exists to buy. Binary (Full/Off) instrumentation passes the
+/// per-event cost for both.
 double virtualEpochRuntimeNs(const binsim::RunStats& stats,
                              const scorep::Measurement& measurement,
                              double perEventCostNs, double gateCostNs);

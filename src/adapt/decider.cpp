@@ -16,10 +16,14 @@ Decider::Decider(const cg::CallGraph& graph, Config config, DeciderSpans spans)
 
 void Decider::start(select::InstrumentationConfig surveyIc) {
     surveyIc_ = std::move(surveyIc);
+    for (const std::string& name : surveyIc_.functions) {
+        model_.regionId(name);
+    }
     adopt(select::InstrumentationPolicy::fullOf(surveyIc_), surveyIc_);
 }
 
-Decision Decider::decide(const Observations& observed, double runtimeNs) {
+Decision Decider::decide(std::span<const RegionObservation> observed,
+                         double runtimeNs) {
     Decision decision;
     std::optional<obs::ScopedSpan> span;
     if (spans_.model) {
@@ -114,7 +118,8 @@ void Decider::advanceKillSwitch(Decision& decision) {
     }
 }
 
-void Decider::foldVisitMetrics(const Observations& observed) const {
+void Decider::foldVisitMetrics(
+    std::span<const RegionObservation> observed) const {
     if (config_.foldVisitMetricsInto == nullptr) {
         return;
     }
@@ -123,13 +128,13 @@ void Decider::foldVisitMetrics(const Observations& observed) const {
     // dirtied, so a following re-selection patches its CSR snapshot and
     // keeps every cached stage that reads no metrics of the touched nodes.
     cg::CallGraph& graph = *config_.foldVisitMetricsInto;
-    for (const auto& [name, obs] : observed) {
-        cg::FunctionId id = graph.lookup(name);
+    for (const RegionObservation& obs : observed) {
+        cg::FunctionId id = graph.lookup(model_.regionName(obs.region));
         if (id == cg::kInvalidFunction || !graph.alive(id)) {
             continue;
         }
         const auto visits = static_cast<std::uint32_t>(
-            std::min<double>(obs.visits, static_cast<double>(UINT32_MAX)));
+            std::min<std::uint64_t>(obs.visits, UINT32_MAX));
         if (graph.desc(id).metrics.profiledVisits != visits) {
             graph.touchMetrics(id, [visits](cg::FunctionMetrics& metrics) {
                 metrics.profiledVisits = visits;

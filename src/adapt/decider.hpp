@@ -1,6 +1,6 @@
 // The adaptive decision, defined once. The in-process Controller and the
-// fleet Aggregator both turn an epoch's name-keyed observations into the
-// next policy through decide(): model fold (+ self-cost bill, + metric
+// fleet Aggregator both turn an epoch's observations into the next policy
+// through decide(): model fold (+ self-cost bill, + metric
 // fold) -> kill-switch -> BudgetPlanner or the keep-only safe-mode policy.
 // The controller patches the Decision, the aggregator broadcasts it; that
 // the decision is the same is what makes a fleet run bit-identical to one
@@ -10,11 +10,16 @@
 // (the controller only after the patch lands), because the next epoch is
 // measured under the policy in force and the model's decay/freeze
 // semantics key off it.
+//
+// Observations are keyed by the model's dense RegionId (overhead_model.hpp).
+// Each owner resolves a region's name to its id once, through regionId(),
+// when the region first appears — the Controller per Measurement handle,
+// the Aggregator per fleet handle — so no epoch re-keys regions by name.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "adapt/budget_planner.hpp"
@@ -70,8 +75,6 @@ struct DeciderSpans {
 
 class Decider {
 public:
-    using Observations = std::map<std::string, OverheadModel::RegionObservation>;
-
     /// `graph` must outlive the decider (the planner's SCC grouping).
     Decider(const cg::CallGraph& graph, Config config, DeciderSpans spans = {});
 
@@ -80,15 +83,28 @@ public:
 
     /// Installs the survey IC every epoch replans over, and the survey at
     /// Full as the policy in force (the model needs unsampled ground truth
-    /// before the planner may demote anything).
+    /// before the planner may demote anything). Seeds the model's region
+    /// ids with the survey, in survey order.
     void start(select::InstrumentationConfig surveyIc);
+
+    /// The model's id for region `name`, interned on first sight. Owners
+    /// call this once per region and keep the id.
+    RegionId regionId(const std::string& name) { return model_.regionId(name); }
+    /// See OverheadModel::suppressedDelta.
+    std::uint64_t suppressedDelta(std::uint64_t measurementId, RegionId region,
+                                  std::uint64_t cumulative) {
+        return model_.suppressedDelta(measurementId, region, cumulative);
+    }
 
     /// Folds one epoch's observations (measured under policy()) into the
     /// model, bills the recorder events since the last call, folds visit
     /// counts into Config::foldVisitMetricsInto, advances the kill-switch,
     /// and plans the next policy — or, in safe mode, returns the keep-only
-    /// fallback, whose cost does not depend on the model at all.
-    Decision decide(const Observations& observed, double runtimeNs);
+    /// fallback, whose cost does not depend on the model at all. Each region
+    /// appears in `observed` at most once; regions absent from it did not
+    /// run (or were not instrumented — see OverheadModel).
+    Decision decide(std::span<const RegionObservation> observed,
+                    double runtimeNs);
 
     /// Makes `policy` (with its patch set `ic`) the policy in force.
     void adopt(select::InstrumentationPolicy policy,
@@ -100,15 +116,6 @@ public:
     void enterSafeMode() { safeMode_ = true; }
     /// The keep-list-only policy safe mode runs under.
     select::InstrumentationPolicy safeModePolicy() const;
-
-    /// The handle-keyed -> name-keyed conversion in-process owners feed
-    /// decide() with (see OverheadModel::observationsOf).
-    Observations observationsOf(
-        const std::unordered_map<scorep::RegionHandle,
-                                 scorep::ProfileTree::RegionTotals>& regionTotals,
-        const scorep::Measurement& measurement) {
-        return model_.observationsOf(regionTotals, measurement);
-    }
 
     /// A restored decider fed the same observations decides bit-identically
     /// to an uninterrupted twin; self-cost billing restarts from the
@@ -124,7 +131,7 @@ public:
 
 private:
     void advanceKillSwitch(Decision& decision);
-    void foldVisitMetrics(const Observations& observed) const;
+    void foldVisitMetrics(std::span<const RegionObservation> observed) const;
 
     Config config_;
     DeciderSpans spans_;

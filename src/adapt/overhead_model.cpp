@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace capi::adapt {
 
@@ -11,118 +12,93 @@ double ewma(double previous, double observed, double alpha, bool first) {
     return first ? observed : alpha * observed + (1.0 - alpha) * previous;
 }
 
+/// Folds one epoch of a region into its estimate, extrapolated to what a
+/// Full epoch would have measured: the visit count is exact (every
+/// suppression was counted); the exclusive time scales the recorded sample
+/// by the decimation factor. An epoch with suppressions but no recorded
+/// sample carries no time information — visits update, exclusiveNs stays
+/// frozen at the last estimate. All zeros is a region that did not run.
+void fold(RegionEstimate& estimate, double visits, double exclusiveNs,
+          double suppressed, double alpha) {
+    const double trueVisits = visits + suppressed;
+    const double factor = visits > 0.0 ? trueVisits / visits : 1.0;
+    const bool first = estimate.epochsObserved == 0;
+    estimate.visits = ewma(estimate.visits, trueVisits, alpha, first);
+    if (visits > 0.0 || suppressed == 0.0) {
+        estimate.exclusiveNs =
+            ewma(estimate.exclusiveNs, exclusiveNs * factor, alpha, first);
+    }
+    estimate.samplingFactor = ewma(estimate.samplingFactor, factor, alpha, first);
+    ++estimate.epochsObserved;
+}
+
 }  // namespace
 
-void OverheadModel::observeEpoch(const scorep::ProfileTree& profile,
-                                 const scorep::Measurement& measurement,
+RegionId OverheadModel::regionId(const std::string& name) {
+    auto [it, inserted] =
+        ids_.try_emplace(name, static_cast<RegionId>(names_.size()));
+    if (inserted) {
+        names_.push_back(&it->first);
+        estimates_.emplace_back();
+        lastSuppressed_.push_back(0);
+        seen_.push_back(false);
+    }
+    return it->second;
+}
+
+std::uint64_t OverheadModel::suppressedDelta(std::uint64_t measurementId,
+                                             RegionId region,
+                                             std::uint64_t cumulative) {
+    if (measurementId != lastMeasurementId_) {
+        std::fill(lastSuppressed_.begin(), lastSuppressed_.end(), 0);
+        lastMeasurementId_ = measurementId;
+    }
+    std::uint64_t& last = lastSuppressed_.at(region);
+    const std::uint64_t delta = cumulative >= last ? cumulative - last : cumulative;
+    last = cumulative;
+    return delta;
+}
+
+void OverheadModel::observeEpoch(std::span<const RegionObservation> observed,
                                  double epochRuntimeNs,
                                  const select::InstrumentationConfig* activeIc) {
-    observeEpoch(observationsOf(profile.regionTotals(), measurement),
-                 epochRuntimeNs, activeIc);
-}
-
-std::map<std::string, OverheadModel::RegionObservation>
-OverheadModel::observationsOf(
-    const std::unordered_map<scorep::RegionHandle,
-                             scorep::ProfileTree::RegionTotals>& regionTotals,
-    const scorep::Measurement& measurement) {
-    // Integer accumulation first, double conversion once per name: the sums
-    // stay exact regardless of the unordered source map's iteration order.
-    struct RawTotals {
-        std::uint64_t visits = 0;
-        std::uint64_t exclusiveNs = 0;
-        std::uint64_t suppressed = 0;  ///< Gate-suppressed visits (Sampled).
-    };
-    std::map<std::string, RawTotals> raw;
-    for (const auto& [region, totals] : regionTotals) {
-        RawTotals& entry = raw[measurement.region(region).name];
-        entry.visits += totals.visits;
-        entry.exclusiveNs += totals.exclusiveNs;
-    }
-
-    // Sampled regions report their skipped visits through the gate's
-    // per-thread suppression counters — cumulative, so fold the per-epoch
-    // delta. A fresh Measurement restarts the baselines: its cumulative
-    // counters are the epoch's delta, and a deterministic workload can make
-    // them numerically identical to last epoch's, so the values alone
-    // cannot signal the restart. A region whose samples were all suppressed
-    // still lands in the fold with zero recorded visits.
-    if (measurement.instanceId() != lastMeasurementId_) {
-        lastSuppressed_.clear();
-        lastMeasurementId_ = measurement.instanceId();
-    }
-    for (const auto& [region, count] : measurement.suppressedVisits()) {
-        if (count == 0) {
-            continue;
-        }
-        const std::string& name = measurement.region(region).name;
-        std::uint64_t& last = lastSuppressed_[name];
-        std::uint64_t delta = count >= last ? count - last : count;
-        last = count;
-        if (delta > 0) {
-            raw[name].suppressed += delta;
+    for (const RegionObservation& obs : observed) {
+        if (obs.region >= names_.size()) {
+            throw std::out_of_range("overhead model: unknown region id");
         }
     }
-
-    std::map<std::string, RegionObservation> byName;
-    for (const auto& [name, totals] : raw) {
-        byName[name] = RegionObservation{
-            static_cast<double>(totals.visits),
-            static_cast<double>(totals.exclusiveNs),
-            static_cast<double>(totals.suppressed)};
+    std::uint64_t epochVisits = 0;
+    std::uint64_t epochSuppressed = 0;
+    for (const RegionObservation& obs : observed) {
+        epochVisits += obs.visits;
+        epochSuppressed += obs.suppressed;
+        seen_[obs.region] = true;
+        std::optional<RegionEstimate>& slot = estimates_[obs.region];
+        fold(slot ? *slot : slot.emplace(), static_cast<double>(obs.visits),
+             static_cast<double>(obs.exclusiveNs),
+             static_cast<double>(obs.suppressed), ewmaAlpha_);
     }
-    return byName;
-}
-
-void OverheadModel::observeEpoch(
-    const std::map<std::string, RegionObservation>& byName,
-    double epochRuntimeNs, const select::InstrumentationConfig* activeIc) {
-    double epochCostNs = 0.0;
-    for (const auto& [name, obs] : byName) {
-        // Recorded events pay the full probe; suppressed ones only the gate.
-        epochCostNs += obs.visits * 2.0 * perEventCostNs_ +
-                       obs.suppressed * 2.0 * gateCostNs_;
-        // Extrapolate to what a Full epoch would have measured: the visit
-        // count is exact (every suppression was counted); the exclusive time
-        // scales the recorded sample by the decimation factor. An epoch with
-        // suppressions but no recorded sample carries no time information —
-        // visits update, exclusiveNs stays frozen at the last estimate.
-        const double trueVisits = obs.visits + obs.suppressed;
-        const double factor = obs.visits > 0.0 ? trueVisits / obs.visits : 1.0;
-        RegionEstimate& estimate = estimates_[name];
-        bool first = estimate.epochsObserved == 0;
-        estimate.visits =
-            ewma(estimate.visits, trueVisits, ewmaAlpha_, first);
-        if (obs.visits > 0.0 || obs.suppressed == 0.0) {
-            estimate.exclusiveNs = ewma(estimate.exclusiveNs,
-                                        obs.exclusiveNs * factor,
-                                        ewmaAlpha_, first);
-        }
-        estimate.samplingFactor =
-            ewma(estimate.samplingFactor, factor, ewmaAlpha_, first);
-        ++estimate.epochsObserved;
-    }
+    // Recorded events pay the full probe; suppressed ones only the gate.
+    const double epochCostNs =
+        static_cast<double>(epochVisits) * 2.0 * perEventCostNs_ +
+        static_cast<double>(epochSuppressed) * 2.0 * gateCostNs_;
 
     // Active regions without profile data observed zero this epoch; inactive
     // regions are unobservable and keep their frozen estimate.
     if (activeIc != nullptr) {
         for (const std::string& name : activeIc->functions) {
-            if (byName.count(name) != 0) {
+            auto id = ids_.find(name);
+            if (id == ids_.end() || seen_[id->second]) {
                 continue;
             }
-            auto it = estimates_.find(name);
-            if (it == estimates_.end() || it->second.epochsObserved == 0) {
-                continue;  // Never seen: nothing to decay.
+            std::optional<RegionEstimate>& slot = estimates_[id->second];
+            if (slot && slot->epochsObserved > 0) {  // Never seen: no decay.
+                fold(*slot, 0.0, 0.0, 0.0, ewmaAlpha_);
             }
-            RegionEstimate& estimate = it->second;
-            estimate.visits = ewma(estimate.visits, 0.0, ewmaAlpha_, false);
-            estimate.exclusiveNs =
-                ewma(estimate.exclusiveNs, 0.0, ewmaAlpha_, false);
-            // A region that did not run carries no extrapolation noise.
-            estimate.samplingFactor =
-                ewma(estimate.samplingFactor, 1.0, ewmaAlpha_, false);
-            ++estimate.epochsObserved;
         }
+    }
+    for (const RegionObservation& obs : observed) {
+        seen_[obs.region] = false;
     }
 
     bool first = epochs_ == 0;
@@ -146,8 +122,11 @@ void OverheadModel::chargeSelfCost(double selfCostNs) {
 }
 
 const RegionEstimate* OverheadModel::estimate(const std::string& name) const {
-    auto it = estimates_.find(name);
-    return it == estimates_.end() ? nullptr : &it->second;
+    auto it = ids_.find(name);
+    if (it == ids_.end() || !estimates_[it->second]) {
+        return nullptr;
+    }
+    return &*estimates_[it->second];
 }
 
 ModelState OverheadModel::saveState() const {
@@ -158,12 +137,17 @@ ModelState OverheadModel::saveState() const {
     state.lastEpochCostNs = lastEpochCostNs_;
     state.lastEpochRuntimeNs = lastEpochRuntimeNs_;
     state.lastMeasurementId = lastMeasurementId_;
-    state.estimates.assign(estimates_.begin(), estimates_.end());
-    std::sort(state.estimates.begin(), state.estimates.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    state.lastSuppressed.assign(lastSuppressed_.begin(), lastSuppressed_.end());
-    std::sort(state.lastSuppressed.begin(), state.lastSuppressed.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (RegionId id = 0; id < names_.size(); ++id) {
+        if (estimates_[id]) {
+            state.estimates.emplace_back(regionName(id), *estimates_[id]);
+        }
+        if (lastSuppressed_[id] != 0) {
+            state.lastSuppressed.emplace_back(regionName(id), lastSuppressed_[id]);
+        }
+    }
+    auto byName = [](const auto& a, const auto& b) { return a.first < b.first; };
+    std::sort(state.estimates.begin(), state.estimates.end(), byName);
+    std::sort(state.lastSuppressed.begin(), state.lastSuppressed.end(), byName);
     return state;
 }
 
@@ -174,11 +158,16 @@ void OverheadModel::restoreState(const ModelState& state) {
     lastEpochCostNs_ = state.lastEpochCostNs;
     lastEpochRuntimeNs_ = state.lastEpochRuntimeNs;
     lastMeasurementId_ = state.lastMeasurementId;
-    estimates_.clear();
-    estimates_.insert(state.estimates.begin(), state.estimates.end());
-    lastSuppressed_.clear();
-    lastSuppressed_.insert(state.lastSuppressed.begin(),
-                           state.lastSuppressed.end());
+    estimates_.assign(names_.size(), std::nullopt);
+    std::fill(lastSuppressed_.begin(), lastSuppressed_.end(), 0);
+    for (const auto& [name, estimate] : state.estimates) {
+        const RegionId id = regionId(name);
+        estimates_[id] = estimate;
+    }
+    for (const auto& [name, count] : state.lastSuppressed) {
+        const RegionId id = regionId(name);
+        lastSuppressed_[id] = count;
+    }
 }
 
 double profileErrorPercent(const scorep::Measurement& estimated,

@@ -14,10 +14,17 @@
 // are unobservable — their probes are unpatched — so their estimates stay
 // frozen at the last measured value, which is the best predictor available
 // should the planner re-admit them.
+//
+// Regions are keyed by a dense RegionId from measurement to decision: the
+// model interns each name once (the Decider seeds the table with the survey,
+// so on a fresh model a survey region's position is its id) and keeps its
+// estimates and suppression baselines in vectors indexed by it. Owners map
+// their own handles to ids once, when a region first appears.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -25,10 +32,12 @@
 
 #include "adapt/config.hpp"
 #include "scorepsim/measurement.hpp"
-#include "scorepsim/profile.hpp"
 #include "select/ic.hpp"
 
 namespace capi::adapt {
+
+/// Dense region key of an OverheadModel, assigned in interning order.
+using RegionId = std::uint32_t;
 
 /// Smoothed per-epoch behaviour of one region.
 struct RegionEstimate {
@@ -48,11 +57,22 @@ struct RegionEstimate {
     double samplingFactor = 1.0;
 };
 
+/// One region's epoch observation. `suppressed` is the epoch's
+/// gate-suppressed visit DELTA (owners difference a Measurement's
+/// cumulative counters through OverheadModel::suppressedDelta).
+struct RegionObservation {
+    RegionId region = 0;
+    std::uint64_t visits = 0;
+    std::uint64_t exclusiveNs = 0;
+    std::uint64_t suppressed = 0;
+};
+
 /// The model's complete mutable state, exported for checkpointing (the
-/// fleet aggregator's snapshot frame). Map-backed members are flattened to
+/// fleet aggregator's snapshot frame). Per-region members are flattened to
 /// name-sorted vectors so two saves of the same model are byte-identical
-/// once encoded, and doubles are carried verbatim — restoreState followed by
-/// the same observations continues bit-identically.
+/// once encoded whatever order its ids were assigned in, and doubles are
+/// carried verbatim — restoreState followed by the same observations
+/// continues bit-identically.
 struct ModelState {
     std::size_t epochs = 0;
     double runtimeNs = 0.0;
@@ -73,52 +93,38 @@ public:
           ewmaAlpha_(config.ewmaAlpha),
           gateCostNs_(config.gateCostNs) {}
 
-    /// Folds one epoch's merged profile into the estimates. `activeIc`
-    /// names the regions that were instrumented during the epoch (see the
-    /// freeze semantics above); nullptr treats every known region as active.
-    void observeEpoch(const scorep::ProfileTree& profile,
-                      const scorep::Measurement& measurement,
-                      double epochRuntimeNs,
-                      const select::InstrumentationConfig* activeIc = nullptr);
+    /// The id table points into itself; a copy would dangle.
+    OverheadModel(const OverheadModel&) = delete;
+    OverheadModel& operator=(const OverheadModel&) = delete;
 
-    /// One region-name's worth of epoch observation. `suppressed` is the
-    /// epoch's gate-suppressed visit DELTA (already differenced —
-    /// observationsOf derives it from the Measurement's cumulative
-    /// counters).
-    struct RegionObservation {
-        double visits = 0.0;
-        double exclusiveNs = 0.0;
-        double suppressed = 0.0;
-    };
+    /// The id of `name`, interned (appended) on first sight.
+    RegionId regionId(const std::string& name);
+    const std::string& regionName(RegionId id) const { return *names_[id]; }
 
-    /// Converts one epoch's per-handle totals into name-keyed observations:
-    /// totals are summed per region name (several handles can share a name
-    /// when measurements are recreated across epochs) and the Measurement's
-    /// cumulative suppression counters are differenced against the previous
-    /// call's. Callers that need the observations themselves (the
-    /// Controller's decide() input) convert once and fold the result.
-    std::map<std::string, RegionObservation> observationsOf(
-        const std::unordered_map<scorep::RegionHandle,
-                                 scorep::ProfileTree::RegionTotals>& regionTotals,
-        const scorep::Measurement& measurement);
+    /// The epoch's share of a Measurement's cumulative gate-suppressed
+    /// visit counter for `region`: the counter differenced against the last
+    /// epoch's. A Measurement instance other than the last one seen
+    /// restarts every baseline, because a fresh Measurement's counters ARE
+    /// the epoch's delta — even when a deterministic workload makes them
+    /// numerically identical to the previous epoch's.
+    std::uint64_t suppressedDelta(std::uint64_t measurementId, RegionId region,
+                                  std::uint64_t cumulative);
 
-    /// Same fold over name-keyed observations with no Measurement in sight —
-    /// the Decider's entry point, fed by observationsOf in-process and by
-    /// the fleet aggregator's wire-interned names and pre-differenced
-    /// suppression counters. The ordered map pins the floating-point fold
-    /// order, so a fleet aggregation and an in-process reference run
-    /// accumulate epoch cost in the identical sequence — bit-identical
-    /// budgets, bit-identical plans.
-    void observeEpoch(const std::map<std::string, RegionObservation>& byName,
+    /// Folds one epoch's observations (each region at most once) into the
+    /// estimates. `activeIc` names the regions that were instrumented
+    /// during the epoch (see the freeze semantics above); nullptr treats
+    /// every known region as active. The epoch's probe cost is folded from
+    /// the summed visit and suppression counts — exact integers — so it
+    /// does not depend on the order the observations arrive in: a fleet
+    /// aggregation and an in-process reference run that first saw regions
+    /// in different orders still get bit-identical budgets and plans.
+    void observeEpoch(std::span<const RegionObservation> observed,
                       double epochRuntimeNs,
                       const select::InstrumentationConfig* activeIc = nullptr);
 
     std::size_t epochCount() const { return epochs_; }
 
     const RegionEstimate* estimate(const std::string& name) const;
-    const std::unordered_map<std::string, RegionEstimate>& estimates() const {
-        return estimates_;
-    }
 
     /// Predicted per-epoch probe cost of keeping a region instrumented:
     /// one enter plus one exit event per visit.
@@ -126,9 +132,6 @@ public:
         return estimate.visits * 2.0 * perEventCostNs_;
     }
 
-    /// Smoothed epoch runtime and the probe cost actually incurred.
-    double epochRuntimeNs() const { return runtimeNs_; }
-    double incurredProbeCostNs() const { return incurredCostNs_; }
     /// Runtime attributable to the application itself — the base the
     /// planner's budget is computed against, so the post-trim overhead
     /// ratio stays below the budget even as the runtime shrinks.
@@ -152,6 +155,7 @@ public:
     /// same way a fleet reference run does.
     ModelState saveState() const;
     /// Replaces the model's state wholesale with a previously saved one.
+    /// Interned ids survive: a restore only ever appends names.
     void restoreState(const ModelState& state);
 
     /// The latest epoch alone, un-smoothed: this is the "measured probe
@@ -166,15 +170,18 @@ private:
     double perEventCostNs_;
     double ewmaAlpha_;
     double gateCostNs_;
-    std::unordered_map<std::string, RegionEstimate> estimates_;
-    /// Cumulative per-name suppressed-visit counters at the last observed
-    /// epoch, so each epoch folds only its own delta. Keyed to a Measurement
-    /// instance: when observeEpoch sees a different instanceId() the
-    /// baselines reset, because a fresh Measurement's cumulative counters
-    /// ARE the epoch's delta — even when a deterministic workload makes
-    /// them numerically identical to the previous epoch's.
-    std::unordered_map<std::string, std::uint64_t> lastSuppressed_;
+    /// The intern table: name -> id, and id -> the map's own key. Every
+    /// per-id vector below grows with it.
+    std::unordered_map<std::string, RegionId> ids_;
+    std::vector<const std::string*> names_;
+    /// Empty until the region is first observed (or restored).
+    std::vector<std::optional<RegionEstimate>> estimates_;
+    /// The cumulative suppressed-visit counter at the last observed epoch
+    /// of Measurement lastMeasurementId_ (0 = no baseline).
+    std::vector<std::uint64_t> lastSuppressed_;
     std::uint64_t lastMeasurementId_ = 0;
+    /// Set while observeEpoch folds the region: observed this epoch.
+    std::vector<bool> seen_;
     std::size_t epochs_ = 0;
     double runtimeNs_ = 0.0;
     double incurredCostNs_ = 0.0;

@@ -154,6 +154,7 @@ void Aggregator::restoreFromSnapshot(const SnapshotFrame& snap) {
         if (!inserted) {
             throw WireError("snapshot has duplicate region name");
         }
+        modelIds_.push_back(decider_.regionId(regionNames_[i]));
     }
 
     // Replay the tree shape in node-id order: childOf assigns ids
@@ -400,6 +401,7 @@ void Aggregator::handleFrame(const std::vector<std::uint8_t>& bytes) {
                         static_cast<scorep::RegionHandle>(regionNames_.size()));
                     if (inserted) {
                         regionNames_.push_back(def.name);
+                        modelIds_.push_back(decider_.regionId(def.name));
                     }
                     if (def.handle >= client.regionMap.size()) {
                         client.regionMap.resize(def.handle + 1,
@@ -627,13 +629,12 @@ void Aggregator::closeEpoch(bool timedOut) {
 
     // 2. The epoch's observation: cumulative per-region totals differenced
     // against the last epoch's snapshot. Matches the per-epoch merged tree
-    // a reference controller plans over, region for region. Fleet handles
-    // are 1:1 with names; walking regionIds_ visits them in name order, so
-    // the name-keyed observations are built by appending.
+    // a reference controller plans over, region for region, keyed by the
+    // Decider's region id of each fleet handle.
     obs::ScopedSpan observeSpan(spans.observe, obs::SpanCategory::Fleet);
     TotalsByHandle totalsNow = totalsByHandleLocked();
-    adapt::Decider::Observations byName;
-    for (const auto& [name, handle] : regionIds_) {
+    std::vector<adapt::RegionObservation> observed;
+    for (std::size_t handle = 0; handle < totalsNow.size(); ++handle) {
         if (!totalsNow[handle]) {
             continue;  // no fleet-tree node: suppressed visits alone do not count
         }
@@ -655,19 +656,16 @@ void Aggregator::closeEpoch(bool timedOut) {
         if (dVisits == 0 && dExclusive == 0 && suppressed == 0) {
             continue;
         }
-        byName.emplace_hint(byName.end(), name,
-                            adapt::OverheadModel::RegionObservation{
-                                static_cast<double>(dVisits),
-                                static_cast<double>(dExclusive),
-                                static_cast<double>(suppressed)});
+        observed.push_back(
+            {modelIds_[handle], dVisits, dExclusive, suppressed});
     }
     lastTotals_ = std::move(totalsNow);
-    observeSpan.setArg(byName.size());
+    observeSpan.setArg(observed.size());
     observeSpan.end();
 
     // 3. The identical decision the in-process controller would make.
     obs::ScopedSpan decideSpan(spans.decide, obs::SpanCategory::Fleet);
-    adapt::Decision decision = decider_.decide(byName, worldRuntimeNs);
+    adapt::Decision decision = decider_.decide(observed, worldRuntimeNs);
     decider_.adopt(std::move(decision.policy), std::move(decision.ic));
     decideSpan.end();
 
@@ -935,13 +933,6 @@ bool Aggregator::safeMode() const {
 select::InstrumentationPolicy Aggregator::convergedPolicy() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return published_->policy;
-}
-
-scorep::ProfileTree Aggregator::fleetProfile() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    scorep::ProfileTree copy;
-    copy.mergeFrom(fleetTree_);
-    return copy;
 }
 
 std::map<std::string, scorep::ProfileTree::RegionTotals>

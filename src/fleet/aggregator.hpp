@@ -14,7 +14,9 @@
 //      client-id order (the floating-point runtime sum must match a
 //      reference controller's rank-order sum bit for bit),
 //   2. differences the cumulative fleet totals against the last epoch's
-//      snapshot into per-epoch, name-keyed observations,
+//      snapshot into per-epoch observations, keyed by the Decider's region
+//      id of each fleet handle (resolved once, when the region's definition
+//      is interned),
 //   3. decides the next policy from them (adapt::Decider::decide),
 //   4. publishes the adopted policy once (an immutable shared snapshot
 //      carrying its fingerprint) and broadcasts it: each distinct diff base
@@ -29,8 +31,9 @@
 // policy fingerprints are bit-identical to one reference Controller whose
 // epoch() gets, each epoch, the rank-order merge of the same profiles and
 // the rank-order sum of their runtimes — the property the tests pin. That
-// is why merge order, model fold order, and runtime summation order are all
-// fixed here rather than left to arrival order.
+// is why merge order and runtime summation order are fixed here rather than
+// left to arrival order; the model's fold does not depend on the order its
+// observations (or their region ids) arrive in.
 #pragma once
 
 #include <cstdint>
@@ -231,8 +234,6 @@ public:
     /// The Decider's kill-switch has the fleet on the keep-only policy.
     bool safeMode() const;
     select::InstrumentationPolicy convergedPolicy() const;
-    /// Fleet-wide cumulative profile, merged across all clients and epochs.
-    scorep::ProfileTree fleetProfile() const;
     /// Cumulative per-region-name totals of the fleet profile.
     std::map<std::string, scorep::ProfileTree::RegionTotals> totalsByName() const;
     AggregatorStats stats() const;
@@ -329,6 +330,8 @@ private:
     /// Fleet-side region interning: name <-> dense handle.
     std::vector<std::string> regionNames_;
     std::map<std::string, scorep::RegionHandle> regionIds_;
+    /// Fleet handle -> the Decider's region id, filled as regions intern.
+    std::vector<adapt::RegionId> modelIds_;
     /// Cumulative totals per fleet handle at the last closed epoch; the
     /// difference against the current totals is the epoch's observation.
     TotalsByHandle lastTotals_;

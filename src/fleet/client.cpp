@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "obs/trace.hpp"
+#include "support/backoff.hpp"
 #include "support/fault.hpp"
 
 namespace capi::fleet {
@@ -427,10 +428,9 @@ void FleetClient::requestResync() {
 
 bool FleetClient::reconnect(Aggregator& aggregator) {
     aggregator_ = &aggregator;
-    support::Backoff backoff(options_.reconnectBackoff,
-                             options_.reconnectSeed ^ session_.clientId);
-    for (std::size_t attempt = 0; attempt < options_.maxResumeAttempts;
-         ++attempt) {
+    constexpr std::size_t kResumeAttempts = 5;
+    support::Backoff backoff({}, session_.clientId);
+    for (std::size_t attempt = 0; attempt < kResumeAttempts; ++attempt) {
         try {
             Aggregator::Session session =
                 aggregator_->resume(session_.clientId);

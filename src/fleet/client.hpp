@@ -45,7 +45,6 @@
 #include "scorepsim/profile.hpp"
 #include "scorepsim/profile_delta.hpp"
 #include "select/ic.hpp"
-#include "support/backoff.hpp"
 
 namespace capi::fleet {
 
@@ -62,14 +61,6 @@ struct FleetClientOptions {
     /// true: send() and stall under backpressure (lossless). false:
     /// trySend() and drop-and-coalesce (bounded producer latency).
     bool blockingSend = true;
-    /// Retry schedule for reconnect(): each failed resume handshake waits
-    /// one backoff step before the next attempt.
-    support::BackoffOptions reconnectBackoff;
-    /// Seed for the backoff jitter stream (XORed with the client id so a
-    /// fleet of reconnecting clients desynchronizes deterministically).
-    std::uint64_t reconnectSeed = 0;
-    /// Resume attempts before reconnect() falls back to a full resync.
-    std::size_t maxResumeAttempts = 5;
 };
 
 /// Cumulative client-side counters.
@@ -134,13 +125,14 @@ public:
     adapt::EpochReport awaitPolicy();
 
     /// Recovers the session after a failure (injected client death, or an
-    /// aggregator crash + restore): retries Aggregator::resume() under the
-    /// configured backoff, rewinding the local watermark/region/suppressed/
-    /// runtime bookkeeping to the returned acked state so the next delta
-    /// coalesces everything unacknowledged — by construction it sums to
-    /// exactly what an uninterrupted run would have shipped. After
-    /// maxResumeAttempts failures it falls back to registering as a brand
-    /// new client whose first delta replays the FULL cumulative history;
+    /// aggregator crash + restore): retries Aggregator::resume() under
+    /// backoff (jitter seeded with the client id, so a fleet of reconnecting
+    /// clients desynchronizes deterministically), rewinding the local
+    /// watermark/region/suppressed/runtime bookkeeping to the returned acked
+    /// state so the next delta coalesces everything unacknowledged — by
+    /// construction it sums to exactly what an uninterrupted run would have
+    /// shipped. After five failed attempts it falls back to registering as a
+    /// brand new client whose first delta replays the FULL cumulative history;
     /// that fallback is only exact against an aggregator holding none of
     /// this client's data (the fresh-server-after-failed-restore case).
     /// Returns true on a session resume, false on the fallback. `aggregator`

@@ -6,43 +6,11 @@
 #include <cstdio>
 
 #include "scorepsim/profile.hpp"
+#include "support/json.hpp"
 
 namespace capi::obs {
 
 namespace {
-
-/// Minimal JSON string escaping (our names are ASCII identifiers, but the
-/// emitted document must stay valid whatever callers intern).
-std::string jsonEscape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /// Nanoseconds rendered as a microsecond decimal with exactly 3 fractional
 /// digits — deterministic bytes (no %g wobble), full ns resolution.
@@ -111,7 +79,8 @@ std::string toChromeTraceJson(
             out += ",";
         }
         first = false;
-        out += "\n{\"name\":\"" + jsonEscape(nameOf(e.nameId)) + "\"";
+        out += "\n{\"name\":";
+        support::appendJsonString(out, nameOf(e.nameId));
         out += ",\"cat\":\"";
         out += spanCategoryName(e.category);
         out += "\"";

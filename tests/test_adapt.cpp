@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,6 +75,32 @@ cg::CallGraph simpleGraph() {
     return graph;
 }
 
+/// Feeds one epoch of `m` to the model the way the controller feeds its
+/// Decider: one observation per region handle, the Measurement's cumulative
+/// suppression counters differenced by the model.
+void observeEpoch(adapt::OverheadModel& model, const scorep::ProfileTree& tree,
+                  const scorep::Measurement& m, double runtimeNs,
+                  const select::InstrumentationConfig* active = nullptr) {
+    std::map<scorep::RegionHandle, adapt::RegionObservation> byHandle;
+    for (const auto& [handle, totals] : tree.regionTotals()) {
+        byHandle[handle] = {model.regionId(m.region(handle).name),
+                            totals.visits, totals.exclusiveNs, 0};
+    }
+    for (const auto& [handle, count] : m.suppressedVisits()) {
+        const adapt::RegionId id = model.regionId(m.region(handle).name);
+        if (const std::uint64_t delta =
+                model.suppressedDelta(m.instanceId(), id, count)) {
+            byHandle[handle].region = id;
+            byHandle[handle].suppressed = delta;
+        }
+    }
+    std::vector<adapt::RegionObservation> observed;
+    for (const auto& [handle, obs] : byHandle) {
+        observed.push_back(obs);
+    }
+    model.observeEpoch(observed, runtimeNs, active);
+}
+
 select::InstrumentationConfig icOf(std::initializer_list<const char*> names) {
     select::InstrumentationConfig ic;
     ic.specName = "survey";
@@ -93,13 +121,13 @@ TEST(OverheadModel, EwmaSmoothsAcrossEpochs) {
 
     FlatProfile epoch1{m};
     epoch1.add("kernel", 1000, 5'000'000);
-    model.observeEpoch(epoch1.tree, m, 1e9);
+    observeEpoch(model, epoch1.tree, m, 1e9);
     ASSERT_NE(model.estimate("kernel"), nullptr);
     EXPECT_DOUBLE_EQ(model.estimate("kernel")->visits, 1000.0);
 
     FlatProfile epoch2{m};
     epoch2.add("kernel", 3000, 5'000'000);  // bursty epoch
-    model.observeEpoch(epoch2.tree, m, 1e9);
+    observeEpoch(model, epoch2.tree, m, 1e9);
     // 0.5 * 3000 + 0.5 * 1000: the burst moves the estimate halfway, not all
     // the way — that is what keeps the planner from thrashing.
     EXPECT_DOUBLE_EQ(model.estimate("kernel")->visits, 2000.0);
@@ -116,12 +144,12 @@ TEST(OverheadModel, ActiveMissingDecaysInactiveFrozen) {
     epoch1.add("a", 800, 1000);
     epoch1.add("b", 400, 1000);
     select::InstrumentationConfig active = icOf({"a", "b"});
-    model.observeEpoch(epoch1.tree, m, 1e9, &active);
+    observeEpoch(model, epoch1.tree, m, 1e9, &active);
 
     // Next epoch "a" stays instrumented but does not run; "b" was unpatched.
     FlatProfile epoch2{m};
     select::InstrumentationConfig onlyA = icOf({"a"});
-    model.observeEpoch(epoch2.tree, m, 1e9, &onlyA);
+    observeEpoch(model, epoch2.tree, m, 1e9, &onlyA);
     EXPECT_DOUBLE_EQ(model.estimate("a")->visits, 400.0);  // decayed toward 0
     EXPECT_DOUBLE_EQ(model.estimate("b")->visits, 400.0);  // frozen
 }
@@ -133,7 +161,7 @@ TEST(OverheadModel, LastEpochOverheadRatioUsesCalibratedCost) {
     scorep::Measurement m;
     FlatProfile epoch{m};
     epoch.add("noisy", 1'000'000, 1000);
-    model.observeEpoch(epoch.tree, m, 1e9);
+    observeEpoch(model, epoch.tree, m, 1e9);
     // 1e6 visits x 2 events x 100ns = 2e8 ns of probes in a 1e9 ns epoch.
     EXPECT_DOUBLE_EQ(model.lastEpochProbeCostNs(), 2e8);
     EXPECT_DOUBLE_EQ(model.lastEpochOverheadRatio(), 0.2);
@@ -165,7 +193,7 @@ TEST(OverheadModel, ExtrapolatesSampledVisitsExactly) {
         m.enter(hot);
         m.exit(hot);
     }
-    model.observeEpoch(m.mergedProfile(), m, 1e9);
+    observeEpoch(model, m.mergedProfile(), m, 1e9);
 
     // 64 visits at 1-in-8: 8 recorded, 56 suppressed. The count
     // extrapolation is exact — every suppression was counted.
@@ -190,7 +218,7 @@ TEST(OverheadModel, FreshMeasurementRestartsSuppressedBaselines) {
             m.enter(hot);
             m.exit(hot);
         }
-        model.observeEpoch(m.mergedProfile(), m, 1e9);
+        observeEpoch(model, m.mergedProfile(), m, 1e9);
     };
 
     // Two epochs, each a fresh Measurement with *identical* suppression
@@ -272,7 +300,7 @@ TEST(BudgetPlanner, ExcludesCostOverBudgetKeepsValueAndCold) {
     FlatProfile epoch{m};
     epoch.add("kernel", 100, 900'000'000);  // cost 20k ns, huge value
     epoch.add("noisy", 1'000'000, 1'000'000);  // cost 2e8 ns, tiny value
-    model.observeEpoch(epoch.tree, m, 1e9);
+    observeEpoch(model, epoch.tree, m, 1e9);
 
     adapt::Config popts;
     popts.budgetFraction = 0.05;  // 5% of 8e8 app ns = 4e7 ns budget
@@ -295,7 +323,7 @@ TEST(BudgetPlanner, KeepListOverridesBudget) {
     scorep::Measurement m;
     FlatProfile epoch{m};
     epoch.add("noisy", 1'000'000, 1'000'000);
-    model.observeEpoch(epoch.tree, m, 1e9);
+    observeEpoch(model, epoch.tree, m, 1e9);
 
     adapt::Config popts;
     popts.budgetFraction = 0.05;
@@ -319,7 +347,7 @@ TEST(BudgetPlanner, DemotesHotRegionBeforeEvicting) {
     FlatProfile epoch{m};
     epoch.add("kernel", 100, 900'000'000);     // cheap, huge value: Full
     epoch.add("noisy", 1'000'000, 1'000'000);  // 2e8 ns at Full: over budget
-    model.observeEpoch(epoch.tree, m, 1e9);
+    observeEpoch(model, epoch.tree, m, 1e9);
 
     // Full cost of "noisy" (2e8 ns) blows the ~4e7 ns budget, but 1-in-64
     // sampling (2e8/64 + 1e6*2*10*63/64 ~ 2.3e7 ns) fits: demoted, kept.
@@ -374,7 +402,7 @@ TEST(BudgetPlanner, NeverSplitsSccGroup) {
     FlatProfile epoch{m};
     epoch.add("a", 1'000'000, 1000);       // alone: way over budget
     epoch.add("b", 10, 900'000'000);       // alone: trivially cheap
-    model.observeEpoch(epoch.tree, m, 1e9);
+    observeEpoch(model, epoch.tree, m, 1e9);
 
     adapt::Config popts;
     popts.budgetFraction = 0.05;
@@ -401,7 +429,7 @@ TEST(BudgetPlanner, ReAdmitsWhenBudgetGrows) {
     scorep::Measurement m;
     FlatProfile epoch1{m};
     epoch1.add("noisy", 1'000'000, 1'000'000);
-    model.observeEpoch(epoch1.tree, m, 1e9);
+    observeEpoch(model, epoch1.tree, m, 1e9);
 
     adapt::Config popts;
     popts.budgetFraction = 0.05;
@@ -410,7 +438,7 @@ TEST(BudgetPlanner, ReAdmitsWhenBudgetGrows) {
     // A much longer epoch: the same probe cost now fits the 5% budget, and
     // the frozen estimate lets the planner re-admit the region.
     FlatProfile epoch2{m};
-    model.observeEpoch(epoch2.tree, m, 1e11);
+    observeEpoch(model, epoch2.tree, m, 1e11);
     EXPECT_TRUE(planner.plan(icOf({"noisy"}), model, popts).ic.contains("noisy"));
 }
 
@@ -448,7 +476,7 @@ TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
     }
     // Aggregate probe cost ~2e9 ns against 1e10 ns of runtime: the budget
     // bites, but plenty of groups still fit.
-    model.observeEpoch(epoch.tree, m, 1e10);
+    observeEpoch(model, epoch.tree, m, 1e10);
 
     adapt::BudgetPlanner planner(graph);
     adapt::Config serial;
@@ -497,11 +525,12 @@ adapt::Config deciderConfig() {
 
 /// One synthetic epoch whose measured overhead ratio is exactly `ratio`
 /// under deciderConfig(): the noisy region's visits carry the probe cost.
-adapt::Decider::Observations epochAtRatio(double ratio) {
-    adapt::Decider::Observations observed;
-    observed["kernel"] = {100.0, 900'000'000.0, 0.0};
-    observed["noisy"] = {ratio * 1e9 / (2.0 * 100.0) - 100.0, 1'000'000.0, 0.0};
-    return observed;
+std::vector<adapt::RegionObservation> epochAtRatio(adapt::Decider& decider,
+                                                  double ratio) {
+    const auto noisyVisits =
+        static_cast<std::uint64_t>(std::llround(ratio * 1e9 / (2.0 * 100.0) - 100.0));
+    return {{decider.regionId("kernel"), 100, 900'000'000, 0},
+            {decider.regionId("noisy"), noisyVisits, 1'000'000, 0}};
 }
 
 constexpr double kOverTrip = 0.2;  ///< > budget x factor = 0.15.
@@ -513,13 +542,13 @@ TEST(Decider, KillSwitchTripsAfterConsecutiveOverBudgetEpochs) {
     adapt::Decider decider(graph, deciderConfig());
     decider.start(icOf({"main", "kernel", "noisy"}));
     for (int epoch = 1; epoch < 3; ++epoch) {
-        adapt::Decision d = decider.decide(epochAtRatio(kOverTrip), 1e9);
+        adapt::Decision d = decider.decide(epochAtRatio(decider, kOverTrip), 1e9);
         EXPECT_DOUBLE_EQ(d.measuredOverheadRatio, kOverTrip);
         EXPECT_FALSE(d.killSwitchTripped) << "epoch " << epoch;
         EXPECT_FALSE(decider.safeMode());
         decider.adopt(std::move(d.policy), std::move(d.ic));
     }
-    adapt::Decision tripped = decider.decide(epochAtRatio(kOverTrip), 1e9);
+    adapt::Decision tripped = decider.decide(epochAtRatio(decider, kOverTrip), 1e9);
     EXPECT_TRUE(tripped.killSwitchTripped);
     EXPECT_TRUE(decider.safeMode());
     // Safe mode sheds to the keep list, at Full, whatever the model says.
@@ -535,7 +564,7 @@ TEST(Decider, GreyZoneEpochResetsBothStreaks) {
     adapt::Decider decider(graph, deciderConfig());
     decider.start(icOf({"main", "kernel", "noisy"}));
     auto step = [&](double ratio) {
-        adapt::Decision d = decider.decide(epochAtRatio(ratio), 1e9);
+        adapt::Decision d = decider.decide(epochAtRatio(decider, ratio), 1e9);
         decider.adopt(std::move(d.policy), std::move(d.ic));
         return d;
     };
@@ -563,17 +592,17 @@ TEST(Decider, RearmsAfterInBudgetEpochs) {
     config.killSwitchEpochs = 1;
     adapt::Decider decider(graph, config);
     decider.start(icOf({"main", "kernel", "noisy"}));
-    adapt::Decision tripped = decider.decide(epochAtRatio(kOverTrip), 1e9);
+    adapt::Decision tripped = decider.decide(epochAtRatio(decider, kOverTrip), 1e9);
     ASSERT_TRUE(tripped.killSwitchTripped);
     decider.adopt(std::move(tripped.policy), std::move(tripped.ic));
 
-    adapt::Decision first = decider.decide(epochAtRatio(kInBudget), 1e9);
+    adapt::Decision first = decider.decide(epochAtRatio(decider, kInBudget), 1e9);
     EXPECT_FALSE(first.killSwitchRearmed);
     EXPECT_TRUE(decider.safeMode());
     EXPECT_EQ(first.policy.fingerprint(), decider.safeModePolicy().fingerprint());
     decider.adopt(std::move(first.policy), std::move(first.ic));
 
-    adapt::Decision rearmed = decider.decide(epochAtRatio(kInBudget), 1e9);
+    adapt::Decision rearmed = decider.decide(epochAtRatio(decider, kInBudget), 1e9);
     EXPECT_TRUE(rearmed.killSwitchRearmed);
     EXPECT_FALSE(decider.safeMode());
     // Back on the planner, which plans over the survey candidates rather
@@ -590,11 +619,11 @@ TEST(Decider, ForcedSafeModeRearmsUnderTheSameHysteresis) {
     adapt::Decider decider(graph, deciderConfig());
     decider.start(icOf({"main", "kernel", "noisy"}));
     decider.enterSafeMode();
-    adapt::Decision held = decider.decide(epochAtRatio(kInBudget), 1e9);
+    adapt::Decision held = decider.decide(epochAtRatio(decider, kInBudget), 1e9);
     EXPECT_TRUE(decider.safeMode());
     EXPECT_FALSE(held.killSwitchTripped);
     EXPECT_EQ(held.policy.fingerprint(), decider.safeModePolicy().fingerprint());
-    EXPECT_TRUE(decider.decide(epochAtRatio(kInBudget), 1e9).killSwitchRearmed);
+    EXPECT_TRUE(decider.decide(epochAtRatio(decider, kInBudget), 1e9).killSwitchRearmed);
 }
 
 TEST(Decider, RestoredMidRunDecidesBitIdenticallyToUninterruptedTwin) {
@@ -605,10 +634,12 @@ TEST(Decider, RestoredMidRunDecidesBitIdenticallyToUninterruptedTwin) {
                                         kOverTrip, kOverTrip, kOverTrip,
                                         kInBudget, kInBudget, kOverTrip,
                                         kInBudget};
-    auto observe = [](std::size_t epoch, double ratio) {
-        adapt::Decider::Observations observed = epochAtRatio(ratio);
+    auto observe = [](adapt::Decider& decider, std::size_t epoch,
+                      double ratio) {
+        std::vector<adapt::RegionObservation> observed =
+            epochAtRatio(decider, ratio);
         // Vary the value side too, so the plans differ epoch to epoch.
-        observed["main"] = {1.0, 1000.0 * static_cast<double>(epoch), 0.0};
+        observed.push_back({decider.regionId("main"), 1, 1000 * epoch, 0});
         return observed;
     };
     auto runtimeOf = [](std::size_t epoch) {
@@ -620,7 +651,7 @@ TEST(Decider, RestoredMidRunDecidesBitIdenticallyToUninterruptedTwin) {
     twin.start(survey);
     std::vector<adapt::Decision> expected;
     for (std::size_t e = 0; e < ratios.size(); ++e) {
-        adapt::Decision d = twin.decide(observe(e, ratios[e]), runtimeOf(e));
+        adapt::Decision d = twin.decide(observe(twin, e, ratios[e]), runtimeOf(e));
         twin.adopt(d.policy, d.ic);
         expected.push_back(std::move(d));
     }
@@ -631,7 +662,7 @@ TEST(Decider, RestoredMidRunDecidesBitIdenticallyToUninterruptedTwin) {
         adapt::Decider before(graph, config);
         before.start(survey);
         for (std::size_t e = 0; e < kSaveAfter; ++e) {
-            adapt::Decision d = before.decide(observe(e, ratios[e]), runtimeOf(e));
+            adapt::Decision d = before.decide(observe(before, e, ratios[e]), runtimeOf(e));
             before.adopt(std::move(d.policy), std::move(d.ic));
         }
         saved = before.saveState();
@@ -640,7 +671,7 @@ TEST(Decider, RestoredMidRunDecidesBitIdenticallyToUninterruptedTwin) {
     restored.start(survey);
     restored.restoreState(saved);
     for (std::size_t e = kSaveAfter; e < ratios.size(); ++e) {
-        adapt::Decision d = restored.decide(observe(e, ratios[e]), runtimeOf(e));
+        adapt::Decision d = restored.decide(observe(restored, e, ratios[e]), runtimeOf(e));
         const adapt::Decision& want = expected[e];
         EXPECT_EQ(d.policy.fingerprint(), want.policy.fingerprint()) << "epoch " << e;
         EXPECT_EQ(d.ic.functions, want.ic.functions) << "epoch " << e;
@@ -674,13 +705,13 @@ TEST(Decider, BillsRecorderEventsAndFoldsVisitMetrics) {
     recorder.setEnabled(false);
     (void)recorder.drain();
 
-    adapt::Decision d = decider.decide(epochAtRatio(kInBudget), 1e9);
+    adapt::Decision d = decider.decide(epochAtRatio(decider, kInBudget), 1e9);
     EXPECT_EQ(d.obsEventsObserved, kEvents);
     EXPECT_DOUBLE_EQ(d.selfObsCostNs, 1000.0 * kEvents);
     // The bill lands in the measured cost the ratio and kill-switch read.
     EXPECT_DOUBLE_EQ(d.measuredProbeCostNs, kInBudget * 1e9 + 1000.0 * kEvents);
     // And the next epoch starts from a fresh baseline.
-    EXPECT_EQ(decider.decide(epochAtRatio(kInBudget), 1e9).obsEventsObserved, 0u);
+    EXPECT_EQ(decider.decide(epochAtRatio(decider, kInBudget), 1e9).obsEventsObserved, 0u);
 
     EXPECT_EQ(graph.desc(graph.lookup("kernel")).metrics.profiledVisits, 100u);
     EXPECT_EQ(graph.desc(graph.lookup("noisy")).metrics.profiledVisits,
@@ -966,6 +997,7 @@ TEST(Controller, MergedRanksConvergeWorldOnOneIc) {
     const adapt::EpochReport report = controller.epoch(
         measurement.mergedProfile(), measurement,
         adapt::virtualEpochRuntimeNs(worldStats, measurement,
+                                     options.perEventCostNs,
                                      options.perEventCostNs));
 
     // One epoch ran for the whole world, applying one policy.

@@ -885,7 +885,8 @@ TEST(ControllerFolding, EpochFoldsVisitsAsMetricTouches) {
     binsim::RunStats stats = engine.run();
     dyn.detachHandler();
     controller.epoch(measurement.mergedProfile(), measurement,
-                     adapt::virtualEpochRuntimeNs(stats, measurement, 10.0));
+                     adapt::virtualEpochRuntimeNs(stats, measurement, 10.0,
+                                                  10.0));
 
     cg::FunctionId kernelNode = graph.lookup("kernel");
     ASSERT_NE(kernelNode, cg::kInvalidFunction);

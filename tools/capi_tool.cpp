@@ -258,7 +258,7 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
         try {
             if (arg == "--app") app = next();
             else if (arg == "--budget") config.budgetFraction = std::stod(next());
-            else if (arg == "--epochs") config.maxEpochs = parseCount(next());
+            else if (arg == "--epochs") config.maxEpochs = parseCount(next(), 1);
             else if (arg == "--per-event-cost-ns")
                 config.perEventCostNs = std::stod(next());
             else if (arg == "--gate-cost-ns")
@@ -526,18 +526,15 @@ int runFleet(int argc, char** argv) {
         };
         try {
             if (arg == "--app") app = next();
-            else if (arg == "--clients")
-                clientCount = std::max<std::size_t>(1, parseCount(next()));
-            else if (arg == "--epochs")
-                epochs = std::max<std::size_t>(1, parseCount(next()));
+            else if (arg == "--clients") clientCount = parseCount(next(), 1);
+            else if (arg == "--epochs") epochs = parseCount(next(), 1);
             else if (arg == "--budget") config.budgetFraction = std::stod(next());
             else if (arg == "--per-event-cost-ns")
                 config.perEventCostNs = std::stod(next());
             else if (arg == "--queue-capacity")
                 queueCapacity = parseCount(next());
             else if (arg == "--lossy") lossy = true;
-            else if (arg == "--kill-after")
-                killAfter = std::max<std::size_t>(1, parseCount(next()));
+            else if (arg == "--kill-after") killAfter = parseCount(next(), 1);
             else if (arg == "--restore") restoreAfterKill = true;
             else if (arg == "--stats") printStats = true;
             else {
