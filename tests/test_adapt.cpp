@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include "adapt/overhead_model.hpp"
 #include "apps/lulesh.hpp"
 #include "apps/model_builder.hpp"
+#include "apps/openfoam.hpp"
 #include "binsim/compiler.hpp"
 #include "binsim/execution_engine.hpp"
 #include "binsim/process.hpp"
@@ -31,6 +33,7 @@
 #include "obs/trace.hpp"
 #include "scorepsim/cyg_adapter.hpp"
 #include "scorepsim/symbol_resolver.hpp"
+#include "select/scc.hpp"
 #include "support/executor.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -717,6 +720,111 @@ TEST(Decider, BillsRecorderEventsAndFoldsVisitMetrics) {
     EXPECT_EQ(graph.desc(graph.lookup("noisy")).metrics.profiledVisits,
               static_cast<std::uint32_t>(kInBudget * 1e9 / 200.0 - 100.0));
     EXPECT_EQ(graph.desc(graph.lookup("main")).metrics.profiledVisits, 0u);
+}
+
+/// Per-epoch policy fingerprints of the seeded OpenFOAM run below. A
+/// planner or model change that moves any decision shows up here.
+constexpr std::uint64_t kOpenFoamGoldenFingerprints[] = {
+    0x10c83f754aae7f28ull, 0x8878c9f9aaa543a4ull, 0xb51aa642de9e4cb3ull,
+    0xcdd8f4b25bee2175ull, 0x2d35c500e38f57ceull, 0xf0442de628d1dc7aull,
+    0xe651858f3c364053ull, 0xdc93aa6b0518a35eull, 0xd9acf0c666551035ull,
+    0xcf213463f05c671dull, 0x27edb0dca082df41ull, 0xd52a3aa30da1719eull};
+
+TEST(Decider, SeededOpenFoamRunMatchesGoldenFingerprints) {
+    // The execution-scale OpenFOAM graph, planned with the sampled tier on,
+    // a keep list, one candidate outside the graph, visit metrics folded
+    // back into the graph every epoch (metric-only journal records) and,
+    // half-way, one call edge that merges two SCC groups.
+    apps::OpenFoamParams params = apps::OpenFoamParams::executionScale();
+    params.seed = 401;
+    cg::CallGraph graph =
+        cg::MetaCgBuilder{}.build(apps::makeOpenFoam(params).toSourceModel());
+    select::InstrumentationConfig survey = adapt::surveyOfDefinedFunctions(graph);
+    const std::string offGraph = "offgraph_region";
+    survey.addFunction(offGraph);
+
+    // u calls v, in another SCC group: keep-listing u pins u's group at
+    // Full, and the edge v -> u added mid-run pulls v into that group.
+    const select::SccResult scc = select::computeScc(graph);
+    std::string keptName;
+    std::string hotName;
+    for (const std::string& name : survey.functions) {
+        const cg::FunctionId u = graph.lookup(name);
+        if (u == cg::kInvalidFunction) {
+            continue;
+        }
+        for (cg::FunctionId v : graph.callees(u)) {
+            if (scc.component[v] != scc.component[u] &&
+                survey.contains(graph.name(v))) {
+                keptName = name;
+                hotName = graph.name(v);
+                break;
+            }
+        }
+        if (!keptName.empty()) {
+            break;
+        }
+    }
+    ASSERT_FALSE(keptName.empty());
+
+    adapt::Config config;
+    config.budgetFraction = 0.05;
+    config.perEventCostNs = 200.0;
+    config.gateCostNs = 20.0;
+    config.enableSampledTier = true;
+    config.sampledEveryN = 64;
+    config.keep = {keptName, "not_a_region"};
+    config.foldVisitMetricsInto = &graph;
+    adapt::Decider decider(graph, config);
+    decider.start(survey);
+    std::vector<adapt::RegionId> ids;
+    for (const std::string& name : survey.functions) {
+        ids.push_back(decider.regionId(name));
+    }
+
+    constexpr std::size_t kEpochs = 12;
+    constexpr std::size_t kEditBefore = 6;
+    ASSERT_EQ(std::size(kOpenFoamGoldenFingerprints), kEpochs);
+    support::SplitMix64 rng(20261019);
+    for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
+        if (epoch == kEditBefore) {
+            EXPECT_NE(decider.policy().tierOf(hotName), select::Tier::Full);
+            graph.addCallEdge(graph.lookup(hotName), graph.lookup(keptName));
+        }
+        // Every region draws its numbers whatever the policy, so the input
+        // stream does not depend on the decisions; regions the policy in
+        // force leaves unpatched are unobservable, and Sampled regions
+        // record one visit in 64.
+        std::vector<adapt::RegionObservation> observed;
+        for (std::size_t i = 0; i < survey.functions.size(); ++i) {
+            const std::string& name = survey.functions[i];
+            const bool ran = rng.nextBool(0.6);
+            const bool hot = name == hotName || i % 97 == 0;
+            const std::uint64_t visits =
+                hot ? 200'000 + rng.nextBelow(1000) : 1 + rng.nextBelow(400);
+            const std::uint64_t exclusiveNs = 1000 + rng.nextBelow(5'000'000);
+            const select::RegionPolicy* region = decider.policy().policyOf(name);
+            if (!ran || region == nullptr) {
+                continue;
+            }
+            if (region->tier == select::Tier::Sampled) {
+                const std::uint64_t recorded = visits / 64;
+                observed.push_back({ids[i], recorded, exclusiveNs / 64,
+                                    visits - recorded});
+            } else {
+                observed.push_back({ids[i], visits, exclusiveNs, 0});
+            }
+        }
+        adapt::Decision d = decider.decide(
+            observed, 2e10 + 1e7 * static_cast<double>(epoch));
+        EXPECT_EQ(d.policy.fingerprint(), kOpenFoamGoldenFingerprints[epoch])
+            << "epoch " << epoch;
+        decider.adopt(std::move(d.policy), std::move(d.ic));
+        if (epoch >= kEditBefore) {
+            EXPECT_EQ(decider.policy().tierOf(hotName), select::Tier::Full)
+                << "epoch " << epoch;
+        }
+    }
 }
 
 // --------------------------------------------------------------- Controller --
