@@ -1,7 +1,7 @@
 // Micro-benchmarks for the adaptive subsystem: delta repatching against the
 // full unpatch-then-patch reference on IC swaps of varying width, and the
-// budget planner's greedy knapsack (serial vs the sharded lookup phase) at
-// call-graph scale.
+// budget planner at call-graph scale: one epoch's plan over a bound
+// candidate table, and building that table.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -16,8 +16,6 @@
 #include "binsim/process.hpp"
 #include "dyncapi/dyncapi.hpp"
 #include "select/ic.hpp"
-#include "support/executor.hpp"
-#include "support/thread_pool.hpp"
 
 namespace {
 
@@ -124,7 +122,9 @@ const PlannerFixture& plannerFixture(std::uint32_t nodes) {
     return *it->second;
 }
 
-void runPlannerBench(benchmark::State& state, bool parallel) {
+/// One epoch's plan over a candidate table bound once, as the Decider runs
+/// it: fold estimates by RegionId, sort the groups, sweep, emit.
+void BM_BudgetPlannerEpoch(benchmark::State& state) {
     const cg::CallGraph& graph =
         bench::scaledOpenFoamGraph(static_cast<std::uint32_t>(state.range(0)));
     const PlannerFixture& fixture =
@@ -132,27 +132,31 @@ void runPlannerBench(benchmark::State& state, bool parallel) {
     adapt::BudgetPlanner planner(graph);
     adapt::Config options;
     options.budgetFraction = 0.05;
-    options.pool = parallel ? &support::Executor::pool() : nullptr;
+    planner.bind(fixture.candidate, fixture.model, options.keep);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            planner.plan(fixture.candidate, fixture.model, options).ic.size());
+        adapt::PlanResult plan = planner.plan(fixture.model, options);
+        benchmark::DoNotOptimize(plan.ic.size());
+        planner.recycle(std::move(plan.policy), std::move(plan.ic));
     }
     state.SetItemsProcessed(state.iterations() * graph.size());
-    if (parallel) {
-        state.counters["threads"] =
-            static_cast<double>(support::Executor::pool().threadCount());
+}
+BENCHMARK(BM_BudgetPlannerEpoch)->Arg(50000)->Arg(200000);
+
+/// Binding the candidates: region ids, SCC groups, keep flags — what a
+/// structural graph change costs the next plan.
+void BM_BudgetPlannerBind(benchmark::State& state) {
+    const cg::CallGraph& graph =
+        bench::scaledOpenFoamGraph(static_cast<std::uint32_t>(state.range(0)));
+    const PlannerFixture& fixture =
+        plannerFixture(static_cast<std::uint32_t>(state.range(0)));
+    adapt::BudgetPlanner planner(graph);
+    for (auto _ : state) {
+        planner.bind(fixture.candidate, fixture.model, {});
+        benchmark::DoNotOptimize(planner.candidateRegions().data());
     }
+    state.SetItemsProcessed(state.iterations() * graph.size());
 }
-
-void BM_BudgetPlannerSerial(benchmark::State& state) {
-    runPlannerBench(state, /*parallel=*/false);
-}
-BENCHMARK(BM_BudgetPlannerSerial)->Arg(50000)->Arg(200000);
-
-void BM_BudgetPlannerParallel(benchmark::State& state) {
-    runPlannerBench(state, /*parallel=*/true);
-}
-BENCHMARK(BM_BudgetPlannerParallel)->Arg(50000)->Arg(200000);
+BENCHMARK(BM_BudgetPlannerBind)->Arg(50000)->Arg(200000);
 
 }  // namespace
 

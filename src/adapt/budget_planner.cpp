@@ -1,202 +1,202 @@
 #include "adapt/budget_planner.hpp"
 
 #include <algorithm>
-#include <string_view>
-#include <unordered_map>
-#include <unordered_set>
+#include <limits>
+#include <optional>
 #include <utility>
 
-#include "support/thread_pool.hpp"
+#include "select/scc.hpp"
 
 namespace capi::adapt {
 
 namespace {
 
-struct CandidateInfo {
-    std::uint64_t group = 0;
+struct GroupSums {
     double costNs = 0.0;         ///< Full-tier probe cost.
     double sampledCostNs = 0.0;  ///< Sampled-tier cost: timed share + gate toll.
     double valueNs = 0.0;
 };
 
-struct Group {
-    double costNs = 0.0;
-    double sampledCostNs = 0.0;
-    double valueNs = 0.0;
-    std::size_t firstCandidate = 0;  ///< Deterministic tie-break.
-    bool keep = false;
-    bool included = false;
-    bool sampled = false;  ///< Included at the Sampled tier.
+/// A group's sort key, compact so the sort moves no indirection.
+struct SweepKey {
+    double valueNs;
+    double costNs;
+    std::uint32_t group;
 };
 
 }  // namespace
 
-PlanResult BudgetPlanner::plan(const select::InstrumentationConfig& candidate,
-                               const OverheadModel& model,
-                               const Config& config) const {
+void BudgetPlanner::bind(select::InstrumentationConfig candidate,
+                         const OverheadModel& model,
+                         const std::vector<std::string>& keep) {
+    candidate_ = std::move(candidate);
+    keep_ = keep;
+    buildTable(model);
+}
+
+void BudgetPlanner::buildTable(const OverheadModel& model) {
+    constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+    const select::SccResult scc = select::computeScc(*graph_);
+    const std::vector<std::string>& names = candidate_.functions;
+    std::vector<std::uint32_t> groupOfComponent(scc.componentCount, kNone);
+    std::uint32_t groups = 0;
+    regions_.clear();
+    groupOf_.clear();
+    for (const std::string& name : names) {
+        regions_.push_back(model.find(name));
+        // Candidates outside the graph (added by inlining compensation
+        // against a newer binary, say) form singleton groups.
+        const cg::FunctionId id = graph_->lookup(name);
+        if (id == cg::kInvalidFunction) {
+            groupOf_.push_back(groups++);
+            continue;
+        }
+        std::uint32_t& group = groupOfComponent[scc.component[id]];
+        if (group == kNone) {
+            group = groups++;
+        }
+        groupOf_.push_back(group);
+    }
+    groupKeep_.assign(groups, false);
+    for (const std::string& name : keep_) {
+        auto it = std::lower_bound(names.begin(), names.end(), name);
+        if (it != names.end() && *it == name) {
+            groupKeep_[groupOf_[it - names.begin()]] = true;
+        }
+    }
+    tableGeneration_ = graph_->generation();
+}
+
+PlanResult BudgetPlanner::plan(select::InstrumentationConfig candidate,
+                               const OverheadModel& model, const Config& config) {
+    bind(std::move(candidate), model, config.keep);
+    return plan(model, config);
+}
+
+PlanResult BudgetPlanner::plan(const OverheadModel& model, const Config& config) {
     PlanResult result;
-    result.ic.specName = candidate.specName.empty() ? "budget"
-                                                    : candidate.specName + "+budget";
-    result.ic.application = candidate.application;
+    result.ic.specName = candidate_.specName.empty()
+                             ? "budget"
+                             : candidate_.specName + "+budget";
+    result.ic.application = candidate_.application;
     result.policy.specName = result.ic.specName;
     result.policy.application = result.ic.application;
 
-    if (model.epochCount() == 0) {
-        // Nothing measured yet: no basis to exclude anything.
-        result.ic.functions = candidate.functions;
-        result.ic.staticIds = candidate.staticIds;
-        result.policy = select::InstrumentationPolicy::fullOf(result.ic);
-        result.policy.specName = result.ic.specName;
-        result.fullRegions = result.policy.size();
-        return result;
+    // Metric-only touches since the table was built keep it.
+    const std::optional<cg::GraphDelta> delta = graph_->deltaSince(tableGeneration_);
+    bool structural = !delta;
+    if (delta) {
+        delta->forEachChange([&](cg::DeltaKind kind, cg::FunctionId, cg::FunctionId) {
+            structural = structural || kind != cg::DeltaKind::MetricTouch;
+        });
     }
-
-    std::shared_ptr<const select::SccResult> scc;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        if (cachedScc_ == nullptr || cachedGeneration_ != graph_->generation()) {
-            cachedScc_ = std::make_shared<const select::SccResult>(
-                select::computeScc(*graph_));
-            cachedGeneration_ = graph_->generation();
-        }
-        scc = cachedScc_;
+    if (structural) {
+        buildTable(model);
     }
-    const std::size_t comps = scc->componentCount;
+    tableGeneration_ = graph_->generation();
 
-    // Phase 1 (sharded): per-candidate graph/SCC/model lookups. Each shard
-    // writes a disjoint slice, so the array is identical at any width; the
-    // serial sweep below consumes it in fixed candidate order, which is what
-    // makes the whole plan thread-count invariant.
-    const std::size_t count = candidate.functions.size();
+    // Fold the estimates into their groups in candidate order.
+    const std::size_t count = regions_.size();
+    const std::size_t groupCount = groupKeep_.size();
     const double everyN =
         static_cast<double>(std::max<std::uint32_t>(config.sampledEveryN, 1));
-    std::vector<CandidateInfo> info(count);
-    auto lookupRange = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const std::string& name = candidate.functions[i];
-            CandidateInfo& entry = info[i];
-            cg::FunctionId id = graph_->lookup(name);
-            // Candidates outside the graph (added by inlining compensation
-            // against a newer binary, say) form singleton pseudo-groups
-            // above the component id space.
-            entry.group = id == cg::kInvalidFunction
-                              ? static_cast<std::uint64_t>(comps) + i
-                              : scc->component[id];
-            if (const RegionEstimate* estimate = model.estimate(name)) {
-                entry.costNs = model.probeCostNs(*estimate);
-                // 1-in-N visits pay the full probe, the other N-1 the gate.
-                entry.sampledCostNs =
-                    entry.costNs / everyN +
-                    estimate->visits * 2.0 * config.gateCostNs *
-                        (everyN - 1.0) / everyN;
-                entry.valueNs = estimate->exclusiveNs;
-            }
-        }
-    };
-    support::parallelFor(config.pool, count, /*minGrain=*/512, lookupRange);
-
-    // Phase 2 (serial, deterministic): fold candidates into groups in
-    // candidate order.
-    std::unordered_set<std::string_view> keepSet(config.keep.begin(),
-                                                 config.keep.end());
-    std::unordered_map<std::uint64_t, std::size_t> groupIndex;
-    std::vector<Group> groups;
-    std::vector<std::size_t> groupOf(count);
-    groupIndex.reserve(count);
+    std::vector<GroupSums> groups(groupCount);
     for (std::size_t i = 0; i < count; ++i) {
-        auto [it, inserted] = groupIndex.try_emplace(info[i].group, groups.size());
-        if (inserted) {
-            groups.push_back(Group{0.0, 0.0, 0.0, i, false, false, false});
+        const RegionEstimate* estimate = model.estimate(regions_[i]);
+        if (estimate == nullptr) {
+            continue;  // Unmeasured: free.
         }
-        Group& group = groups[it->second];
-        groupOf[i] = it->second;
-        group.costNs += info[i].costNs;
-        group.sampledCostNs += info[i].sampledCostNs;
-        group.valueNs += info[i].valueNs;
-        group.keep = group.keep || keepSet.count(candidate.functions[i]) != 0;
+        GroupSums& group = groups[groupOf_[i]];
+        const double costNs = model.probeCostNs(*estimate);
+        group.costNs += costNs;
+        // 1-in-N visits pay the full probe, the other N-1 the gate.
+        group.sampledCostNs += costNs / everyN + estimate->visits * 2.0 *
+                                                     config.gateCostNs *
+                                                     (everyN - 1.0) / everyN;
+        group.valueNs += estimate->exclusiveNs;
     }
-    result.groupsConsidered = groups.size();
 
-    // Phase 3: greedy cost/value knapsack. Keep-listed groups first (budget
+    // Greedy cost/value knapsack. Keep-listed groups first (budget
     // notwithstanding, pinned at Full), free groups next (they cannot spend
     // budget), then the rest by value density — compared by cross
-    // multiplication so no division noise enters the ordering. With the
-    // sampled tier enabled, a group whose Full cost overflows the remaining
-    // budget is demoted to Sampled before it is evicted.
+    // multiplication so no division noise enters the ordering; ties go to
+    // the group whose first candidate comes first, which is the lower group
+    // index. With the sampled tier enabled, a group whose Full cost
+    // overflows the remaining budget is demoted to Sampled before it is
+    // evicted.
     result.budgetNs = config.budgetFraction * model.appRuntimeNs();
     double spentNs = 0.0;
-    std::vector<std::size_t> sweep;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (groups[g].keep || groups[g].costNs <= 0.0) {
-            groups[g].included = true;
+    std::vector<select::Tier> tiers(groupCount, select::Tier::Off);
+    std::vector<SweepKey> sweep;
+    sweep.reserve(groupCount);
+    for (std::uint32_t g = 0; g < groupCount; ++g) {
+        if (groupKeep_[g] || groups[g].costNs <= 0.0) {
+            tiers[g] = select::Tier::Full;
             spentNs += groups[g].costNs;
         } else {
-            sweep.push_back(g);
+            sweep.push_back({groups[g].valueNs, groups[g].costNs, g});
         }
     }
-    std::sort(sweep.begin(), sweep.end(), [&](std::size_t a, std::size_t b) {
-        double lhs = groups[a].valueNs * groups[b].costNs;
-        double rhs = groups[b].valueNs * groups[a].costNs;
+    std::sort(sweep.begin(), sweep.end(), [](const SweepKey& a, const SweepKey& b) {
+        const double lhs = a.valueNs * b.costNs;
+        const double rhs = b.valueNs * a.costNs;
         if (lhs != rhs) {
             return lhs > rhs;
         }
-        return groups[a].firstCandidate < groups[b].firstCandidate;
+        return a.group < b.group;
     });
-    for (std::size_t g : sweep) {
-        if (spentNs + groups[g].costNs <= result.budgetNs) {
-            groups[g].included = true;
-            spentNs += groups[g].costNs;
+    for (const SweepKey& key : sweep) {
+        if (spentNs + key.costNs <= result.budgetNs) {
+            tiers[key.group] = select::Tier::Full;
+            spentNs += key.costNs;
         } else if (config.enableSampledTier &&
-                   spentNs + groups[g].sampledCostNs <= result.budgetNs) {
-            groups[g].included = true;
-            groups[g].sampled = true;
-            spentNs += groups[g].sampledCostNs;
+                   spentNs + groups[key.group].sampledCostNs <= result.budgetNs) {
+            tiers[key.group] = select::Tier::Sampled;
+            spentNs += groups[key.group].sampledCostNs;
         }
     }
 
-    // Emit the policy with its regions in sorted order (the parallel-vector
-    // invariant), then project the binary patch set from it.
+    // Emit in candidate order, which is sorted: the policy's parallel-vector
+    // invariant holds without a sort. Then project the binary patch set.
+    // The static-id map is sorted too, so one cursor walks it alongside.
     const select::SamplingSpec sampledSpec{
         std::max<std::uint32_t>(config.sampledEveryN, 1), 0};
-    std::vector<std::pair<std::string_view, bool>> included;  // name, sampled
-    included.reserve(count);
+    // Assigning over a retired plan's names reuses their buffers.
+    std::vector<std::string>& names = result.policy.functions;
+    names = std::move(spareNames_);
+    names.resize(count);
+    std::size_t kept = 0;
+    auto staticId = candidate_.staticIds.begin();
+    result.policy.regions.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-        const Group& group = groups[groupOf[i]];
-        if (group.included) {
-            included.emplace_back(candidate.functions[i], group.sampled);
-        } else {
-            result.excluded.push_back(candidate.functions[i]);
+        const select::Tier tier = tiers[groupOf_[i]];
+        const std::string& name = candidate_.functions[i];
+        if (tier == select::Tier::Off) {
+            result.excluded.push_back(name);
+            continue;
+        }
+        names[kept++] = name;
+        const bool sampled = tier == select::Tier::Sampled;
+        result.policy.regions.push_back(
+            {tier, sampled ? sampledSpec : select::SamplingSpec{}});
+        ++(sampled ? result.sampledRegions : result.fullRegions);
+        while (staticId != candidate_.staticIds.end() && staticId->first < name) {
+            ++staticId;
+        }
+        if (staticId != candidate_.staticIds.end() && staticId->first == name) {
+            result.policy.staticIds.insert(result.policy.staticIds.end(), *staticId);
         }
     }
-    std::sort(included.begin(), included.end());
-    for (const auto& [name, sampled] : included) {
-        result.policy.functions.emplace_back(name);
-        select::RegionPolicy region;
-        region.tier = sampled ? select::Tier::Sampled : select::Tier::Full;
-        if (sampled) {
-            region.sampling = sampledSpec;
-            ++result.sampledRegions;
-        } else {
-            ++result.fullRegions;
-        }
-        result.policy.regions.push_back(region);
-        auto staticIt = candidate.staticIds.find(std::string(name));
-        if (staticIt != candidate.staticIds.end()) {
-            result.policy.staticIds.insert(*staticIt);
-        }
-    }
-    result.ic.functions = result.policy.functions;
+    names.resize(kept);
+    result.ic.functions = std::move(spareIcNames_);
+    result.ic.functions = names;
     result.ic.staticIds = result.policy.staticIds;
 
-    for (const Group& group : groups) {
-        if (group.included) {
-            result.plannedProbeCostNs +=
-                group.sampled ? group.sampledCostNs : group.costNs;
-            result.retainedValueNs += group.valueNs;
-            ++result.groupsRetained;
-            if (group.sampled) {
-                ++result.groupsSampled;
-            }
+    for (std::size_t g = 0; g < groupCount; ++g) {
+        if (tiers[g] != select::Tier::Off) {
+            result.plannedProbeCostNs += tiers[g] == select::Tier::Sampled
+                                             ? groups[g].sampledCostNs
+                                             : groups[g].costNs;
         }
     }
     return result;

@@ -9,23 +9,29 @@
 // solved greedily by value density (retained exclusive ns per probe-cost
 // ns), which is deterministic and within a group-size of optimal for this
 // shape of instance; `keep`-listed groups are admitted first regardless of
-// budget. The per-candidate lookups (graph id, SCC component, model
-// estimate) dominate at OpenFOAM scale and shard over Config::pool; the
-// greedy sweep itself consumes a per-candidate
-// array in fixed order, so results are thread-count invariant.
+// budget.
+//
+// Everything but the estimates depends only on the candidates and the
+// graph's structure, so bind() resolves it once into a candidate table:
+// per candidate its model RegionId and dense group index, per group its
+// keep flag (groups are numbered in order of their first candidate, which
+// is the sweep's tie-break). Each plan() reads the estimates by RegionId
+// into per-group sums, sorts the groups and sweeps them, in one thread over
+// dense arrays, and emits in candidate order, which is already sorted. The
+// table is rebuilt only when the graph's structure changes: a journal slice
+// of metric-only touches (the Decider's visit fold) keeps it; any other
+// record, or trimmed history, rebuilds it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adapt/overhead_model.hpp"
 #include "cg/call_graph.hpp"
-#include "cg/csr_view.hpp"
 #include "select/ic.hpp"
-#include "select/scc.hpp"
 
 namespace capi::adapt {
 
@@ -36,46 +42,72 @@ struct PlanResult {
     std::vector<std::string> excluded;    ///< Dropped candidates, sorted.
     double budgetNs = 0.0;                ///< Absolute budget this plan used.
     double plannedProbeCostNs = 0.0;      ///< Predicted cost of `policy`.
-    double retainedValueNs = 0.0;         ///< Exclusive ns kept visible.
-    std::size_t groupsConsidered = 0;
-    std::size_t groupsRetained = 0;       ///< Full + Sampled groups.
-    std::size_t groupsSampled = 0;        ///< Groups demoted, not evicted.
     std::size_t fullRegions = 0;
     std::size_t sampledRegions = 0;
 };
 
 class BudgetPlanner {
 public:
-    /// `graph` must outlive the planner. SCC decompositions are cached per
-    /// generation stamp, so repeated plans against an unchanged graph pay
-    /// Tarjan once.
+    /// `graph` must outlive the planner.
     explicit BudgetPlanner(const cg::CallGraph& graph) : graph_(&graph) {}
 
     BudgetPlanner(const BudgetPlanner&) = delete;
     BudgetPlanner& operator=(const BudgetPlanner&) = delete;
 
-    /// Plans over `candidate` (typically the survey IC, so previously
-    /// excluded regions can be re-admitted when budget allows). A model
-    /// with no observed epochs keeps every candidate: there is no data to
-    /// exclude on. Candidates unknown to both graph and model cost nothing
-    /// and are kept — cold paths stay covered, exactly like refineIc's
-    /// unmeasured rule.
+    /// Makes `candidate` (typically the survey IC, so previously excluded
+    /// regions can be re-admitted when budget allows) the set every plan()
+    /// plans over, and builds its table. Regions `model` has not interned
+    /// yet plan as unmeasured; `keep` pins the groups of the candidates it
+    /// names.
+    void bind(select::InstrumentationConfig candidate, const OverheadModel& model,
+              const std::vector<std::string>& keep);
+
+    /// Plans over the bound candidates. Candidates the model has no
+    /// estimate for cost nothing and are kept — cold paths stay covered,
+    /// exactly like refineIc's unmeasured rule — so a model with no
+    /// observed epochs keeps every candidate: there is no data to exclude
+    /// on.
     ///
     /// With config.enableSampledTier the greedy sweep gains a middle rung:
     /// a group whose Full cost overflows the remaining budget is retried at
     /// its Sampled cost (Full/everyN plus the gate toll on the suppressed
     /// visits) and demoted rather than evicted when that fits — SCC-group-
     /// atomically, so a recursion group is never half-sampled. keep-listed
-    /// groups are pinned at Full.
-    PlanResult plan(const select::InstrumentationConfig& candidate,
-                    const OverheadModel& model, const Config& config = {}) const;
+    /// groups are pinned at Full. config.keep is read at bind().
+    PlanResult plan(const OverheadModel& model, const Config& config);
+
+    /// One-shot: bind(candidate, model, config.keep), then plan.
+    PlanResult plan(select::InstrumentationConfig candidate,
+                    const OverheadModel& model, const Config& config = {});
+
+    /// Takes a retired plan's name lists back: the next plan() assigns over
+    /// their strings instead of allocating new ones.
+    void recycle(select::InstrumentationPolicy policy,
+                 select::InstrumentationConfig ic) {
+        spareNames_ = std::move(policy.functions);
+        spareIcNames_ = std::move(ic.functions);
+    }
+
+    const select::InstrumentationConfig& candidates() const { return candidate_; }
+    /// The model RegionId of each bound candidate, in candidate order
+    /// (kNoRegion where the model had not interned it at bind()).
+    std::span<const RegionId> candidateRegions() const { return regions_; }
 
 private:
+    /// Resolves the candidates' region ids and regroups them by the
+    /// graph's current SCC components.
+    void buildTable(const OverheadModel& model);
+
     const cg::CallGraph* graph_;
-    /// (generation, scc) of the last plan; rebuilt when the graph mutates.
-    mutable std::mutex cacheMutex_;
-    mutable std::uint64_t cachedGeneration_ = 0;
-    mutable std::shared_ptr<const select::SccResult> cachedScc_;
+    select::InstrumentationConfig candidate_;
+    /// Graph revision the groups were built (or last kept) at.
+    std::uint64_t tableGeneration_ = 0;
+    std::vector<std::string> keep_;
+    std::vector<RegionId> regions_;       ///< Per candidate.
+    std::vector<std::uint32_t> groupOf_;  ///< Per candidate.
+    std::vector<bool> groupKeep_;         ///< Per group.
+    std::vector<std::string> spareNames_;
+    std::vector<std::string> spareIcNames_;
 };
 
 }  // namespace capi::adapt

@@ -64,9 +64,9 @@ struct Config {
     /// Epoch cap for run() convenience loops (the controller itself keeps
     /// accepting epochs beyond it).
     std::size_t maxEpochs = 10;
-    /// Selection and planning parallelism, as in PipelineOptions: null runs
-    /// serially; the controller's RefinementSession and the planner's
-    /// lookup phase both run on this pool.
+    /// Selection parallelism, as in PipelineOptions: null runs serially;
+    /// the controller's RefinementSession runs on this pool. Planning is
+    /// one pass over the planner's dense candidate table and stays serial.
     support::ThreadPool* pool = nullptr;
     /// When set (to the SAME graph the controller or aggregator was
     /// constructed over), every epoch folds measured per-region visit

@@ -14,12 +14,12 @@ Decider::Decider(const cg::CallGraph& graph, Config config, DeciderSpans spans)
       planner_(graph),
       obsEventsAtLastEpoch_(obs::TraceRecorder::global().recordedEvents()) {}
 
-void Decider::start(select::InstrumentationConfig surveyIc) {
-    surveyIc_ = std::move(surveyIc);
-    for (const std::string& name : surveyIc_.functions) {
+void Decider::start(select::InstrumentationConfig survey) {
+    for (const std::string& name : survey.functions) {
         model_.regionId(name);
     }
-    adopt(select::InstrumentationPolicy::fullOf(surveyIc_), surveyIc_);
+    planner_.bind(std::move(survey), model_, config_.keep);
+    adopt(select::InstrumentationPolicy::fullOf(surveyIc()), surveyIc());
 }
 
 Decision Decider::decide(std::span<const RegionObservation> observed,
@@ -40,7 +40,7 @@ Decision Decider::decide(std::span<const RegionObservation> observed,
     decision.selfObsCostNs =
         static_cast<double>(decision.obsEventsObserved) * config_.obsCostNs;
 
-    model_.observeEpoch(observed, runtimeNs, &ic_);
+    model_.observeEpoch(observed, runtimeNs, &activeIds_);
     model_.chargeSelfCost(decision.selfObsCostNs);
     foldVisitMetrics(observed);
     span.reset();
@@ -63,7 +63,7 @@ Decision Decider::decide(std::span<const RegionObservation> observed,
         // force: the model's frozen estimates let the planner re-admit
         // regions whose smoothed cost no longer blocks the budget (and
         // re-promote regions it demoted to Sampled).
-        PlanResult plan = planner_.plan(surveyIc_, model_, config_);
+        PlanResult plan = planner_.plan(model_, config_);
         decision.policy = std::move(plan.policy);
         decision.ic = std::move(plan.ic);
         decision.budgetNs = plan.budgetNs;
@@ -79,8 +79,20 @@ Decision Decider::decide(std::span<const RegionObservation> observed,
 
 void Decider::adopt(select::InstrumentationPolicy policy,
                     select::InstrumentationConfig ic) {
-    policy_ = std::move(policy);
-    ic_ = std::move(ic);
+    std::swap(policy_, policy);
+    std::swap(ic_, ic);
+    planner_.recycle(std::move(policy), std::move(ic));
+    // The model's ids of the patch set, for next epoch's decay step: one
+    // merge against the sorted survey, whose ids the planner's table holds.
+    const std::vector<std::string>& survey = surveyIc().functions;
+    auto it = survey.begin();
+    activeIds_.clear();
+    for (const std::string& name : ic_.functions) {
+        it = std::lower_bound(it, survey.end(), name);
+        activeIds_.push_back(it != survey.end() && *it == name
+                                 ? planner_.candidateRegions()[it - survey.begin()]
+                                 : model_.regionId(name));
+    }
 }
 
 select::InstrumentationPolicy Decider::safeModePolicy() const {
@@ -155,8 +167,8 @@ DeciderState Decider::saveState() const {
 
 void Decider::restoreState(DeciderState state) {
     model_.restoreState(state.model);
-    ic_ = state.policy.patchSet();
-    policy_ = std::move(state.policy);
+    select::InstrumentationConfig ic = state.policy.patchSet();
+    adopt(std::move(state.policy), std::move(ic));
     safeMode_ = state.safeMode;
     overBudgetStreak_ = static_cast<std::size_t>(state.overBudgetStreak);
     inBudgetStreak_ = static_cast<std::size_t>(state.inBudgetStreak);

@@ -21,6 +21,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "adapt/budget_planner.hpp"
 #include "adapt/config.hpp"
@@ -84,8 +85,10 @@ public:
     /// Installs the survey IC every epoch replans over, and the survey at
     /// Full as the policy in force (the model needs unsampled ground truth
     /// before the planner may demote anything). Seeds the model's region
-    /// ids with the survey, in survey order.
-    void start(select::InstrumentationConfig surveyIc);
+    /// ids with the survey, in survey order, and binds the planner's
+    /// candidate table to it. A restoreState() only appends model ids, so
+    /// the table outlives it.
+    void start(select::InstrumentationConfig survey);
 
     /// The model's id for region `name`, interned on first sight. Owners
     /// call this once per region and keep the id.
@@ -125,7 +128,9 @@ public:
 
     const select::InstrumentationPolicy& policy() const { return policy_; }
     const select::InstrumentationConfig& ic() const { return ic_; }
-    const select::InstrumentationConfig& surveyIc() const { return surveyIc_; }
+    const select::InstrumentationConfig& surveyIc() const {
+        return planner_.candidates();
+    }
     bool safeMode() const { return safeMode_; }
     const Config& config() const { return config_; }
 
@@ -136,10 +141,12 @@ private:
     Config config_;
     DeciderSpans spans_;
     OverheadModel model_;
+    /// Bound to the survey IC every epoch replans over.
     BudgetPlanner planner_;
-    select::InstrumentationConfig surveyIc_;
     select::InstrumentationPolicy policy_;
     select::InstrumentationConfig ic_;
+    /// The model's id of each region in ic_, derived at adopt().
+    std::vector<RegionId> activeIds_;
     bool safeMode_ = false;
     std::size_t overBudgetStreak_ = 0;  ///< Consecutive epochs past the trip ratio.
     std::size_t inBudgetStreak_ = 0;    ///< Consecutive epochs within budget.

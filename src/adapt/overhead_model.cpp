@@ -61,7 +61,7 @@ std::uint64_t OverheadModel::suppressedDelta(std::uint64_t measurementId,
 
 void OverheadModel::observeEpoch(std::span<const RegionObservation> observed,
                                  double epochRuntimeNs,
-                                 const select::InstrumentationConfig* activeIc) {
+                                 const std::vector<RegionId>* active) {
     for (const RegionObservation& obs : observed) {
         if (obs.region >= names_.size()) {
             throw std::out_of_range("overhead model: unknown region id");
@@ -85,13 +85,12 @@ void OverheadModel::observeEpoch(std::span<const RegionObservation> observed,
 
     // Active regions without profile data observed zero this epoch; inactive
     // regions are unobservable and keep their frozen estimate.
-    if (activeIc != nullptr) {
-        for (const std::string& name : activeIc->functions) {
-            auto id = ids_.find(name);
-            if (id == ids_.end() || seen_[id->second]) {
+    if (active != nullptr) {
+        for (RegionId id : *active) {
+            if (seen_.at(id)) {
                 continue;
             }
-            std::optional<RegionEstimate>& slot = estimates_[id->second];
+            std::optional<RegionEstimate>& slot = estimates_[id];
             if (slot && slot->epochsObserved > 0) {  // Never seen: no decay.
                 fold(*slot, 0.0, 0.0, 0.0, ewmaAlpha_);
             }
@@ -121,12 +120,9 @@ void OverheadModel::chargeSelfCost(double selfCostNs) {
         epochs_ == 1 ? selfCostNs : ewmaAlpha_ * selfCostNs;
 }
 
-const RegionEstimate* OverheadModel::estimate(const std::string& name) const {
+RegionId OverheadModel::find(const std::string& name) const {
     auto it = ids_.find(name);
-    if (it == ids_.end() || !estimates_[it->second]) {
-        return nullptr;
-    }
-    return &*estimates_[it->second];
+    return it == ids_.end() ? kNoRegion : it->second;
 }
 
 ModelState OverheadModel::saveState() const {

@@ -38,6 +38,8 @@ namespace capi::adapt {
 
 /// Dense region key of an OverheadModel, assigned in interning order.
 using RegionId = std::uint32_t;
+/// No region: what find() answers for a name never interned.
+inline constexpr RegionId kNoRegion = UINT32_MAX;
 
 /// Smoothed per-epoch behaviour of one region.
 struct RegionEstimate {
@@ -99,6 +101,8 @@ public:
 
     /// The id of `name`, interned (appended) on first sight.
     RegionId regionId(const std::string& name);
+    /// The id of `name` if interned, else kNoRegion; interns nothing.
+    RegionId find(const std::string& name) const;
     const std::string& regionName(RegionId id) const { return *names_[id]; }
 
     /// The epoch's share of a Measurement's cumulative gate-suppressed
@@ -111,20 +115,28 @@ public:
                                   std::uint64_t cumulative);
 
     /// Folds one epoch's observations (each region at most once) into the
-    /// estimates. `activeIc` names the regions that were instrumented
-    /// during the epoch (see the freeze semantics above); nullptr treats
-    /// every known region as active. The epoch's probe cost is folded from
+    /// estimates. `active` holds the ids of the regions that were
+    /// instrumented during the epoch: those it names but `observed` does
+    /// not decay toward zero (see the freeze semantics above); nullptr
+    /// decays nothing. The epoch's probe cost is folded from
     /// the summed visit and suppression counts — exact integers — so it
     /// does not depend on the order the observations arrive in: a fleet
     /// aggregation and an in-process reference run that first saw regions
     /// in different orders still get bit-identical budgets and plans.
     void observeEpoch(std::span<const RegionObservation> observed,
                       double epochRuntimeNs,
-                      const select::InstrumentationConfig* activeIc = nullptr);
+                      const std::vector<RegionId>* active = nullptr);
 
     std::size_t epochCount() const { return epochs_; }
 
-    const RegionEstimate* estimate(const std::string& name) const;
+    /// nullptr until the region is first observed (or for kNoRegion).
+    const RegionEstimate* estimate(RegionId id) const {
+        return id < estimates_.size() && estimates_[id] ? &*estimates_[id]
+                                                        : nullptr;
+    }
+    const RegionEstimate* estimate(const std::string& name) const {
+        return estimate(find(name));
+    }
 
     /// Predicted per-epoch probe cost of keeping a region instrumented:
     /// one enter plus one exit event per visit.

@@ -101,7 +101,13 @@ void observeEpoch(adapt::OverheadModel& model, const scorep::ProfileTree& tree,
     for (const auto& [handle, obs] : byHandle) {
         observed.push_back(obs);
     }
-    model.observeEpoch(observed, runtimeNs, active);
+    std::vector<adapt::RegionId> activeIds;
+    if (active != nullptr) {
+        for (const std::string& name : active->functions) {
+            activeIds.push_back(model.regionId(name));
+        }
+    }
+    model.observeEpoch(observed, runtimeNs, active ? &activeIds : nullptr);
 }
 
 select::InstrumentationConfig icOf(std::initializer_list<const char*> names) {
