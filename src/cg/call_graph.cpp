@@ -441,12 +441,4 @@ std::size_t CallGraph::edgeCount() const {
     return count;
 }
 
-std::vector<FunctionId> CallGraph::allIds() const {
-    std::vector<FunctionId> ids(nodes_.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        ids[i] = static_cast<FunctionId>(i);
-    }
-    return ids;
-}
-
 }  // namespace capi::cg

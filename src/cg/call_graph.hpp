@@ -205,9 +205,6 @@ public:
 
     std::size_t edgeCount() const;
 
-    /// Iteration helper: valid ids are [0, size()).
-    std::vector<FunctionId> allIds() const;
-
 private:
     static std::uint64_t nextGenerationStamp();
     static std::uint64_t nextGraphId();

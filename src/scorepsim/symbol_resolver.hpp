@@ -36,8 +36,6 @@ public:
     /// Resolves a runtime address to the containing function's name.
     std::optional<std::string> resolve(std::uint64_t runtimeAddress) const;
 
-    std::size_t symbolCount() const { return entries_.size(); }
-
 private:
     struct Entry {
         std::uint64_t begin;

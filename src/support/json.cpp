@@ -96,11 +96,6 @@ std::int64_t Json::getInt(std::string_view key, std::int64_t def) const {
     return (v != nullptr && v->isNumber()) ? v->asInt() : def;
 }
 
-double Json::getDouble(std::string_view key, double def) const {
-    const Json* v = find(key);
-    return (v != nullptr && v->isNumber()) ? v->asDouble() : def;
-}
-
 bool Json::getBool(std::string_view key, bool def) const {
     const Json* v = find(key);
     return (v != nullptr && v->isBool()) ? v->asBool() : def;

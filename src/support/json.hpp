@@ -175,7 +175,6 @@ public:
 
     /// Convenience typed getters with defaults for optional members.
     std::int64_t getInt(std::string_view key, std::int64_t def) const;
-    double getDouble(std::string_view key, double def) const;
     bool getBool(std::string_view key, bool def) const;
     std::string getString(std::string_view key, const std::string& def) const;
 

@@ -50,15 +50,6 @@ std::string_view trim(std::string_view text) {
     return text.substr(begin, end - begin);
 }
 
-bool startsWith(std::string_view text, std::string_view prefix) {
-    return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-bool endsWith(std::string_view text, std::string_view suffix) {
-    return text.size() >= suffix.size() &&
-           text.substr(text.size() - suffix.size()) == suffix;
-}
-
 bool globMatch(std::string_view pattern, std::string_view text) {
     // Iterative glob with single-star backtracking: O(n*m) worst case but
     // linear in practice. '*' matches any run, '?' a single character.

@@ -20,9 +20,6 @@ std::vector<std::string> splitWhitespace(std::string_view text);
 
 std::string_view trim(std::string_view text);
 
-bool startsWith(std::string_view text, std::string_view prefix);
-bool endsWith(std::string_view text, std::string_view suffix);
-
 /// Score-P style wildcard matching ('*' and '?').
 bool globMatch(std::string_view pattern, std::string_view text);
 

@@ -71,8 +71,6 @@ public:
     void restart() { start_ = nowNs(); }
 
     std::uint64_t elapsedNs() const { return nowNs() - start_; }
-    double elapsedUs() const { return static_cast<double>(elapsedNs()) / 1e3; }
-    double elapsedMs() const { return static_cast<double>(elapsedNs()) / 1e6; }
     double elapsedSec() const { return static_cast<double>(elapsedNs()) / 1e9; }
 
 private:

@@ -77,7 +77,6 @@ void CodeMemory::write(std::uint64_t address, CodeCell cell) {
                                     std::to_string(address));
     }
     cells_[index] = cell;
-    ++cellWrites_;
 }
 
 }  // namespace capi::xray

@@ -40,7 +40,6 @@ public:
     explicit CodeMemory(std::uint64_t bytes);
 
     std::uint64_t sizeBytes() const { return pageCount_ * kPageSize; }
-    std::uint64_t pageCount() const { return pageCount_; }
 
     /// Changes protection of all pages intersecting [address, address+length).
     /// Counts distinct pages transitioned to writable (COW page touches).
@@ -56,7 +55,6 @@ public:
     // --- statistics ---------------------------------------------------------
     std::uint64_t mprotectCalls() const { return mprotectCalls_; }
     std::uint64_t pagesMadeWritable() const { return pagesMadeWritable_; }
-    std::uint64_t cellWrites() const { return cellWrites_; }
 
 private:
     std::uint64_t cellIndex(std::uint64_t address) const;
@@ -66,7 +64,6 @@ private:
     std::vector<bool> writable_;      ///< Per page.
     std::uint64_t mprotectCalls_ = 0;
     std::uint64_t pagesMadeWritable_ = 0;
-    std::uint64_t cellWrites_ = 0;
 };
 
 }  // namespace capi::xray
