@@ -262,8 +262,9 @@ constexpr int kChurnWarmupEpochs = 8;
 /// epochs; profile generation is excluded.
 /// ns_per_client_epoch shows whether an epoch costs the policy once or
 /// once per client. The per-phase counters (ms per epoch) come from the
-/// system's own trace spans: fleet.merge, fleet.observe, fleet.decide and
-/// fleet.broadcast of the epoch close, and fleet.adopt summed over clients.
+/// system's own trace spans: fleet.merge, fleet.observe, fleet.decide (with
+/// fleet.plan, its kill-switch and planner share) and fleet.broadcast of the
+/// epoch close, and fleet.adopt summed over clients.
 void BM_FleetEpochChurn(benchmark::State& state) {
     const auto clientCount = static_cast<std::size_t>(state.range(0));
     apps::OpenFoamParams params = apps::OpenFoamParams::executionScale();
@@ -335,6 +336,7 @@ void BM_FleetEpochChurn(benchmark::State& state) {
         {"merge_ms", recorder.internName("fleet.merge")},
         {"observe_ms", recorder.internName("fleet.observe")},
         {"decide_ms", recorder.internName("fleet.decide")},
+        {"plan_ms", recorder.internName("fleet.plan")},
         {"broadcast_ms", recorder.internName("fleet.broadcast")},
         {"adopt_ms", recorder.internName("fleet.adopt")}};
     std::vector<double> phaseNs(phases.size(), 0.0);

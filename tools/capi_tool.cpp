@@ -711,7 +711,7 @@ int runFleet(int argc, char** argv) {
                 converged ? "converged" : "DIVERGED", clientCount,
                 static_cast<unsigned long long>(
                     aggregator->convergedFingerprint()),
-                static_cast<unsigned long long>(stats.epochsCompleted));
+                static_cast<unsigned long long>(aggregator->epochsCompleted()));
     std::printf("wire: %llu frames merged, %.1f bytes/frame in, %llu bytes "
                 "out across %llu policy frames, %llu decode errors\n",
                 static_cast<unsigned long long>(stats.framesMerged),
