@@ -88,7 +88,9 @@ void Decider::adopt(select::InstrumentationPolicy policy,
     auto it = survey.begin();
     activeIds_.clear();
     for (const std::string& name : ic_.functions) {
-        it = std::lower_bound(it, survey.end(), name);
+        while (it != survey.end() && *it < name) {
+            ++it;
+        }
         activeIds_.push_back(it != survey.end() && *it == name
                                  ? planner_.candidateRegions()[it - survey.begin()]
                                  : model_.regionId(name));
