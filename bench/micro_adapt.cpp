@@ -135,8 +135,8 @@ void BM_BudgetPlannerEpoch(benchmark::State& state) {
     planner.bind(fixture.candidate, fixture.model, options.keep);
     for (auto _ : state) {
         adapt::PlanResult plan = planner.plan(fixture.model, options);
-        benchmark::DoNotOptimize(plan.ic.size());
-        planner.recycle(std::move(plan.policy), std::move(plan.ic));
+        benchmark::DoNotOptimize(plan.policy.size());
+        planner.recycle(std::move(plan.policy));
     }
     state.SetItemsProcessed(state.iterations() * graph.size());
 }

@@ -79,7 +79,7 @@ int main() {
                 "survey functions (%zu full, %zu sampled), every adjustment "
                 "a delta re-patch\n",
                 controller.converged() ? "yes" : "no", controller.epochsRun(),
-                controller.currentIc().size(), survey.size(),
+                controller.currentPolicy().size(), survey.size(),
                 controller.currentPolicy().countOf(select::Tier::Full),
                 controller.currentPolicy().countOf(select::Tier::Sampled));
     return controller.converged() ? 0 : 1;

@@ -75,12 +75,10 @@ PlanResult BudgetPlanner::plan(select::InstrumentationConfig candidate,
 
 PlanResult BudgetPlanner::plan(const OverheadModel& model, const Config& config) {
     PlanResult result;
-    result.ic.specName = candidate_.specName.empty()
-                             ? "budget"
-                             : candidate_.specName + "+budget";
-    result.ic.application = candidate_.application;
-    result.policy.specName = result.ic.specName;
-    result.policy.application = result.ic.application;
+    result.policy.specName = candidate_.specName.empty()
+                                 ? "budget"
+                                 : candidate_.specName + "+budget";
+    result.policy.application = candidate_.application;
 
     // Metric-only touches since the table was built keep it.
     const std::optional<cg::GraphDelta> delta = graph_->deltaSince(tableGeneration_);
@@ -157,8 +155,8 @@ PlanResult BudgetPlanner::plan(const OverheadModel& model, const Config& config)
     }
 
     // Emit in candidate order, which is sorted: the policy's parallel-vector
-    // invariant holds without a sort. Then project the binary patch set.
-    // The static-id map is sorted too, so one cursor walks it alongside.
+    // invariant holds without a sort. The static-id map is sorted too, so
+    // one cursor walks it alongside.
     const select::SamplingSpec sampledSpec{
         std::max<std::uint32_t>(config.sampledEveryN, 1), 0};
     // Assigning over a retired plan's names reuses their buffers.
@@ -172,7 +170,6 @@ PlanResult BudgetPlanner::plan(const OverheadModel& model, const Config& config)
         const select::Tier tier = tiers[groupOf_[i]];
         const std::string& name = candidate_.functions[i];
         if (tier == select::Tier::Off) {
-            result.excluded.push_back(name);
             continue;
         }
         names[kept++] = name;
@@ -188,9 +185,6 @@ PlanResult BudgetPlanner::plan(const OverheadModel& model, const Config& config)
         }
     }
     names.resize(kept);
-    result.ic.functions = std::move(spareIcNames_);
-    result.ic.functions = names;
-    result.ic.staticIds = result.policy.staticIds;
 
     for (std::size_t g = 0; g < groupCount; ++g) {
         if (tiers[g] != select::Tier::Off) {

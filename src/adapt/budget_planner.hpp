@@ -36,10 +36,9 @@
 namespace capi::adapt {
 
 struct PlanResult {
-    select::InstrumentationConfig ic;     ///< The trimmed patch set (the
-                                          ///< policy's Full + Sampled regions).
-    select::InstrumentationPolicy policy; ///< The tiered plan itself.
-    std::vector<std::string> excluded;    ///< Dropped candidates, sorted.
+    /// The tiered plan. Its functions are the patch set (Full + Sampled);
+    /// a candidate not listed is excluded.
+    select::InstrumentationPolicy policy;
     double budgetNs = 0.0;                ///< Absolute budget this plan used.
     double plannedProbeCostNs = 0.0;      ///< Predicted cost of `policy`.
     std::size_t fullRegions = 0;
@@ -80,12 +79,10 @@ public:
     PlanResult plan(select::InstrumentationConfig candidate,
                     const OverheadModel& model, const Config& config = {});
 
-    /// Takes a retired plan's name lists back: the next plan() assigns over
-    /// their strings instead of allocating new ones.
-    void recycle(select::InstrumentationPolicy policy,
-                 select::InstrumentationConfig ic) {
+    /// Takes a retired plan's name list back: the next plan() assigns over
+    /// its strings instead of allocating new ones.
+    void recycle(select::InstrumentationPolicy policy) {
         spareNames_ = std::move(policy.functions);
-        spareIcNames_ = std::move(ic.functions);
     }
 
     const select::InstrumentationConfig& candidates() const { return candidate_; }
@@ -107,7 +104,6 @@ private:
     std::vector<std::uint32_t> groupOf_;  ///< Per candidate.
     std::vector<bool> groupKeep_;         ///< Per group.
     std::vector<std::string> spareNames_;
-    std::vector<std::string> spareIcNames_;
 };
 
 }  // namespace capi::adapt

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -144,7 +145,7 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
     static_cast<DecisionSummary&>(report) = decision;
     report.epoch = lastReport_.epoch + 1;
     report.runtimeNs = runtimeNs;
-    report.icSize = decision.ic.size();
+    report.icSize = decision.policy.size();
 
     auto instant = [](std::uint32_t name, std::uint64_t arg) {
         obs::TraceRecorder::global().recordInstant(
@@ -169,7 +170,7 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
     report.promotedFunctions = delta.promoted.size();
     report.demotedFunctions = delta.demoted.size();
     if (applyWithRetry(decision.policy, report)) {
-        decider_.adopt(std::move(decision.policy), std::move(decision.ic));
+        decider_.adopt(std::move(decision.policy));
         if (report.retriesThisEpoch > 0) {
             degraded_ = true;
         } else if (!report.killSwitchRearmed) {
@@ -196,7 +197,7 @@ EpochReport Controller::epoch(const scorep::ProfileTree& profile,
             try {
                 select::InstrumentationPolicy safe = decider_.safeModePolicy();
                 report.patch = dyn_->applyPolicyDelta(safe);
-                decider_.adopt(safe, safe.patchSet());
+                decider_.adopt(std::move(safe));
             } catch (const xray::PatchError&) {
                 ++healthStats_.patchFailures;  // Keep last-good; next epoch retries.
             }
@@ -292,7 +293,7 @@ EpochReport Controller::adoptPolicy(
         EpochReport applied = report;
         applied.retriesThisEpoch = 0;
         if (applyWithRetry(converged, applied)) {
-            decider_.adopt(converged, converged.patchSet());
+            decider_.adopt(converged);
             report.patch = applied.patch;
         }
         // On exhausted retries this controller stays on its last-good policy
@@ -316,13 +317,15 @@ EpochReport Controller::adoptPolicy(
 
 select::InstrumentationConfig surveyOfDefinedFunctions(
     const cg::CallGraph& graph) {
-    select::InstrumentationConfig ic;
-    ic.specName = "survey";
+    std::vector<std::string_view> names;
     for (cg::FunctionId id = 0; id < graph.size(); ++id) {
         if (graph.desc(id).flags.hasBody) {
-            ic.addFunction(graph.name(id));
+            names.push_back(graph.name(id));
         }
     }
+    select::InstrumentationConfig ic;
+    ic.specName = "survey";
+    ic.setFunctions(std::move(names));
     return ic;
 }
 

@@ -135,11 +135,15 @@ public:
     /// a clean epoch heals it.
     EpochHealth health() const;
     const HealthStats& healthStats() const { return healthStats_; }
-    /// The tiered policy currently applied and its patch set.
+    /// The tiered policy currently applied.
     const select::InstrumentationPolicy& currentPolicy() const {
         return decider_.policy();
     }
-    const select::InstrumentationConfig& currentIc() const { return decider_.ic(); }
+    /// Its patch set, projected as an IC (a copy of the name list): for
+    /// writing an IC file or a full applyIc.
+    select::InstrumentationConfig currentIc() const {
+        return decider_.policy().patchSet();
+    }
     const Config& config() const { return decider_.config(); }
     dyncapi::RefinementSession& session() { return *session_; }
 

@@ -19,7 +19,7 @@ void Decider::start(select::InstrumentationConfig survey) {
         model_.regionId(name);
     }
     planner_.bind(std::move(survey), model_, config_.keep);
-    adopt(select::InstrumentationPolicy::fullOf(surveyIc()), surveyIc());
+    adopt(select::InstrumentationPolicy::fullOf(surveyIc()));
 }
 
 Decision Decider::decide(std::span<const RegionObservation> observed,
@@ -55,7 +55,6 @@ Decision Decider::decide(std::span<const RegionObservation> observed,
     advanceKillSwitch(decision);
     if (safeMode_) {
         decision.policy = safeModePolicy();
-        decision.ic = decision.policy.patchSet();
         decision.budgetNs = config_.budgetFraction * runtimeNs;
         decision.fullRegions = decision.policy.countOf(select::Tier::Full);
     } else {
@@ -65,29 +64,26 @@ Decision Decider::decide(std::span<const RegionObservation> observed,
         // re-promote regions it demoted to Sampled).
         PlanResult plan = planner_.plan(model_, config_);
         decision.policy = std::move(plan.policy);
-        decision.ic = std::move(plan.ic);
         decision.budgetNs = plan.budgetNs;
         decision.plannedProbeCostNs = plan.plannedProbeCostNs;
         decision.fullRegions = plan.fullRegions;
         decision.sampledRegions = plan.sampledRegions;
     }
     if (span) {
-        span->setArg(decision.ic.size());
+        span->setArg(decision.policy.size());
     }
     return decision;
 }
 
-void Decider::adopt(select::InstrumentationPolicy policy,
-                    select::InstrumentationConfig ic) {
+void Decider::adopt(select::InstrumentationPolicy policy) {
     std::swap(policy_, policy);
-    std::swap(ic_, ic);
-    planner_.recycle(std::move(policy), std::move(ic));
+    planner_.recycle(std::move(policy));
     // The model's ids of the patch set, for next epoch's decay step: one
     // merge against the sorted survey, whose ids the planner's table holds.
     const std::vector<std::string>& survey = surveyIc().functions;
     auto it = survey.begin();
     activeIds_.clear();
-    for (const std::string& name : ic_.functions) {
+    for (const std::string& name : policy_.functions) {
         while (it != survey.end() && *it < name) {
             ++it;
         }
@@ -169,8 +165,7 @@ DeciderState Decider::saveState() const {
 
 void Decider::restoreState(DeciderState state) {
     model_.restoreState(state.model);
-    select::InstrumentationConfig ic = state.policy.patchSet();
-    adopt(std::move(state.policy), std::move(ic));
+    adopt(std::move(state.policy));
     safeMode_ = state.safeMode;
     overBudgetStreak_ = static_cast<std::size_t>(state.overBudgetStreak);
     inBudgetStreak_ = static_cast<std::size_t>(state.inBudgetStreak);

@@ -50,10 +50,10 @@ struct DecisionSummary {
     double selfObsCostNs = 0.0;
 };
 
-/// What one decide() call concluded: the target policy and its patch set.
+/// What one decide() call concluded: the target policy (its functions are
+/// the patch set).
 struct Decision : DecisionSummary {
     select::InstrumentationPolicy policy;
-    select::InstrumentationConfig ic;
 };
 
 /// The Decider's complete mutable state, for checkpointing. The survey IC
@@ -109,9 +109,8 @@ public:
     Decision decide(std::span<const RegionObservation> observed,
                     double runtimeNs);
 
-    /// Makes `policy` (with its patch set `ic`) the policy in force.
-    void adopt(select::InstrumentationPolicy policy,
-               select::InstrumentationConfig ic);
+    /// Makes `policy` the policy in force.
+    void adopt(select::InstrumentationPolicy policy);
 
     /// Forces safe mode outside the kill-switch (the controller's last
     /// resort when even reverting a failed patch failed); the re-arm
@@ -127,7 +126,6 @@ public:
     void restoreState(DeciderState state);
 
     const select::InstrumentationPolicy& policy() const { return policy_; }
-    const select::InstrumentationConfig& ic() const { return ic_; }
     const select::InstrumentationConfig& surveyIc() const {
         return planner_.candidates();
     }
@@ -144,8 +142,7 @@ private:
     /// Bound to the survey IC every epoch replans over.
     BudgetPlanner planner_;
     select::InstrumentationPolicy policy_;
-    select::InstrumentationConfig ic_;
-    /// The model's id of each region in ic_, derived at adopt().
+    /// The model's id of each region in policy_, derived at adopt().
     std::vector<RegionId> activeIds_;
     bool safeMode_ = false;
     std::size_t overBudgetStreak_ = 0;  ///< Consecutive epochs past the trip ratio.

@@ -666,7 +666,7 @@ void Aggregator::closeEpoch(bool timedOut) {
     // 3. The identical decision the in-process controller would make.
     obs::ScopedSpan decideSpan(spans.decide, obs::SpanCategory::Fleet);
     adapt::Decision decision = decider_.decide(observed, worldRuntimeNs);
-    decider_.adopt(std::move(decision.policy), std::move(decision.ic));
+    decider_.adopt(std::move(decision.policy));
     decideSpan.end();
 
     ++epochsCompleted_;

@@ -10,6 +10,7 @@
 #include "obs/trace.hpp"
 #include "support/backoff.hpp"
 #include "support/fault.hpp"
+#include "support/hash.hpp"
 
 namespace capi::fleet {
 
@@ -134,30 +135,38 @@ private:
 };
 
 /// Applies `frame` to `policy` (to nothing, for a baseline) only if the
-/// result hashes to the frame's fingerprint. One pass builds the result in
-/// `spare`, moving the names it keeps out of `policy`, and hashes every
-/// entry; on a match the two swap (`spare` keeps the old lists, whose
-/// capacity the next frame reuses), on a mismatch the names move back and
-/// `policy` is as it was. Returns whether the frame verified.
+/// result hashes to the frame's fingerprint. `hashes` holds fnv1a of each
+/// of `policy`'s names: an entry kept from the base brings its hash along,
+/// so only the names the frame carries are hashed, and every entry still
+/// enters the digest. One pass builds the result in `spare` and
+/// `spareHashes`, moving the names it keeps out of `policy`; on a match
+/// the pairs swap (the spares keep the old lists, whose capacity the next
+/// frame reuses), on a mismatch the names move back and `policy` and
+/// `hashes` are as they were. Returns whether the frame verified.
 bool applyVerified(const PolicyFrame& frame,
                    select::InstrumentationPolicy& policy,
-                   select::InstrumentationPolicy& spare) {
+                   std::vector<std::uint64_t>& hashes,
+                   select::InstrumentationPolicy& spare,
+                   std::vector<std::uint64_t>& spareHashes) {
     const select::InstrumentationPolicy none;
     const select::InstrumentationPolicy& base = frame.baseline ? none : policy;
     const FrameMerge merge(frame, base);
     spare.functions.clear();
     spare.regions.clear();
+    spareHashes.clear();
     select::PolicyDigest digest;
     merge.forEach([&](const std::string& name,
                       const select::RegionPolicy& region,
                       std::size_t baseIndex) {
         if (baseIndex == FrameMerge::kFromFrame) {
             spare.functions.push_back(name);
+            spareHashes.push_back(support::fnv1a(name));
         } else {
             spare.functions.push_back(std::move(policy.functions[baseIndex]));
+            spareHashes.push_back(hashes[baseIndex]);
         }
         spare.regions.push_back(region);
-        digest.add(spare.functions.back(), region);
+        digest.addHashed(spareHashes.back(), region);
     });
     if (digest.value(base.staticIds) != frame.fingerprint) {
         std::size_t k = 0;
@@ -174,6 +183,7 @@ bool applyVerified(const PolicyFrame& frame,
     spare.specName = frame.baseline ? "fleet" : base.specName;
     spare.application = base.application;
     std::swap(policy, spare);
+    std::swap(hashes, spareHashes);
     return true;
 }
 
@@ -385,7 +395,7 @@ adapt::EpochReport FleetClient::awaitPolicy() {
         obs::ScopedSpan adoptSpan(spans.adopt, obs::SpanCategory::Fleet);
         // Commit only after the fingerprint verifies, so policy() always
         // matches policyFingerprint().
-        if (!applyVerified(frame, policy_, spare_)) {
+        if (!applyVerified(frame, policy_, hashes_, spare_, spareHashes_)) {
             if (frame.baseline) {
                 // A baseline that does not reconstruct is not recoverable
                 // by another resync (static IDs, say, are not carried on

@@ -195,9 +195,14 @@ private:
     std::map<scorep::RegionHandle, std::uint64_t> suppressedShipped_;
 
     select::InstrumentationPolicy policy_;
+    /// support::fnv1a of each name, parallel to policy_.functions: the part
+    /// of the fingerprint an entry kept across frames need not recompute.
+    std::vector<std::uint64_t> hashes_;
     /// The previous policy's lists, kept for their capacity: the next frame
-    /// is built here and swapped with policy_ once it verifies.
+    /// is built here and swapped with policy_ (and spareHashes_ with
+    /// hashes_) once it verifies.
     select::InstrumentationPolicy spare_;
+    std::vector<std::uint64_t> spareHashes_;
     std::uint64_t fingerprint_ = 0;
     std::uint64_t incarnation_ = 0;  ///< 0 = no policy frame seen yet.
     bool awaitingBaseline_ = true;

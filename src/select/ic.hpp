@@ -161,9 +161,11 @@ struct InstrumentationPolicy {
     /// Sampled regions keep their sleds; only the measurement gate differs).
     InstrumentationConfig patchSet() const;
 
-    /// Order-independent digest of (name, tier, sampling) triples plus the
-    /// static-ID map; ranks compare these to detect policy divergence
-    /// without shipping whole policies around.
+    /// Digest of the (name, tier, sampling) entries, chained in list order,
+    /// then the static-ID map; ranks compare these to detect policy
+    /// divergence without shipping whole policies around. The chain is
+    /// order-sensitive, so equal policies digest equally only because the
+    /// list is kept sorted and unique.
     std::uint64_t fingerprint() const;
 
     support::Json toJson() const;
@@ -172,13 +174,17 @@ struct InstrumentationPolicy {
 
 /// InstrumentationPolicy::fingerprint(), computed incrementally: add() each
 /// entry in list order, then value() with the static IDs. For callers that
-/// know a policy's entries before (or without) building it.
+/// know a policy's entries before (or without) building it. An entry's
+/// name enters only as support::fnv1a(name), so a caller that keeps those
+/// hashes per entry can addHashed() instead of rehashing the name.
 class PolicyDigest {
 public:
     void add(std::string_view name, const RegionPolicy& region) {
-        std::uint64_t entry = support::fnv1a(name);
-        entry = support::hashCombine(entry,
-                                     static_cast<std::uint64_t>(region.tier));
+        addHashed(support::fnv1a(name), region);
+    }
+    void addHashed(std::uint64_t nameHash, const RegionPolicy& region) {
+        std::uint64_t entry = support::hashCombine(
+            nameHash, static_cast<std::uint64_t>(region.tier));
         if (region.tier == Tier::Sampled) {
             entry = support::hashCombine(entry, region.sampling.everyN);
             entry = support::hashCombine(entry, region.sampling.minIntervalNs);

@@ -290,13 +290,26 @@ TEST(OverheadModel, SampledProfileMatchesFullWithinTolerance) {
 
 // ------------------------------------------------------------ BudgetPlanner --
 
+/// The candidates a plan leaves out of its policy, in candidate order.
+std::vector<std::string> excludedFrom(
+    const adapt::PlanResult& plan,
+    const select::InstrumentationConfig& candidates) {
+    std::vector<std::string> excluded;
+    for (const std::string& name : candidates.functions) {
+        if (!plan.policy.contains(name)) {
+            excluded.push_back(name);
+        }
+    }
+    return excluded;
+}
+
 TEST(BudgetPlanner, EmptyModelKeepsEveryCandidate) {
     cg::CallGraph graph = simpleGraph();
     adapt::BudgetPlanner planner(graph);
     adapt::OverheadModel model;
     adapt::PlanResult plan = planner.plan(icOf({"kernel", "noisy"}), model);
-    EXPECT_EQ(plan.ic.size(), 2u);
-    EXPECT_TRUE(plan.excluded.empty());
+    EXPECT_EQ(plan.policy.size(), 2u);
+    EXPECT_TRUE(excludedFrom(plan, planner.candidates()).empty());
 }
 
 TEST(BudgetPlanner, ExcludesCostOverBudgetKeepsValueAndCold) {
@@ -315,11 +328,13 @@ TEST(BudgetPlanner, ExcludesCostOverBudgetKeepsValueAndCold) {
     popts.budgetFraction = 0.05;  // 5% of 8e8 app ns = 4e7 ns budget
     adapt::PlanResult plan = planner.plan(icOf({"kernel", "noisy", "main"}),
                                           model, popts);
-    EXPECT_TRUE(plan.ic.contains("kernel"));
-    EXPECT_TRUE(plan.ic.contains("main"));  // unmeasured: free, kept
-    EXPECT_FALSE(plan.ic.contains("noisy"));
-    ASSERT_EQ(plan.excluded.size(), 1u);
-    EXPECT_EQ(plan.excluded[0], "noisy");
+    EXPECT_TRUE(plan.policy.contains("kernel"));
+    EXPECT_TRUE(plan.policy.contains("main"));  // unmeasured: free, kept
+    EXPECT_FALSE(plan.policy.contains("noisy"));
+    const std::vector<std::string> excluded =
+        excludedFrom(plan, planner.candidates());
+    ASSERT_EQ(excluded.size(), 1u);
+    EXPECT_EQ(excluded[0], "noisy");
     EXPECT_LE(plan.plannedProbeCostNs, plan.budgetNs);
 }
 
@@ -338,8 +353,8 @@ TEST(BudgetPlanner, KeepListOverridesBudget) {
     popts.budgetFraction = 0.05;
     popts.keep = {"noisy"};
     adapt::PlanResult plan = planner.plan(icOf({"noisy"}), model, popts);
-    EXPECT_TRUE(plan.ic.contains("noisy"));
-    EXPECT_TRUE(plan.excluded.empty());
+    EXPECT_TRUE(plan.policy.contains("noisy"));
+    EXPECT_TRUE(excludedFrom(plan, planner.candidates()).empty());
 }
 
 TEST(BudgetPlanner, DemotesHotRegionBeforeEvicting) {
@@ -368,8 +383,8 @@ TEST(BudgetPlanner, DemotesHotRegionBeforeEvicting) {
     const select::RegionPolicy* noisy = plan.policy.policyOf("noisy");
     ASSERT_NE(noisy, nullptr);
     EXPECT_EQ(noisy->sampling.everyN, 64u);
-    EXPECT_TRUE(plan.excluded.empty());
-    EXPECT_TRUE(plan.ic.contains("noisy"));  // demoted, still in the patch set
+    EXPECT_TRUE(excludedFrom(plan, planner.candidates()).empty());
+    EXPECT_TRUE(plan.policy.contains("noisy"));  // demoted, still in the patch set
     EXPECT_EQ(plan.fullRegions, 2u);
     EXPECT_EQ(plan.sampledRegions, 1u);
     EXPECT_LE(plan.plannedProbeCostNs, plan.budgetNs);
@@ -380,9 +395,11 @@ TEST(BudgetPlanner, DemotesHotRegionBeforeEvicting) {
     adapt::PlanResult binary =
         planner.plan(icOf({"kernel", "noisy", "main"}), model, config);
     EXPECT_EQ(binary.policy.tierOf("noisy"), select::Tier::Off);
-    EXPECT_FALSE(binary.ic.contains("noisy"));
-    ASSERT_EQ(binary.excluded.size(), 1u);
-    EXPECT_EQ(binary.excluded[0], "noisy");
+    EXPECT_FALSE(binary.policy.contains("noisy"));
+    const std::vector<std::string> excluded =
+        excludedFrom(binary, planner.candidates());
+    ASSERT_EQ(excluded.size(), 1u);
+    EXPECT_EQ(excluded[0], "noisy");
     EXPECT_EQ(binary.sampledRegions, 0u);
 }
 
@@ -418,14 +435,14 @@ TEST(BudgetPlanner, NeverSplitsSccGroup) {
     adapt::PlanResult plan = planner.plan(icOf({"a", "b"}), model, popts);
     // The group's combined cost exceeds the budget: both go, not just "a" —
     // aggregated recursive statements must stay consistent.
-    EXPECT_FALSE(plan.ic.contains("a"));
-    EXPECT_FALSE(plan.ic.contains("b"));
+    EXPECT_FALSE(plan.policy.contains("a"));
+    EXPECT_FALSE(plan.policy.contains("b"));
 
     // And the keep list re-admits the whole group, not one member.
     popts.keep = {"b"};
     adapt::PlanResult kept = planner.plan(icOf({"a", "b"}), model, popts);
-    EXPECT_TRUE(kept.ic.contains("a"));
-    EXPECT_TRUE(kept.ic.contains("b"));
+    EXPECT_TRUE(kept.policy.contains("a"));
+    EXPECT_TRUE(kept.policy.contains("b"));
 }
 
 TEST(BudgetPlanner, ReAdmitsWhenBudgetGrows) {
@@ -442,13 +459,13 @@ TEST(BudgetPlanner, ReAdmitsWhenBudgetGrows) {
 
     adapt::Config popts;
     popts.budgetFraction = 0.05;
-    EXPECT_FALSE(planner.plan(icOf({"noisy"}), model, popts).ic.contains("noisy"));
+    EXPECT_FALSE(planner.plan(icOf({"noisy"}), model, popts).policy.contains("noisy"));
 
     // A much longer epoch: the same probe cost now fits the 5% budget, and
     // the frozen estimate lets the planner re-admit the region.
     FlatProfile epoch2{m};
     observeEpoch(model, epoch2.tree, m, 1e11);
-    EXPECT_TRUE(planner.plan(icOf({"noisy"}), model, popts).ic.contains("noisy"));
+    EXPECT_TRUE(planner.plan(icOf({"noisy"}), model, popts).policy.contains("noisy"));
 }
 
 TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
@@ -491,8 +508,8 @@ TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
     adapt::Config serial;
     serial.budgetFraction = 0.05;
     adapt::PlanResult serialPlan = planner.plan(candidate, model, serial);
-    ASSERT_FALSE(serialPlan.excluded.empty());
-    ASSERT_GT(serialPlan.ic.size(), 0u);
+    ASSERT_FALSE(excludedFrom(serialPlan, candidate).empty());
+    ASSERT_GT(serialPlan.policy.size(), 0u);
 
     // Explicit pools so the sharded lookup phase runs even on single-core
     // hosts (Executor's shared pool is hardware width there: 1 thread).
@@ -501,9 +518,10 @@ TEST(BudgetPlanner, SerialAndParallelPlansAreIdentical) {
         adapt::Config parallel = serial;
         parallel.pool = &pool;
         adapt::PlanResult parallelPlan = planner.plan(candidate, model, parallel);
-        EXPECT_EQ(parallelPlan.ic.functions, serialPlan.ic.functions)
+        EXPECT_EQ(parallelPlan.policy.functions, serialPlan.policy.functions)
             << "threads=" << threads;
-        EXPECT_EQ(parallelPlan.excluded, serialPlan.excluded);
+        EXPECT_EQ(excludedFrom(parallelPlan, candidate),
+                  excludedFrom(serialPlan, candidate));
         EXPECT_DOUBLE_EQ(parallelPlan.plannedProbeCostNs,
                          serialPlan.plannedProbeCostNs);
     }
@@ -555,7 +573,7 @@ TEST(Decider, KillSwitchTripsAfterConsecutiveOverBudgetEpochs) {
         EXPECT_DOUBLE_EQ(d.measuredOverheadRatio, kOverTrip);
         EXPECT_FALSE(d.killSwitchTripped) << "epoch " << epoch;
         EXPECT_FALSE(decider.safeMode());
-        decider.adopt(std::move(d.policy), std::move(d.ic));
+        decider.adopt(std::move(d.policy));
     }
     adapt::Decision tripped = decider.decide(epochAtRatio(decider, kOverTrip), 1e9);
     EXPECT_TRUE(tripped.killSwitchTripped);
@@ -574,7 +592,7 @@ TEST(Decider, GreyZoneEpochResetsBothStreaks) {
     decider.start(icOf({"main", "kernel", "noisy"}));
     auto step = [&](double ratio) {
         adapt::Decision d = decider.decide(epochAtRatio(decider, ratio), 1e9);
-        decider.adopt(std::move(d.policy), std::move(d.ic));
+        decider.adopt(std::move(d.policy));
         return d;
     };
     // Over-budget streak: two overshoots, a grey epoch, then it takes three
@@ -603,13 +621,13 @@ TEST(Decider, RearmsAfterInBudgetEpochs) {
     decider.start(icOf({"main", "kernel", "noisy"}));
     adapt::Decision tripped = decider.decide(epochAtRatio(decider, kOverTrip), 1e9);
     ASSERT_TRUE(tripped.killSwitchTripped);
-    decider.adopt(std::move(tripped.policy), std::move(tripped.ic));
+    decider.adopt(std::move(tripped.policy));
 
     adapt::Decision first = decider.decide(epochAtRatio(decider, kInBudget), 1e9);
     EXPECT_FALSE(first.killSwitchRearmed);
     EXPECT_TRUE(decider.safeMode());
     EXPECT_EQ(first.policy.fingerprint(), decider.safeModePolicy().fingerprint());
-    decider.adopt(std::move(first.policy), std::move(first.ic));
+    decider.adopt(std::move(first.policy));
 
     adapt::Decision rearmed = decider.decide(epochAtRatio(decider, kInBudget), 1e9);
     EXPECT_TRUE(rearmed.killSwitchRearmed);
@@ -619,8 +637,8 @@ TEST(Decider, RearmsAfterInBudgetEpochs) {
     // free, is re-admitted beside the keep-listed "kernel".
     EXPECT_NE(rearmed.policy.fingerprint(),
               decider.safeModePolicy().fingerprint());
-    EXPECT_TRUE(rearmed.ic.contains("main"));
-    EXPECT_TRUE(rearmed.ic.contains("kernel"));
+    EXPECT_TRUE(rearmed.policy.contains("main"));
+    EXPECT_TRUE(rearmed.policy.contains("kernel"));
 }
 
 TEST(Decider, ForcedSafeModeRearmsUnderTheSameHysteresis) {
@@ -661,7 +679,7 @@ TEST(Decider, RestoredMidRunDecidesBitIdenticallyToUninterruptedTwin) {
     std::vector<adapt::Decision> expected;
     for (std::size_t e = 0; e < ratios.size(); ++e) {
         adapt::Decision d = twin.decide(observe(twin, e, ratios[e]), runtimeOf(e));
-        twin.adopt(d.policy, d.ic);
+        twin.adopt(d.policy);
         expected.push_back(std::move(d));
     }
 
@@ -672,7 +690,7 @@ TEST(Decider, RestoredMidRunDecidesBitIdenticallyToUninterruptedTwin) {
         before.start(survey);
         for (std::size_t e = 0; e < kSaveAfter; ++e) {
             adapt::Decision d = before.decide(observe(before, e, ratios[e]), runtimeOf(e));
-            before.adopt(std::move(d.policy), std::move(d.ic));
+            before.adopt(std::move(d.policy));
         }
         saved = before.saveState();
     }
@@ -683,13 +701,13 @@ TEST(Decider, RestoredMidRunDecidesBitIdenticallyToUninterruptedTwin) {
         adapt::Decision d = restored.decide(observe(restored, e, ratios[e]), runtimeOf(e));
         const adapt::Decision& want = expected[e];
         EXPECT_EQ(d.policy.fingerprint(), want.policy.fingerprint()) << "epoch " << e;
-        EXPECT_EQ(d.ic.functions, want.ic.functions) << "epoch " << e;
+        EXPECT_EQ(d.policy.functions, want.policy.functions) << "epoch " << e;
         EXPECT_EQ(d.measuredOverheadRatio, want.measuredOverheadRatio) << "epoch " << e;
         EXPECT_EQ(d.budgetNs, want.budgetNs) << "epoch " << e;
         EXPECT_EQ(d.plannedProbeCostNs, want.plannedProbeCostNs) << "epoch " << e;
         EXPECT_EQ(d.killSwitchTripped, want.killSwitchTripped) << "epoch " << e;
         EXPECT_EQ(d.killSwitchRearmed, want.killSwitchRearmed) << "epoch " << e;
-        restored.adopt(std::move(d.policy), std::move(d.ic));
+        restored.adopt(std::move(d.policy));
     }
     // The run crossed both transitions after the restore point.
     EXPECT_TRUE(expected[kSaveAfter].killSwitchTripped);
@@ -825,12 +843,36 @@ TEST(Decider, SeededOpenFoamRunMatchesGoldenFingerprints) {
             observed, 2e10 + 1e7 * static_cast<double>(epoch));
         EXPECT_EQ(d.policy.fingerprint(), kOpenFoamGoldenFingerprints[epoch])
             << "epoch " << epoch;
-        decider.adopt(std::move(d.policy), std::move(d.ic));
+        decider.adopt(std::move(d.policy));
         if (epoch >= kEditBefore) {
             EXPECT_EQ(decider.policy().tierOf(hotName), select::Tier::Full)
                 << "epoch " << epoch;
         }
     }
+}
+
+TEST(Controller, SurveyIsTheSortedUniqueDefinedFunctions) {
+    apps::OpenFoamParams params = apps::OpenFoamParams::executionScale();
+    params.seed = 401;
+    const cg::CallGraph graph =
+        cg::MetaCgBuilder{}.build(apps::makeOpenFoam(params).toSourceModel());
+    std::vector<std::string> defined;
+    std::size_t declarations = 0;
+    for (cg::FunctionId id = 0; id < graph.size(); ++id) {
+        if (graph.desc(id).flags.hasBody) {
+            defined.push_back(graph.name(id));
+        } else {
+            ++declarations;
+        }
+    }
+    std::sort(defined.begin(), defined.end());
+    defined.erase(std::unique(defined.begin(), defined.end()), defined.end());
+    ASSERT_GT(declarations, 0u);  // the survey has something to leave out
+
+    const select::InstrumentationConfig survey =
+        adapt::surveyOfDefinedFunctions(graph);
+    EXPECT_EQ(survey.functions, defined);
+    EXPECT_EQ(survey.specName, "survey");
 }
 
 // --------------------------------------------------------------- Controller --

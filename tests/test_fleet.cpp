@@ -2434,6 +2434,156 @@ TEST(FleetBroadcast, UnverifiedPolicyFrameIsNeverCommitted) {
     expectUnchanged();
 }
 
+// The client keeps one name hash per policy entry and hashes only the names
+// a frame carries. Seeded frames of every shape must leave it on exactly the
+// policy setRegion() builds from the same changes, with policyFingerprint()
+// == policy().fingerprint(): upserts (repeated names in one frame, the last
+// winning), removals of present and absent names, Full <-> Sampled flips
+// with differing everyN, frames the wire refuses for an Off upsert, and
+// every tenth frame a wrong fingerprint. A wrong update is rolled back and
+// answered with a baseline, as the aggregator answers the resync; a wrong
+// baseline leaves the client as it was, and the next update must verify
+// without a resync.
+TEST(FleetBroadcast, CachedNameHashesTrackSeededFrames) {
+    const cg::CallGraph graph = tinyGraph();
+    fleet::AggregatorOptions options;
+    options.config.perEventCostNs = 100.0;
+    fleet::Aggregator aggregator(graph, adapt::surveyOfDefinedFunctions(graph),
+                                 options);
+    fleet::FleetClient client(aggregator);
+    select::InstrumentationPolicy reference = client.policy();
+    ASSERT_EQ(reference.fingerprint(), client.policyFingerprint());
+
+    std::vector<std::string> names = {"main", "kernel", "noisy"};
+    for (int i = 0; i < 60; ++i) {
+        names.push_back("_ZN4Foam" + std::to_string(i * 7919) + "region" +
+                        std::string(static_cast<std::size_t>(i % 13), 'x'));
+    }
+    support::SplitMix64 rng(20261019);
+    auto pick = [&] { return names[rng.nextBelow(names.size())]; };
+    auto sampled = [&] {
+        return select::RegionPolicy{
+            select::Tier::Sampled,
+            {static_cast<std::uint32_t>(2 + rng.nextBelow(63)),
+             rng.nextBool(0.3) ? rng.nextBelow(1000) : 0}};
+    };
+    auto anyRegion = [&] {
+        // A Full upsert's sampling spec means nothing and is dropped.
+        return rng.nextBool(0.5)
+                   ? select::RegionPolicy{select::Tier::Full,
+                                          {static_cast<std::uint32_t>(
+                                               1 + rng.nextBelow(4)),
+                                           0}}
+                   : sampled();
+    };
+
+    std::uint64_t epoch = 0;
+    std::size_t repeats = 0;
+    std::size_t flips = 0;
+    std::size_t removals = 0;
+    // A frame of random changes against `policy`, which it then applies
+    // with setRegion(): every upsert in frame order, then every removal.
+    auto changeFrame = [&](select::InstrumentationPolicy& policy) {
+        fleet::PolicyFrame frame;
+        frame.epoch = ++epoch;
+        frame.incarnation = aggregator.incarnation();
+        frame.prevFingerprint = policy.fingerprint();
+        for (std::uint64_t n = rng.nextBelow(8); n > 0; --n) {
+            std::string name = pick();
+            select::RegionPolicy region = anyRegion();
+            if (!policy.functions.empty() && rng.nextBool(0.4)) {
+                name = policy.functions[rng.nextBelow(policy.size())];
+                const bool full =
+                    policy.policyOf(name)->tier == select::Tier::Full;
+                region = full || rng.nextBool(0.5)
+                             ? sampled()
+                             : select::RegionPolicy{select::Tier::Full, {}};
+                ++flips;
+            }
+            frame.upserts.push_back({name, region});
+            if (rng.nextBool(0.2)) {
+                frame.upserts.push_back({name, anyRegion()});
+                ++repeats;
+            }
+        }
+        for (std::uint64_t n = rng.nextBelow(4); n > 0; --n) {
+            const bool present = !policy.functions.empty() && rng.nextBool(0.6);
+            frame.removed.push_back(
+                present ? policy.functions[rng.nextBelow(policy.size())]
+                        : pick());
+            removals += present ? 1 : 0;
+        }
+        for (const fleet::PolicyFrameEntry& entry : frame.upserts) {
+            policy.setRegion(entry.name, entry.policy);
+        }
+        for (const std::string& name : frame.removed) {
+            policy.setRegion(name, {select::Tier::Off, {}});
+        }
+        frame.fingerprint = policy.fingerprint();
+        return frame;
+    };
+    auto baselineOf = [&](const select::InstrumentationPolicy& policy) {
+        fleet::PolicyFrame header;
+        header.epoch = ++epoch;
+        header.incarnation = aggregator.incarnation();
+        return referencePolicyFrame(header, nullptr, policy);
+    };
+    auto send = [&](const fleet::PolicyFrame& frame) {
+        ASSERT_EQ(client.policyChannel().send(fleet::encodePolicyFrame(frame)),
+                  fleet::SendResult::Ok);
+    };
+    // A frame that fails to verify leaves the client waiting for a
+    // baseline nobody sends; the watchdog turns that into a failure.
+    auto awaitPolicy = [&] {
+        const ChannelWatchdog watchdog(client.policyChannel(),
+                                       std::chrono::seconds(10));
+        client.awaitPolicy();
+    };
+
+    constexpr int kFrames = 240;
+    std::uint64_t resyncs = 0;
+    std::uint64_t baselines = client.stats().baselinesReceived;
+    for (int i = 0; i < kFrames; ++i) {
+        select::InstrumentationPolicy next = reference;
+        fleet::PolicyFrame frame = changeFrame(next);
+        if (i % 10 == 9 && (i / 10) % 2 == 0) {
+            frame.fingerprint ^= 1;
+            send(frame);
+            send(baselineOf(reference));
+            awaitPolicy();
+            ++resyncs;
+            ++baselines;
+        } else if (i % 10 == 9) {
+            fleet::PolicyFrame wrong = baselineOf(next);
+            wrong.fingerprint ^= 1;
+            send(wrong);
+            EXPECT_THROW(awaitPolicy(), fleet::WireError);
+        } else {
+            if (i % 7 == 3) {
+                fleet::PolicyFrame refused = frame;
+                refused.upserts.push_back({pick(), {select::Tier::Off, {}}});
+                send(refused);
+            }
+            send(frame);
+            awaitPolicy();
+            reference = std::move(next);
+        }
+        EXPECT_EQ(client.stats().resyncs, resyncs) << "frame " << i;
+        EXPECT_EQ(client.stats().baselinesReceived, baselines) << "frame " << i;
+        EXPECT_EQ(client.policyFingerprint(), client.policy().fingerprint())
+            << "frame " << i;
+        EXPECT_EQ(client.policyFingerprint(), reference.fingerprint())
+            << "frame " << i;
+        ASSERT_EQ(client.policy().functions, reference.functions)
+            << "frame " << i;
+        ASSERT_EQ(client.policy().regions, reference.regions) << "frame " << i;
+    }
+    EXPECT_GT(repeats, 0u);
+    EXPECT_GT(flips, 0u);
+    EXPECT_GT(removals, 0u);
+    EXPECT_EQ(resyncs, 12u);
+}
+
 // ----------------------------------------------------- liveness tests --
 
 // The liveness property: a dead client delays each epoch by at most the

@@ -440,7 +440,7 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
     std::printf("%s after %zu epochs: IC %zu of %zu functions (%zu full, "
                 "%zu sampled)\n",
                 controller.converged() ? "converged" : "epoch cap reached",
-                controller.epochsRun(), controller.currentIc().size(),
+                controller.epochsRun(), controller.currentPolicy().size(),
                 survey.size(),
                 controller.currentPolicy().countOf(select::Tier::Full),
                 controller.currentPolicy().countOf(select::Tier::Sampled));
