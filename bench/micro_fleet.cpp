@@ -1,6 +1,7 @@
 // Fleet streaming-path micro benches: CCT delta extraction + wire encode
 // throughput, decode and merge-apply throughput, the end-to-end aggregator
-// epoch pipeline, and a steady-state epoch at policy scale (6000 regions).
+// epoch pipeline, a steady-state epoch at policy scale (6000 regions), and
+// one client's apply of a policy frame at that scale.
 //
 // The headline counter is delta_vs_full_x on BM_FleetDeltaExtractEncode:
 // encoded bytes of a full-CCT baseline frame divided by the per-epoch delta
@@ -27,6 +28,7 @@
 #include "scorepsim/measurement.hpp"
 #include "scorepsim/profile.hpp"
 #include "scorepsim/profile_delta.hpp"
+#include "select/ic.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
 
@@ -265,6 +267,8 @@ constexpr int kChurnWarmupEpochs = 8;
 /// system's own trace spans: fleet.merge, fleet.observe, fleet.decide (with
 /// fleet.plan, its kill-switch and planner share) and fleet.broadcast of the
 /// epoch close, and fleet.adopt summed over clients.
+/// policy_changes_per_epoch is the upserts + removals of the policy frame
+/// every (in-sync) client receives: 0 when the decision did not change.
 void BM_FleetEpochChurn(benchmark::State& state) {
     const auto clientCount = static_cast<std::size_t>(state.range(0));
     apps::OpenFoamParams params = apps::OpenFoamParams::executionScale();
@@ -352,10 +356,25 @@ void BM_FleetEpochChurn(benchmark::State& state) {
     (void)recorder.drain();
     recorder.setEnabled(true);
 
+    // An in-sync client's frame carries one upsert per added or retiered
+    // region and one removal per dropped region.
+    select::InstrumentationPolicy published = aggregator.convergedPolicy();
+    double policyChanges = 0.0;
+    auto countPolicyChanges = [&] {
+        select::InstrumentationPolicy now = aggregator.convergedPolicy();
+        const select::PolicyDelta delta = select::policyDiff(published, now);
+        policyChanges += static_cast<double>(
+            delta.added.size() + delta.removed.size() +
+            delta.promoted.size() + delta.demoted.size() +
+            delta.regated.size());
+        published = std::move(now);
+    };
+
     std::uint64_t epochNs = 0;
     for (auto _ : state) {
         state.PauseTiming();
         collectSpans();
+        countPolicyChanges();
         generate(false);
         state.ResumeTiming();
         const std::uint64_t start = support::nowNs();
@@ -365,6 +384,7 @@ void BM_FleetEpochChurn(benchmark::State& state) {
     }
     recorder.setEnabled(false);
     collectSpans();
+    countPolicyChanges();
 
     const double epochs = static_cast<double>(
         std::max<std::int64_t>(1, state.iterations()));
@@ -377,12 +397,130 @@ void BM_FleetEpochChurn(benchmark::State& state) {
     for (std::size_t p = 0; p < phases.size(); ++p) {
         state.counters[phases[p].first] = phaseNs[p] / epochs / 1e6;
     }
+    state.counters["policy_changes_per_epoch"] = policyChanges / epochs;
 }
 BENCHMARK(BM_FleetEpochChurn)
     ->Arg(8)
     ->Arg(24)
     ->Arg(96)
     ->Unit(benchmark::kMillisecond);
+
+constexpr std::size_t kApplyPolicySize = 5800;
+
+/// A sorted, unique policy of kApplyPolicySize mangled-length names, every
+/// fifth one Sampled: the fleet-openfoam converged policy's shape.
+select::InstrumentationPolicy applyPolicy() {
+    support::SplitMix64 rng(0xA991'7F00ull);
+    select::InstrumentationPolicy policy;
+    while (policy.size() < kApplyPolicySize) {
+        const std::string name =
+            "_ZN4Foam" + std::to_string(rng.next()) + "14solveSegregated" +
+            std::string(rng.nextBelow(24), 'E');
+        const bool sampled = rng.nextBelow(5) == 0;
+        policy.setRegion(name, sampled ? select::RegionPolicy{
+                                             select::Tier::Sampled, {16, 0}}
+                                       : select::RegionPolicy{
+                                             select::Tier::Full, {}});
+    }
+    return policy;
+}
+
+/// The update frame the aggregator would send to move a client from
+/// `from` to `to`: upserts in `to` order, removals in `from` order.
+fleet::PolicyFrame updateFrame(const select::InstrumentationPolicy& from,
+                               const select::InstrumentationPolicy& to) {
+    fleet::PolicyFrame frame;
+    frame.prevFingerprint = from.fingerprint();
+    frame.fingerprint = to.fingerprint();
+    const select::PolicyDelta delta = select::policyDiff(from, to);
+    for (const auto* names : {&delta.added, &delta.promoted, &delta.demoted,
+                              &delta.regated}) {
+        for (const std::string& name : *names) {
+            frame.upserts.push_back({name, *to.policyOf(name)});
+        }
+    }
+    std::sort(frame.upserts.begin(), frame.upserts.end(),
+              [](const fleet::PolicyFrameEntry& a,
+                 const fleet::PolicyFrameEntry& b) { return a.name < b.name; });
+    frame.removed = delta.removed;
+    return frame;
+}
+
+/// One headless client's apply of a policy frame on a kApplyPolicySize
+/// policy: the frame's send, decode, verification and commit, i.e. the
+/// client side of every fleet epoch. Arg = changes per frame: 0 (the
+/// steady state: an unchanged decision), 1 (the last entry retiered), or
+/// 220 (110 removals and 110 inserts spread evenly over the list, the
+/// first at entry 0, so the whole list is digested). Frames alternate
+/// between moving the client to the changed policy and back.
+void BM_FleetPolicyApply(benchmark::State& state) {
+    const auto changes = static_cast<std::size_t>(state.range(0));
+    const cg::CallGraph graph = fleetGraph();
+    fleet::AggregatorOptions options;
+    options.config.perEventCostNs = 100.0;
+    fleet::Aggregator aggregator(graph, adapt::surveyOfDefinedFunctions(graph),
+                                 options);
+    fleet::FleetClient client(aggregator);
+
+    const select::InstrumentationPolicy policy = applyPolicy();
+    select::InstrumentationPolicy changed = policy;
+    if (changes == 1) {
+        changed.setRegion(changed.functions.back(),
+                          {select::Tier::Sampled, {32, 0}});
+    } else if (changes > 1) {
+        const std::size_t stride = 2 * policy.size() / changes;
+        for (std::size_t k = 0; k < changes / 2; ++k) {
+            changed.setRegion(policy.functions[k * stride], {});
+            changed.setRegion(policy.functions[k * stride + stride / 2] + "_",
+                              {select::Tier::Full, {}});
+        }
+    }
+
+    fleet::PolicyFrame baseline;
+    baseline.baseline = true;
+    baseline.incarnation = aggregator.incarnation();
+    baseline.fingerprint = policy.fingerprint();
+    for (std::size_t i = 0; i < policy.size(); ++i) {
+        baseline.upserts.push_back({policy.functions[i], policy.regions[i]});
+    }
+    std::vector<fleet::PolicyFrame> frames = {updateFrame(policy, changed),
+                                              updateFrame(changed, policy)};
+    std::vector<std::vector<std::uint8_t>> encoded;
+    for (fleet::PolicyFrame& frame : frames) {
+        frame.incarnation = aggregator.incarnation();
+        encoded.push_back(fleet::encodePolicyFrame(frame));
+    }
+    client.policyChannel().send(fleet::encodePolicyFrame(baseline));
+    client.awaitPolicy();
+    if (client.policyFingerprint() != policy.fingerprint()) {
+        state.SkipWithError("baseline did not verify");
+        return;
+    }
+
+    std::size_t next = 0;
+    for (auto _ : state) {
+        client.policyChannel().send(encoded[next]);
+        client.awaitPolicy();
+        benchmark::DoNotOptimize(client.policyFingerprint());
+        next ^= 1;
+    }
+    if (client.stats().resyncs != 0 ||
+        client.policyFingerprint() !=
+            (next == 0 ? policy : changed).fingerprint()) {
+        state.SkipWithError("a policy frame did not verify");
+        return;
+    }
+    state.counters["policy_size"] = static_cast<double>(policy.size());
+    state.counters["policy_changes"] = static_cast<double>(
+        frames[0].upserts.size() + frames[0].removed.size());
+    state.counters["frame_bytes"] = static_cast<double>(encoded[0].size());
+}
+BENCHMARK(BM_FleetPolicyApply)
+    ->ArgName("changes")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(220)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -736,7 +736,12 @@ bool Aggregator::samePolicy(const select::InstrumentationPolicy& a,
 }
 
 void Aggregator::publish() {
-    published_ = std::make_shared<const PublishedPolicy>(decider_.policy());
+    // An unchanged decision keeps the published snapshot: no copy, no
+    // rehash, and every in-sync client's diff base stays published_.
+    if (published_ == nullptr ||
+        !samePolicy(published_->policy, decider_.policy())) {
+        published_ = std::make_shared<const PublishedPolicy>(decider_.policy());
+    }
 }
 
 std::vector<std::uint8_t> Aggregator::encodePolicyFrameFrom(
@@ -755,6 +760,8 @@ std::vector<std::uint8_t> Aggregator::encodePolicyFrameFrom(
             frame.upserts.push_back(
                 PolicyFrameEntry{policy.functions[i], policy.regions[i]});
         }
+    } else if (base == published_.get()) {
+        frame.prevFingerprint = base->fingerprint;  // nothing changed
     } else {
         // One merge of the two sorted function lists: upserts come out in
         // policy order, removals in the base's order.

@@ -292,11 +292,13 @@ private:
     bool timeoutClosable(std::uint64_t nowNs) const;
     void closeEpoch(bool timedOut);
     /// Publishes decider_.policy(); called after every Decider start,
-    /// adopt and restoreState, so published_ always mirrors it.
+    /// adopt and restoreState, so published_ always mirrors it. A policy
+    /// equal to the published one keeps published_ as it is.
     void publish();
     /// Encodes the frame that moves a client from `base` to the published
     /// policy: a baseline when `base` is null, else an update whose upserts
-    /// follow policy order and whose removals follow `base` order.
+    /// follow policy order and whose removals follow `base` order (empty,
+    /// without a merge, when `base` is published_ itself).
     std::vector<std::uint8_t> encodePolicyFrameFrom(const PublishedPolicy* base);
     /// Sends `bytes`, the frame encodePolicyFrameFrom() built for this
     /// client's base. blocking=false is the Lagging-client path: trySend,

@@ -38,8 +38,6 @@ const ClientSpanNames& clientSpanNames() {
 /// lists sorted; anything else is sorted here first.
 class FrameMerge {
 public:
-    static constexpr std::size_t kFromFrame = static_cast<std::size_t>(-1);
-
     /// Locates every name the frame mentions in the base once, so each
     /// walk compares no strings.
     FrameMerge(const PolicyFrame& frame,
@@ -95,28 +93,46 @@ public:
         }
     }
 
-    /// Calls visit(name, region, baseIndex) for each entry of the result in
-    /// name order; baseIndex is the entry's index in the base when it is
-    /// kept from there, kFromFrame when the frame supplies it. The walk
-    /// compares no names, so visit may move from the base entries it gets.
+    /// Index in the base of the first entry the frame may change: the
+    /// base's entries before it are also the result's first entries. The
+    /// base's size when the frame changes nothing.
+    std::size_t firstChange() const {
+        return changes_.empty() ? base_.size() : changes_.front().at;
+    }
+
+    /// Calls visit(baseIndex) for each base entry the frame replaces or
+    /// removes.
     template <typename Visit>
-    void forEach(Visit&& visit) const {
-        std::size_t i = 0;
-        auto visitBaseUpTo = [&](std::size_t end) {
-            for (; i < end; ++i) {
-                visit(base_.functions[i], base_.regions[i], i);
-            }
-        };
+    void forEachDropped(Visit&& visit) const {
         for (const Change& change : changes_) {
-            visitBaseUpTo(change.at);
+            if (change.inBase) {
+                visit(change.at);
+            }
+        }
+    }
+
+    /// Walks the result from firstChange() on, in name order: keep(from,
+    /// count) for each run of base entries [from, from + count) it keeps,
+    /// supply(name, region) for each entry the frame supplies. The walk
+    /// compares no names, so the callbacks may move the base's entries.
+    template <typename Keep, typename Supply>
+    void forEach(Keep&& keep, Supply&& supply) const {
+        std::size_t i = firstChange();
+        for (const Change& change : changes_) {
+            if (change.at > i) {
+                keep(i, change.at - i);
+                i = change.at;
+            }
             if (change.upsert != nullptr) {
-                visit(change.upsert->name, change.region, kFromFrame);
+                supply(change.upsert->name, change.region);
             }
             if (change.inBase) {
                 ++i;  // replaced or dropped
             }
         }
-        visitBaseUpTo(base_.size());
+        if (base_.size() > i) {
+            keep(i, base_.size() - i);
+        }
     }
 
 private:
@@ -134,60 +150,101 @@ private:
     std::vector<Change> changes_;
 };
 
-/// Applies `frame` to `policy` (to nothing, for a baseline) only if the
-/// result hashes to the frame's fingerprint. `hashes` holds fnv1a of each
-/// of `policy`'s names: an entry kept from the base brings its hash along,
-/// so only the names the frame carries are hashed, and every entry still
-/// enters the digest. One pass builds the result in `spare` and
-/// `spareHashes`, moving the names it keeps out of `policy`; on a match
-/// the pairs swap (the spares keep the old lists, whose capacity the next
-/// frame reuses), on a mismatch the names move back and `policy` and
-/// `hashes` are as they were. Returns whether the frame verified.
-bool applyVerified(const PolicyFrame& frame,
-                   select::InstrumentationPolicy& policy,
-                   std::vector<std::uint64_t>& hashes,
-                   select::InstrumentationPolicy& spare,
-                   std::vector<std::uint64_t>& spareHashes) {
-    const select::InstrumentationPolicy none;
-    const select::InstrumentationPolicy& base = frame.baseline ? none : policy;
-    const FrameMerge merge(frame, base);
-    spare.functions.clear();
-    spare.regions.clear();
-    spareHashes.clear();
-    select::PolicyDigest digest;
-    merge.forEach([&](const std::string& name,
-                      const select::RegionPolicy& region,
-                      std::size_t baseIndex) {
-        if (baseIndex == FrameMerge::kFromFrame) {
-            spare.functions.push_back(name);
-            spareHashes.push_back(support::fnv1a(name));
-        } else {
-            spare.functions.push_back(std::move(policy.functions[baseIndex]));
-            spareHashes.push_back(hashes[baseIndex]);
-        }
-        spare.regions.push_back(region);
-        digest.addHashed(spareHashes.back(), region);
-    });
-    if (digest.value(base.staticIds) != frame.fingerprint) {
-        std::size_t k = 0;
-        merge.forEach([&](const std::string&, const select::RegionPolicy&,
-                          std::size_t baseIndex) {
-            if (baseIndex != FrameMerge::kFromFrame) {
-                policy.functions[baseIndex] = std::move(spare.functions[k]);
-            }
-            ++k;
-        });
-        return false;
-    }
-    spare.staticIds = base.staticIds;
-    spare.specName = frame.baseline ? "fleet" : base.specName;
-    spare.application = base.application;
-    std::swap(policy, spare);
-    std::swap(hashes, spareHashes);
-    return true;
+}  // namespace
+
+void FleetClient::TierCounts::add(const select::RegionPolicy& region) {
+    full += region.tier == select::Tier::Full ? 1 : 0;
+    sampled += region.tier == select::Tier::Sampled ? 1 : 0;
 }
 
-}  // namespace
+void FleetClient::TierCounts::remove(const select::RegionPolicy& region) {
+    full -= region.tier == select::Tier::Full ? 1 : 0;
+    sampled -= region.tier == select::Tier::Sampled ? 1 : 0;
+}
+
+bool FleetClient::applyVerified(const PolicyFrame& frame) {
+    const select::InstrumentationPolicy none;
+    const select::InstrumentationPolicy& base = frame.baseline ? none : policy_;
+    const FrameMerge merge(frame, base);
+    // The entries before the first change keep their index, hash and
+    // digest chain, so the digest resumes there. A baseline keeps nothing.
+    const std::size_t keep = merge.firstChange();
+    tail_.prefix.clear();
+    tail_.placements.clear();
+    select::PolicyDigest digest(prefix_[keep]);
+    std::size_t to = keep;
+    merge.forEach(
+        [&](std::size_t from, std::size_t count) {
+            if (to != from) {
+                tail_.placements.push_back({to, from, count});
+            }
+            for (std::size_t i = from; i < from + count; ++i) {
+                digest.addHashed(hashes_[i], base.regions[i]);
+                tail_.prefix.push_back(digest.chain());
+            }
+            to += count;
+        },
+        [&](const std::string& name, const select::RegionPolicy& region) {
+            const std::uint64_t hash = support::fnv1a(name);
+            tail_.placements.push_back({to, 0, 1, &name, &region, hash});
+            digest.addHashed(hash, region);
+            tail_.prefix.push_back(digest.chain());
+            ++to;
+        });
+    if (digest.value(base.staticIds) != frame.fingerprint) {
+        return false;
+    }
+
+    if (frame.baseline) {
+        policy_ = select::InstrumentationPolicy{};
+        policy_.specName = "fleet";
+        hashes_.clear();
+        tiers_ = {};
+    }
+    merge.forEachDropped([&](std::size_t baseIndex) {
+        tiers_.remove(policy_.regions[baseIndex]);
+    });
+    auto moveRun = [&](const Placement& run) {
+        auto moveIn = [&](auto& list) {
+            const auto first = list.begin() + run.from;
+            if (run.to < run.from) {
+                std::move(first, first + run.count, list.begin() + run.to);
+            } else {
+                std::move_backward(first, first + run.count,
+                                   list.begin() + run.to + run.count);
+            }
+        };
+        moveIn(policy_.functions);
+        moveIn(policy_.regions);
+        moveIn(hashes_);
+    };
+    // Every kept entry moves at most once. Runs moving left go first, front
+    // to back; then the lists take their new size, and runs moving right
+    // and the frame's entries go back to front. Either way a slot is only
+    // written once its entry is dropped or has moved on.
+    for (const Placement& placement : tail_.placements) {
+        if (placement.name == nullptr && placement.to < placement.from) {
+            moveRun(placement);
+        }
+    }
+    policy_.functions.resize(to);
+    policy_.regions.resize(to);
+    hashes_.resize(to);
+    for (auto it = tail_.placements.rbegin(); it != tail_.placements.rend();
+         ++it) {
+        if (it->name != nullptr) {
+            policy_.functions[it->to] = *it->name;
+            policy_.regions[it->to] = *it->region;
+            hashes_[it->to] = it->hash;
+            tiers_.add(*it->region);
+        } else if (it->to > it->from) {
+            moveRun(*it);
+        }
+    }
+    prefix_.resize(keep + 1);
+    prefix_.insert(prefix_.end(), tail_.prefix.begin(), tail_.prefix.end());
+    return true;
+}
 
 FleetClient::FleetClient(Aggregator& aggregator, adapt::Controller& controller,
                          FleetClientOptions options)
@@ -395,7 +452,7 @@ adapt::EpochReport FleetClient::awaitPolicy() {
         obs::ScopedSpan adoptSpan(spans.adopt, obs::SpanCategory::Fleet);
         // Commit only after the fingerprint verifies, so policy() always
         // matches policyFingerprint().
-        if (!applyVerified(frame, policy_, hashes_, spare_, spareHashes_)) {
+        if (!applyVerified(frame)) {
             if (frame.baseline) {
                 // A baseline that does not reconstruct is not recoverable
                 // by another resync (static IDs, say, are not carried on
@@ -538,8 +595,8 @@ adapt::EpochReport FleetClient::reportOf(const PolicyFrame& frame) const {
     report.budgetNs = frame.budgetNs;
     report.policyFingerprint = frame.fingerprint;
     report.icSize = policy_.size();
-    report.fullRegions = policy_.countOf(select::Tier::Full);
-    report.sampledRegions = policy_.countOf(select::Tier::Sampled);
+    report.fullRegions = tiers_.full;
+    report.sampledRegions = tiers_.sampled;
     return report;
 }
 

@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -156,6 +157,12 @@ private:
     FleetClient(Aggregator& aggregator, adapt::Controller* controller,
                 FleetClientOptions options);
 
+    /// Applies `frame` to policy_ (to nothing, for a baseline) only if the
+    /// result hashes to the frame's fingerprint; returns whether it did.
+    /// Only the tail from the frame's first change on is digested, and only
+    /// on a match is it replaced (in policy_, hashes_, prefix_ and tiers_);
+    /// on a mismatch nothing but the tail_ scratch has changed.
+    bool applyVerified(const PolicyFrame& frame);
     void requestResync();
     adapt::EpochReport reportOf(const PolicyFrame& frame) const;
     /// Rewinds local bookkeeping to a resume()'s acked state.
@@ -198,11 +205,37 @@ private:
     /// support::fnv1a of each name, parallel to policy_.functions: the part
     /// of the fingerprint an entry kept across frames need not recompute.
     std::vector<std::uint64_t> hashes_;
-    /// The previous policy's lists, kept for their capacity: the next frame
-    /// is built here and swapped with policy_ (and spareHashes_ with
-    /// hashes_) once it verifies.
-    select::InstrumentationPolicy spare_;
-    std::vector<std::uint64_t> spareHashes_;
+    /// PolicyDigest::chain() before the first entry and after each entry
+    /// of policy_ (size() + 1 values): a frame resumes the digest at its
+    /// first change instead of rechaining the entries it keeps.
+    std::vector<std::uint64_t> prefix_{select::PolicyDigest{}.chain()};
+    /// policy_.countOf(Full) and countOf(Sampled), adjusted per frame.
+    struct TierCounts {
+        std::size_t full = 0;
+        std::size_t sampled = 0;
+        void add(const select::RegionPolicy& region);
+        void remove(const select::RegionPolicy& region);
+    };
+    TierCounts tiers_;
+    /// A stretch of a verified frame's result that is not yet where it
+    /// belongs: `count` kept entries moving from index `from` to `to`, or
+    /// (name set) the one entry the frame supplies at `to`.
+    struct Placement {
+        std::size_t to = 0;
+        std::size_t from = 0;
+        std::size_t count = 0;
+        const std::string* name = nullptr;
+        const select::RegionPolicy* region = nullptr;
+        std::uint64_t hash = 0;
+    };
+    /// applyVerified's scratch for the tail from a frame's first change on,
+    /// kept for its capacity: the digest chain after each tail entry, and
+    /// the placements that move the kept entries and insert the frame's.
+    struct Tail {
+        std::vector<std::uint64_t> prefix;
+        std::vector<Placement> placements;
+    };
+    Tail tail_;
     std::uint64_t fingerprint_ = 0;
     std::uint64_t incarnation_ = 0;  ///< 0 = no policy frame seen yet.
     bool awaitingBaseline_ = true;

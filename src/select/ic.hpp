@@ -176,9 +176,15 @@ struct InstrumentationPolicy {
 /// entry in list order, then value() with the static IDs. For callers that
 /// know a policy's entries before (or without) building it. An entry's
 /// name enters only as support::fnv1a(name), so a caller that keeps those
-/// hashes per entry can addHashed() instead of rehashing the name.
+/// hashes per entry can addHashed() instead of rehashing the name. chain()
+/// is the running value after the entries added so far; a digest built
+/// from a stored chain() resumes the list from that entry on.
 class PolicyDigest {
 public:
+    PolicyDigest() = default;
+    explicit PolicyDigest(std::uint64_t chain) : digest_(chain) {}
+
+    std::uint64_t chain() const { return digest_; }
     void add(std::string_view name, const RegionPolicy& region) {
         addHashed(support::fnv1a(name), region);
     }

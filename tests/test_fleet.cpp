@@ -2584,6 +2584,272 @@ TEST(FleetBroadcast, CachedNameHashesTrackSeededFrames) {
     EXPECT_EQ(resyncs, 12u);
 }
 
+// An empty update carries no change, so the client hashes none of its
+// entries to apply it; it must still check the fingerprint. One that does
+// not match the client's is refused: the client asks for a resync and keeps
+// its policy, fingerprint and tier counts, and the baseline that answers
+// the resync, then the next epoch's update, verify.
+TEST(FleetBroadcast, EmptyUpdateWithWrongFingerprintIsRefused) {
+    const cg::CallGraph graph = tinyGraph();
+    fleet::AggregatorOptions options;
+    options.config.perEventCostNs = 100.0;
+    fleet::Aggregator aggregator(graph, adapt::surveyOfDefinedFunctions(graph),
+                                 options);
+    scorep::Measurement measurement;
+    fleet::FleetClient client(aggregator);
+    auto runEpoch = [&](std::uint64_t epoch) {
+        ASSERT_EQ(client.sendEpoch(flatProfile(measurement, epoch),
+                                   measurement, 1e9),
+                  fleet::SendResult::Ok);
+        while (aggregator.epochsCompleted() < epoch) {
+            ASSERT_TRUE(aggregator.pump());
+        }
+        const ChannelWatchdog watchdog(client.policyChannel(),
+                                       std::chrono::seconds(10));
+        client.awaitPolicy();
+    };
+    ASSERT_NO_FATAL_FAILURE(runEpoch(1));
+    const select::InstrumentationPolicy before = client.policy();
+    const std::uint64_t fingerprint = client.policyFingerprint();
+    const adapt::EpochReport report = client.lastReport();
+    ASSERT_FALSE(before.functions.empty());
+    ASSERT_EQ(report.fullRegions + report.sampledRegions, before.size());
+
+    // The channel closes behind the frame, so awaitPolicy() returns once it
+    // has refused the frame and asked for the resync.
+    fleet::PolicyFrame empty;
+    empty.epoch = 2;
+    empty.incarnation = aggregator.incarnation();
+    empty.prevFingerprint = fingerprint;
+    empty.fingerprint = fingerprint ^ 1;
+    ASSERT_EQ(client.policyChannel().send(fleet::encodePolicyFrame(empty)),
+              fleet::SendResult::Ok);
+    client.policyChannel().close();
+    client.awaitPolicy();
+    EXPECT_EQ(client.stats().resyncs, 1u);
+    EXPECT_EQ(client.policyFingerprint(), fingerprint);
+    EXPECT_EQ(client.policy().functions, before.functions);
+    EXPECT_EQ(client.policy().regions, before.regions);
+    EXPECT_EQ(client.lastReport().fullRegions, report.fullRegions);
+    EXPECT_EQ(client.lastReport().sampledRegions, report.sampledRegions);
+
+    // A fresh policy channel; the aggregator answers the queued resync.
+    ASSERT_TRUE(client.reconnect(aggregator));
+    const std::uint64_t baselines = client.stats().baselinesReceived;
+    aggregator.pump();
+    {
+        const ChannelWatchdog watchdog(client.policyChannel(),
+                                       std::chrono::seconds(10));
+        client.awaitPolicy();
+    }
+    EXPECT_EQ(client.stats().baselinesReceived, baselines + 1);
+    EXPECT_EQ(client.policyFingerprint(), aggregator.convergedFingerprint());
+    ASSERT_NO_FATAL_FAILURE(runEpoch(2));
+    EXPECT_EQ(client.stats().resyncs, 1u);
+    EXPECT_EQ(client.stats().baselinesReceived, baselines + 1);
+    EXPECT_EQ(client.policyFingerprint(), aggregator.convergedFingerprint());
+    EXPECT_EQ(client.policy().fingerprint(), client.policyFingerprint());
+    EXPECT_EQ(client.lastReport().fullRegions,
+              client.policy().countOf(select::Tier::Full));
+    EXPECT_EQ(client.lastReport().sampledRegions,
+              client.policy().countOf(select::Tier::Sampled));
+}
+
+// The client digests a frame from its first change on, resuming the digest
+// chain it keeps per entry, and rewrites only that tail. Seeded frames whose
+// first change falls at the first entry, at the last entry, past the end
+// (appends only), nowhere (empty) or anywhere must each leave it on the
+// policy setRegion() builds, with policyFingerprint() == policy().
+// fingerprint() and the reported tier counts equal to countOf(). A wrong
+// baseline now and then must leave the chain, hashes and counts as they
+// were (the updates after it verify without a resync); a wrong update is
+// refused and answered with a baseline, as the aggregator answers it.
+TEST(FleetBroadcast, TailApplyTracksFirstChangeAnywhere) {
+    const cg::CallGraph graph = tinyGraph();
+    fleet::AggregatorOptions options;
+    options.config.perEventCostNs = 100.0;
+    fleet::Aggregator aggregator(graph, adapt::surveyOfDefinedFunctions(graph),
+                                 options);
+    fleet::FleetClient client(aggregator);
+    support::SplitMix64 rng(0x7A11'F1257ull);
+    auto region = [&] {
+        return rng.nextBool(0.5)
+                   ? select::RegionPolicy{select::Tier::Full, {}}
+                   : select::RegionPolicy{
+                         select::Tier::Sampled,
+                         {static_cast<std::uint32_t>(2 + rng.nextBelow(30)),
+                          rng.nextBelow(2) * 500}};
+    };
+    auto flipped = [](const select::RegionPolicy& policy) {
+        return policy.tier == select::Tier::Full
+                   ? select::RegionPolicy{select::Tier::Sampled, {4, 0}}
+                   : select::RegionPolicy{select::Tier::Full, {}};
+    };
+    // Names that sort between "b" and "y", so "a..." goes before every
+    // entry and "z..." after.
+    auto middleName = [&] {
+        return "m_ZN4Foam" + std::to_string(rng.nextBelow(100000)) + "solve";
+    };
+    std::uint64_t epoch = 0;
+    // Fixed-width serials: "a" names count down, so each new one sorts
+    // first; "z" names count up, so each new one sorts last.
+    std::uint64_t frontSerial = 999999;
+    std::uint64_t backSerial = 100000;
+    auto header = [&] {
+        fleet::PolicyFrame frame;
+        frame.epoch = ++epoch;
+        frame.incarnation = aggregator.incarnation();
+        return frame;
+    };
+    auto send = [&](const fleet::PolicyFrame& frame) {
+        ASSERT_EQ(client.policyChannel().send(fleet::encodePolicyFrame(frame)),
+                  fleet::SendResult::Ok);
+    };
+    auto awaitPolicy = [&] {
+        const ChannelWatchdog watchdog(client.policyChannel(),
+                                       std::chrono::seconds(10));
+        client.awaitPolicy();
+    };
+
+    select::InstrumentationPolicy reference;
+    reference.specName = "fleet";
+    while (reference.size() < 48) {
+        reference.setRegion(middleName(), region());
+    }
+    fleet::PolicyFrame start = referencePolicyFrame(header(), nullptr, reference);
+    send(start);
+    awaitPolicy();
+    ASSERT_EQ(client.policyFingerprint(), reference.fingerprint());
+
+    enum Shape { kFirst, kLast, kAppend, kEmpty, kAnywhere, kShapes };
+    std::size_t shapes[kShapes] = {};
+    std::uint64_t resyncs = 0;
+    std::uint64_t wrongBaselines = 0;
+    for (int i = 0; i < 300; ++i) {
+        select::InstrumentationPolicy next = reference;
+        fleet::PolicyFrame frame = header();
+        frame.prevFingerprint = reference.fingerprint();
+        const auto shape = static_cast<Shape>(i % kShapes);
+        auto upsert = [&](const std::string& name,
+                          const select::RegionPolicy& policy) {
+            frame.upserts.push_back({name, policy});
+        };
+        switch (shape) {
+            case kFirst:
+                // Retier, remove or insert before the first entry.
+                if (rng.nextBool(1.0 / 3)) {
+                    upsert(reference.functions.front(),
+                           flipped(reference.regions.front()));
+                } else if (rng.nextBool(0.5) && reference.size() > 8) {
+                    frame.removed.push_back(reference.functions.front());
+                } else {
+                    upsert("a" + std::to_string(frontSerial--), region());
+                }
+                break;
+            case kLast:
+                if (rng.nextBool(0.5) && reference.size() > 8) {
+                    frame.removed.push_back(reference.functions.back());
+                } else {
+                    upsert(reference.functions.back(),
+                           flipped(reference.regions.back()));
+                }
+                break;
+            case kAppend:
+                for (std::uint64_t n = 1 + rng.nextBelow(3); n > 0; --n) {
+                    upsert("z" + std::to_string(backSerial++), region());
+                }
+                break;
+            case kEmpty:
+                break;
+            case kAnywhere:
+                for (std::uint64_t n = rng.nextBelow(6); n > 0; --n) {
+                    upsert(rng.nextBool(0.5)
+                               ? reference.functions[rng.nextBelow(
+                                     reference.size())]
+                               : middleName(),
+                           region());
+                }
+                for (std::uint64_t n = rng.nextBelow(4);
+                     n > 0 && reference.size() > 8; --n) {
+                    frame.removed.push_back(
+                        reference.functions[rng.nextBelow(reference.size())]);
+                }
+                break;
+            case kShapes:
+                break;
+        }
+        for (const fleet::PolicyFrameEntry& entry : frame.upserts) {
+            next.setRegion(entry.name, entry.policy);
+        }
+        for (const std::string& name : frame.removed) {
+            next.setRegion(name, {});
+        }
+        frame.fingerprint = next.fingerprint();
+        // The frame's first change, as the shape intends it.
+        const auto firstDiff = static_cast<std::size_t>(
+            std::mismatch(reference.functions.begin(),
+                          reference.functions.end(), next.functions.begin(),
+                          next.functions.end())
+                .first -
+            reference.functions.begin());
+        switch (shape) {
+            case kFirst:
+                EXPECT_TRUE(firstDiff == 0 ||
+                            next.regions[0] != reference.regions[0]);
+                break;
+            case kLast:
+                EXPECT_GE(firstDiff, reference.size() - 1);
+                break;
+            case kAppend:
+            case kEmpty:
+                EXPECT_EQ(firstDiff, reference.size());
+                break;
+            default:
+                break;
+        }
+        ++shapes[shape];
+
+        if (i % 23 == 11) {
+            // A baseline of the next policy, one bit off: refused, and the
+            // client runs on as it was.
+            fleet::PolicyFrame wrong = referencePolicyFrame(header(), nullptr, next);
+            wrong.fingerprint ^= 1;
+            send(wrong);
+            EXPECT_THROW(awaitPolicy(), fleet::WireError);
+            ++wrongBaselines;
+        } else if (i % 23 == 17) {
+            frame.fingerprint ^= 1;
+            send(frame);
+            send(referencePolicyFrame(header(), nullptr, reference));
+            awaitPolicy();
+            ++resyncs;
+        } else {
+            send(frame);
+            awaitPolicy();
+            reference = std::move(next);
+        }
+        EXPECT_EQ(client.stats().resyncs, resyncs) << "frame " << i;
+        EXPECT_EQ(client.policyFingerprint(), client.policy().fingerprint())
+            << "frame " << i;
+        EXPECT_EQ(client.policyFingerprint(), reference.fingerprint())
+            << "frame " << i;
+        ASSERT_EQ(client.policy().functions, reference.functions)
+            << "frame " << i;
+        ASSERT_EQ(client.policy().regions, reference.regions) << "frame " << i;
+        EXPECT_EQ(client.lastReport().fullRegions,
+                  reference.countOf(select::Tier::Full))
+            << "frame " << i;
+        EXPECT_EQ(client.lastReport().sampledRegions,
+                  reference.countOf(select::Tier::Sampled))
+            << "frame " << i;
+    }
+    for (std::size_t shape = 0; shape < kShapes; ++shape) {
+        EXPECT_GE(shapes[shape], 50u) << "shape " << shape;
+    }
+    EXPECT_GT(wrongBaselines, 0u);
+    EXPECT_GT(resyncs, 0u);
+}
+
 // ----------------------------------------------------- liveness tests --
 
 // The liveness property: a dead client delays each epoch by at most the
