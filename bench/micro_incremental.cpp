@@ -18,12 +18,15 @@
 //
 // BM_RefineStep times a whole refinement step, not only Pipeline::run: the
 // session's selection (pipeline, has-body mask, inline compensation, IC
-// build) and the delta repatch that applies its IC, reported apart.
+// build) and the delta repatch that applies its IC, reported apart. It
+// rotates the paper specs, so after one lap every stage hits the session's
+// cache; BM_RefineStepThresholdSweep times the step that misses it.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -251,6 +254,61 @@ void BM_RefineStep(benchmark::State& state) {
 }
 
 BENCHMARK(BM_RefineStep)->Arg(50000)->Unit(benchmark::kMillisecond);
+
+/// The refinement step a user takes while tuning a threshold: every
+/// iteration selects the kernels spec at a flops threshold the session has
+/// not seen, so kernels_raw, onCallPathTo and the final stage miss the
+/// SelectorCache (BM_RefineStep's rotation hits it after one lap), then
+/// applies the IC as a delta. A fresh session, warmed outside the timing on
+/// another threshold, takes over every kSweepLap iterations; the graph, and
+/// so its snapshot and entry closure, stay the same throughout.
+void BM_RefineStepThresholdSweep(benchmark::State& state) {
+    using Clock = std::chrono::steady_clock;
+    constexpr std::uint64_t kSweepLap = 32;  // Thresholds 5..36 per session.
+    const bench::PreparedApp& app = refineApp(static_cast<std::uint32_t>(state.range(0)));
+    static const spec::ModuleResolver resolver = apps::bundledResolver();
+    const dyncapi::ProcessSymbolOracle oracle(app.compiled);
+    select::SelectionOptions base;
+    base.resolver = &resolver;
+    base.symbolOracle = &oracle;
+    auto kernelsAt = [](std::uint64_t flops) {
+        return "excluded = join(inSystemHeader(%%), inlineSpecified(%%))\n"
+               "kernels_raw = flops(\">=\", " + std::to_string(flops) +
+               ", loopDepth(\">=\", 1, %%))\n"
+               "subtract(onCallPathTo(%kernels_raw), %excluded)\n";
+    };
+
+    binsim::Process process(app.compiled);
+    dyncapi::DynCapi dyn(process);
+    std::unique_ptr<dyncapi::RefinementSession> session;
+    std::uint64_t step = 0;
+    double selectNs = 0.0;
+    double applyNs = 0.0;
+    for (auto _ : state) {
+        if (step % kSweepLap == 0) {
+            state.PauseTiming();
+            session = std::make_unique<dyncapi::RefinementSession>(app.graph);
+            dyn.applyIcDelta(session->select(kernelsAt(4), "kernels", base).ic);
+            state.ResumeTiming();
+        }
+        const std::string spec = kernelsAt(5 + step++ % kSweepLap);
+        const Clock::time_point start = Clock::now();
+        select::SelectionReport report = session->select(spec, "kernels", base);
+        const Clock::time_point selected = Clock::now();
+        dyncapi::DeltaStats delta = dyn.applyIcDelta(report.ic);
+        const Clock::time_point applied = Clock::now();
+        benchmark::DoNotOptimize(report.ic.functions.data());
+        benchmark::DoNotOptimize(delta.pagesTouched);
+        selectNs += std::chrono::duration<double, std::nano>(selected - start).count();
+        applyNs += std::chrono::duration<double, std::nano>(applied - selected).count();
+    }
+    state.counters["select_ms"] =
+        benchmark::Counter(selectNs / 1e6, benchmark::Counter::kAvgIterations);
+    state.counters["apply_ms"] =
+        benchmark::Counter(applyNs / 1e6, benchmark::Counter::kAvgIterations);
+}
+
+BENCHMARK(BM_RefineStepThresholdSweep)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

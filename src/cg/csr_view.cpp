@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "cg/call_graph.hpp"
+#include "cg/reachability.hpp"
 #include "obs/metrics.hpp"
 #include "support/bitset.hpp"
 #include "support/executor.hpp"
@@ -120,7 +121,8 @@ CsrView::CsrView(const CallGraph& graph, support::ThreadPool* pool) {
     names->start.resize(n);
     names->len.resize(n);
     auto arena = std::make_shared<std::string>();
-    auto stmts = std::make_shared<std::vector<std::uint32_t>>(n);
+    auto metrics = std::make_shared<std::vector<FunctionMetrics>>(n);
+    auto flags = std::make_shared<std::vector<std::uint8_t>>(n);
     auto hasBody = std::make_shared<support::DynamicBitset>(n);
     support::parallelFor(pool, n, kBuildGrain, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t id = lo; id < hi; ++id) {
@@ -140,7 +142,8 @@ CsrView::CsrView(const CallGraph& graph, support::ThreadPool* pool) {
             const std::string& name = graph.name(fid);
             std::copy(name.begin(), name.end(), arena->begin() + names->start[id]);
             const FunctionDesc& desc = graph.desc(fid);
-            (*stmts)[id] = desc.metrics.numStatements;
+            (*metrics)[id] = desc.metrics;
+            (*flags)[id] = packFlags(desc.flags);
             if (desc.flags.hasBody) {
                 hasBody->set(id);
             }
@@ -148,7 +151,8 @@ CsrView::CsrView(const CallGraph& graph, support::ThreadPool* pool) {
     });
     names->pool = std::move(arena);
     names_ = std::move(names);
-    numStatements_ = std::move(stmts);
+    metrics_ = std::move(metrics);
+    flags_ = std::move(flags);
     hasBody_ = std::move(hasBody);
 }
 
@@ -329,27 +333,32 @@ std::shared_ptr<const CsrView> CsrView::tryPatch(const CsrView& prev,
     }
 
     if (!metricDirty.any() && nNew == nOld) {
-        view->numStatements_ = prev.numStatements_;
+        view->metrics_ = prev.metrics_;
     } else {
-        auto stmts =
-            std::make_shared<std::vector<std::uint32_t>>(*prev.numStatements_);
-        stmts->resize(nNew, 0);
-        metricDirty.forEach([&](std::size_t id) {
-            (*stmts)[id] = graph.desc(static_cast<FunctionId>(id)).metrics.numStatements;
-        });
+        auto metrics = std::make_shared<std::vector<FunctionMetrics>>(*prev.metrics_);
+        metrics->resize(nNew);
+        auto reread = [&](std::size_t id) {
+            (*metrics)[id] = graph.desc(static_cast<FunctionId>(id)).metrics;
+        };
+        metricDirty.forEach(reread);
         for (std::size_t id = nOld; id < nNew; ++id) {
-            (*stmts)[id] = graph.desc(static_cast<FunctionId>(id)).metrics.numStatements;
+            reread(id);
         }
-        view->numStatements_ = std::move(stmts);
+        view->metrics_ = std::move(metrics);
     }
 
     if (!flagDirty.any() && nNew == nOld) {
+        view->flags_ = prev.flags_;
         view->hasBody_ = prev.hasBody_;
     } else {
+        auto flags = std::make_shared<std::vector<std::uint8_t>>(*prev.flags_);
         auto hasBody = std::make_shared<support::DynamicBitset>(*prev.hasBody_);
+        flags->resize(nNew);
         hasBody->resize(nNew);
         auto reread = [&](std::size_t id) {
-            if (graph.desc(static_cast<FunctionId>(id)).flags.hasBody) {
+            const FunctionFlags& now = graph.desc(static_cast<FunctionId>(id)).flags;
+            (*flags)[id] = packFlags(now);
+            if (now.hasBody) {
                 hasBody->set(id);
             } else {
                 hasBody->reset(id);
@@ -359,10 +368,23 @@ std::shared_ptr<const CsrView> CsrView::tryPatch(const CsrView& prev,
         for (std::size_t id = nOld; id < nNew; ++id) {
             reread(id);
         }
+        view->flags_ = std::move(flags);
         view->hasBody_ = std::move(hasBody);
     }
 
     return view;
+}
+
+const support::DynamicBitset& CsrView::reachableFromEntry(
+    support::ThreadPool* pool) const {
+    std::call_once(entryClosureOnce_, [&] {
+        support::DynamicBitset roots(nodeCount_);
+        if (entry_ != kInvalidFunction) {
+            roots.set(entry_);
+        }
+        entryClosure_ = reachableFrom(*this, roots, pool);
+    });
+    return entryClosure_;
 }
 
 // ---------------------------------------------------------------- registry --

@@ -7,8 +7,10 @@
 // strings through the cache with it. CsrView flattens each edge relation into
 // flat per-node (start, length) rows over one shared edge pool, interns all
 // function names into a single arena, and lifts the per-node fields the hot
-// paths read (statement counts, the has-a-body flag) into flat arrays. A whole-graph BFS/Tarjan walk then
-// touches a handful of contiguous allocations instead of ~4 per node.
+// paths read (the FunctionMetrics of every node, its FunctionFlags packed
+// into one byte, plus a has-a-body bitset) into flat columns. A whole-graph BFS/Tarjan walk or
+// metric filter then touches a handful of contiguous allocations instead of
+// ~4 per node.
 //
 // Snapshots are immutable and registered per graph identity + generation:
 // snapshot() returns the same shared instance for every caller at the same
@@ -20,10 +22,15 @@
 // to a per-view tail ("epoch tail") while the bulk edge pool stays shared.
 // Past a churn threshold (or when the tail would outgrow the pool) the build
 // falls back to a full rebuild, so patching is never worse than O(V + E).
+//
+// Derived data that only depends on the snapshot is memoized on it: the
+// forward closure of the entry point is computed once, on first use, and
+// shared by every onCallPathTo evaluated against the same generation.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -108,13 +115,28 @@ public:
     /// Mangled name, viewing the interned arena (valid as long as the view).
     std::string_view name(FunctionId id) const { return names_->view(id); }
 
-    /// Flat copy of desc(id).metrics.numStatements (statementAggregation's
-    /// hot read; avoids touching FunctionDesc in the aggregation loops).
-    std::uint32_t numStatements(FunctionId id) const { return (*numStatements_)[id]; }
+    /// Flat copy of desc(id).metrics: the metric filters' and
+    /// statementAggregation's hot read, without touching the FunctionDesc.
+    const FunctionMetrics& metrics(FunctionId id) const { return (*metrics_)[id]; }
+    std::uint32_t numStatements(FunctionId id) const {
+        return metrics(id).numStatements;
+    }
+
+    /// packFlags(desc(id).flags): one byte per node, the flag filters' read.
+    std::uint8_t flagBits(FunctionId id) const { return (*flags_)[id]; }
+    FunctionFlags flags(FunctionId id) const { return unpackFlags(flagBits(id)); }
 
     /// Bit per node: desc(id).flags.hasBody. Selection restricts its result
     /// to these instrumentable definitions with one word-wise AND.
     const support::DynamicBitset& definedMask() const { return *hasBody_; }
+
+    /// Forward closure of entryPoint() over callee edges (entry included;
+    /// empty without an entry point). Computed on the first call — sharded
+    /// over `pool` when given, bit-identical either way — and shared by
+    /// every later caller of this snapshot, concurrent ones included. A
+    /// patched snapshot starts without it.
+    const support::DynamicBitset& reachableFromEntry(
+        support::ThreadPool* pool = nullptr) const;
 
 private:
     /// High bit of `start` routes a row into the view-local tail instead of
@@ -168,8 +190,11 @@ private:
     std::shared_ptr<const Rows> overrides_;
     std::shared_ptr<const Rows> overriddenBy_;
     std::shared_ptr<const NameArena> names_;
-    std::shared_ptr<const std::vector<std::uint32_t>> numStatements_;
+    std::shared_ptr<const std::vector<FunctionMetrics>> metrics_;
+    std::shared_ptr<const std::vector<std::uint8_t>> flags_;
     std::shared_ptr<const support::DynamicBitset> hasBody_;
+    mutable std::once_flag entryClosureOnce_;
+    mutable support::DynamicBitset entryClosure_;
 };
 
 }  // namespace capi::cg

@@ -1,7 +1,7 @@
 #include "cg/reachability.hpp"
 
-#include <deque>
 #include <mutex>
+#include <vector>
 
 #include "support/thread_pool.hpp"
 
@@ -26,15 +26,13 @@ std::span<const FunctionId> rowOf(const CsrView& csr, FunctionId id, EdgeDir dir
 DynamicBitset serialClosure(const CsrView& csr, const DynamicBitset& seeds,
                             EdgeDir dir) {
     DynamicBitset visited(csr.size());
-    std::deque<FunctionId> queue;
+    std::vector<FunctionId> queue;
     seeds.forEach([&](std::size_t id) {
         visited.set(id);
         queue.push_back(static_cast<FunctionId>(id));
     });
-    while (!queue.empty()) {
-        FunctionId current = queue.front();
-        queue.pop_front();
-        for (FunctionId next : rowOf(csr, current, dir)) {
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+        for (FunctionId next : rowOf(csr, queue[head], dir)) {
             if (!visited.test(next)) {
                 visited.set(next);
                 queue.push_back(next);
@@ -113,23 +111,16 @@ DynamicBitset reachesTo(const CsrView& csr, const DynamicBitset& targets,
     return closure(csr, targets, EdgeDir::Callers, pool);
 }
 
-DynamicBitset onCallPath(const CsrView& csr, FunctionId from,
-                         const DynamicBitset& targets,
+DynamicBitset onCallPath(const CsrView& csr, const DynamicBitset& targets,
                          support::ThreadPool* pool, DynamicBitset* touched) {
-    DynamicBitset result(csr.size());
-    if (from == kInvalidFunction) {
-        return result;
-    }
-    DynamicBitset roots(csr.size());
-    roots.set(from);
-    DynamicBitset forward = reachableFrom(csr, roots, pool);
+    const DynamicBitset& forward = csr.reachableFromEntry(pool);
     DynamicBitset backward = reachesTo(csr, targets, pool);
     if (touched != nullptr) {
         *touched = forward;
         *touched |= backward;
     }
-    forward &= backward;
-    return forward;
+    backward &= forward;
+    return backward;
 }
 
 DynamicBitset reachableFrom(const CallGraph& graph, const DynamicBitset& roots,
@@ -142,10 +133,9 @@ DynamicBitset reachesTo(const CallGraph& graph, const DynamicBitset& targets,
     return reachesTo(*CsrView::snapshot(graph), targets, pool);
 }
 
-DynamicBitset onCallPath(const CallGraph& graph, FunctionId from,
-                         const DynamicBitset& targets,
+DynamicBitset onCallPath(const CallGraph& graph, const DynamicBitset& targets,
                          support::ThreadPool* pool) {
-    return onCallPath(*CsrView::snapshot(graph), from, targets, pool);
+    return onCallPath(*CsrView::snapshot(graph), targets, pool);
 }
 
 DynamicBitset reachableFrom(const CallGraph& graph, FunctionId root,

@@ -57,16 +57,18 @@ support::DynamicBitset reachesTo(const CallGraph& graph,
                                  const support::DynamicBitset& targets,
                                  support::ThreadPool* pool = nullptr);
 
-/// Functions lying on a call path from `from` (usually main) to any target.
-/// When `touched` is non-null it receives the union of BOTH traversals'
-/// visited sets (forward from `from`, backward from `targets`) — the read
-/// footprint incremental selection records for this analysis, a superset of
-/// the returned intersection.
-support::DynamicBitset onCallPath(const CsrView& csr, FunctionId from,
+/// Functions lying on a call path from the entry point (main) to any target;
+/// empty without an entry point. The forward half is
+/// CsrView::reachableFromEntry(), computed once per snapshot. When `touched`
+/// is non-null it receives the union of BOTH traversals' visited sets
+/// (forward from the entry, backward from `targets`) — the read footprint
+/// incremental selection records for this analysis, a superset of the
+/// returned intersection.
+support::DynamicBitset onCallPath(const CsrView& csr,
                                   const support::DynamicBitset& targets,
                                   support::ThreadPool* pool = nullptr,
                                   support::DynamicBitset* touched = nullptr);
-support::DynamicBitset onCallPath(const CallGraph& graph, FunctionId from,
+support::DynamicBitset onCallPath(const CallGraph& graph,
                                   const support::DynamicBitset& targets,
                                   support::ThreadPool* pool = nullptr);
 

@@ -25,6 +25,8 @@ struct FunctionMetrics {
     std::uint32_t profiledVisits = 0;      ///< Runtime metric: visit count folded
                                            ///< in from the last measurement epoch
                                            ///< (CallGraph::touchMetrics channel).
+
+    bool operator==(const FunctionMetrics&) const = default;
 };
 
 /// Structural flags recorded by the call-graph construction.
@@ -36,7 +38,29 @@ struct FunctionFlags {
     bool isMpi = false;            ///< An MPI API entry point (MPI_*).
     bool addressTaken = false;     ///< Address used as a function pointer.
     bool hiddenVisibility = false; ///< Not visible in the dynamic symbol table.
+
+    bool operator==(const FunctionFlags&) const = default;
 };
+
+/// FunctionFlags packed one bit per field, in declaration order (hasBody is
+/// bit 0): the one-byte-per-node form of CsrView's flag column.
+constexpr std::uint8_t packFlags(const FunctionFlags& f) {
+    return static_cast<std::uint8_t>(
+        (f.hasBody ? 1u : 0u) | (f.inlineSpecified ? 2u : 0u) |
+        (f.inSystemHeader ? 4u : 0u) | (f.isVirtual ? 8u : 0u) |
+        (f.isMpi ? 16u : 0u) | (f.addressTaken ? 32u : 0u) |
+        (f.hiddenVisibility ? 64u : 0u));
+}
+
+constexpr FunctionFlags unpackFlags(std::uint8_t bits) {
+    return {.hasBody = (bits & 1u) != 0,
+            .inlineSpecified = (bits & 2u) != 0,
+            .inSystemHeader = (bits & 4u) != 0,
+            .isVirtual = (bits & 8u) != 0,
+            .isMpi = (bits & 16u) != 0,
+            .addressTaken = (bits & 32u) != 0,
+            .hiddenVisibility = (bits & 64u) != 0};
+}
 
 /// One function node: identity, location, flags and static metrics.
 struct FunctionDesc {

@@ -1,6 +1,5 @@
 #include "select/inline_compensation.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -28,7 +27,6 @@ bool callerRelationUnchanged(const cg::GraphDelta& delta) {
 
 void InlineCompensationCache::Scratch::grow(std::size_t nodes) {
     verdicts.resize(nodes, Verdict::Unknown);
-    visitedEpoch.resize(nodes, 0);
 }
 
 bool InlineCompensationCache::Scratch::symbolPresent(const cg::CallGraph& graph,
@@ -108,39 +106,34 @@ InlineCompensationStats compensateInlining(const cg::CallGraph& graph,
     stats.inlinedRemoved = inlined.size();
     stats.removed = inlined;
 
-    // Step 2: recursively find the first available (non-inlined) callers of
-    // every inlined selected function. Callers that are themselves inlined
-    // are traversed through; visited marking keeps cycles terminating.
-    //
-    // The visited set is epoch-stamped rather than a per-function bitset:
-    // OpenFOAM-scale graphs remove tens of thousands of inlined functions,
-    // and clearing a 410k-bit set per function would dominate the whole
-    // selection phase. The same hot callers are probed from many inlined
-    // functions, so their verdicts come from the memo.
+    // Step 2: find the first available (non-inlined) callers of the inlined
+    // selected functions in one walk up the caller relation, seeded from
+    // all of them at once. Callers that are themselves inlined are walked
+    // through. One visited set for the whole walk keeps cycles terminating
+    // and visits a caller chain that several inlined functions share once;
+    // a node is reached iff some inlined function reaches it through inlined
+    // nodes only, so the result is the union of per-function walks. The
+    // sources start visited: they are inlined, and their callers are seeded.
     FunctionSet additions(graph.size());
-    std::vector<std::uint32_t>& visitedEpoch = scratch.visitedEpoch;
+    support::DynamicBitset visited(graph.size());
     std::vector<cg::FunctionId>& queue = scratch.queue;
+    queue.clear();
     for (cg::FunctionId id : inlined) {
-        if (++scratch.epoch == 0) {  // Wrapped: forget every old stamp.
-            std::fill(visitedEpoch.begin(), visitedEpoch.end(), 0);
-            scratch.epoch = 1;
-        }
-        const std::uint32_t epoch = scratch.epoch;
-        visitedEpoch[id] = epoch;
+        visited.set(id);
         std::span<const cg::FunctionId> callers = csr.callers(id);
-        queue.assign(callers.begin(), callers.end());
-        for (std::size_t head = 0; head < queue.size(); ++head) {
-            const cg::FunctionId caller = queue[head];
-            if (visitedEpoch[caller] == epoch) {
-                continue;
-            }
-            visitedEpoch[caller] = epoch;
-            if (scratch.symbolPresent(graph, oracle, caller)) {
-                additions.add(caller);
-            } else {
-                std::span<const cg::FunctionId> next = csr.callers(caller);
-                queue.insert(queue.end(), next.begin(), next.end());
-            }
+        queue.insert(queue.end(), callers.begin(), callers.end());
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+        const cg::FunctionId caller = queue[head];
+        if (visited.test(caller)) {
+            continue;
+        }
+        visited.set(caller);
+        if (scratch.symbolPresent(graph, oracle, caller)) {
+            additions.add(caller);
+        } else {
+            std::span<const cg::FunctionId> next = csr.callers(caller);
+            queue.insert(queue.end(), next.begin(), next.end());
         }
     }
 

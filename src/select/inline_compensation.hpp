@@ -65,15 +65,13 @@ private:
         const SymbolOracle& oracle, InlineCompensationCache* cache);
 
     /// Per-node memo of oracle.hasSymbol(graph.name(id)) plus the caller
-    /// walk's scratch arrays. Also used, fresh, by uncached runs.
+    /// walk's reusable queue. Also used, fresh, by uncached runs.
     struct Scratch {
         enum class Verdict : std::uint8_t { Unknown, Present, Absent };
         std::vector<Verdict> verdicts;
-        std::vector<std::uint32_t> visitedEpoch;
-        std::uint32_t epoch = 0;
         std::vector<cg::FunctionId> queue;
 
-        /// Sizes the arrays for `nodes`; new slots are Unknown / unvisited.
+        /// Sizes the verdict memo for `nodes`; new slots are Unknown.
         void grow(std::size_t nodes);
         bool symbolPresent(const cg::CallGraph& graph, const SymbolOracle& oracle,
                            cg::FunctionId id);

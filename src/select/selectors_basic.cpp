@@ -24,7 +24,6 @@
 //   complement(a)                        universe minus a
 
 #include <algorithm>
-#include <functional>
 
 #include "select/registry.hpp"
 #include "support/error.hpp"
@@ -99,32 +98,34 @@ private:
 /// vice versa.
 enum class FilterReads { Desc, Metrics };
 
-/// Filters the input set by a per-function predicate.
+/// Filters the input set by a per-function test keep(graph, csr, id). Flag
+/// and metric tests read the snapshot's flat columns; name and path tests
+/// read the FunctionDesc.
+template <typename Keep>
 class FilterSelector final : public Selector {
 public:
-    using Predicate = std::function<bool(const cg::FunctionDesc&)>;
-
-    FilterSelector(std::string name, SelectorPtr input, Predicate predicate,
-                   FilterReads reads)
-        : name_(std::move(name)), input_(std::move(input)),
-          predicate_(std::move(predicate)), reads_(reads) {}
+    FilterSelector(std::string name, SelectorPtr input, Keep keep, FilterReads reads)
+        : name_(std::move(name)), input_(std::move(input)), keep_(std::move(keep)),
+          reads_(reads) {}
 
 protected:
     FunctionSet evaluateImpl(EvalContext& ctx) const override {
         FunctionSet in = input_->evaluate(ctx);
-        // The predicate runs on exactly the members of `in`.
+        // The test runs on exactly the members of `in`.
         if (reads_ == FilterReads::Desc) {
             ctx.touchDescSet(in.bits());
         } else {
             ctx.touchMetricsSet(in.bits());
         }
+        const cg::CsrView& csr = ctx.csr();  // Resolved before sharding.
         FunctionSet out(ctx.graph.size());
         auto filterWords = [&](std::size_t wordBegin, std::size_t wordEnd) {
             // A bit at index i lives in word i/64, so a worker filtering
             // words [wordBegin, wordEnd) only writes words in that range.
             in.bits().forEachInWordRange(wordBegin, wordEnd, [&](std::size_t id) {
-                if (predicate_(ctx.graph.desc(static_cast<cg::FunctionId>(id)))) {
-                    out.add(static_cast<cg::FunctionId>(id));
+                const auto fid = static_cast<cg::FunctionId>(id);
+                if (keep_(ctx.graph, csr, fid)) {
+                    out.add(fid);
                 }
             });
         };
@@ -141,9 +142,16 @@ public:
 private:
     std::string name_;
     SelectorPtr input_;
-    Predicate predicate_;
+    Keep keep_;
     FilterReads reads_;
 };
+
+template <typename Keep>
+SelectorPtr makeFilter(std::string name, SelectorPtr input, Keep keep,
+                       FilterReads reads) {
+    return std::make_unique<FilterSelector<Keep>>(std::move(name), std::move(input),
+                                                  std::move(keep), reads);
+}
 
 enum class SetOp { Union, Intersection };
 
@@ -252,27 +260,31 @@ private:
 
 // --- factory helpers --------------------------------------------------------
 
-using DescPredicate = bool (*)(const cg::FunctionDesc&);
-
-SelectorFactory flagFactory(DescPredicate predicate) {
-    return [predicate](const spec::Expr& call, SelectorBuilder& b) -> SelectorPtr {
+SelectorFactory flagFactory(bool cg::FunctionFlags::*flag) {
+    cg::FunctionFlags only;
+    only.*flag = true;
+    const std::uint8_t mask = cg::packFlags(only);
+    return [mask](const spec::Expr& call, SelectorBuilder& b) -> SelectorPtr {
         b.checkArity(call, 1, 1);
-        return std::make_unique<FilterSelector>(call.value, b.selectorArg(call, 0),
-                                                predicate, FilterReads::Desc);
+        return makeFilter(
+            call.value, b.selectorArg(call, 0),
+            [mask](const cg::CallGraph&, const cg::CsrView& csr, cg::FunctionId id) {
+                return (csr.flagBits(id) & mask) != 0;
+            },
+            FilterReads::Desc);
     };
 }
 
-using MetricGetter = std::uint64_t (*)(const cg::FunctionDesc&);
-
-SelectorFactory metricFactory(MetricGetter getter) {
-    return [getter](const spec::Expr& call, SelectorBuilder& b) -> SelectorPtr {
+SelectorFactory metricFactory(std::uint32_t cg::FunctionMetrics::*metric) {
+    return [metric](const spec::Expr& call, SelectorBuilder& b) -> SelectorPtr {
         b.checkArity(call, 3, 3);
         CompareOp op = parseCompareOp(b.stringArg(call, 0));
         std::int64_t threshold = b.numberArg(call, 1);
-        return std::make_unique<FilterSelector>(
+        return makeFilter(
             call.value, b.selectorArg(call, 2),
-            [getter, op, threshold](const cg::FunctionDesc& desc) {
-                return compareMetric(getter(desc), op, threshold);
+            [metric, op, threshold](const cg::CallGraph&, const cg::CsrView& csr,
+                                    cg::FunctionId id) {
+                return compareMetric(csr.metrics(id).*metric, op, threshold);
             },
             FilterReads::Metrics);
     };
@@ -284,9 +296,11 @@ SelectorFactory nameFactory(NameField field) {
     return [field](const spec::Expr& call, SelectorBuilder& b) -> SelectorPtr {
         b.checkArity(call, 2, 2);
         std::string pattern = b.stringArg(call, 0);
-        return std::make_unique<FilterSelector>(
+        return makeFilter(
             call.value, b.selectorArg(call, 1),
-            [field, pattern](const cg::FunctionDesc& desc) {
+            [field, pattern](const cg::CallGraph& graph, const cg::CsrView&,
+                             cg::FunctionId id) {
+                const cg::FunctionDesc& desc = graph.desc(id);
                 const std::string& value = field == NameField::Mangled ? desc.name
                                            : field == NameField::Pretty
                                                ? desc.prettyName
@@ -315,72 +329,34 @@ void registerBasicSelectors(SelectorRegistry& r) {
     r.registerType("byPath", nameFactory(NameField::Path),
                    "byPath(pattern, input): glob match on source file paths");
 
-    r.registerType(
-        "inSystemHeader",
-        flagFactory([](const cg::FunctionDesc& d) { return d.flags.inSystemHeader; }),
-        "inSystemHeader(input): functions defined in system headers");
-    r.registerType(
-        "inlineSpecified",
-        flagFactory([](const cg::FunctionDesc& d) { return d.flags.inlineSpecified; }),
-        "inlineSpecified(input): functions marked inline in source");
-    r.registerType(
-        "defined", flagFactory([](const cg::FunctionDesc& d) { return d.flags.hasBody; }),
-        "defined(input): functions with a body in the program");
-    r.registerType(
-        "isVirtual",
-        flagFactory([](const cg::FunctionDesc& d) { return d.flags.isVirtual; }),
-        "isVirtual(input): virtual member functions");
-    r.registerType(
-        "addressTaken",
-        flagFactory([](const cg::FunctionDesc& d) { return d.flags.addressTaken; }),
-        "addressTaken(input): functions whose address is taken");
-    r.registerType(
-        "mpiFunctions",
-        flagFactory([](const cg::FunctionDesc& d) { return d.flags.isMpi; }),
-        "mpiFunctions(input): MPI API entry points");
+    r.registerType("inSystemHeader", flagFactory(&cg::FunctionFlags::inSystemHeader),
+                   "inSystemHeader(input): functions defined in system headers");
+    r.registerType("inlineSpecified", flagFactory(&cg::FunctionFlags::inlineSpecified),
+                   "inlineSpecified(input): functions marked inline in source");
+    r.registerType("defined", flagFactory(&cg::FunctionFlags::hasBody),
+                   "defined(input): functions with a body in the program");
+    r.registerType("isVirtual", flagFactory(&cg::FunctionFlags::isVirtual),
+                   "isVirtual(input): virtual member functions");
+    r.registerType("addressTaken", flagFactory(&cg::FunctionFlags::addressTaken),
+                   "addressTaken(input): functions whose address is taken");
+    r.registerType("mpiFunctions", flagFactory(&cg::FunctionFlags::isMpi),
+                   "mpiFunctions(input): MPI API entry points");
 
-    r.registerType(
-        "flops",
-        metricFactory([](const cg::FunctionDesc& d) -> std::uint64_t {
-            return d.metrics.flops;
-        }),
-        "flops(op, n, input): static floating-point operation count");
-    r.registerType(
-        "loopDepth",
-        metricFactory([](const cg::FunctionDesc& d) -> std::uint64_t {
-            return d.metrics.loopDepth;
-        }),
-        "loopDepth(op, n, input): maximum loop nesting depth");
-    r.registerType(
-        "statements",
-        metricFactory([](const cg::FunctionDesc& d) -> std::uint64_t {
-            return d.metrics.numStatements;
-        }),
-        "statements(op, n, input): source statement count");
-    r.registerType(
-        "cyclomatic",
-        metricFactory([](const cg::FunctionDesc& d) -> std::uint64_t {
-            return d.metrics.cyclomaticComplexity;
-        }),
-        "cyclomatic(op, n, input): McCabe cyclomatic complexity");
-    r.registerType(
-        "callSites",
-        metricFactory([](const cg::FunctionDesc& d) -> std::uint64_t {
-            return d.metrics.numCallSites;
-        }),
-        "callSites(op, n, input): number of call expressions in the body");
-    r.registerType(
-        "instructions",
-        metricFactory([](const cg::FunctionDesc& d) -> std::uint64_t {
-            return d.metrics.numInstructions;
-        }),
-        "instructions(op, n, input): approximate machine instruction count");
-    r.registerType(
-        "profiledVisits",
-        metricFactory([](const cg::FunctionDesc& d) -> std::uint64_t {
-            return d.metrics.profiledVisits;
-        }),
-        "profiledVisits(op, n, input): visit count from the last measurement epoch");
+    r.registerType("flops", metricFactory(&cg::FunctionMetrics::flops),
+                   "flops(op, n, input): static floating-point operation count");
+    r.registerType("loopDepth", metricFactory(&cg::FunctionMetrics::loopDepth),
+                   "loopDepth(op, n, input): maximum loop nesting depth");
+    r.registerType("statements", metricFactory(&cg::FunctionMetrics::numStatements),
+                   "statements(op, n, input): source statement count");
+    r.registerType("cyclomatic",
+                   metricFactory(&cg::FunctionMetrics::cyclomaticComplexity),
+                   "cyclomatic(op, n, input): McCabe cyclomatic complexity");
+    r.registerType("callSites", metricFactory(&cg::FunctionMetrics::numCallSites),
+                   "callSites(op, n, input): number of call expressions in the body");
+    r.registerType("instructions", metricFactory(&cg::FunctionMetrics::numInstructions),
+                   "instructions(op, n, input): approximate machine instruction count");
+    r.registerType("profiledVisits", metricFactory(&cg::FunctionMetrics::profiledVisits),
+                   "profiledVisits(op, n, input): visit count from the last measurement epoch");
 
     r.registerType(
         "join",

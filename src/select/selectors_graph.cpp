@@ -40,8 +40,7 @@ protected:
         FunctionSet targets = target_->evaluate(ctx);
         const cg::CsrView& csr = ctx.csr();
         DynamicBitset touched(csr.size());
-        DynamicBitset result = cg::onCallPath(csr, csr.entryPoint(),
-                                              targets.bits(), ctx.pool, &touched);
+        DynamicBitset result = cg::onCallPath(csr, targets.bits(), ctx.pool, &touched);
         // Reads the adjacency of every node either traversal visited; a
         // path newly reaching outside either closure must use a new edge
         // whose old endpoint lies inside it (entry-point changes purge the

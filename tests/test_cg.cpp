@@ -758,7 +758,7 @@ TEST(Reachability, OnCallPathIntersectsForwardAndBackward) {
     cg::CallGraph g = capi::testutil::listing3Graph();
     capi::support::DynamicBitset targets(g.size());
     targets.set(g.lookup("Amul"));
-    auto path = cg::onCallPath(g, g.entryPoint(), targets);
+    auto path = cg::onCallPath(g, targets);
     // Everything from main down to Amul, but not residual.
     EXPECT_TRUE(path.test(g.lookup("main")));
     EXPECT_TRUE(path.test(g.lookup("solve")));
@@ -782,7 +782,7 @@ TEST(Reachability, InvalidEntryYieldsEmptyPathSet) {
     g.addFunction(d);
     capi::support::DynamicBitset targets(g.size());
     targets.set(0);
-    EXPECT_EQ(cg::onCallPath(g, g.entryPoint(), targets).count(), 0u);
+    EXPECT_EQ(cg::onCallPath(g, targets).count(), 0u);
 }
 
 // ------------------------------------------------------------ validation ---

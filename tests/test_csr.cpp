@@ -6,6 +6,7 @@
 
 #include <deque>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cg/call_graph.hpp"
@@ -75,7 +76,26 @@ void expectViewMatchesGraph(const cg::CsrView& csr, const cg::CallGraph& graph) 
         EXPECT_EQ(csr.callerCount(id), graph.callers(id).size());
         EXPECT_EQ(csr.calleeCount(id), graph.callees(id).size());
         EXPECT_EQ(csr.numStatements(id), graph.desc(id).metrics.numStatements);
+        EXPECT_TRUE(csr.metrics(id) == graph.desc(id).metrics) << "metrics of " << id;
+        EXPECT_TRUE(csr.flags(id) == graph.desc(id).flags) << "flags of " << id;
         EXPECT_EQ(csr.definedMask().test(id), graph.desc(id).flags.hasBody);
+    }
+}
+
+/// Draws every metric and flag field of `id` at random, so the flat columns
+/// are checked field by field (randomGraph sets only a few of them).
+void randomizeDesc(cg::CallGraph& graph, cg::FunctionId id, support::SplitMix64& rng) {
+    graph.mutateDesc(id, [&](cg::FunctionDesc& d) {
+        auto metric = [&] { return static_cast<std::uint32_t>(rng.nextBelow(1000)); };
+        d.metrics = {metric(), metric(), metric(), metric(), metric(), metric(), metric()};
+        d.flags = {rng.nextBool(0.5), rng.nextBool(0.5), rng.nextBool(0.5), rng.nextBool(0.5),
+                   rng.nextBool(0.5), rng.nextBool(0.5), rng.nextBool(0.5)};
+    });
+}
+
+TEST(CsrView, PackedFlagsRoundTripEveryCombination) {
+    for (unsigned bits = 0; bits < 128; ++bits) {
+        EXPECT_EQ(cg::packFlags(cg::unpackFlags(static_cast<std::uint8_t>(bits))), bits);
     }
 }
 
@@ -129,6 +149,36 @@ TEST(CsrView, ParallelBuildBelowThresholdFallsBackToSerial) {
     support::ThreadPool pool(4);
     cg::CsrView view(graph, &pool);
     expectViewMatchesGraph(view, graph);
+}
+
+TEST(CsrView, MetricAndFlagColumnsMatchDescInFullAndPatchedBuilds) {
+    cg::CallGraph graph = randomGraph(21, 500);
+    support::SplitMix64 rng(21);
+    for (cg::FunctionId id = 0; id < graph.size(); ++id) {
+        randomizeDesc(graph, id, rng);
+    }
+    expectViewMatchesGraph(cg::CsrView(graph), graph);
+    support::ThreadPool pool(4);
+    expectViewMatchesGraph(cg::CsrView(graph, &pool), graph);
+
+    // Patched rows: a metric-only touch, a whole-desc rewrite and an
+    // appended node, each re-read into the columns of the next snapshot.
+    auto before = cg::CsrView::snapshot(graph);
+    graph.touchMetrics(3, [](cg::FunctionMetrics& m) { m.profiledVisits = 4242; });
+    randomizeDesc(graph, 9, rng);
+    cg::FunctionDesc late;
+    late.name = "late";
+    late.flags.isMpi = true;
+    late.metrics.loopDepth = 3;
+    graph.addFunction(late);
+    auto after = cg::CsrView::snapshot(graph);
+    ASSERT_TRUE(after->patched());
+    expectViewMatchesGraph(*after, graph);
+    EXPECT_EQ(after->metrics(3).profiledVisits, 4242u);
+    EXPECT_TRUE(after->flags(graph.lookup("late")).isMpi);
+    EXPECT_EQ(before->size(), 500u);  // The old snapshot is frozen.
+    EXPECT_TRUE(before->flags(9) != after->flags(9) ||
+                before->metrics(9) != after->metrics(9));
 }
 
 TEST(CsrView, SnapshotIsSharedPerGeneration) {
@@ -306,6 +356,124 @@ TEST(CsrReachability, CallGraphOverloadsDelegateToSnapshot) {
     support::DynamicBitset roots(graph.size());
     roots.set(graph.entryPoint());
     EXPECT_TRUE(viaGraph == cg::reachableFrom(csr, roots));
+}
+
+/// The entry closure straight from reachableFrom(), without the memo.
+support::DynamicBitset entryClosureOf(const cg::CsrView& csr) {
+    support::DynamicBitset roots(csr.size());
+    if (csr.entryPoint() != cg::kInvalidFunction) {
+        roots.set(csr.entryPoint());
+    }
+    return cg::reachableFrom(csr, roots);
+}
+
+TEST(CsrReachability, EntryClosureTracksEntryPointAndEdges) {
+    cg::CallGraph graph = randomGraph(23, 400);
+    auto first = cg::CsrView::snapshot(graph);
+    EXPECT_TRUE(first->reachableFromEntry() == entryClosureOf(*first));
+    EXPECT_TRUE(first->reachableFromEntry().test(first->entryPoint()));
+
+    // A new entry point: the patched snapshot computes its own closure.
+    graph.setEntryPoint(42);
+    auto moved = cg::CsrView::snapshot(graph);
+    ASSERT_TRUE(moved->patched());
+    ASSERT_EQ(moved->entryPoint(), 42u);
+    EXPECT_TRUE(moved->reachableFromEntry() == entryClosureOf(*moved));
+    EXPECT_FALSE(moved->reachableFromEntry() == first->reachableFromEntry());
+
+    // An edge from the entry to a node outside its closure widens it.
+    cg::FunctionId outside = cg::kInvalidFunction;
+    for (cg::FunctionId id = 0; id < graph.size(); ++id) {
+        if (!moved->reachableFromEntry().test(id)) {
+            outside = id;
+            break;
+        }
+    }
+    ASSERT_NE(outside, cg::kInvalidFunction);
+    graph.addCallEdge(42, outside);
+    auto widened = cg::CsrView::snapshot(graph);
+    EXPECT_TRUE(widened->reachableFromEntry() == entryClosureOf(*widened));
+    EXPECT_TRUE(widened->reachableFromEntry().test(outside));
+    EXPECT_FALSE(moved->reachableFromEntry().test(outside));  // Frozen.
+}
+
+TEST(CsrReachability, EntryClosureIsEmptyWithoutEntryPoint) {
+    cg::CallGraph graph = capi::testutil::makeGraph(
+        {{.name = "a"}, {.name = "b"}, {.name = "c"}}, {{"a", "b"}, {"b", "c"}});
+    cg::CsrView csr(graph);
+    ASSERT_EQ(csr.entryPoint(), cg::kInvalidFunction);
+    EXPECT_EQ(csr.reachableFromEntry().size(), 3u);
+    EXPECT_FALSE(csr.reachableFromEntry().any());
+    support::DynamicBitset targets(3);
+    targets.set(2);
+    EXPECT_FALSE(cg::onCallPath(csr, targets).any());
+}
+
+TEST(CsrReachability, PooledOnCallPathEqualsSerial) {
+    // Above the sharding thresholds; separate views, so the serial and the
+    // pooled call each compute their own entry closure.
+    cg::CallGraph graph = randomGraph(31, 20000);
+    ASSERT_NE(graph.entryPoint(), cg::kInvalidFunction);
+    support::ThreadPool pool(4);
+    cg::CsrView serialView(graph);
+    cg::CsrView pooledView(graph);
+    support::DynamicBitset targets(graph.size());
+    for (cg::FunctionId id = 0; id < graph.size(); id += 97) {
+        targets.set(id);
+    }
+    support::DynamicBitset serialTouched;
+    support::DynamicBitset pooledTouched;
+    support::DynamicBitset serial =
+        cg::onCallPath(serialView, targets, nullptr, &serialTouched);
+    support::DynamicBitset pooled =
+        cg::onCallPath(pooledView, targets, &pool, &pooledTouched);
+    EXPECT_TRUE(serial == pooled);
+    EXPECT_TRUE(serialTouched == pooledTouched);
+
+    // Both equal the two closures intersected, taken without the memo.
+    support::DynamicBitset forward =
+        cg::reachableFrom(graph, graph.entryPoint());
+    support::DynamicBitset backward = cg::reachesTo(serialView, targets);
+    support::DynamicBitset touched = forward;
+    touched |= backward;
+    forward &= backward;
+    EXPECT_TRUE(serial == forward);
+    EXPECT_TRUE(serialTouched == touched);
+    EXPECT_TRUE(pooledView.reachableFromEntry() == serialView.reachableFromEntry());
+}
+
+TEST(CsrReachability, ConcurrentPooledSelectionsShareOneEntryClosure) {
+    // Four onCallPathTo stages per run and three runs at once, all on the
+    // same fresh snapshot: the first use of its entry closure races between
+    // pipeline stages and between runs.
+    const std::string spec =
+        "a = onCallPathTo(flops(\">=\", 10, %%))\n"
+        "b = onCallPathTo(flops(\">=\", 30, %%))\n"
+        "c = onCallPathTo(loopDepth(\">=\", 2, %%))\n"
+        "d = onCallPathTo(statements(\">=\", 25, %%))\n"
+        "join(%a, %b, %c, %d)\n";
+    const cg::CallGraph reference = randomGraph(37, 20000);
+    const select::FunctionSet expected = runSpecOn(reference, spec);
+    ASSERT_TRUE(expected.count() > 0);
+
+    const cg::CallGraph graph = randomGraph(37, 20000);
+    support::ThreadPool pool(4);
+    std::vector<select::FunctionSet> results(3);
+    std::vector<std::thread> runs;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        runs.emplace_back([&, i] {
+            select::Pipeline pipeline(spec::parseSpec(spec));
+            select::PipelineOptions options;
+            options.pool = &pool;
+            results[i] = pipeline.run(graph, options).result;
+        });
+    }
+    for (std::thread& run : runs) {
+        run.join();
+    }
+    for (const select::FunctionSet& result : results) {
+        EXPECT_TRUE(result == expected);
+    }
 }
 
 TEST(NeighborSelector, HugeHopCountTerminatesAtFixpoint) {

@@ -290,8 +290,11 @@ void expectCsrEquals(const cg::CsrView& a, const cg::CsrView& b) {
             << id;
         ASSERT_EQ(a.name(id), b.name(id)) << id;
         ASSERT_EQ(a.numStatements(id), b.numStatements(id)) << id;
+        ASSERT_TRUE(a.metrics(id) == b.metrics(id)) << id;
+        ASSERT_TRUE(a.flags(id) == b.flags(id)) << id;
     }
     ASSERT_TRUE(a.definedMask() == b.definedMask());
+    ASSERT_TRUE(a.reachableFromEntry(nullptr) == b.reachableFromEntry(nullptr));
 }
 
 class CsrPatchProperty : public ::testing::TestWithParam<std::uint64_t> {};

@@ -217,8 +217,8 @@ TEST_P(ParallelPipelineProperty, ReachabilitySharededMatchesSerialBfs) {
                 cg::reachableFrom(graph, roots, &pool));
     EXPECT_TRUE(cg::reachesTo(graph, roots) ==
                 cg::reachesTo(graph, roots, &pool));
-    EXPECT_TRUE(cg::onCallPath(graph, graph.entryPoint(), roots) ==
-                cg::onCallPath(graph, graph.entryPoint(), roots, &pool));
+    EXPECT_TRUE(cg::onCallPath(graph, roots) ==
+                cg::onCallPath(graph, roots, &pool));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelPipelineProperty,

@@ -403,6 +403,43 @@ TEST(InlineCompensation, RecursiveInlineCycleTerminates) {
     EXPECT_EQ(selection.count(), 1u);
 }
 
+TEST(InlineCompensation, SharedInlinedCallerChainIsWalkedOnce) {
+    // s1 and s2 are selected and inlined, and both are called by the inlined
+    // c, which is called by the inlined m and by p2: a diamond over c. The
+    // first available callers are p (through c and m), p2 (through c), r
+    // (a direct caller of s1 only), t (a direct caller of s2 only) and q (a
+    // direct caller of s2, already selected, so not counted as added).
+    auto g = makeGraph({{.name = "main"}, {.name = "p"}, {.name = "p2"}, {.name = "q"},
+                        {.name = "r"}, {.name = "t"}, {.name = "m"}, {.name = "c"},
+                        {.name = "s1"}, {.name = "s2"}},
+                       {{"main", "p"}, {"main", "p2"}, {"main", "q"}, {"main", "r"},
+                        {"main", "t"}, {"p", "m"}, {"m", "c"}, {"p2", "c"},
+                        {"c", "s1"}, {"c", "s2"}, {"r", "s1"}, {"t", "s2"},
+                        {"q", "s2"}});
+    select::SetSymbolOracle oracle;
+    for (const char* sym : {"main", "p", "p2", "q", "r", "t"}) {
+        oracle.add(sym);
+    }
+    FunctionSet selection(g.size());
+    selection.add(g.lookup("s1"));
+    selection.add(g.lookup("s2"));
+    selection.add(g.lookup("q"));
+
+    select::InlineCompensationStats stats =
+        select::compensateInlining(g, selection, oracle);
+    EXPECT_EQ(stats.inlinedRemoved, 2u);
+    EXPECT_EQ(stats.removed,
+              (std::vector<cg::FunctionId>{g.lookup("s1"), g.lookup("s2")}));
+    EXPECT_EQ(stats.added, (std::vector<cg::FunctionId>{g.lookup("p"), g.lookup("p2"),
+                                                        g.lookup("r"), g.lookup("t")}));
+    EXPECT_EQ(stats.callersAdded, 4u);
+    FunctionSet expected(g.size());
+    for (const char* name : {"p", "p2", "q", "r", "t"}) {
+        expected.add(g.lookup(name));
+    }
+    EXPECT_TRUE(selection == expected);
+}
+
 // ------------------------------------------------------- selection driver --
 
 TEST(SelectionDriver, ReportsTable1Columns) {
