@@ -266,7 +266,8 @@ constexpr int kChurnWarmupEpochs = 8;
 /// once per client. The per-phase counters (ms per epoch) come from the
 /// system's own trace spans: fleet.merge, fleet.observe, fleet.decide (with
 /// fleet.plan, its kill-switch and planner share) and fleet.broadcast of the
-/// epoch close, and fleet.adopt summed over clients.
+/// epoch close, and fleet.encode, fleet.send and fleet.adopt summed over
+/// clients.
 /// policy_changes_per_epoch is the upserts + removals of the policy frame
 /// every (in-sync) client receives: 0 when the decision did not change.
 void BM_FleetEpochChurn(benchmark::State& state) {
@@ -342,7 +343,9 @@ void BM_FleetEpochChurn(benchmark::State& state) {
         {"decide_ms", recorder.internName("fleet.decide")},
         {"plan_ms", recorder.internName("fleet.plan")},
         {"broadcast_ms", recorder.internName("fleet.broadcast")},
-        {"adopt_ms", recorder.internName("fleet.adopt")}};
+        {"adopt_ms", recorder.internName("fleet.adopt")},
+        {"encode_ms", recorder.internName("fleet.encode")},
+        {"send_ms", recorder.internName("fleet.send")}};
     std::vector<double> phaseNs(phases.size(), 0.0);
     auto collectSpans = [&] {
         for (const obs::TraceEvent& event : recorder.drain()) {
