@@ -21,6 +21,8 @@
 // build) and the delta repatch that applies its IC, reported apart. It
 // rotates the paper specs, so after one lap every stage hits the session's
 // cache; BM_RefineStepThresholdSweep times the step that misses it.
+// BM_DynCapiInit times the start-up that precedes the loop (Tinit): DynCapi
+// construction plus applyIc of the mpi IC on a fresh process image.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -309,6 +311,43 @@ void BM_RefineStepThresholdSweep(benchmark::State& state) {
 }
 
 BENCHMARK(BM_RefineStepThresholdSweep)->Arg(50000)->Unit(benchmark::kMillisecond);
+
+/// DynCAPI start-up (the paper's Tinit): per iteration a fresh process image
+/// is built outside the timer, then DynCapi construction (fid<->name
+/// resolution over every object) and applyIc of the mpi IC are timed;
+/// `resolve_ms` and `apply_ms` split the two.
+void BM_DynCapiInit(benchmark::State& state) {
+    using Clock = std::chrono::steady_clock;
+    const bench::PreparedApp& app = refineApp(static_cast<std::uint32_t>(state.range(0)));
+    const select::InstrumentationConfig ic =
+        bench::runPaperSelection(app, "mpi", apps::mpiSpec()).ic;
+
+    double resolveNs = 0.0;
+    double applyNs = 0.0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto process = std::make_unique<binsim::Process>(app.compiled);
+        state.ResumeTiming();
+        const Clock::time_point start = Clock::now();
+        auto dyn = std::make_unique<dyncapi::DynCapi>(*process);
+        const Clock::time_point resolved = Clock::now();
+        dyncapi::InitStats stats = dyn->applyIc(ic);
+        const Clock::time_point applied = Clock::now();
+        benchmark::DoNotOptimize(stats.patchedFunctions);
+        resolveNs += std::chrono::duration<double, std::nano>(resolved - start).count();
+        applyNs += std::chrono::duration<double, std::nano>(applied - resolved).count();
+        state.PauseTiming();
+        dyn.reset();
+        process.reset();
+        state.ResumeTiming();
+    }
+    state.counters["resolve_ms"] =
+        benchmark::Counter(resolveNs / 1e6, benchmark::Counter::kAvgIterations);
+    state.counters["apply_ms"] =
+        benchmark::Counter(applyNs / 1e6, benchmark::Counter::kAvgIterations);
+}
+
+BENCHMARK(BM_DynCapiInit)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

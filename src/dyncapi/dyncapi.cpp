@@ -1,7 +1,8 @@
 #include "dyncapi/dyncapi.hpp"
 
+#include <algorithm>
 #include <mutex>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "binsim/execution_engine.hpp"
 #include "binsim/nm.hpp"
@@ -84,11 +85,11 @@ struct DynCapi::TalpBackend {
             }
         }
         // Register (or retry) outside the map lock; TALP locks internally.
-        std::optional<std::string> name = owner->nameOf(id);
+        std::optional<std::string_view> name = owner->nameOf(id);
         if (!name.has_value()) {
             return talp::MonitorHandle::invalid();
         }
-        talp::MonitorHandle handle = talp->regionRegister(*name, rank);
+        talp::MonitorHandle handle = talp->regionRegister(std::string(*name), rank);
         std::lock_guard<std::mutex> lock(mutex);
         RegionSlot& slot = regions[id];
         if (!handle.valid()) {
@@ -113,8 +114,7 @@ DynCapi::~DynCapi() { detachHandler(); }
 void DynCapi::resolveAllObjects() {
     support::Timer timer;
     addressByObject_.assign(xray::kMaxObjectId + 1, {});
-    nameByObject_.assign(xray::kMaxObjectId + 1, {});
-    packedByName_.clear();
+    entryByObject_.assign(xray::kMaxObjectId + 1, {});
     unresolvable_ = 0;
     sledded_ = 0;
     objectsScanned_ = 0;
@@ -134,58 +134,56 @@ void DynCapi::resolveAllObjects() {
         }
     }
 
+    // Every sledded function's runtime entry address (__xray_function_address).
     for (const auto& [objectId, image] : objects) {
         ++objectsScanned_;
-        std::uint32_t functions = xr.functionCount(objectId);
-        addressByObject_[objectId].assign(functions, 0);
-        nameByObject_[objectId].assign(functions, std::string());
-
-        // nm dump translated by load base: runtime address -> symbol name.
-        std::unordered_map<std::uint64_t, const binsim::NmEntry*> byAddress;
-        std::vector<binsim::NmEntry> symbols = binsim::nmDump(*image);
-        std::uint64_t delta = image->loadBase - image->linkBase;
-        byAddress.reserve(symbols.size());
-        for (const binsim::NmEntry& symbol : symbols) {
-            byAddress.emplace(symbol.address + delta, &symbol);
-        }
-
-        // Cross-check every XRay function id against the translated symbols.
+        const std::uint32_t functions = xr.functionCount(objectId);
+        std::vector<std::uint64_t>& addresses = addressByObject_[objectId];
+        addresses.resize(functions);
         for (std::uint32_t fid = 0; fid < functions; ++fid) {
-            xray::PackedId pid = xray::packId(objectId, fid);
-            std::uint64_t address = xr.functionAddress(pid);
-            if (address == 0) {
+            addresses[fid] = xr.functionAddress(xray::packId(objectId, fid));
+            sledded_ += addresses[fid] != 0;
+        }
+    }
+
+    // Cross-check each address against the object's nm dump, translated back
+    // by the load base; at most one name per sledded function. Objects scan
+    // in registration order and fids ascend, so a name several objects
+    // define keeps the first one's packed id.
+    names_ = support::NameIndex(sledded_);
+    for (const auto& [objectId, image] : objects) {
+        const std::vector<std::uint64_t>& addresses = addressByObject_[objectId];
+        std::vector<support::NameIndex::Entry>& entries = entryByObject_[objectId];
+        entries.assign(addresses.size(), support::NameIndex::kNoEntry);
+        binsim::NmAddressCursor nm(*image);
+        const std::uint64_t delta = image->loadBase - image->linkBase;
+        for (std::uint32_t fid = 0; fid < addresses.size(); ++fid) {
+            if (addresses[fid] == 0) {
                 continue;
             }
-            ++sledded_;
-            addressByObject_[objectId][fid] = address;
-            auto it = byAddress.find(address);
-            if (it == byAddress.end()) {
+            const binsim::Symbol* symbol = nm.find(addresses[fid] - delta);
+            if (symbol == nullptr) {
                 ++unresolvable_;  // Hidden symbol: nm cannot see it.
                 continue;
             }
-            nameByObject_[objectId][fid] = it->second->name;
-            packedByName_.emplace(it->second->name, pid);
+            entries[fid] = names_.insert(symbol->name, xray::packId(objectId, fid));
         }
     }
     resolutionSeconds_ = timer.elapsedSec();
 }
 
-std::optional<xray::PackedId> DynCapi::resolveName(const std::string& name) const {
-    auto it = packedByName_.find(name);
-    if (it == packedByName_.end()) {
-        return std::nullopt;
-    }
-    return it->second;
+std::optional<xray::PackedId> DynCapi::resolveName(std::string_view name) const {
+    return names_.find(name);
 }
 
-std::optional<std::string> DynCapi::nameOf(xray::PackedId id) const {
+std::optional<std::string_view> DynCapi::nameOf(xray::PackedId id) const {
     xray::ObjectId objectId = xray::objectIdOf(id);
     xray::FunctionId fid = xray::functionIdOf(id);
-    if (objectId >= nameByObject_.size() || fid >= nameByObject_[objectId].size() ||
-        nameByObject_[objectId][fid].empty()) {
+    if (objectId >= entryByObject_.size() || fid >= entryByObject_[objectId].size() ||
+        entryByObject_[objectId][fid] == support::NameIndex::kNoEntry) {
         return std::nullopt;
     }
-    return nameByObject_[objectId][fid];
+    return names_.name(entryByObject_[objectId][fid]);
 }
 
 std::uint64_t DynCapi::addressOf(xray::PackedId id) const {
@@ -242,7 +240,7 @@ InitStats DynCapi::applyIc(const select::InstrumentationConfig& ic) {
 }
 
 std::optional<xray::PackedId> DynCapi::resolveEntry(const StaticIds& staticIds,
-                                                    const std::string& name) const {
+                                                    std::string_view name) const {
     auto staticIt = staticIds.find(name);
     if (staticIt != staticIds.end()) {
         return staticIt->second;  // Static-ID extension: no name resolution.
@@ -271,39 +269,55 @@ DeltaStats DynCapi::applyDelta(const std::vector<std::string>& functions,
     support::Timer timer;
     xray::XRayRuntime& xr = process_->xray();
 
-    // Requested (function, tier) set, resolved to packed ids. An entry that
+    // Requested (function, tier) set, resolved to packed ids and sorted by
+    // id; a pid named twice keeps its last entry's tier. An entry that
     // resolves but has no live sled (its object was dlclosed) is never in
     // the patched set, so it lands in toPatch and the transaction counts it
     // unavailable below, matching applyPolicy's failed patchFunction.
-    std::unordered_map<xray::PackedId, std::uint8_t> target;
+    using Flip = xray::XRayRuntime::TieredFlip;
+    std::vector<Flip> target;
     target.reserve(functions.size());
     for (std::size_t i = 0; i < functions.size(); ++i) {
         std::optional<xray::PackedId> pid = resolveEntry(staticIds, functions[i]);
         if (pid.has_value()) {
-            target[*pid] = regions != nullptr &&
-                                   (*regions)[i].tier == select::Tier::Sampled
-                               ? xray::XRayRuntime::kSampledTier
-                               : xray::XRayRuntime::kFullTier;
+            target.push_back({*pid, regions != nullptr &&
+                                            (*regions)[i].tier == select::Tier::Sampled
+                                        ? xray::XRayRuntime::kSampledTier
+                                        : xray::XRayRuntime::kFullTier});
         } else {
             ++stats.requestedUnavailable;
         }
     }
+    std::stable_sort(target.begin(), target.end(), [](const Flip& a, const Flip& b) {
+        return a.function < b.function;
+    });
+    // Unique from the back keeps each run's last entry, at the vector's end.
+    auto kept = std::unique(target.rbegin(), target.rend(), [](const Flip& a, const Flip& b) {
+        return a.function == b.function;
+    });
+    target.erase(target.begin(), kept.base());
 
     // The currently-patched set and its tiers are read from the runtime
     // itself, so state the previous policy never saw — a re-registered DSO
     // whose sleds reset to NOP, or sleds another caller flipped — diffs
-    // correctly. Same-set tier changes become zero-page retier requests.
+    // correctly. Both lists ascend by packed id, so one merge splits them:
+    // live only -> unpatch, requested only -> patch, both -> unchanged or a
+    // zero-page retier request.
     std::vector<xray::PackedId> toUnpatch;
-    std::vector<xray::XRayRuntime::TieredFlip> toRetier;
+    std::vector<Flip> toRetier;
+    std::vector<Flip> toPatch;
+    auto wanted = target.begin();
     for (const auto& [pid, liveTag] : xr.patchedFunctionTiers()) {
-        auto it = target.find(pid);
-        if (it == target.end()) {
+        for (; wanted != target.end() && wanted->function < pid; ++wanted) {
+            toPatch.push_back(*wanted);
+        }
+        if (wanted == target.end() || wanted->function != pid) {
             toUnpatch.push_back(pid);
             continue;
         }
-        if (it->second != liveTag) {
-            toRetier.push_back({pid, it->second});
-            if (it->second == xray::XRayRuntime::kFullTier) {
+        if (wanted->tierTag != liveTag) {
+            toRetier.push_back(*wanted);
+            if (wanted->tierTag == xray::XRayRuntime::kFullTier) {
                 ++stats.functionsPromoted;
             } else {
                 ++stats.functionsDemoted;
@@ -311,13 +325,9 @@ DeltaStats DynCapi::applyDelta(const std::vector<std::string>& functions,
         } else {
             ++stats.functionsUnchanged;
         }
-        target.erase(it);
+        ++wanted;
     }
-    std::vector<xray::XRayRuntime::TieredFlip> toPatch;
-    toPatch.reserve(target.size());
-    for (const auto& [pid, tag] : target) {
-        toPatch.push_back({pid, tag});
-    }
+    toPatch.insert(toPatch.end(), wanted, target.end());
 
     xray::XRayRuntime::DeltaPatchStats patch =
         xr.patchDeltaTiered(toPatch, toUnpatch, toRetier);

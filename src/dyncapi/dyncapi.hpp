@@ -17,15 +17,15 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "binsim/process.hpp"
 #include "select/ic.hpp"
+#include "support/name_index.hpp"
 #include "xraysim/xray_runtime.hpp"
 
 namespace capi::scorep {
@@ -118,9 +118,13 @@ public:
     void unpatchAll();
 
     // --- name resolution ----------------------------------------------------
-    std::optional<xray::PackedId> resolveName(const std::string& name) const;
-    /// Name for a packed id; nullopt for hidden symbols.
-    std::optional<std::string> nameOf(xray::PackedId id) const;
+    /// Packed id of a visible function; a name several objects define
+    /// resolves to the first object's (the executable, then the DSOs in
+    /// registration order).
+    std::optional<xray::PackedId> resolveName(std::string_view name) const;
+    /// Name for a packed id; nullopt for hidden symbols. The view lives as
+    /// long as this DynCapi.
+    std::optional<std::string_view> nameOf(xray::PackedId id) const;
     /// Runtime entry-sled address for a packed id (0 if unknown).
     std::uint64_t addressOf(xray::PackedId id) const;
 
@@ -147,12 +151,12 @@ private:
     struct TalpBackend;
     struct CygBackend;
 
-    using StaticIds = std::map<std::string, std::uint32_t>;
+    using StaticIds = select::StaticIdMap;
 
     void resolveAllObjects();
     /// The static ID when the IC/policy carries one, else name resolution.
     std::optional<xray::PackedId> resolveEntry(const StaticIds& staticIds,
-                                               const std::string& name) const;
+                                               std::string_view name) const;
     /// applyPolicyDelta's diff and transaction; `regions` null = all Full.
     DeltaStats applyDelta(const std::vector<std::string>& functions,
                           const std::vector<select::RegionPolicy>* regions,
@@ -167,9 +171,12 @@ private:
     binsim::Process* process_;
     /// addressByObject_[objectId][localFid] = runtime entry address (0 = none).
     std::vector<std::vector<std::uint64_t>> addressByObject_;
-    /// nameByObject_[objectId][localFid]; empty = unresolvable.
-    std::vector<std::vector<std::string>> nameByObject_;
-    std::unordered_map<std::string, xray::PackedId> packedByName_;
+    /// Every resolved name, once, valued with the packed id of the first
+    /// object defining it: name -> fid lookups and the bytes nameOf views.
+    support::NameIndex names_;
+    /// entryByObject_[objectId][localFid] = the function's entry in names_;
+    /// NameIndex::kNoEntry = no sled or unresolvable (hidden).
+    std::vector<std::vector<support::NameIndex::Entry>> entryByObject_;
     std::size_t unresolvable_ = 0;
     std::size_t sledded_ = 0;
     std::size_t objectsScanned_ = 0;

@@ -245,8 +245,7 @@ std::uint64_t InstrumentationPolicy::fingerprint() const {
     return digest.value(staticIds);
 }
 
-std::uint64_t PolicyDigest::value(
-    const std::map<std::string, std::uint32_t>& staticIds) const {
+std::uint64_t PolicyDigest::value(const StaticIdMap& staticIds) const {
     std::uint64_t digest = digest_;
     for (const auto& [name, id] : staticIds) {
         digest = support::hashCombine(digest, support::fnv1a(name));

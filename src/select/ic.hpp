@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <optional>
@@ -23,13 +24,17 @@
 
 namespace capi::select {
 
+/// Static-ID extension map: function name -> packed XRay ID. Transparent,
+/// so lookups take a std::string_view without building a key.
+using StaticIdMap = std::map<std::string, std::uint32_t, std::less<>>;
+
 struct InstrumentationConfig {
     /// Mangled names of the functions to instrument, sorted and unique.
     std::vector<std::string> functions;
 
     /// Optional packed XRay IDs keyed by function name (static-ID extension;
     /// lets the runtime patch hidden symbols without resolving names).
-    std::map<std::string, std::uint32_t> staticIds;
+    StaticIdMap staticIds;
 
     /// Provenance for reports.
     std::string specName;
@@ -142,7 +147,7 @@ struct InstrumentationPolicy {
     std::vector<RegionPolicy> regions;
 
     /// Optional packed XRay IDs keyed by function name (as in the IC).
-    std::map<std::string, std::uint32_t> staticIds;
+    StaticIdMap staticIds;
 
     std::string specName;
     std::string application;
@@ -197,8 +202,7 @@ public:
         }
         digest_ = support::hashCombine(digest_, entry);
     }
-    std::uint64_t value(
-        const std::map<std::string, std::uint32_t>& staticIds) const;
+    std::uint64_t value(const StaticIdMap& staticIds) const;
 
 private:
     std::uint64_t digest_ = support::kFnvOffsetBasis;

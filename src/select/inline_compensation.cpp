@@ -29,12 +29,12 @@ void InlineCompensationCache::Scratch::grow(std::size_t nodes) {
     verdicts.resize(nodes, Verdict::Unknown);
 }
 
-bool InlineCompensationCache::Scratch::symbolPresent(const cg::CallGraph& graph,
+bool InlineCompensationCache::Scratch::symbolPresent(const cg::CsrView& csr,
                                                      const SymbolOracle& oracle,
                                                      cg::FunctionId id) {
     if (verdicts[id] == Verdict::Unknown) {
         verdicts[id] =
-            oracle.hasSymbol(graph.name(id)) ? Verdict::Present : Verdict::Absent;
+            oracle.hasSymbol(csr.name(id)) ? Verdict::Present : Verdict::Absent;
     }
     return verdicts[id] == Verdict::Present;
 }
@@ -85,16 +85,15 @@ InlineCompensationStats compensateInlining(const cg::CallGraph& graph,
         beforeCompensation = selection;  // Memo key; `selection` mutates below.
     }
     // The caller walk below is pure graph traversal: run it over the flat
-    // CSR rows. Oracle probes keep using graph.name() (a std::string the
-    // oracle interface wants) — they are memoized per id, so the traversal
-    // never re-enters the cold FunctionDesc path.
+    // CSR rows. Oracle probes read names from the same snapshot's arena and
+    // are memoized per id, so the walk never enters a FunctionDesc.
     std::shared_ptr<const cg::CsrView> snapshot = cg::CsrView::snapshot(graph);
     const cg::CsrView& csr = *snapshot;
 
     // Step 1: selected functions whose symbol is gone -> assumed inlined.
     std::vector<cg::FunctionId> inlined;
     selection.forEach([&](cg::FunctionId id) {
-        if (!scratch.symbolPresent(graph, oracle, id)) {
+        if (!scratch.symbolPresent(csr, oracle, id)) {
             inlined.push_back(id);
         }
     });
@@ -129,7 +128,7 @@ InlineCompensationStats compensateInlining(const cg::CallGraph& graph,
             continue;
         }
         visited.set(caller);
-        if (scratch.symbolPresent(graph, oracle, caller)) {
+        if (scratch.symbolPresent(csr, oracle, caller)) {
             additions.add(caller);
         } else {
             std::span<const cg::FunctionId> next = csr.callers(caller);

@@ -22,6 +22,10 @@
 #include "select/function_set.hpp"
 #include "select/symbol_oracle.hpp"
 
+namespace capi::cg {
+class CsrView;
+}
+
 namespace capi::select {
 
 struct InlineCompensationStats {
@@ -64,7 +68,7 @@ private:
         const cg::CallGraph& graph, FunctionSet& selection,
         const SymbolOracle& oracle, InlineCompensationCache* cache);
 
-    /// Per-node memo of oracle.hasSymbol(graph.name(id)) plus the caller
+    /// Per-node memo of oracle.hasSymbol(csr.name(id)) plus the caller
     /// walk's reusable queue. Also used, fresh, by uncached runs.
     struct Scratch {
         enum class Verdict : std::uint8_t { Unknown, Present, Absent };
@@ -73,7 +77,7 @@ private:
 
         /// Sizes the verdict memo for `nodes`; new slots are Unknown.
         void grow(std::size_t nodes);
-        bool symbolPresent(const cg::CallGraph& graph, const SymbolOracle& oracle,
+        bool symbolPresent(const cg::CsrView& csr, const SymbolOracle& oracle,
                            cg::FunctionId id);
     };
 

@@ -99,8 +99,8 @@ private:
 enum class FilterReads { Desc, Metrics };
 
 /// Filters the input set by a per-function test keep(graph, csr, id). Flag
-/// and metric tests read the snapshot's flat columns; name and path tests
-/// read the FunctionDesc.
+/// and metric tests read the snapshot's flat columns and mangled-name tests
+/// its name arena; pretty-name and path tests read the FunctionDesc.
 template <typename Keep>
 class FilterSelector final : public Selector {
 public:
@@ -298,14 +298,15 @@ SelectorFactory nameFactory(NameField field) {
         std::string pattern = b.stringArg(call, 0);
         return makeFilter(
             call.value, b.selectorArg(call, 1),
-            [field, pattern](const cg::CallGraph& graph, const cg::CsrView&,
+            [field, pattern](const cg::CallGraph& graph, const cg::CsrView& csr,
                              cg::FunctionId id) {
+                if (field == NameField::Mangled) {
+                    return support::globMatch(pattern, csr.name(id));
+                }
                 const cg::FunctionDesc& desc = graph.desc(id);
-                const std::string& value = field == NameField::Mangled ? desc.name
-                                           : field == NameField::Pretty
-                                               ? desc.prettyName
-                                               : desc.sourceFile;
-                return support::globMatch(pattern, value);
+                return support::globMatch(pattern, field == NameField::Pretty
+                                                       ? desc.prettyName
+                                                       : desc.sourceFile);
             },
             FilterReads::Desc);
     };

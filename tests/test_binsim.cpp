@@ -170,6 +170,29 @@ TEST(Compiler, HiddenSymbolsStayInImageButNotInNm) {
     }
 }
 
+TEST(Nm, AddressCursorMatchesTheDumpInAnyQueryOrder) {
+    // A hand-made image: two names at one address (the hidden one first),
+    // a hidden-only address, and a gap.
+    ObjectImage image;
+    image.symbols = {{"a", 0x10, 8, false},     {"hiddenB", 0x20, 8, true},
+                     {"aliasB", 0x20, 8, false}, {"laterB", 0x20, 8, false},
+                     {"hiddenC", 0x30, 8, true}, {"d", 0x50, 8, false}};
+    auto reference = [&](std::uint64_t address) -> std::string {
+        for (const NmEntry& s : nmDump(image)) {
+            if (s.address == address) return s.name;
+        }
+        return "";
+    };
+    const std::vector<std::uint64_t> queries = {0x10, 0x20, 0x20, 0x30, 0x40, 0x50,
+                                                0x60, 0x20, 0x08, 0x50, 0x10};
+    NmAddressCursor cursor(image);
+    for (std::uint64_t address : queries) {
+        const Symbol* symbol = cursor.find(address);
+        EXPECT_EQ(symbol != nullptr ? symbol->name : "", reference(address))
+            << std::hex << address;
+    }
+}
+
 TEST(Compiler, RebuildCostScalesWithUnits) {
     CompileOptions options = testCompileOptions();
     options.secondsPerTranslationUnit = 2.0;

@@ -3,9 +3,17 @@
 // backends and the process symbol oracle.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+
+#include "apps/openfoam.hpp"
 #include "binsim/compiler.hpp"
+#include "binsim/nm.hpp"
 #include "binsim/execution_engine.hpp"
 #include "binsim/process.hpp"
+#include "cg/metacg_builder.hpp"
 #include "dyncapi/dyncapi.hpp"
 #include "dyncapi/mpi_port.hpp"
 #include "dyncapi/process_symbol_oracle.hpp"
@@ -142,6 +150,30 @@ TEST(DynCapi, StaticIdExtensionReachesHiddenSymbols) {
     EXPECT_TRUE(process.xray().functionPatched(*pid));
 }
 
+TEST(DynCapi, DeltaKeepsTheLastTierOfAPidNamedTwice) {
+    // "alias" reaches Amul's packed id through a static ID; it sorts after
+    // "Amul", so its tier is the one the delta applies.
+    for (select::Tier last : {select::Tier::Full, select::Tier::Sampled}) {
+        Process process(compile(testModel(), lowThreshold()));
+        dyncapi::DynCapi dyn(process);
+        const xray::PackedId amul = *dyn.resolveName("Amul");
+        select::InstrumentationPolicy policy;
+        policy.setRegion("Amul", {last == select::Tier::Full ? select::Tier::Sampled
+                                                             : select::Tier::Full,
+                                  {8, 0}});
+        policy.setRegion("alias", {last, {8, 0}});
+        policy.staticIds["alias"] = amul;
+
+        dyncapi::DeltaStats stats = dyn.applyPolicyDelta(policy);
+        EXPECT_EQ(stats.functionsPatched, 1u);
+        EXPECT_EQ(stats.requestedUnavailable, 0u);
+        EXPECT_TRUE(process.xray().functionPatched(amul));
+        EXPECT_EQ(process.xray().functionTierTag(amul),
+                  last == select::Tier::Sampled ? xray::XRayRuntime::kSampledTier
+                                                : xray::XRayRuntime::kFullTier);
+    }
+}
+
 TEST(DynCapi, PatchAllMatchesSleddedCount) {
     Process process(compile(testModel(), lowThreshold()));
     dyncapi::DynCapi dyn(process);
@@ -206,6 +238,126 @@ TEST(DynCapi, TalpBackendRecordsRegionsAndPreInitFailures) {
     auto amul = talp.metrics("Amul");
     EXPECT_EQ(amul->ranks, 2);
     EXPECT_EQ(amul->visits, 16u);  // 8 per rank
+}
+
+/// Execution-scale OpenFOAM (executable plus six DSOs, hidden initializers)
+/// with one more function: a copy of a sledded executable function under
+/// the same name in the first DSO, so that name is defined twice.
+AppModel openFoamWithDuplicateName(std::string& duplicate) {
+    apps::OpenFoamParams params = apps::OpenFoamParams::executionScale();
+    params.seed = 8;
+    AppModel model = apps::makeOpenFoam(params);
+    for (std::uint32_t i = 0; i < model.functions.size(); ++i) {
+        const AppFunction& fn = model.functions[i];
+        if (fn.dso < 0 && i != model.entry && fn.flags.hasBody &&
+            !fn.flags.hiddenVisibility && !fn.flags.inlineSpecified &&
+            fn.metrics.numInstructions > 100) {
+            AppFunction copy = fn;
+            copy.dso = 0;
+            copy.calls.clear();
+            duplicate = copy.name;
+            model.functions.push_back(std::move(copy));
+            break;
+        }
+    }
+    return model;
+}
+
+TEST(DynCapi, FlatResolutionMatchesNmReference) {
+    std::string duplicate;
+    Process process(compile(openFoamWithDuplicateName(duplicate), lowThreshold()));
+    ASSERT_FALSE(duplicate.empty());
+    dyncapi::DynCapi dyn(process);
+
+    // Reference, resolved the way nm-based resolution always worked: a
+    // copied dump per object, keyed by translated address, and a name map
+    // in which the first object to define a name wins.
+    xray::XRayRuntime& xr = process.xray();
+    const CompiledProgram& program = process.program();
+    std::vector<std::pair<xray::ObjectId, const ObjectImage*>> objects = {
+        {xray::kMainExecutableObjectId, &program.executable}};
+    for (std::size_t d = 0; d < program.dsos.size(); ++d) {
+        std::optional<xray::ObjectId> id = process.xrayObjectId(static_cast<int>(d));
+        if (id.has_value() && xr.objectRegistered(*id)) {
+            objects.emplace_back(*id, &program.dsos[d]);
+        }
+    }
+    ASSERT_GT(objects.size(), 1u);
+    std::unordered_map<std::string, xray::PackedId> packedByName;
+    std::vector<std::pair<xray::PackedId, std::optional<std::string>>> sledded;
+    std::size_t unresolvable = 0;
+    std::size_t duplicateDefinitions = 0;
+    for (const auto& [objectId, image] : objects) {
+        std::unordered_map<std::uint64_t, std::string> byAddress;
+        for (const NmEntry& symbol : nmDump(*image)) {
+            byAddress.emplace(symbol.address + image->loadBase - image->linkBase,
+                              symbol.name);
+        }
+        for (std::uint32_t fid = 0; fid < xr.functionCount(objectId); ++fid) {
+            const xray::PackedId pid = xray::packId(objectId, fid);
+            const std::uint64_t address = xr.functionAddress(pid);
+            if (address == 0) {
+                continue;
+            }
+            auto it = byAddress.find(address);
+            if (it == byAddress.end()) {
+                ++unresolvable;
+                sledded.emplace_back(pid, std::nullopt);
+                continue;
+            }
+            sledded.emplace_back(pid, it->second);
+            packedByName.emplace(it->second, pid);
+            duplicateDefinitions += it->second == duplicate;
+        }
+    }
+    ASSERT_EQ(duplicateDefinitions, 2u);
+    EXPECT_EQ(xray::objectIdOf(packedByName.at(duplicate)),
+              xray::kMainExecutableObjectId);
+    EXPECT_GT(unresolvable, 0u);
+
+    EXPECT_EQ(dyn.sleddedFunctionCount(), sledded.size());
+    EXPECT_EQ(dyn.unresolvableFunctionCount(), unresolvable);
+    for (const auto& [pid, name] : sledded) {
+        std::optional<std::string_view> resolved = dyn.nameOf(pid);
+        ASSERT_EQ(resolved.has_value(), name.has_value()) << pid;
+        if (name.has_value()) {
+            EXPECT_EQ(*resolved, *name) << pid;
+            EXPECT_EQ(dyn.resolveName(*name), packedByName.at(*name)) << *name;
+        }
+    }
+    EXPECT_FALSE(dyn.resolveName("no_such_function").has_value());
+}
+
+TEST(ProcessSymbolOracle, AgreesWithAnNmNameSet) {
+    std::string duplicate;
+    const AppModel model = openFoamWithDuplicateName(duplicate);
+    const CompiledProgram program = compile(model, lowThreshold());
+    dyncapi::ProcessSymbolOracle oracle(program);
+
+    std::unordered_set<std::string> reference;
+    for (const NmEntry& symbol : nmDump(program.executable)) {
+        reference.insert(symbol.name);
+    }
+    for (const ObjectImage& dso : program.dsos) {
+        for (const NmEntry& symbol : nmDump(dso)) {
+            reference.insert(symbol.name);
+        }
+    }
+    EXPECT_EQ(oracle.size(), reference.size());
+
+    const cg::CallGraph graph = cg::MetaCgBuilder{}.build(model.toSourceModel());
+    std::size_t present = 0;
+    for (cg::FunctionId id = 0; id < graph.size(); ++id) {
+        const std::string& name = graph.name(id);
+        EXPECT_EQ(oracle.hasSymbol(name), reference.contains(name)) << name;
+        present += reference.contains(name);
+    }
+    EXPECT_GT(present, 0u);
+    EXPECT_LT(present, graph.size());  // Hidden and inlined names are absent.
+    for (int i = 0; i < 1000; ++i) {
+        const std::string absent = "_ZN6absent" + std::to_string(i) + "Ev";
+        EXPECT_FALSE(oracle.hasSymbol(absent)) << absent;
+    }
 }
 
 TEST(ProcessSymbolOracle, ReflectsNmVisibility) {

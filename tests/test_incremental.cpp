@@ -604,7 +604,7 @@ public:
     explicit CountingOracle(std::unordered_set<std::string> symbols)
         : symbols_(std::move(symbols)) {}
     void add(const std::string& name) { symbols_.add(name); }
-    bool hasSymbol(const std::string& name) const override {
+    bool hasSymbol(std::string_view name) const override {
         ++probes;
         return symbols_.hasSymbol(name);
     }

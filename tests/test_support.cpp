@@ -1,15 +1,20 @@
-// Unit tests for the support library: JSON, strings/glob, bitset, RNG.
+// Unit tests for the support library: JSON, strings/glob, bitset, RNG,
+// name index.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "support/bitset.hpp"
 #include "support/json.hpp"
+#include "support/name_index.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"
 
@@ -18,6 +23,7 @@ namespace {
 using capi::support::DynamicBitset;
 using capi::support::Json;
 using capi::support::JsonReader;
+using capi::support::NameIndex;
 using capi::support::ParseError;
 using capi::support::SplitMix64;
 
@@ -347,6 +353,80 @@ TEST(Bitset, ForEachVisitsInOrder) {
     std::vector<std::size_t> seen;
     b.forEach([&](std::size_t i) { seen.push_back(i); });
     EXPECT_EQ(seen, (std::vector<std::size_t>{5, 63, 64, 199}));
+}
+
+// ---------------------------------------------------------- NameIndex -----
+
+TEST(NameIndex, FirstValueWinsOnADuplicate) {
+    NameIndex index(4);
+    const NameIndex::Entry first = index.insert("solve", 7);
+    EXPECT_EQ(index.insert("solve", 9), first);
+    EXPECT_EQ(index.size(), 1u);
+    EXPECT_EQ(index.find("solve"), std::optional<std::uint32_t>(7));
+    EXPECT_EQ(index.name(first), "solve");
+}
+
+TEST(NameIndex, AbsentNamesAreNotFound) {
+    NameIndex index(3);
+    index.insert("Amul", 1);
+    index.insert("solve", 2);
+    EXPECT_FALSE(index.find("amul").has_value());
+    EXPECT_FALSE(index.find("solv").has_value());
+    EXPECT_FALSE(index.find("solvee").has_value());
+    EXPECT_FALSE(index.contains(""));
+    EXPECT_FALSE(NameIndex().contains("anything"));
+}
+
+TEST(NameIndex, EmptyNameIsAName) {
+    NameIndex index(2);
+    const NameIndex::Entry empty = index.insert("", 3);
+    index.insert("x", 4);
+    EXPECT_EQ(index.find(""), std::optional<std::uint32_t>(3));
+    EXPECT_EQ(index.name(empty), "");
+    EXPECT_EQ(index.find("x"), std::optional<std::uint32_t>(4));
+}
+
+TEST(NameIndex, ProbeChainsWrapAroundTheTable) {
+    // Every name below hashes to the table's last slot, so the chain starts
+    // there and wraps to slot 0 for all but the first.
+    NameIndex index(8);
+    const std::size_t mask = index.capacity() - 1;
+    std::vector<std::string> names;
+    for (std::uint32_t i = 0; names.size() < index.capacity() / 2; ++i) {
+        std::string name = "fn" + std::to_string(i);
+        if ((std::hash<std::string_view>{}(name) & mask) == mask) {
+            names.push_back(std::move(name));
+        }
+    }
+    std::vector<NameIndex::Entry> entries;
+    for (std::uint32_t i = 0; i < names.size(); ++i) {
+        entries.push_back(index.insert(names[i], i));
+    }
+    EXPECT_EQ(entries.front(), mask);
+    EXPECT_EQ(entries[1], 0u);
+    for (std::uint32_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(index.find(names[i]), std::optional<std::uint32_t>(i)) << names[i];
+    }
+    EXPECT_FALSE(index.find("fn-absent").has_value());
+    // The bound is the constructor's: half the slots stay free.
+    EXPECT_THROW(index.insert("one-too-many", 0), std::length_error);
+    EXPECT_EQ(index.insert(names.back(), 99), entries.back());  // Still found.
+}
+
+TEST(NameIndex, EveryEntryRoundTripsItsName) {
+    constexpr std::uint32_t kNames = 5000;
+    NameIndex index(kNames);
+    std::vector<NameIndex::Entry> entries;
+    for (std::uint32_t i = 0; i < kNames; ++i) {
+        entries.push_back(index.insert("_ZN4Foam" + std::to_string(i * 7919) + "E", i));
+    }
+    ASSERT_EQ(index.size(), kNames);
+    EXPECT_LE(2 * index.size(), index.capacity());
+    for (std::uint32_t i = 0; i < kNames; ++i) {
+        const std::string name = "_ZN4Foam" + std::to_string(i * 7919) + "E";
+        EXPECT_EQ(index.name(entries[i]), name);
+        EXPECT_EQ(index.find(name), std::optional<std::uint32_t>(i));
+    }
 }
 
 // ------------------------------------------------------------------ rng ----
