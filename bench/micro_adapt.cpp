@@ -1,11 +1,13 @@
-// Micro-benchmarks for the adaptive subsystem: delta repatching against the
-// full unpatch-then-patch reference on IC swaps of varying width, and the
+// Micro-benchmarks for the adaptive subsystem: delta repatching against a
+// full repatch through the XRay runtime (unpatch every sled, then patch the
+// IC function by function) on IC swaps of varying width, and the
 // budget planner at call-graph scale: one epoch's plan over a bound
 // candidate table, and building that table.
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,13 +58,28 @@ void BM_FullRepatch(benchmark::State& state) {
     dyncapi::DynCapi dyn(process);
     auto [icA, icB] = swapIcs(static_cast<std::uint32_t>(state.range(0)),
                               static_cast<std::uint32_t>(state.range(1)));
-    std::uint64_t pages = 0;
+    auto resolve = [&](const select::InstrumentationConfig& ic) {
+        std::vector<xray::PackedId> pids;
+        for (const std::string& name : ic.functions) {
+            if (std::optional<xray::PackedId> pid = dyn.resolveName(name)) {
+                pids.push_back(*pid);
+            }
+        }
+        return pids;
+    };
+    const std::vector<xray::PackedId> pidsA = resolve(icA);
+    const std::vector<xray::PackedId> pidsB = resolve(icB);
+    xray::XRayRuntime& xr = process.xray();
+    const std::uint64_t pagesBefore = process.memory().pagesMadeWritable();
     bool flip = false;
     for (auto _ : state) {
-        dyncapi::InitStats stats = dyn.applyIc(flip ? icB : icA);
-        pages += stats.pagesTouched;
+        xr.unpatchAll();
+        for (xray::PackedId pid : flip ? pidsB : pidsA) {
+            benchmark::DoNotOptimize(xr.patchFunction(pid));
+        }
         flip = !flip;
     }
+    const std::uint64_t pages = process.memory().pagesMadeWritable() - pagesBefore;
     state.counters["pages/op"] =
         static_cast<double>(pages) / static_cast<double>(state.iterations());
 }

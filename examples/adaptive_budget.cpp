@@ -46,7 +46,7 @@ int main() {
     // Survey: instrument everything with a body.
     select::InstrumentationConfig survey = adapt::surveyOfDefinedFunctions(graph);
     dyncapi::InitStats init = controller.start(survey);
-    std::printf("lulesh: %zu CG nodes, survey IC %zu fns, full patch touched "
+    std::printf("lulesh: %zu CG nodes, survey IC %zu fns, survey patch touched "
                 "%llu pages\n\n",
                 graph.size(), survey.size(),
                 static_cast<unsigned long long>(init.pagesTouched));

@@ -13,9 +13,10 @@
 // regions excluded earlier are re-admitted when their smoothed cost drops —
 // the instrumentation breathes with the workload. The decision is the
 // Decider's (decider.hpp); the controller applies it, with retry/revert
-// self-healing. Repatching applies only the IC delta; the epochs after the
-// first touch a handful of code pages where a full applyIc re-flips every
-// sled page in the process.
+// self-healing. Repatching applies only the difference to the live sleds;
+// the epochs after the first touch a handful of code pages where unpatching
+// everything and patching the IC again re-flips every sled page in the
+// process.
 #pragma once
 
 #include <cstdint>
@@ -92,13 +93,14 @@ public:
     Controller& operator=(const Controller&) = delete;
 
     /// Runs `specText` through the session and installs the result as the
-    /// survey IC (full repatch — the reference path; every later epoch
-    /// patches deltas only).
+    /// survey IC via start().
     select::SelectionReport startFromSpec(const std::string& specText,
                                           const std::string& specName = "survey",
                                           select::SelectionOptions base = {});
 
-    /// Installs a ready-made survey IC via full applyIc.
+    /// Installs a ready-made survey IC through DynCapi::applyPolicy, the
+    /// same live-state diff every epoch applies; all-or-nothing, a fault
+    /// raises the rolled-back xray::PatchError.
     dyncapi::InitStats start(select::InstrumentationConfig surveyIc);
 
     /// One epoch: turns the measured profile into observations keyed by the
@@ -140,7 +142,7 @@ public:
         return decider_.policy();
     }
     /// Its patch set, projected as an IC (a copy of the name list): for
-    /// writing an IC file or a full applyIc.
+    /// writing an IC file or an applyIc on another process.
     select::InstrumentationConfig currentIc() const {
         return decider_.policy().patchSet();
     }

@@ -196,47 +196,33 @@ std::uint64_t DynCapi::addressOf(xray::PackedId id) const {
     return addressByObject_[objectId][fid];
 }
 
-InitStats DynCapi::applyPolicy(const select::InstrumentationPolicy& policy) {
+InitStats DynCapi::startStats(double patchSeconds) const {
     InitStats stats;
     stats.symbolResolutionSeconds = resolutionSeconds_;
     stats.objectsScanned = objectsScanned_;
     stats.sleddedFunctions = sledded_;
     stats.unresolvableFunctions = unresolvable_;
-    stats.requestedFunctions = policy.functions.size();
-
-    support::Timer timer;
-    xray::XRayRuntime& xr = process_->xray();
-    const std::uint64_t pagesBefore = process_->memory().pagesMadeWritable();
-    xr.unpatchAll();
-    // Reference path: per-function patching, exactly the unpatch-everything-
-    // then-patch discipline applyIc always had. Sampled tags ride behind in
-    // one zero-page retier pass.
-    std::vector<xray::XRayRuntime::TieredFlip> retier;
-    for (std::size_t i = 0; i < policy.functions.size(); ++i) {
-        const std::string& name = policy.functions[i];
-        std::optional<xray::PackedId> pid = resolveEntry(policy.staticIds, name);
-        if (pid.has_value() && xr.patchFunction(*pid)) {
-            ++stats.patchedFunctions;
-            if (policy.regions[i].tier == select::Tier::Sampled) {
-                ++stats.sampledFunctions;
-                retier.push_back({*pid, xray::XRayRuntime::kSampledTier});
-            }
-        } else {
-            ++stats.requestedUnavailable;
-        }
-    }
-    if (!retier.empty()) {
-        xr.patchDeltaTiered({}, {}, retier);
-    }
-    stats.pagesTouched = process_->memory().pagesMadeWritable() - pagesBefore;
-    stats.patchSeconds = timer.elapsedSec();
-    stats.totalSeconds = stats.symbolResolutionSeconds + stats.patchSeconds;
-    commitGates(&policy);
+    stats.patchSeconds = patchSeconds;
+    stats.totalSeconds = resolutionSeconds_ + patchSeconds;
     return stats;
 }
 
+InitStats DynCapi::startStats(const DeltaStats& delta) const {
+    InitStats stats = startStats(delta.patchSeconds);
+    stats.requestedFunctions = delta.requestedFunctions;
+    stats.patchedFunctions = delta.functionsPatched + delta.functionsUnchanged +
+                             delta.functionsPromoted + delta.functionsDemoted;
+    stats.requestedUnavailable = delta.requestedUnavailable;
+    stats.pagesTouched = delta.pagesTouched;
+    return stats;
+}
+
+InitStats DynCapi::applyPolicy(const select::InstrumentationPolicy& policy) {
+    return startStats(applyPolicyDelta(policy));
+}
+
 InitStats DynCapi::applyIc(const select::InstrumentationConfig& ic) {
-    return applyPolicy(select::InstrumentationPolicy::fullOf(ic));
+    return startStats(applyIcDelta(ic));
 }
 
 std::optional<xray::PackedId> DynCapi::resolveEntry(const StaticIds& staticIds,
@@ -273,7 +259,7 @@ DeltaStats DynCapi::applyDelta(const std::vector<std::string>& functions,
     // id; a pid named twice keeps its last entry's tier. An entry that
     // resolves but has no live sled (its object was dlclosed) is never in
     // the patched set, so it lands in toPatch and the transaction counts it
-    // unavailable below, matching applyPolicy's failed patchFunction.
+    // unavailable below.
     using Flip = xray::XRayRuntime::TieredFlip;
     std::vector<Flip> target;
     target.reserve(functions.size());
@@ -332,9 +318,8 @@ DeltaStats DynCapi::applyDelta(const std::vector<std::string>& functions,
     xray::XRayRuntime::DeltaPatchStats patch =
         xr.patchDeltaTiered(toPatch, toUnpatch, toRetier);
     // Per-list unavailability: a toPatch entry without a live sled is a
-    // failed request, like applyPolicy's failed patchFunction; a stale
-    // toUnpatch entry (dlclose raced us) is simply already effectively
-    // unpatched and not a policy request at all.
+    // failed request; a stale toUnpatch entry (dlclose raced us) is simply
+    // already effectively unpatched and not a policy request at all.
     stats.functionsPatched = toPatch.size() - patch.unavailablePatch;
     stats.functionsUnpatched = toUnpatch.size() - patch.unavailableUnpatch;
     stats.requestedUnavailable += patch.unavailablePatch;
@@ -372,22 +357,14 @@ void DynCapi::syncGates() {
 }
 
 InitStats DynCapi::patchAll() {
-    InitStats stats;
-    stats.symbolResolutionSeconds = resolutionSeconds_;
-    stats.objectsScanned = objectsScanned_;
-    stats.sleddedFunctions = sledded_;
-    stats.unresolvableFunctions = unresolvable_;
     support::Timer timer;
     xray::PatchStats patched = process_->xray().patchAll();
+    InitStats stats = startStats(timer.elapsedSec());
     stats.patchedFunctions = sledded_;
     stats.requestedFunctions = sledded_;
     stats.pagesTouched = patched.pagesMadeWritable;
-    stats.patchSeconds = timer.elapsedSec();
-    stats.totalSeconds = stats.symbolResolutionSeconds + stats.patchSeconds;
     return stats;
 }
-
-void DynCapi::unpatchAll() { process_->xray().unpatchAll(); }
 
 void DynCapi::attachCygHandler(scorep::CygProfileAdapter& adapter) {
     detachHandler();

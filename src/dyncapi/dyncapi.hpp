@@ -46,11 +46,10 @@ struct InitStats {
     std::size_t sleddedFunctions = 0;        ///< Functions with sleds, all objects.
     std::size_t unresolvableFunctions = 0;   ///< Sledded but name unknown (hidden).
     std::size_t requestedFunctions = 0;      ///< IC entries.
-    std::size_t patchedFunctions = 0;
+    std::size_t patchedFunctions = 0;        ///< Patched when the apply ends.
     std::size_t requestedUnavailable = 0;    ///< In IC but no patchable sled
                                              ///< (inlined away or filtered).
     std::uint64_t pagesTouched = 0;          ///< Code pages made writable.
-    std::size_t sampledFunctions = 0;        ///< Patched at the Sampled tier.
 };
 
 /// Result of an incremental IC/policy swap (applyIcDelta/applyPolicyDelta).
@@ -77,45 +76,43 @@ public:
     DynCapi& operator=(const DynCapi&) = delete;
 
     // --- patching ---------------------------------------------------------
-    /// THE configuration entry point: applies a tiered policy by unpatching
-    /// everything, patching every Full and Sampled region (the tier rides
-    /// the patch request), and syncing the sampling gates of the attached
-    /// measurement backend. Safe to call repeatedly at quiescent points
-    /// (the runtime-adaptable workflow). Uses staticIds entries when
-    /// present, names otherwise.
-    InitStats applyPolicy(const select::InstrumentationPolicy& policy);
-
-    /// Applies a policy incrementally: diffs the requested (function, tier)
-    /// set against the runtime's *actual* sled + tier state and flips only
-    /// the difference, leaving the process in exactly the state
-    /// applyPolicy(policy) would. Tier-only transitions (Full <-> Sampled)
-    /// update the runtime tag and the measurement gate without touching any
-    /// code page. Sound across dlopen/dlclose because the current set is
-    /// read from the runtime's patched set, which follows the sleds, not
-    /// from a cached previous policy. This is what makes the adaptive
-    /// controller's epoch loop cheap (see src/adapt/).
+    /// THE configuration entry point, at start and at every later quiescent
+    /// point (the runtime-adaptable workflow): diffs the requested
+    /// (function, tier) set against the runtime's *actual* sled + tier state
+    /// and flips only the difference in one XRayRuntime::patchDeltaTiered
+    /// transaction, then syncs the sampling gates of the attached
+    /// measurement backend. Tier-only transitions (Full <-> Sampled) update
+    /// the runtime tag and the gate without touching any code page. Sound
+    /// across dlopen/dlclose because the current set is read from the
+    /// runtime's patched set, which follows the sleds, not from a cached
+    /// previous policy. Uses staticIds entries when present, names
+    /// otherwise. Entries that resolve to the same packed id (a static ID
+    /// aliasing a resolved name) collapse to one: the last entry in policy
+    /// order sets its tier.
     ///
-    /// Failure contract: the underlying patch transaction is all-or-nothing
-    /// (see XRayRuntime::patchDeltaTiered). If it fails, the rolled-back
-    /// xray::PatchError propagates out of this call *before* the sampling
-    /// gates are updated — a failed apply commits nothing, and the gates
-    /// still follow the live (last successfully applied) policy. The
-    /// adaptive controller relies on exactly this to retry or revert (see
-    /// adapt::Controller).
+    /// Failure contract: the transaction is all-or-nothing. If it fails,
+    /// the rolled-back xray::PatchError propagates out of this call *before*
+    /// the sampling gates are updated — a failed apply commits nothing, and
+    /// the gates still follow the live (last successfully applied) policy.
+    /// The adaptive controller relies on exactly this to retry or revert
+    /// (see adapt::Controller).
     DeltaStats applyPolicyDelta(const select::InstrumentationPolicy& policy);
 
-    /// Binary-set overload: the Full|Off degenerate case, forwarded through
-    /// applyPolicy.
-    InitStats applyIc(const select::InstrumentationConfig& ic);
+    /// applyPolicyDelta reported as start-up figures: the resolution stats
+    /// plus the transaction's outcome, patched = newly patched + unchanged
+    /// + retiered functions.
+    InitStats applyPolicy(const select::InstrumentationPolicy& policy);
 
     /// Binary-set overload of applyPolicyDelta: the same diff against the
     /// live sleds, every entry at the Full tier. Copies no name list: it
     /// costs the IC's size plus the patched set, not the sledded functions.
     DeltaStats applyIcDelta(const select::InstrumentationConfig& ic);
 
+    /// applyIcDelta reported as start-up figures, like applyPolicy.
+    InitStats applyIc(const select::InstrumentationConfig& ic);
+
     /// Patches every sled (the `xray full` configuration).
     InitStats patchAll();
-    void unpatchAll();
 
     // --- name resolution ----------------------------------------------------
     /// Packed id of a visible function; a name several objects define
@@ -154,10 +151,14 @@ private:
     using StaticIds = select::StaticIdMap;
 
     void resolveAllObjects();
+    /// The resolution figures with the given patch time.
+    InitStats startStats(double patchSeconds) const;
+    /// The resolution figures plus an apply transaction's outcome.
+    InitStats startStats(const DeltaStats& delta) const;
     /// The static ID when the IC/policy carries one, else name resolution.
     std::optional<xray::PackedId> resolveEntry(const StaticIds& staticIds,
                                                std::string_view name) const;
-    /// applyPolicyDelta's diff and transaction; `regions` null = all Full.
+    /// The one apply path: diff and transaction; `regions` null = all Full.
     DeltaStats applyDelta(const std::vector<std::string>& functions,
                           const std::vector<select::RegionPolicy>* regions,
                           const StaticIds& staticIds);

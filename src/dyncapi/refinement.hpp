@@ -8,8 +8,8 @@
 // time per visit stays below the measurement cost, exactly the reasoning a
 // performance engineer applies by hand (and PIRA automates iteratively).
 //
-// Because the runtime is adaptable, each refinement round is applyIc() —
-// not a recompilation.
+// Because the runtime is adaptable, each refinement round is an
+// applyIcDelta() of the refined IC — not a recompilation.
 #pragma once
 
 #include <memory>

@@ -74,7 +74,7 @@ struct InstrumentationConfig {
 /// Set difference of two ICs (function names only; both lists are sorted, so
 /// this is one linear merge pass). The adaptive controller logs this per
 /// epoch — the patch/unpatch sets themselves are diffed against live sled
-/// state by DynCapi::applyIcDelta, not here.
+/// state by DynCapi's apply calls, not here.
 struct IcDelta {
     std::vector<std::string> added;    ///< In `to` but not `from`.
     std::vector<std::string> removed;  ///< In `from` but not `to`.

@@ -137,6 +137,16 @@ const XRayRuntime::ObjectRecord* XRayRuntime::findObject(ObjectId id) const {
     return &objects_[id];
 }
 
+const XRayRuntime::ObjectRecord* XRayRuntime::sleddedObject(PackedId function) const {
+    const ObjectRecord* obj = findObject(objectIdOf(function));
+    const FunctionId fnId = functionIdOf(function);
+    if (obj == nullptr || fnId >= obj->sledsOfFunction.size() ||
+        obj->sledsOfFunction[fnId].empty()) {
+        return nullptr;
+    }
+    return obj;
+}
+
 void XRayRuntime::writeSled(ObjectRecord& obj, ObjectId id,
                             const SledEntry& sled, bool patch) {
     CodeCell cell;
@@ -182,7 +192,6 @@ PatchStats XRayRuntime::applyToObject(ObjectRecord& obj, ObjectId id, bool patch
     // The binary whole-object paths know nothing of tiers: everything they
     // patch is Full, everything they unpatch resets its tag.
     std::fill(obj.tierOfFunction.begin(), obj.tierOfFunction.end(), kFullTier);
-    support::Timer timer;
 
     // Like the real runtime: compute the page span containing all sleds and
     // flip its protection once, rather than per sled.
@@ -207,7 +216,6 @@ PatchStats XRayRuntime::applyToObject(ObjectRecord& obj, ObjectId id, bool patch
 
     memory_->mprotect(lo, hi - lo, /*writable=*/false);
     stats.pagesMadeWritable = memory_->pagesMadeWritable() - writableBefore;
-    stats.nanoseconds = timer.elapsedNs();
     return stats;
 }
 
@@ -219,7 +227,6 @@ PatchStats XRayRuntime::patchAll() {
         PatchStats s = applyToObject(objects_[id], id, /*patch=*/true);
         total.sledsPatched += s.sledsPatched;
         total.pagesMadeWritable += s.pagesMadeWritable;
-        total.nanoseconds += s.nanoseconds;
     }
     return total;
 }
@@ -232,7 +239,6 @@ PatchStats XRayRuntime::unpatchAll() {
         PatchStats s = applyToObject(objects_[id], id, /*patch=*/false);
         total.sledsUnpatched += s.sledsUnpatched;
         total.pagesMadeWritable += s.pagesMadeWritable;
-        total.nanoseconds += s.nanoseconds;
     }
     return total;
 }
@@ -257,129 +263,27 @@ PatchStats XRayRuntime::unpatchObject(ObjectId id) {
     return applyToObject(objects_[id], id, /*patch=*/false);
 }
 
-namespace {
-
-/// Patches or unpatches the sleds of exactly one function: protection is
-/// flipped for the affected pages only.
-struct SingleFunctionPatcher {
-    CodeMemory& memory;
-
-    void apply(const std::vector<std::uint64_t>& addresses) const {
-        if (addresses.empty()) return;
-        std::uint64_t lo = *std::min_element(addresses.begin(), addresses.end());
-        std::uint64_t hi = *std::max_element(addresses.begin(), addresses.end()) +
-                           kSledBytes;
-        memory.mprotect(lo, hi - lo, true);
-    }
-
-    void seal(const std::vector<std::uint64_t>& addresses) const {
-        if (addresses.empty()) return;
-        std::uint64_t lo = *std::min_element(addresses.begin(), addresses.end());
-        std::uint64_t hi = *std::max_element(addresses.begin(), addresses.end()) +
-                           kSledBytes;
-        memory.mprotect(lo, hi - lo, false);
-    }
-};
-
-}  // namespace
-
 bool XRayRuntime::patchFunction(PackedId function) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ObjectId objId = objectIdOf(function);
-    FunctionId fnId = functionIdOf(function);
-    const ObjectRecord* obj = findObject(objId);
-    if (obj == nullptr || fnId >= obj->sledsOfFunction.size()) {
-        return false;
-    }
-    std::vector<std::uint64_t> addresses;
-    for (std::uint32_t sledIndex : obj->sledsOfFunction[fnId]) {
-        addresses.push_back(runtimeAddress(*obj, obj->sleds.sleds[sledIndex].address));
-    }
-    if (addresses.empty()) {
-        return false;
-    }
-    SingleFunctionPatcher patcher{*memory_};
-    patcher.apply(addresses);
-    for (std::uint32_t sledIndex : obj->sledsOfFunction[fnId]) {
-        writeSled(objects_[objId], objId, obj->sleds.sleds[sledIndex], /*patch=*/true);
-    }
-    patcher.seal(addresses);
-    objects_[objId].tierOfFunction[fnId] = kFullTier;
-    return true;
+    const TieredFlip flip{function, kFullTier};
+    return patchDeltaTiered({&flip, 1}, {}, {}).unavailablePatch == 0;
 }
 
 bool XRayRuntime::unpatchFunction(PackedId function) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ObjectId objId = objectIdOf(function);
-    FunctionId fnId = functionIdOf(function);
-    const ObjectRecord* obj = findObject(objId);
-    if (obj == nullptr || fnId >= obj->sledsOfFunction.size()) {
-        return false;
-    }
-    std::vector<std::uint64_t> addresses;
-    for (std::uint32_t sledIndex : obj->sledsOfFunction[fnId]) {
-        addresses.push_back(runtimeAddress(*obj, obj->sleds.sleds[sledIndex].address));
-    }
-    if (addresses.empty()) {
-        return false;
-    }
-    SingleFunctionPatcher patcher{*memory_};
-    patcher.apply(addresses);
-    for (std::uint32_t sledIndex : obj->sledsOfFunction[fnId]) {
-        writeSled(objects_[objId], objId, obj->sleds.sleds[sledIndex], /*patch=*/false);
-    }
-    patcher.seal(addresses);
-    objects_[objId].tierOfFunction[fnId] = kFullTier;
-    return true;
+    return patchDeltaTiered({}, {&function, 1}, {}).unavailableUnpatch == 0;
 }
 
-XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
-    const std::vector<TieredFlip>& toPatch, const std::vector<PackedId>& toUnpatch,
-    const std::vector<TieredFlip>& toRetier) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    DeltaPatchStats stats;
-    support::Timer timer;
-
-    // The span covers the whole transaction and is recorded even when the
-    // catch block below unwinds through it — rollbacks are part of the
-    // patch-phase timeline, not a gap in it.
-    static const std::uint32_t kPatchSpan =
-        obs::TraceRecorder::global().internName("xray.patch_delta");
-    obs::ScopedSpan patchSpan(kPatchSpan, obs::SpanCategory::Patch);
-
-    // Group the requested flips per object; a function whose object vanished
-    // since the delta was computed (dlclose raced the planner) is not an
-    // error, it is simply no longer patchable.
+/// Transaction journal: every cell and tier tag is recorded before it is
+/// mutated, and every page run is recorded once opened, so a mid-flight
+/// MachineFault (mprotect or sled write dying — the CodeMemory injection
+/// sites model both) unwinds to the exact pre-transaction state. Kept with
+/// the flip list and the page-run buffers between transactions (under
+/// mutex_), so a small transaction allocates nothing.
+struct XRayRuntime::Journal {
     struct Flip {
-        FunctionId function;
+        PackedId function;
         bool patch;
         std::uint8_t tierTag;
     };
-    std::vector<std::vector<Flip>> flipsOfObject(kMaxObjectId + 1);
-    auto classify = [&](PackedId pid, bool patch, std::uint8_t tierTag,
-                        std::size_t& unavailable) {
-        ObjectId objId = objectIdOf(pid);
-        FunctionId fnId = functionIdOf(pid);
-        const ObjectRecord* obj = findObject(objId);
-        if (obj == nullptr || fnId >= obj->sledsOfFunction.size() ||
-            obj->sledsOfFunction[fnId].empty()) {
-            ++unavailable;
-            return;
-        }
-        flipsOfObject[objId].push_back({fnId, patch, tierTag});
-    };
-    for (const TieredFlip& flip : toPatch) {
-        classify(flip.function, /*patch=*/true, flip.tierTag,
-                 stats.unavailablePatch);
-    }
-    for (PackedId pid : toUnpatch) {
-        classify(pid, /*patch=*/false, kFullTier, stats.unavailableUnpatch);
-    }
-
-    // Transaction journal: every cell and tier tag is recorded before it is
-    // mutated, and every page run is recorded once opened, so a mid-flight
-    // MachineFault (mprotect or sled write dying — the CodeMemory injection
-    // sites model both) unwinds to the exact pre-transaction state.
     struct CellUndo {
         std::uint64_t address;
         CodeCell previous;
@@ -389,23 +293,80 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
         FunctionId function;
         std::uint8_t previous;
     };
+    using PageRun = std::pair<std::uint64_t, std::uint64_t>;  ///< First, last page.
+
+    std::vector<Flip> flips;
+    std::vector<PageRun> spans;
+    std::vector<PageRun> runs;
+    std::vector<PageRun> touchedRuns;
     std::vector<CellUndo> cellUndo;
     std::vector<TierUndo> tierUndo;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> touchedRuns;
+
+    void clear() {
+        flips.clear();
+        touchedRuns.clear();
+        cellUndo.clear();
+        tierUndo.clear();
+    }
+};
+
+XRayRuntime::XRayRuntime(CodeMemory& memory)
+    : memory_(&memory), journal_(std::make_unique<Journal>()) {}
+
+XRayRuntime::~XRayRuntime() = default;
+
+XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
+    std::span<const TieredFlip> toPatch, std::span<const PackedId> toUnpatch,
+    std::span<const TieredFlip> toRetier) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    DeltaPatchStats stats;
+
+    // The span covers the whole transaction and is recorded even when the
+    // catch block below unwinds through it — rollbacks are part of the
+    // patch-phase timeline, not a gap in it.
+    static const std::uint32_t kPatchSpan =
+        obs::TraceRecorder::global().internName("xray.patch_delta");
+    obs::ScopedSpan patchSpan(kPatchSpan, obs::SpanCategory::Patch);
+
+    auto& [flips, spans, runs, touchedRuns, cellUndo, tierUndo] = *journal_;
+    journal_->clear();
+
+    // The requested flips, sorted by packed id so each object's flips form
+    // one run; the sort is stable, so a function listed twice keeps its
+    // request order (toPatch before toUnpatch). A function whose object
+    // vanished since the delta was computed (dlclose raced the planner) is
+    // not an error, it is simply no longer patchable.
+    using Flip = Journal::Flip;
+    for (const TieredFlip& flip : toPatch) {
+        if (sleddedObject(flip.function) != nullptr) {
+            flips.push_back({flip.function, /*patch=*/true, flip.tierTag});
+        } else {
+            ++stats.unavailablePatch;
+        }
+    }
+    for (PackedId pid : toUnpatch) {
+        if (sleddedObject(pid) != nullptr) {
+            flips.push_back({pid, /*patch=*/false, kFullTier});
+        } else {
+            ++stats.unavailableUnpatch;
+        }
+    }
+    auto byFunction = [](const Flip& a, const Flip& b) { return a.function < b.function; };
+    if (!std::is_sorted(flips.begin(), flips.end(), byFunction)) {
+        std::stable_sort(flips.begin(), flips.end(), byFunction);
+    }
 
     // Tier-only transitions: tag updates under the runtime lock, zero page
     // work — a Full<->Sampled re-plan costs exactly nothing here. Journaled
     // all the same: a later page-phase failure must take the retier pass
     // down with it, or tier tags and sleds would tear apart.
     for (const TieredFlip& retier : toRetier) {
-        ObjectId objId = objectIdOf(retier.function);
-        FunctionId fnId = functionIdOf(retier.function);
-        const ObjectRecord* obj = findObject(objId);
-        if (obj == nullptr || fnId >= obj->sledsOfFunction.size() ||
-            obj->sledsOfFunction[fnId].empty()) {
+        if (sleddedObject(retier.function) == nullptr) {
             ++stats.unavailableRetier;
             continue;
         }
+        ObjectId objId = objectIdOf(retier.function);
+        FunctionId fnId = functionIdOf(retier.function);
         tierUndo.push_back({objId, fnId, objects_[objId].tierOfFunction[fnId]});
         objects_[objId].tierOfFunction[fnId] = retier.tierTag;
         ++stats.functionsRetiered;
@@ -413,10 +374,13 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
 
     const std::uint64_t writableBefore = memory_->pagesMadeWritable();
     try {
-        for (ObjectId objId = 0; objId <= kMaxObjectId; ++objId) {
-            if (flipsOfObject[objId].empty()) {
-                continue;
-            }
+        for (auto begin = flips.begin(); begin != flips.end();) {
+            const ObjectId objId = objectIdOf(begin->function);
+            const auto end = std::find_if(begin, flips.end(), [&](const Flip& flip) {
+                return objectIdOf(flip.function) != objId;
+            });
+            const std::span<const Flip> objectFlips(begin, end);
+            begin = end;
             ObjectRecord& obj = objects_[objId];
 
             // Coalesce the affected sleds' byte spans into contiguous page
@@ -424,9 +388,10 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
             // protection flip while distant stragglers do not drag whole
             // untouched ranges along (which is exactly what applyToObject's
             // single lo..hi span does).
-            std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
-            for (const Flip& flip : flipsOfObject[objId]) {
-                for (std::uint32_t sledIndex : obj.sledsOfFunction[flip.function]) {
+            spans.clear();
+            for (const Flip& flip : objectFlips) {
+                for (std::uint32_t sledIndex :
+                     obj.sledsOfFunction[functionIdOf(flip.function)]) {
                     std::uint64_t addr =
                         runtimeAddress(obj, obj.sleds.sleds[sledIndex].address);
                     spans.emplace_back(addr / kPageSize,
@@ -434,7 +399,7 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
                 }
             }
             std::sort(spans.begin(), spans.end());
-            std::vector<std::pair<std::uint64_t, std::uint64_t>> runs;
+            runs.clear();
             for (const auto& [first, last] : spans) {
                 if (!runs.empty() && first <= runs.back().second + 1) {
                     runs.back().second = std::max(runs.back().second, last);
@@ -450,8 +415,9 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
                 // opened runs need re-sealing on rollback.
                 touchedRuns.emplace_back(first, last);
             }
-            for (const Flip& flip : flipsOfObject[objId]) {
-                for (std::uint32_t sledIndex : obj.sledsOfFunction[flip.function]) {
+            for (const Flip& flip : objectFlips) {
+                const FunctionId fnId = functionIdOf(flip.function);
+                for (std::uint32_t sledIndex : obj.sledsOfFunction[fnId]) {
                     const SledEntry& sled = obj.sleds.sleds[sledIndex];
                     std::uint64_t addr = runtimeAddress(obj, sled.address);
                     cellUndo.push_back({addr, memory_->read(addr)});
@@ -462,10 +428,8 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
                         ++stats.sledsUnpatched;
                     }
                 }
-                tierUndo.push_back(
-                    {objId, flip.function, obj.tierOfFunction[flip.function]});
-                obj.tierOfFunction[flip.function] =
-                    flip.patch ? flip.tierTag : kFullTier;
+                tierUndo.push_back({objId, fnId, obj.tierOfFunction[fnId]});
+                obj.tierOfFunction[fnId] = flip.patch ? flip.tierTag : kFullTier;
             }
             for (const auto& [first, last] : runs) {
                 memory_->mprotect(first * kPageSize, (last - first + 1) * kPageSize,
@@ -490,10 +454,9 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
             objects_[it->object].tierOfFunction[it->function] = it->previous;
         }
         // The restored cells are the truth the patched set must match again.
-        for (ObjectId objId = 0; objId <= kMaxObjectId; ++objId) {
-            for (const Flip& flip : flipsOfObject[objId]) {
-                syncPatchedBit(objects_[objId], flip.function);
-            }
+        for (const Flip& flip : flips) {
+            syncPatchedBit(objects_[objectIdOf(flip.function)],
+                           functionIdOf(flip.function));
         }
         for (const auto& [first, last] : touchedRuns) {
             memory_->mprotect(first * kPageSize, (last - first + 1) * kPageSize,
@@ -514,7 +477,6 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
                          cellUndo.size(), tierUndo.size());
     }
     stats.pagesMadeWritable = memory_->pagesMadeWritable() - writableBefore;
-    stats.nanoseconds = timer.elapsedNs();
     patchSpan.setArg(stats.sledsPatched + stats.sledsUnpatched);
     {
         obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
@@ -577,13 +539,11 @@ std::vector<std::pair<PackedId, std::uint8_t>> XRayRuntime::patchedFunctionTiers
 
 std::uint64_t XRayRuntime::functionAddress(PackedId function) const {
     std::lock_guard<std::mutex> lock(mutex_);
-    ObjectId objId = objectIdOf(function);
-    FunctionId fnId = functionIdOf(function);
-    const ObjectRecord* obj = findObject(objId);
-    if (obj == nullptr || fnId >= obj->sledsOfFunction.size() ||
-        obj->sledsOfFunction[fnId].empty()) {
+    const ObjectRecord* obj = sleddedObject(function);
+    if (obj == nullptr) {
         return 0;
     }
+    const FunctionId fnId = functionIdOf(function);
     // The entry sled is the function's address for all practical purposes.
     for (std::uint32_t sledIndex : obj->sledsOfFunction[fnId]) {
         const SledEntry& sled = obj->sleds.sleds[sledIndex];
@@ -600,13 +560,12 @@ bool XRayRuntime::functionPatched(PackedId function) const {
     // does), which would misreport a function legitimately linked at the
     // object's base address.
     std::lock_guard<std::mutex> lock(mutex_);
-    const ObjectRecord* obj = findObject(objectIdOf(function));
-    FunctionId fnId = functionIdOf(function);
-    if (obj == nullptr || fnId >= obj->sledsOfFunction.size() ||
-        obj->sledsOfFunction[fnId].empty()) {
+    const ObjectRecord* obj = sleddedObject(function);
+    if (obj == nullptr) {
         return false;
     }
-    const SledEntry& sled = obj->sleds.sleds[obj->sledsOfFunction[fnId][0]];
+    const SledEntry& sled =
+        obj->sleds.sleds[obj->sledsOfFunction[functionIdOf(function)][0]];
     return memory_->read(runtimeAddress(*obj, sled.address)).instr !=
            Instr::NopSled;
 }

@@ -18,8 +18,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,7 +50,6 @@ struct PatchStats {
     std::size_t sledsPatched = 0;
     std::size_t sledsUnpatched = 0;
     std::size_t pagesMadeWritable = 0;
-    std::uint64_t nanoseconds = 0;
 };
 
 /// A delta patch transaction failed and was rolled back: every sled and
@@ -76,7 +77,8 @@ private:
 class XRayRuntime {
 public:
     /// The runtime patches the process's code memory; it does not own it.
-    explicit XRayRuntime(CodeMemory& memory) : memory_(&memory) {}
+    explicit XRayRuntime(CodeMemory& memory);
+    ~XRayRuntime();
 
     XRayRuntime(const XRayRuntime&) = delete;
     XRayRuntime& operator=(const XRayRuntime&) = delete;
@@ -102,10 +104,15 @@ public:
 
     // --- patching -----------------------------------------------------------
 
+    /// Whole-object passes (the `xray full` configuration): every sled of
+    /// the object(s) is rewritten under one protection span per object.
     PatchStats patchAll();
     PatchStats unpatchAll();
     PatchStats patchObject(ObjectId id);
     PatchStats unpatchObject(ObjectId id);
+    /// One-entry patchDeltaTiered transactions (patched at kFullTier);
+    /// false when the function has no live sleds. A fault raises the
+    /// rolled-back PatchError.
     bool patchFunction(PackedId function);
     bool unpatchFunction(PackedId function);
 
@@ -132,12 +139,13 @@ public:
     static constexpr std::uint8_t kSampledTier = 1;
 
     /// Flips exactly the sleds of the listed functions in one pass: both
-    /// flip lists are grouped per object, the affected sled addresses
-    /// coalesced into contiguous page runs, and each run's protection
-    /// toggled once. Functions whose object is gone (dlclosed) or that have
-    /// no sleds are skipped and counted per list. Final state is identical
-    /// to calling patchFunction/unpatchFunction per entry; the page-touch
-    /// count is what the adaptive controller's delta repatching optimizes.
+    /// flip lists are sorted by packed id into per-object runs, the affected
+    /// sled addresses coalesced into contiguous page runs, and each run's
+    /// protection toggled once. Functions whose object is gone (dlclosed) or
+    /// that have no sleds are skipped and counted per list. A function
+    /// listed more than once ends in the state of its last request, with
+    /// toUnpatch after toPatch. The page-touch count is what the adaptive
+    /// controller's delta repatching optimizes.
     ///
     /// TRANSACTIONAL: every cell and tier tag is staged with an undo record
     /// before it is written, and a failure anywhere mid-transaction (an
@@ -147,9 +155,9 @@ public:
     /// state is therefore never torn: after the call the process is
     /// bit-identical to either its pre-transaction or its post-transaction
     /// state, nothing in between.
-    DeltaPatchStats patchDeltaTiered(const std::vector<TieredFlip>& toPatch,
-                                     const std::vector<PackedId>& toUnpatch,
-                                     const std::vector<TieredFlip>& toRetier);
+    DeltaPatchStats patchDeltaTiered(std::span<const TieredFlip> toPatch,
+                                     std::span<const PackedId> toUnpatch,
+                                     std::span<const TieredFlip> toRetier);
 
     /// The tier tag recorded with the function's last patch; kFullTier when
     /// unpatched or unknown (tags reset on unpatch and on dlclose).
@@ -224,6 +232,12 @@ private:
     template <typename Fn>
     void forEachPatched(Fn&& fn) const;
     const ObjectRecord* findObject(ObjectId id) const;
+    /// The function's object if it is registered and the function has
+    /// sleds; nullptr otherwise (the "unavailable" test of every flip).
+    const ObjectRecord* sleddedObject(PackedId function) const;
+
+    /// patchDeltaTiered's flip list and undo journal (xray_runtime.cpp).
+    struct Journal;
 
     CodeMemory* memory_;
     std::vector<ObjectRecord> objects_ = std::vector<ObjectRecord>(kMaxObjectId + 1);
@@ -233,6 +247,8 @@ private:
     void* handlerContext_ = nullptr;
 
     mutable std::mutex mutex_;
+    /// Guarded by mutex_, like every member above.
+    std::unique_ptr<Journal> journal_;
 };
 
 }  // namespace capi::xray

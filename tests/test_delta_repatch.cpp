@@ -1,10 +1,15 @@
-// Property test for DynCapi::applyIcDelta: over an arbitrary IC sequence,
-// delta repatching must leave the process's sled/patch state bit-identical
-// to the full unpatch-everything-then-patch applyIc reference path —
+// Property tests for DynCapi's apply path, the live-state diff transaction:
+// over an arbitrary IC or tiered-policy sequence it must leave the process's
+// sled/patch state and tier tags bit-identical to referenceApply, an oracle
+// kept here that unpatches every sled and patches each entry on its own —
 // including across a mid-sequence dlclose/dlopen of a DSO, which resets the
-// re-registered object's sleds to NOP behind the previous IC's back.
+// re-registered object's sleds to NOP behind the previous IC's back. Also
+// the runtime's indexed patched set against a cell scan under every sled
+// writer, injected faults included (CAPI_FAULT_SEED mixes into its seeds).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +19,7 @@
 #include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/rng.hpp"
+#include "test_util.hpp"
 #include "xraysim/xray_runtime.hpp"
 
 namespace {
@@ -41,6 +47,39 @@ AppModel patchModel(std::uint32_t perObject) {
     }
     model.entry = 0;
     return model;
+}
+
+/// The full-repatch oracle: unpatch every sled, patch each resolved entry
+/// on its own, then retag the Sampled ones; a packed id named twice takes
+/// its last entry's tier. Returns the entries that found no patchable sled.
+std::size_t referenceApply(dyncapi::DynCapi& dyn,
+                           const select::InstrumentationPolicy& policy) {
+    xray::XRayRuntime& xr = dyn.process().xray();
+    xr.unpatchAll();
+    std::map<xray::PackedId, std::uint8_t> tierOf;
+    std::size_t unavailable = 0;
+    for (std::size_t i = 0; i < policy.functions.size(); ++i) {
+        const std::string& name = policy.functions[i];
+        auto staticId = policy.staticIds.find(name);
+        std::optional<xray::PackedId> pid = staticId != policy.staticIds.end()
+                                                ? std::optional(staticId->second)
+                                                : dyn.resolveName(name);
+        if (!pid.has_value() || !xr.patchFunction(*pid)) {
+            ++unavailable;
+            continue;
+        }
+        tierOf[*pid] = policy.regions[i].tier == select::Tier::Sampled
+                           ? xray::XRayRuntime::kSampledTier
+                           : xray::XRayRuntime::kFullTier;
+    }
+    std::vector<xray::XRayRuntime::TieredFlip> retier;
+    for (const auto& [pid, tag] : tierOf) {
+        if (tag != xray::XRayRuntime::kFullTier) {
+            retier.push_back({pid, tag});
+        }
+    }
+    xr.patchDeltaTiered({}, {}, retier);
+    return unavailable;
 }
 
 void expectSameSledState(Process& delta, Process& full) {
@@ -107,11 +146,11 @@ TEST_P(DeltaRepatchProperty, SequenceMatchesFullRepatchBitForBit) {
         }
 
         dyncapi::DeltaStats delta = deltaDyn.applyIcDelta(ic);
-        dyncapi::InitStats full = fullDyn.applyIc(ic);
+        const std::size_t fullUnavailable =
+            referenceApply(fullDyn, select::InstrumentationPolicy::fullOf(ic));
         ASSERT_NO_FATAL_FAILURE(expectSameSledState(deltaProcess, fullProcess))
             << "round " << round;
-        ASSERT_EQ(delta.requestedUnavailable, full.requestedUnavailable)
-            << "round " << round;
+        ASSERT_EQ(delta.requestedUnavailable, fullUnavailable) << "round " << round;
 
         // Re-applying the same IC must be a no-op for the delta path.
         dyncapi::DeltaStats again = deltaDyn.applyIcDelta(ic);
@@ -131,7 +170,7 @@ class TieredDeltaRepatchProperty : public ::testing::TestWithParam<std::uint64_t
 
 /// The tiered generalization: random Full/Sampled/Off policies, including
 /// pure tier transitions on an unchanged patch set and a mid-sequence DSO
-/// lifecycle. Delta must match the full reference in sled state AND in the
+/// lifecycle. Delta must match referenceApply in sled state AND in the
 /// runtime's per-function tier tags.
 TEST_P(TieredDeltaRepatchProperty, SequenceMatchesFullRepatchWithTiers) {
     constexpr std::uint32_t kPerObject = 40;
@@ -183,14 +222,13 @@ TEST_P(TieredDeltaRepatchProperty, SequenceMatchesFullRepatchWithTiers) {
         }
 
         dyncapi::DeltaStats delta = deltaDyn.applyPolicyDelta(policy);
-        dyncapi::InitStats full = fullDyn.applyPolicy(policy);
+        const std::size_t fullUnavailable = referenceApply(fullDyn, policy);
         ASSERT_NO_FATAL_FAILURE(expectSameSledState(deltaProcess, fullProcess))
             << "round " << round;
         ASSERT_EQ(deltaProcess.xray().patchedFunctionTiers(),
                   fullProcess.xray().patchedFunctionTiers())
             << "round " << round;
-        ASSERT_EQ(delta.requestedUnavailable, full.requestedUnavailable)
-            << "round " << round;
+        ASSERT_EQ(delta.requestedUnavailable, fullUnavailable) << "round " << round;
 
         // Re-applying the same policy must be a complete no-op: no sled
         // flips, no tier retags, no pages.
@@ -302,6 +340,7 @@ protected:
 TEST_P(PatchedSetProperty, IndexMatchesCellScanAfterEveryOperation) {
     constexpr std::uint32_t kPerObject = 40;
     constexpr std::size_t kSteps = 120;
+    const std::uint64_t seed = GetParam() ^ testutil::envFaultSeed();
     AppModel model = patchModel(kPerObject);
     CompileOptions copts;
     copts.xrayThreshold.instructionThreshold = 1;
@@ -309,7 +348,7 @@ TEST_P(PatchedSetProperty, IndexMatchesCellScanAfterEveryOperation) {
     Process process(compiled);
     xray::XRayRuntime& xr = process.xray();
 
-    support::SplitMix64 rng(GetParam());
+    support::SplitMix64 rng(seed);
     std::vector<bool> open = {true, true};
     auto randomObject = [&]() -> xray::ObjectId {
         const std::size_t pick = rng.nextBelow(3);
@@ -383,7 +422,7 @@ TEST_P(PatchedSetProperty, IndexMatchesCellScanAfterEveryOperation) {
                 spec.maxFires = 1;
                 fault::arm(rng.nextBool(0.7) ? fault::sites::kXraySledWrite
                                              : fault::sites::kXrayMprotect,
-                           spec, GetParam() + step);
+                           spec, seed + step);
                 try {
                     randomTransaction();
                 } catch (const xray::PatchError&) {

@@ -174,6 +174,34 @@ TEST(DynCapi, DeltaKeepsTheLastTierOfAPidNamedTwice) {
     }
 }
 
+TEST(DynCapi, EveryApplyKeepsTheLastTierOfAPidNamedTwice) {
+    // Amul at Sampled, then "alias" -> Amul's packed id at Full: the last
+    // entry in policy order sets the tier on every apply path — the full
+    // entry point, a delta over its result, and a delta on a fresh twin.
+    const CompiledProgram program = compile(testModel(), lowThreshold());
+    Process process(program);
+    Process twin(program);
+    dyncapi::DynCapi dyn(process);
+    dyncapi::DynCapi twinDyn(twin);
+    const xray::PackedId amul = *dyn.resolveName("Amul");
+    select::InstrumentationPolicy policy;
+    policy.setRegion("Amul", {select::Tier::Sampled, {8, 0}});
+    policy.setRegion("alias", {select::Tier::Full, {}});
+    policy.staticIds["alias"] = amul;
+
+    dyncapi::InitStats init = dyn.applyPolicy(policy);
+    EXPECT_EQ(init.patchedFunctions, 1u);
+    EXPECT_EQ(process.xray().functionTierTag(amul), xray::XRayRuntime::kFullTier);
+
+    dyncapi::DeltaStats again = dyn.applyPolicyDelta(policy);
+    EXPECT_EQ(again.functionsUnchanged, 1u);
+    EXPECT_EQ(process.xray().functionTierTag(amul), xray::XRayRuntime::kFullTier);
+
+    twinDyn.applyPolicyDelta(policy);
+    EXPECT_EQ(twin.xray().functionTierTag(amul), xray::XRayRuntime::kFullTier);
+    EXPECT_EQ(process.xray().patchedFunctionTiers(), twin.xray().patchedFunctionTiers());
+}
+
 TEST(DynCapi, PatchAllMatchesSleddedCount) {
     Process process(compile(testModel(), lowThreshold()));
     dyncapi::DynCapi dyn(process);

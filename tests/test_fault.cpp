@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "support/backoff.hpp"
 #include "support/fault.hpp"
 #include "support/rng.hpp"
+#include "test_util.hpp"
 #include "xraysim/xray_runtime.hpp"
 
 namespace {
@@ -36,10 +36,7 @@ using namespace capi;
 using namespace capi::binsim;
 namespace fault = capi::support::fault;
 
-std::uint64_t envFaultSeed() {
-    const char* env = std::getenv("CAPI_FAULT_SEED");
-    return env == nullptr ? 0 : std::strtoull(env, nullptr, 10);
-}
+using testutil::envFaultSeed;
 
 /// Every test arms its own sites; a fixture-level disarm keeps a failing
 /// test from leaking an armed site into the rest of the binary.
@@ -260,7 +257,9 @@ protected:
 /// sequences (including a mid-sequence dlclose/dlopen) must NEVER leave torn
 /// state — after every transaction, failed or not, the faulty process is
 /// bit-identical in sleds AND tier tags to a fault-free reference — and
-/// every injected failure surfaces as exactly one PatchError.
+/// every injected failure surfaces as exactly one PatchError. Rounds
+/// alternate between applyPolicy (from the first apply on the fresh
+/// process on) and applyPolicyDelta: both entry points carry the contract.
 TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
     constexpr std::uint32_t kPerObject = 40;
     constexpr std::size_t kRounds = 30;
@@ -310,9 +309,16 @@ TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
         spec.maxFires = 1;
         fault::arm(site, spec, seed + round);
 
+        auto apply = [&] {
+            if (round % 2 == 0) {
+                faultyDyn.applyPolicy(policy);
+            } else {
+                faultyDyn.applyPolicyDelta(policy);
+            }
+        };
         bool threw = false;
         try {
-            faultyDyn.applyPolicyDelta(policy);
+            apply();
         } catch (const xray::PatchError&) {
             threw = true;
         }
@@ -335,8 +341,7 @@ TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
                       referenceProcess.xray().patchedFunctionTiers())
                 << "torn tiers after rollback, round " << round;
             // Retry without faults must succeed from the rolled-back state.
-            ASSERT_NO_THROW(faultyDyn.applyPolicyDelta(policy))
-                << "round " << round;
+            ASSERT_NO_THROW(apply()) << "round " << round;
         } else {
             ++cleanRounds;
         }

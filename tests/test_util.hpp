@@ -1,6 +1,9 @@
-// Shared fixtures for building small call graphs in tests.
+// Shared fixtures for building small call graphs in tests, and the fault
+// matrix's seed.
 #pragma once
 
+#include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
 #include <string>
 #include <utility>
@@ -9,6 +12,14 @@
 #include "cg/call_graph.hpp"
 
 namespace capi::testutil {
+
+/// The CAPI_FAULT_SEED environment variable (set by the CI fault matrix),
+/// 0 when unset. Randomized fault suites XOR it into every parameterized
+/// seed, so each matrix leg replays a different deterministic schedule.
+inline std::uint64_t envFaultSeed() {
+    const char* env = std::getenv("CAPI_FAULT_SEED");
+    return env == nullptr ? 0 : std::strtoull(env, nullptr, 10);
+}
 
 struct FnSpec {
     std::string name;

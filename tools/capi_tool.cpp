@@ -339,7 +339,7 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
     select::InstrumentationConfig survey = adapt::surveyOfDefinedFunctions(graph);
     survey.application = app;
     dyncapi::InitStats init = controller.start(survey);
-    std::printf("%s: %zu CG nodes, survey IC %zu, budget %.1f%%%s, full patch "
+    std::printf("%s: %zu CG nodes, survey IC %zu, budget %.1f%%%s, survey patch "
                 "touched %llu pages\n",
                 app.c_str(), graph.size(), survey.size(),
                 config.budgetFraction * 100.0,
