@@ -2,6 +2,8 @@
 // patching throughput, single-function patch latency and sled dispatch.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "xraysim/code_memory.hpp"
 #include "xraysim/packed_id.hpp"
 #include "xraysim/xray_runtime.hpp"
@@ -31,7 +33,15 @@ SledTable makeSleds(std::uint32_t functions) {
     return table;
 }
 
-/// Patch-all throughput across object sizes (sleds/second).
+/// Code pages made writable per benchmark iteration.
+double pagesPerIteration(const CodeMemory& memory, std::uint64_t before,
+                         const benchmark::State& state) {
+    return static_cast<double>(memory.pagesMadeWritable() - before) /
+           static_cast<double>(std::max<benchmark::IterationCount>(state.iterations(), 1));
+}
+
+/// Patch-all throughput across object sizes (sleds/second); `pages` counts
+/// the pages one patch+unpatch round trip makes writable.
 void BM_PatchAll(benchmark::State& state) {
     const auto functions = static_cast<std::uint32_t>(state.range(0));
     CodeMemory memory(static_cast<std::uint64_t>(functions) * 4 * kSledBytes +
@@ -42,11 +52,13 @@ void BM_PatchAll(benchmark::State& state) {
     reg.sledTable = makeSleds(functions);
     runtime.registerMainExecutable(std::move(reg));
 
+    const std::uint64_t pagesBefore = memory.pagesMadeWritable();
     for (auto _ : state) {
         runtime.patchAll();
         runtime.unpatchAll();
     }
     state.SetItemsProcessed(state.iterations() * functions * 2 * 2);
+    state.counters["pages"] = pagesPerIteration(memory, pagesBefore, state);
 }
 BENCHMARK(BM_PatchAll)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
 
@@ -91,7 +103,8 @@ void BM_SledDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SledDispatch)->Arg(0)->Arg(1)->ArgNames({"patched"});
 
-/// DSO registration + deregistration round trip (dlopen/dlclose path).
+/// DSO registration + deregistration round trip (dlopen/dlclose path);
+/// `pages` counts the pages the round trip makes writable.
 void BM_DsoRegistration(benchmark::State& state) {
     const auto functions = static_cast<std::uint32_t>(state.range(0));
     CodeMemory memory(static_cast<std::uint64_t>(functions) * 8 * kSledBytes +
@@ -102,6 +115,7 @@ void BM_DsoRegistration(benchmark::State& state) {
     mainReg.sledTable = makeSleds(4);
     runtime.registerMainExecutable(std::move(mainReg));
 
+    const std::uint64_t pagesBefore = memory.pagesMadeWritable();
     for (auto _ : state) {
         ObjectRegistration reg;
         reg.name = "lib.so";
@@ -112,6 +126,7 @@ void BM_DsoRegistration(benchmark::State& state) {
         auto id = runtime.registerDso(std::move(reg));
         runtime.unregisterDso(*id);
     }
+    state.counters["pages"] = pagesPerIteration(memory, pagesBefore, state);
 }
 BENCHMARK(BM_DsoRegistration)->Arg(100)->Arg(10000)->ArgNames({"functions"});
 

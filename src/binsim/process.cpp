@@ -172,7 +172,8 @@ bool Process::dlopenDso(std::size_t dsoIndex) {
         return false;
     }
     const ObjectImage& dso = program_.dsos[dsoIndex];
-    dsoLoaded_[dsoIndex] = true;
+    // Registration throws the rolled-back PatchError on a fault; the DSO is
+    // marked loaded only after it went through.
     if (options_.registerDsos && dso.xrayInstrumented && !dso.sledTable.empty()) {
         std::optional<xray::DsoHandle> handle =
             xray::dsoRegister(*xray_, makeRegistration(dso));
@@ -187,6 +188,7 @@ bool Process::dlopenDso(std::size_t dsoIndex) {
             }
         }
     }
+    dsoLoaded_[dsoIndex] = true;
     rebuildExecInfo();
     return true;
 }

@@ -62,9 +62,12 @@ public:
     std::optional<xray::ObjectId> xrayObjectId(int dsoIndex) const;
 
     /// dlclose simulation: deregisters (unpatching its sleds) and unmaps.
+    /// A fault in the unpatch throws the rolled-back xray::PatchError and
+    /// leaves the DSO loaded, bit-identical to before the call.
     bool dlcloseDso(std::size_t dsoIndex);
     /// dlopen simulation: re-registers a previously closed DSO at the same
-    /// base address (the mapping is kept reserved).
+    /// base address (the mapping is kept reserved). A fault while seeding
+    /// its sleds throws the rolled-back xray::PatchError and leaves it closed.
     bool dlopenDso(std::size_t dsoIndex);
 
     const std::vector<ExecInfo>& execInfo() const { return execInfo_; }

@@ -196,19 +196,14 @@ std::uint64_t DynCapi::addressOf(xray::PackedId id) const {
     return addressByObject_[objectId][fid];
 }
 
-InitStats DynCapi::startStats(double patchSeconds) const {
+InitStats DynCapi::startStats(const DeltaStats& delta) const {
     InitStats stats;
     stats.symbolResolutionSeconds = resolutionSeconds_;
     stats.objectsScanned = objectsScanned_;
     stats.sleddedFunctions = sledded_;
     stats.unresolvableFunctions = unresolvable_;
-    stats.patchSeconds = patchSeconds;
-    stats.totalSeconds = resolutionSeconds_ + patchSeconds;
-    return stats;
-}
-
-InitStats DynCapi::startStats(const DeltaStats& delta) const {
-    InitStats stats = startStats(delta.patchSeconds);
+    stats.patchSeconds = delta.patchSeconds;
+    stats.totalSeconds = resolutionSeconds_ + delta.patchSeconds;
     stats.requestedFunctions = delta.requestedFunctions;
     stats.patchedFunctions = delta.functionsPatched + delta.functionsUnchanged +
                              delta.functionsPromoted + delta.functionsDemoted;
@@ -235,53 +230,57 @@ std::optional<xray::PackedId> DynCapi::resolveEntry(const StaticIds& staticIds,
 }
 
 DeltaStats DynCapi::applyPolicyDelta(const select::InstrumentationPolicy& policy) {
-    DeltaStats stats = applyDelta(policy.functions, &policy.regions, policy.staticIds);
-    commitGates(&policy);
-    return stats;
+    return applyDelta(policy.functions, &policy.regions, policy.staticIds);
 }
 
 DeltaStats DynCapi::applyIcDelta(const select::InstrumentationConfig& ic) {
-    DeltaStats stats = applyDelta(ic.functions, nullptr, ic.staticIds);
-    commitGates(nullptr);
-    return stats;
+    return applyDelta(ic.functions, nullptr, ic.staticIds);
 }
 
 DeltaStats DynCapi::applyDelta(const std::vector<std::string>& functions,
                                const std::vector<select::RegionPolicy>* regions,
                                const StaticIds& staticIds) {
-    DeltaStats stats;
-    stats.requestedFunctions = functions.size();
-
     support::Timer timer;
-    xray::XRayRuntime& xr = process_->xray();
+    DeltaStats stats;
+    const std::vector<Target> target = resolveTarget(functions, regions, staticIds, stats);
+    stats = applyTarget(target, stats);
+    stats.patchSeconds = timer.elapsedSec();
+    return stats;
+}
 
-    // Requested (function, tier) set, resolved to packed ids and sorted by
-    // id; a pid named twice keeps its last entry's tier. An entry that
-    // resolves but has no live sled (its object was dlclosed) is never in
-    // the patched set, so it lands in toPatch and the transaction counts it
-    // unavailable below.
-    using Flip = xray::XRayRuntime::TieredFlip;
-    std::vector<Flip> target;
+std::vector<DynCapi::Target> DynCapi::resolveTarget(
+    const std::vector<std::string>& functions,
+    const std::vector<select::RegionPolicy>* regions, const StaticIds& staticIds,
+    DeltaStats& stats) const {
+    stats.requestedFunctions = functions.size();
+    // An entry that resolves but has no live sled (its object was dlclosed)
+    // is never in the patched set, so it lands in toPatch and the
+    // transaction counts it unavailable.
+    std::vector<Target> target;
     target.reserve(functions.size());
     for (std::size_t i = 0; i < functions.size(); ++i) {
         std::optional<xray::PackedId> pid = resolveEntry(staticIds, functions[i]);
-        if (pid.has_value()) {
-            target.push_back({*pid, regions != nullptr &&
-                                            (*regions)[i].tier == select::Tier::Sampled
-                                        ? xray::XRayRuntime::kSampledTier
-                                        : xray::XRayRuntime::kFullTier});
-        } else {
+        if (!pid.has_value()) {
             ++stats.requestedUnavailable;
+        } else if (regions != nullptr && (*regions)[i].tier == select::Tier::Sampled) {
+            target.push_back({{*pid, xray::XRayRuntime::kSampledTier}, &(*regions)[i].sampling});
+        } else {
+            target.push_back({{*pid, xray::XRayRuntime::kFullTier}});
         }
     }
-    std::stable_sort(target.begin(), target.end(), [](const Flip& a, const Flip& b) {
-        return a.function < b.function;
+    std::stable_sort(target.begin(), target.end(), [](const Target& a, const Target& b) {
+        return a.flip.function < b.flip.function;
     });
     // Unique from the back keeps each run's last entry, at the vector's end.
-    auto kept = std::unique(target.rbegin(), target.rend(), [](const Flip& a, const Flip& b) {
-        return a.function == b.function;
+    auto kept = std::unique(target.rbegin(), target.rend(), [](const Target& a, const Target& b) {
+        return a.flip.function == b.flip.function;
     });
     target.erase(target.begin(), kept.base());
+    return target;
+}
+
+DeltaStats DynCapi::applyTarget(const std::vector<Target>& target, DeltaStats stats) {
+    xray::XRayRuntime& xr = process_->xray();
 
     // The currently-patched set and its tiers are read from the runtime
     // itself, so state the previous policy never saw — a re-registered DSO
@@ -289,21 +288,22 @@ DeltaStats DynCapi::applyDelta(const std::vector<std::string>& functions,
     // correctly. Both lists ascend by packed id, so one merge splits them:
     // live only -> unpatch, requested only -> patch, both -> unchanged or a
     // zero-page retier request.
+    using Flip = xray::XRayRuntime::TieredFlip;
     std::vector<xray::PackedId> toUnpatch;
     std::vector<Flip> toRetier;
     std::vector<Flip> toPatch;
     auto wanted = target.begin();
     for (const auto& [pid, liveTag] : xr.patchedFunctionTiers()) {
-        for (; wanted != target.end() && wanted->function < pid; ++wanted) {
-            toPatch.push_back(*wanted);
+        for (; wanted != target.end() && wanted->flip.function < pid; ++wanted) {
+            toPatch.push_back(wanted->flip);
         }
-        if (wanted == target.end() || wanted->function != pid) {
+        if (wanted == target.end() || wanted->flip.function != pid) {
             toUnpatch.push_back(pid);
             continue;
         }
-        if (wanted->tierTag != liveTag) {
-            toRetier.push_back(*wanted);
-            if (wanted->tierTag == xray::XRayRuntime::kFullTier) {
+        if (wanted->flip.tierTag != liveTag) {
+            toRetier.push_back(wanted->flip);
+            if (wanted->flip.tierTag == xray::XRayRuntime::kFullTier) {
                 ++stats.functionsPromoted;
             } else {
                 ++stats.functionsDemoted;
@@ -313,7 +313,9 @@ DeltaStats DynCapi::applyDelta(const std::vector<std::string>& functions,
         }
         ++wanted;
     }
-    toPatch.insert(toPatch.end(), wanted, target.end());
+    for (; wanted != target.end(); ++wanted) {
+        toPatch.push_back(wanted->flip);
+    }
 
     xray::XRayRuntime::DeltaPatchStats patch =
         xr.patchDeltaTiered(toPatch, toUnpatch, toRetier);
@@ -324,46 +326,71 @@ DeltaStats DynCapi::applyDelta(const std::vector<std::string>& functions,
     stats.functionsUnpatched = toUnpatch.size() - patch.unavailableUnpatch;
     stats.requestedUnavailable += patch.unavailablePatch;
     stats.pagesTouched = patch.pagesMadeWritable;
-    stats.patchSeconds = timer.elapsedSec();
+
+    // Committed: the gates follow the target's Sampled pids.
+    std::vector<Gate> gates;
+    for (const Target& entry : target) {
+        if (entry.flip.tierTag == xray::XRayRuntime::kSampledTier) {
+            gates.emplace_back(entry.flip.function, *entry.sampling);
+        }
+    }
+    syncGates(gates_, gates);
+    gates_ = std::move(gates);
     return stats;
 }
 
-void DynCapi::commitGates(const select::InstrumentationPolicy* policy) {
-    sampledGates_.clear();
-    if (policy != nullptr) {
-        for (std::size_t i = 0; i < policy->functions.size(); ++i) {
-            const select::RegionPolicy& region = policy->regions[i];
-            if (region.tier == select::Tier::Sampled) {
-                sampledGates_.emplace_back(policy->functions[i], region.sampling);
-            }
-        }
-    }
-    syncGates();
-}
-
-void DynCapi::syncGates() {
+void DynCapi::syncGates(std::span<const Gate> from, std::span<const Gate> to) {
     if (cygBackend_ == nullptr || cygBackend_->adapter == nullptr) {
         return;
     }
     scorep::Measurement& measurement = cygBackend_->adapter->measurement();
-    measurement.clearAllSampling();
-    for (const auto& [name, sampling] : sampledGates_) {
+    auto write = [&](xray::PackedId pid, const select::SamplingSpec& sampling) {
         // Defining by name yields the same handle the adapter's resolver
         // produces for events of this function, so the gate and the events
-        // meet at one region.
-        scorep::RegionHandle handle = measurement.defineRegion(name);
-        measurement.setRegionSampling(handle, sampling.everyN, sampling.minIntervalNs);
+        // meet at one region. A hidden function's events reach no region.
+        std::optional<std::string_view> name = nameOf(pid);
+        if (name.has_value()) {
+            measurement.setRegionSampling(measurement.defineRegion(std::string(*name)),
+                                          sampling.everyN, sampling.minIntervalNs);
+        }
+    };
+    // Both lists ascend by pid: clear what left, arm what came or changed.
+    auto old = from.begin();
+    for (const auto& [pid, sampling] : to) {
+        for (; old != from.end() && old->first < pid; ++old) {
+            write(old->first, {});
+        }
+        if (old != from.end() && old->first == pid) {
+            if (old->second != sampling) {
+                write(pid, sampling);
+            }
+            ++old;
+        } else {
+            write(pid, sampling);
+        }
+    }
+    for (; old != from.end(); ++old) {
+        write(old->first, {});
     }
 }
 
 InitStats DynCapi::patchAll() {
     support::Timer timer;
-    xray::PatchStats patched = process_->xray().patchAll();
-    InitStats stats = startStats(timer.elapsedSec());
-    stats.patchedFunctions = sledded_;
-    stats.requestedFunctions = sledded_;
-    stats.pagesTouched = patched.pagesMadeWritable;
-    return stats;
+    DeltaStats stats;
+    std::vector<Target> target;
+    target.reserve(sledded_);
+    for (xray::ObjectId objectId = 0; objectId < addressByObject_.size(); ++objectId) {
+        const std::vector<std::uint64_t>& addresses = addressByObject_[objectId];
+        for (xray::FunctionId fid = 0; fid < addresses.size(); ++fid) {
+            if (addresses[fid] != 0) {
+                target.push_back({{xray::packId(objectId, fid), xray::XRayRuntime::kFullTier}});
+            }
+        }
+    }
+    stats.requestedFunctions = target.size();
+    stats = applyTarget(target, stats);
+    stats.patchSeconds = timer.elapsedSec();
+    return startStats(stats);
 }
 
 void DynCapi::attachCygHandler(scorep::CygProfileAdapter& adapter) {
@@ -372,10 +399,10 @@ void DynCapi::attachCygHandler(scorep::CygProfileAdapter& adapter) {
     cygBackend_->owner = this;
     cygBackend_->adapter = &adapter;
     process_->xray().setHandler(&CygBackend::handle, cygBackend_.get());
-    // A freshly attached measurement starts with empty gates; re-sync them
-    // from the live policy so Sampled regions stay sampled across per-epoch
-    // Measurement swaps.
-    syncGates();
+    // A freshly attached measurement starts with empty gates; arm the live
+    // policy's so Sampled regions stay sampled across per-epoch Measurement
+    // swaps.
+    syncGates({}, gates_);
 }
 
 void DynCapi::attachTalpHandler(talp::TalpRuntime& talp) {

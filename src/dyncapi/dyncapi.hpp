@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -94,6 +95,8 @@ public:
     /// the rolled-back xray::PatchError propagates out of this call *before*
     /// the sampling gates are updated — a failed apply commits nothing, and
     /// the gates still follow the live (last successfully applied) policy.
+    /// A committed apply writes only the gates whose pid changed its Sampled
+    /// state or spec, so an apply that changes nothing writes none.
     /// The adaptive controller relies on exactly this to retry or revert
     /// (see adapt::Controller).
     DeltaStats applyPolicyDelta(const select::InstrumentationPolicy& policy);
@@ -111,7 +114,9 @@ public:
     /// applyIcDelta reported as start-up figures, like applyPolicy.
     InitStats applyIc(const select::InstrumentationConfig& ic);
 
-    /// Patches every sled (the `xray full` configuration).
+    /// Patches every sled (the `xray full` configuration): the apply
+    /// transaction with every sledded function at the Full tier, so it also
+    /// promotes Sampled functions and clears their gates.
     InitStats patchAll();
 
     // --- name resolution ----------------------------------------------------
@@ -132,7 +137,9 @@ public:
     // --- measurement backends ----------------------------------------------
     /// GCC -finstrument-functions-compatible interface, which the Score-P
     /// backend uses too (pair it with a resolver built via symbol injection
-    /// to cover DSOs).
+    /// to cover DSOs). Arms the committed policy's sampling gates on the
+    /// adapter's measurement and clears none, so attach a measurement whose
+    /// gates are all clear, such as a fresh one per epoch.
     void attachCygHandler(scorep::CygProfileAdapter& adapter);
     /// TALP backend: entry/exit drive monitoring-region start/stop.
     void attachTalpHandler(talp::TalpRuntime& talp);
@@ -151,23 +158,42 @@ private:
     using StaticIds = select::StaticIdMap;
 
     void resolveAllObjects();
-    /// The resolution figures with the given patch time.
-    InitStats startStats(double patchSeconds) const;
     /// The resolution figures plus an apply transaction's outcome.
     InitStats startStats(const DeltaStats& delta) const;
     /// The static ID when the IC/policy carries one, else name resolution.
     std::optional<xray::PackedId> resolveEntry(const StaticIds& staticIds,
                                                std::string_view name) const;
-    /// The one apply path: diff and transaction; `regions` null = all Full.
+
+    /// One packed id of an apply's target: its requested tier and, when
+    /// Sampled, the gate spec of its policy entry (valid for the apply).
+    struct Target {
+        xray::XRayRuntime::TieredFlip flip;
+        const select::SamplingSpec* sampling = nullptr;
+    };
+    /// A Sampled pid's gate spec; gates are armed under nameOf(pid), the
+    /// region the cyg adapter files the function's events under.
+    using Gate = std::pair<xray::PackedId, select::SamplingSpec>;
+
+    /// Resolve, then applyTarget; `regions` null = all Full.
     DeltaStats applyDelta(const std::vector<std::string>& functions,
                           const std::vector<select::RegionPolicy>* regions,
                           const StaticIds& staticIds);
-    /// Records the policy's Sampled regions (none for null) and syncs gates.
-    void commitGates(const select::InstrumentationPolicy* policy);
-    /// Rewrites the attached measurement's sampling gates to match
-    /// sampledGates_ (no-op without a cyg/Score-P backend; TALP regions
-    /// carry no gate, their Sampled tier measures like Full).
-    void syncGates();
+    /// The entries resolved to packed ids, ascending and one per pid: a pid
+    /// named twice keeps its last entry. Counts the requested and the
+    /// unresolvable entries into `stats`.
+    std::vector<Target> resolveTarget(const std::vector<std::string>& functions,
+                                      const std::vector<select::RegionPolicy>* regions,
+                                      const StaticIds& staticIds,
+                                      DeltaStats& stats) const;
+    /// The one apply path: diffs the target against the live sled and tier
+    /// state, runs the transaction, and only once it committed moves the
+    /// gates to the target's Sampled entries. Leaves patchSeconds to the
+    /// caller, which times the whole apply.
+    DeltaStats applyTarget(const std::vector<Target>& target, DeltaStats stats);
+    /// Writes, on the attached measurement, the gates that differ between
+    /// two ascending gate lists (no-op without a cyg/Score-P backend; TALP
+    /// regions carry no gate, their Sampled tier measures like Full).
+    void syncGates(std::span<const Gate> from, std::span<const Gate> to);
 
     binsim::Process* process_;
     /// addressByObject_[objectId][localFid] = runtime entry address (0 = none).
@@ -186,10 +212,11 @@ private:
     std::unique_ptr<CygBackend> cygBackend_;
     std::unique_ptr<TalpBackend> talpBackend_;
 
-    /// The live policy's Sampled regions with their gate specs, in policy
-    /// order — all a freshly attached backend needs re-armed. Patch state
-    /// itself is always read back from the runtime, never cached here.
-    std::vector<std::pair<std::string, select::SamplingSpec>> sampledGates_;
+    /// The gates of the last committed target's Sampled pids, ascending:
+    /// what the attached measurement's gates hold, and all a freshly
+    /// attached one needs armed. Patch state itself is always read back
+    /// from the runtime, never cached here.
+    std::vector<Gate> gates_;
 };
 
 }  // namespace capi::dyncapi

@@ -221,21 +221,6 @@ void Measurement::setRegionSampling(RegionHandle handle, std::uint32_t everyN,
     }
 }
 
-void Measurement::clearAllSampling() {
-    std::lock_guard<std::mutex> lock(regionMutex_);
-    for (std::size_t chunk = 0; chunk < kMaxRegionChunks; ++chunk) {
-        std::atomic<std::uint64_t>* cells =
-            samplingChunks_[chunk].load(std::memory_order_relaxed);
-        if (cells == nullptr) {
-            continue;
-        }
-        for (std::size_t i = 0; i < kRegionChunkSize; ++i) {
-            cells[i].store(0, std::memory_order_relaxed);
-        }
-    }
-    samplingRegions_.store(0, std::memory_order_release);
-}
-
 std::pair<std::uint32_t, std::uint64_t> Measurement::regionSampling(
     RegionHandle handle) const {
     if (handle >= publishedRegions_.load(std::memory_order_acquire)) {

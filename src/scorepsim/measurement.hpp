@@ -217,7 +217,6 @@ public:
     void clearRegionSampling(RegionHandle handle) {
         setRegionSampling(handle, 1, 0);
     }
-    void clearAllSampling();
 
     /// The live gate spec of a region (everyN, minIntervalNs); (1, 0) when
     /// unsampled.

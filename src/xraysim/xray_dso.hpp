@@ -32,7 +32,9 @@ inline std::optional<DsoHandle> dsoRegister(XRayRuntime& runtime,
     return DsoHandle{*id};
 }
 
-/// Deregisters a DSO on dlclose; its sleds are unpatched first.
+/// Deregisters a DSO on dlclose; its sleds are unpatched first, in one
+/// transaction. A fault there throws the rolled-back PatchError and the DSO
+/// stays registered, so dlclose fails as a whole or not at all.
 inline bool dsoUnregister(XRayRuntime& runtime, DsoHandle handle) {
     return runtime.unregisterDso(handle.objectId);
 }

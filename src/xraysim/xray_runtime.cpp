@@ -26,9 +26,8 @@ void XRayRuntime::validateRegistration(const ObjectRegistration& registration) c
     }
 }
 
-XRayRuntime::ObjectRecord XRayRuntime::makeRecord(
-    ObjectRegistration&& registration) const {
-    ObjectRecord record;
+void XRayRuntime::installRecord(ObjectId id, ObjectRegistration&& registration) {
+    ObjectRecord& record = objects_[id];
     record.inUse = true;
     record.name = std::move(registration.name);
     record.linkBase = registration.linkBase;
@@ -41,28 +40,16 @@ XRayRuntime::ObjectRecord XRayRuntime::makeRecord(
     }
     record.tierOfFunction.assign(record.sleds.functionCount(), kFullTier);
     record.patched = support::DynamicBitset(record.sleds.functionCount());
-    return record;
-}
-
-void XRayRuntime::initializeSleds(const ObjectRecord& obj) {
     // Loading maps the object's text segment, whose sled locations contain
-    // the NOP sequences emitted at compile time. Model that by seeding the
-    // cells before the pages are sealed execute-only.
-    if (obj.sleds.empty()) {
-        return;
+    // the NOP sequences emitted at compile time. Model that by unpatching
+    // every sled in one transaction, so a fault mid-load rolls back like
+    // any other flip.
+    try {
+        flipObjects(id, /*patch=*/false);
+    } catch (const PatchError&) {
+        record = ObjectRecord{};
+        throw;
     }
-    std::uint64_t lo = UINT64_MAX;
-    std::uint64_t hi = 0;
-    for (const SledEntry& sled : obj.sleds.sleds) {
-        std::uint64_t addr = runtimeAddress(obj, sled.address);
-        lo = std::min(lo, addr);
-        hi = std::max(hi, addr + kSledBytes);
-    }
-    memory_->mprotect(lo, hi - lo, /*writable=*/true);
-    for (const SledEntry& sled : obj.sleds.sleds) {
-        memory_->write(runtimeAddress(obj, sled.address), CodeCell{Instr::NopSled, 0});
-    }
-    memory_->mprotect(lo, hi - lo, /*writable=*/false);
 }
 
 ObjectId XRayRuntime::registerMainExecutable(ObjectRegistration registration) {
@@ -71,8 +58,7 @@ ObjectId XRayRuntime::registerMainExecutable(ObjectRegistration registration) {
         throw support::Error("XRay: main executable already registered");
     }
     validateRegistration(registration);
-    objects_[kMainExecutableObjectId] = makeRecord(std::move(registration));
-    initializeSleds(objects_[kMainExecutableObjectId]);
+    installRecord(kMainExecutableObjectId, std::move(registration));
     mainRegistered_ = true;
     return kMainExecutableObjectId;
 }
@@ -85,8 +71,7 @@ std::optional<ObjectId> XRayRuntime::registerDso(ObjectRegistration registration
     validateRegistration(registration);
     for (ObjectId id = 1; id <= kMaxObjectId; ++id) {
         if (!objects_[id].inUse) {
-            objects_[id] = makeRecord(std::move(registration));
-            initializeSleds(objects_[id]);
+            installRecord(id, std::move(registration));
             return id;
         }
     }
@@ -98,7 +83,7 @@ bool XRayRuntime::unregisterDso(ObjectId id) {
     if (id == kMainExecutableObjectId || id > kMaxObjectId || !objects_[id].inUse) {
         return false;
     }
-    applyToObject(objects_[id], id, /*patch=*/false);
+    flipObjects(id, /*patch=*/false);  // A fault throws before the record goes.
     objects_[id] = ObjectRecord{};
     return true;
 }
@@ -147,33 +132,27 @@ const XRayRuntime::ObjectRecord* XRayRuntime::sleddedObject(PackedId function) c
     return obj;
 }
 
-void XRayRuntime::writeSled(ObjectRecord& obj, ObjectId id,
-                            const SledEntry& sled, bool patch) {
+namespace {
+
+/// The cell a sled holds patched (a jump carrying the packed id) or
+/// unpatched (the NOP sequence).
+CodeCell sledCell(ObjectId id, const SledEntry& sled, bool patch) {
+    if (!patch) {
+        return {Instr::NopSled, 0};
+    }
     CodeCell cell;
-    if (patch) {
-        switch (sled.kind) {
-            case SledKind::FunctionEnter: cell.instr = Instr::JmpEntryTrampoline; break;
-            case SledKind::FunctionExit: cell.instr = Instr::JmpExitTrampoline; break;
-            case SledKind::TailCallExit: cell.instr = Instr::JmpTailTrampoline; break;
-        }
-        // The patched sled materializes the packed ID as an immediate, like
-        // the real `mov r10d, <id>` sequence.
-        cell.operand = packId(id, sled.function);
-    } else {
-        cell.instr = Instr::NopSled;
-        cell.operand = 0;
+    switch (sled.kind) {
+        case SledKind::FunctionEnter: cell.instr = Instr::JmpEntryTrampoline; break;
+        case SledKind::FunctionExit: cell.instr = Instr::JmpExitTrampoline; break;
+        case SledKind::TailCallExit: cell.instr = Instr::JmpTailTrampoline; break;
     }
-    memory_->write(runtimeAddress(obj, sled.address), cell);
-    // The first sled's cell speaks for the function (functionPatched); the
-    // bit follows it only once the write went through.
-    if (&sled == &obj.sleds.sleds[obj.sledsOfFunction[sled.function].front()]) {
-        if (patch) {
-            obj.patched.set(sled.function);
-        } else {
-            obj.patched.reset(sled.function);
-        }
-    }
+    // The patched sled materializes the packed ID as an immediate, like
+    // the real `mov r10d, <id>` sequence.
+    cell.operand = packId(id, sled.function);
+    return cell;
 }
+
+}  // namespace
 
 void XRayRuntime::syncPatchedBit(ObjectRecord& obj, FunctionId function) {
     const SledEntry& first = obj.sleds.sleds[obj.sledsOfFunction[function].front()];
@@ -184,83 +163,51 @@ void XRayRuntime::syncPatchedBit(ObjectRecord& obj, FunctionId function) {
     }
 }
 
-PatchStats XRayRuntime::applyToObject(ObjectRecord& obj, ObjectId id, bool patch) {
-    PatchStats stats;
-    if (obj.sleds.empty()) {
-        return stats;
-    }
-    // The binary whole-object paths know nothing of tiers: everything they
-    // patch is Full, everything they unpatch resets its tag.
-    std::fill(obj.tierOfFunction.begin(), obj.tierOfFunction.end(), kFullTier);
-
-    // Like the real runtime: compute the page span containing all sleds and
-    // flip its protection once, rather than per sled.
-    std::uint64_t lo = UINT64_MAX;
-    std::uint64_t hi = 0;
-    for (const SledEntry& sled : obj.sleds.sleds) {
-        std::uint64_t addr = runtimeAddress(obj, sled.address);
-        lo = std::min(lo, addr);
-        hi = std::max(hi, addr + kSledBytes);
-    }
-    std::uint64_t writableBefore = memory_->pagesMadeWritable();
-    memory_->mprotect(lo, hi - lo, /*writable=*/true);
-
-    for (const SledEntry& sled : obj.sleds.sleds) {
-        writeSled(obj, id, sled, patch);
-        if (patch) {
-            ++stats.sledsPatched;
-        } else {
-            ++stats.sledsUnpatched;
+PatchStats XRayRuntime::flipObjects(std::optional<ObjectId> object, bool patch) {
+    std::vector<TieredFlip> toPatch;
+    std::vector<PackedId> toUnpatch;
+    const ObjectId last = object.value_or(kMaxObjectId);
+    for (ObjectId id = object.value_or(0); id <= last; ++id) {
+        const ObjectRecord& obj = objects_[id];
+        if (!obj.inUse) continue;
+        for (FunctionId fnId = 0; fnId < obj.sledsOfFunction.size(); ++fnId) {
+            if (obj.sledsOfFunction[fnId].empty()) continue;
+            if (patch) {
+                toPatch.push_back({packId(id, fnId), kFullTier});
+            } else {
+                toUnpatch.push_back(packId(id, fnId));
+            }
         }
     }
-
-    memory_->mprotect(lo, hi - lo, /*writable=*/false);
-    stats.pagesMadeWritable = memory_->pagesMadeWritable() - writableBefore;
-    return stats;
+    return patchDeltaLocked(toPatch, toUnpatch, {});
 }
 
 PatchStats XRayRuntime::patchAll() {
     std::lock_guard<std::mutex> lock(mutex_);
-    PatchStats total;
-    for (ObjectId id = 0; id <= kMaxObjectId; ++id) {
-        if (!objects_[id].inUse) continue;
-        PatchStats s = applyToObject(objects_[id], id, /*patch=*/true);
-        total.sledsPatched += s.sledsPatched;
-        total.pagesMadeWritable += s.pagesMadeWritable;
-    }
-    return total;
+    return flipObjects(std::nullopt, /*patch=*/true);
 }
 
 PatchStats XRayRuntime::unpatchAll() {
     std::lock_guard<std::mutex> lock(mutex_);
-    PatchStats total;
-    for (ObjectId id = 0; id <= kMaxObjectId; ++id) {
-        if (!objects_[id].inUse) continue;
-        PatchStats s = applyToObject(objects_[id], id, /*patch=*/false);
-        total.sledsUnpatched += s.sledsUnpatched;
-        total.pagesMadeWritable += s.pagesMadeWritable;
-    }
-    return total;
+    return flipObjects(std::nullopt, /*patch=*/false);
 }
 
 PatchStats XRayRuntime::patchObject(ObjectId id) {
     std::lock_guard<std::mutex> lock(mutex_);
-    const ObjectRecord* obj = findObject(id);
-    if (obj == nullptr) {
+    if (findObject(id) == nullptr) {
         throw support::Error("XRay: patchObject on unregistered object " +
                              std::to_string(id));
     }
-    return applyToObject(objects_[id], id, /*patch=*/true);
+    return flipObjects(id, /*patch=*/true);
 }
 
 PatchStats XRayRuntime::unpatchObject(ObjectId id) {
     std::lock_guard<std::mutex> lock(mutex_);
-    const ObjectRecord* obj = findObject(id);
-    if (obj == nullptr) {
+    if (findObject(id) == nullptr) {
         throw support::Error("XRay: unpatchObject on unregistered object " +
                              std::to_string(id));
     }
-    return applyToObject(objects_[id], id, /*patch=*/false);
+    return flipObjects(id, /*patch=*/false);
 }
 
 bool XRayRuntime::patchFunction(PackedId function) {
@@ -319,6 +266,12 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
     std::span<const TieredFlip> toPatch, std::span<const PackedId> toUnpatch,
     std::span<const TieredFlip> toRetier) {
     std::lock_guard<std::mutex> lock(mutex_);
+    return patchDeltaLocked(toPatch, toUnpatch, toRetier);
+}
+
+XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaLocked(
+    std::span<const TieredFlip> toPatch, std::span<const PackedId> toUnpatch,
+    std::span<const TieredFlip> toRetier) {
     DeltaPatchStats stats;
 
     // The span covers the whole transaction and is recorded even when the
@@ -386,8 +339,8 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
             // Coalesce the affected sleds' byte spans into contiguous page
             // runs, so a dense cluster of changed functions costs one
             // protection flip while distant stragglers do not drag whole
-            // untouched ranges along (which is exactly what applyToObject's
-            // single lo..hi span does).
+            // untouched ranges along; a whole-object pass gets the pages
+            // holding a sled, never more than its lo..hi span.
             spans.clear();
             for (const Flip& flip : objectFlips) {
                 for (std::uint32_t sledIndex :
@@ -398,7 +351,9 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
                                        (addr + kSledBytes - 1) / kPageSize);
                 }
             }
-            std::sort(spans.begin(), spans.end());
+            if (!std::is_sorted(spans.begin(), spans.end())) {
+                std::sort(spans.begin(), spans.end());
+            }
             runs.clear();
             for (const auto& [first, last] : spans) {
                 if (!runs.empty() && first <= runs.back().second + 1) {
@@ -421,12 +376,17 @@ XRayRuntime::DeltaPatchStats XRayRuntime::patchDeltaTiered(
                     const SledEntry& sled = obj.sleds.sleds[sledIndex];
                     std::uint64_t addr = runtimeAddress(obj, sled.address);
                     cellUndo.push_back({addr, memory_->read(addr)});
-                    writeSled(obj, objId, sled, flip.patch);
-                    if (flip.patch) {
-                        ++stats.sledsPatched;
-                    } else {
-                        ++stats.sledsUnpatched;
-                    }
+                    memory_->write(addr, sledCell(objId, sled, flip.patch));
+                }
+                (flip.patch ? stats.sledsPatched : stats.sledsUnpatched) +=
+                    obj.sledsOfFunction[fnId].size();
+                // The first sled's cell speaks for the function
+                // (functionPatched); the bit follows the cells once all of
+                // them went through, and rollback re-reads it from them.
+                if (flip.patch) {
+                    obj.patched.set(fnId);
+                } else {
+                    obj.patched.reset(fnId);
                 }
                 tierUndo.push_back({objId, fnId, obj.tierOfFunction[fnId]});
                 obj.tierOfFunction[fnId] = flip.patch ? flip.tierTag : kFullTier;

@@ -86,15 +86,23 @@ public:
     // --- object registry ----------------------------------------------------
 
     /// Registers the main executable as object 0. Must be called first.
+    /// Loading seeds every sled with its NOP bytes in one unpatch
+    /// transaction; a fault there throws the rolled-back PatchError and
+    /// leaves the object unregistered.
     ObjectId registerMainExecutable(ObjectRegistration registration);
 
     /// Registers a DSO; returns std::nullopt when all 255 DSO slots are in
     /// use. Throws support::Error if the object's function-ID space exceeds
-    /// 2^24 or the main executable is not registered yet.
+    /// 2^24 or the main executable is not registered yet, and PatchError,
+    /// with the slot still free, if seeding the sleds faults.
     std::optional<ObjectId> registerDso(ObjectRegistration registration);
 
     /// Unpatches and removes a DSO; its object ID becomes reusable.
-    /// Returns false for unknown/not-in-use ids or object 0.
+    /// Returns false for unknown/not-in-use ids or object 0. The unpatch is
+    /// one patchDeltaTiered transaction run under the registry lock, and
+    /// the record is freed only once it committed: a fault throws the
+    /// rolled-back PatchError with the DSO still registered and its sleds,
+    /// tier tags and pages bit-identical to before the call.
     bool unregisterDso(ObjectId id);
 
     bool objectRegistered(ObjectId id) const;
@@ -104,8 +112,10 @@ public:
 
     // --- patching -----------------------------------------------------------
 
-    /// Whole-object passes (the `xray full` configuration): every sled of
-    /// the object(s) is rewritten under one protection span per object.
+    /// Whole-object passes (the `xray full` configuration): one
+    /// patchDeltaTiered transaction whose flip list holds every sledded
+    /// function of the object(s), patched at kFullTier or unpatched. They
+    /// share its page-run coalescing and its all-or-nothing PatchError.
     PatchStats patchAll();
     PatchStats unpatchAll();
     PatchStats patchObject(ObjectId id);
@@ -210,7 +220,7 @@ private:
         /// inherits a predecessor's tiers.
         std::vector<std::uint8_t> tierOfFunction;
         /// Bit per local function id: its first sled's cell is patched.
-        /// Written with that cell (writeSled) and re-read from the cells on
+        /// Written once the function's cells are, re-read from the cells on
         /// rollback; zeroed on (re-)registration like the tier tags.
         support::DynamicBitset patched;
     };
@@ -220,13 +230,17 @@ private:
     }
 
     void validateRegistration(const ObjectRegistration& registration) const;
-    ObjectRecord makeRecord(ObjectRegistration&& registration) const;
-    void initializeSleds(const ObjectRecord& obj);
-    PatchStats applyToObject(ObjectRecord& obj, ObjectId id, bool patch);
-    /// Rewrites one sled cell; writing a function's first sled also updates
-    /// its bit in obj.patched. `sled` must be an element of obj.sleds.sleds.
-    void writeSled(ObjectRecord& obj, ObjectId id, const SledEntry& sled,
-                   bool patch);
+    /// Installs the record in slot `id` and seeds its sleds with NOPs; on a
+    /// fault the slot is freed again and the PatchError propagates.
+    void installRecord(ObjectId id, ObjectRegistration&& registration);
+    /// patchDeltaTiered's body; the caller holds mutex_.
+    DeltaPatchStats patchDeltaLocked(std::span<const TieredFlip> toPatch,
+                                     std::span<const PackedId> toUnpatch,
+                                     std::span<const TieredFlip> toRetier);
+    /// Patches (at kFullTier) or unpatches every sledded function of
+    /// `object`, or of every registered object when it is nullopt, in one
+    /// patchDeltaLocked transaction; the caller holds mutex_.
+    PatchStats flipObjects(std::optional<ObjectId> object, bool patch);
     /// Re-reads the function's patched bit from its first sled's cell.
     void syncPatchedBit(ObjectRecord& obj, FunctionId function);
     template <typename Fn>

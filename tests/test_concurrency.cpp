@@ -175,7 +175,7 @@ TEST(Concurrency, SamplingSpecSwapDuringEvents) {
     for (std::thread& t : workers) {
         t.join();
     }
-    m.clearAllSampling();
+    m.clearRegionSampling(region);
 
     ProfileTree merged = m.mergedProfile();
     std::uint64_t suppressed = 0;

@@ -20,6 +20,7 @@
 #include "mpisim/mpi_world.hpp"
 #include "scorepsim/cyg_adapter.hpp"
 #include "talpsim/talp.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -189,26 +190,113 @@ TEST(DynCapi, EveryApplyKeepsTheLastTierOfAPidNamedTwice) {
     policy.setRegion("alias", {select::Tier::Full, {}});
     policy.staticIds["alias"] = amul;
 
+    // With a Score-P backend on each, the gate follows the winning tier
+    // too: Amul's is not armed, since its pid ended Full.
+    scorep::Measurement measurement;
+    scorep::Measurement twinMeasurement;
+    scorep::CygProfileAdapter adapter(
+        measurement, scorep::SymbolResolver::withSymbolInjection(process));
+    scorep::CygProfileAdapter twinAdapter(
+        twinMeasurement, scorep::SymbolResolver::withSymbolInjection(twin));
+    dyn.attachCygHandler(adapter);
+    twinDyn.attachCygHandler(twinAdapter);
+
     dyncapi::InitStats init = dyn.applyPolicy(policy);
     EXPECT_EQ(init.patchedFunctions, 1u);
     EXPECT_EQ(process.xray().functionTierTag(amul), xray::XRayRuntime::kFullTier);
+    testutil::expectGatesFollowTiers(dyn, process.xray(), measurement, policy);
 
     dyncapi::DeltaStats again = dyn.applyPolicyDelta(policy);
     EXPECT_EQ(again.functionsUnchanged, 1u);
     EXPECT_EQ(process.xray().functionTierTag(amul), xray::XRayRuntime::kFullTier);
+    testutil::expectGatesFollowTiers(dyn, process.xray(), measurement, policy);
 
     twinDyn.applyPolicyDelta(policy);
     EXPECT_EQ(twin.xray().functionTierTag(amul), xray::XRayRuntime::kFullTier);
     EXPECT_EQ(process.xray().patchedFunctionTiers(), twin.xray().patchedFunctionTiers());
+    testutil::expectGatesFollowTiers(twinDyn, twin.xray(), twinMeasurement, policy);
+
+    // The reverse order ("Aalias" sorts first, so Amul's Sampled entry is
+    // the last) arms the gate with Amul's spec.
+    select::InstrumentationPolicy reversed;
+    reversed.setRegion("Amul", {select::Tier::Sampled, {8, 0}});
+    reversed.setRegion("Aalias", {select::Tier::Full, {}});
+    reversed.staticIds["Aalias"] = amul;
+    dyn.applyPolicyDelta(reversed);
+    EXPECT_EQ(process.xray().functionTierTag(amul), xray::XRayRuntime::kSampledTier);
+    testutil::expectGatesFollowTiers(dyn, process.xray(), measurement, reversed);
+}
+
+TEST(DynCapi, AnApplyWritesOnlyTheGatesThatChanged) {
+    Process process(compile(testModel(), lowThreshold()));
+    dyncapi::DynCapi dyn(process);
+    scorep::Measurement measurement;
+    scorep::CygProfileAdapter adapter(
+        measurement, scorep::SymbolResolver::withSymbolInjection(process));
+    dyn.attachCygHandler(adapter);
+    const scorep::RegionHandle amul = measurement.defineRegion("Amul");
+    const scorep::RegionHandle solve = measurement.defineRegion("solve");
+    select::InstrumentationPolicy policy;
+    policy.setRegion("Amul", {select::Tier::Sampled, {8, 0}});
+    policy.setRegion("solve", {select::Tier::Sampled, {64, 0}});
+    dyn.applyPolicy(policy);
+    EXPECT_EQ(measurement.regionSampling(amul).first, 8u);
+    EXPECT_EQ(measurement.regionSampling(solve).first, 64u);
+
+    // Mark both gates behind DynCapi's back: an apply that changes nothing
+    // writes no gate, so the marks survive it.
+    measurement.clearRegionSampling(amul);
+    measurement.clearRegionSampling(solve);
+    dyn.applyPolicyDelta(policy);
+    EXPECT_EQ(measurement.regionSampling(amul).first, 1u);
+    EXPECT_EQ(measurement.regionSampling(solve).first, 1u);
+
+    // A new spec for Amul rewrites Amul's gate only.
+    policy.setRegion("Amul", {select::Tier::Sampled, {16, 0}});
+    dyn.applyPolicyDelta(policy);
+    EXPECT_EQ(measurement.regionSampling(amul).first, 16u);
+    EXPECT_EQ(measurement.regionSampling(solve).first, 1u);
+
+    // A fresh measurement gets the whole list armed on attach.
+    scorep::Measurement next;
+    scorep::CygProfileAdapter nextAdapter(
+        next, scorep::SymbolResolver::withSymbolInjection(process));
+    dyn.attachCygHandler(nextAdapter);
+    testutil::expectGatesFollowTiers(dyn, process.xray(), next, policy);
+    EXPECT_EQ(next.regionSampling(next.defineRegion("solve")).first, 64u);
 }
 
 TEST(DynCapi, PatchAllMatchesSleddedCount) {
-    Process process(compile(testModel(), lowThreshold()));
-    dyncapi::DynCapi dyn(process);
-    dyncapi::InitStats stats = dyn.patchAll();
-    // main, solve, Amul, hidden initializer have sleds (tiny inlined away).
-    EXPECT_EQ(stats.patchedFunctions, 4u);
-    EXPECT_EQ(process.xray().patchedSledCount(), 8u);
+    // From a fresh process, and after a policy left Amul Sampled (1 in 8)
+    // with a Score-P backend attached: patchAll ends every tier Full and
+    // clears the gate.
+    for (bool sampledFirst : {false, true}) {
+        SCOPED_TRACE(sampledFirst ? "after a Sampled policy" : "fresh");
+        Process process(compile(testModel(), lowThreshold()));
+        dyncapi::DynCapi dyn(process);
+        scorep::Measurement measurement;
+        scorep::CygProfileAdapter adapter(
+            measurement, scorep::SymbolResolver::withSymbolInjection(process));
+        dyn.attachCygHandler(adapter);
+        const xray::PackedId amul = *dyn.resolveName("Amul");
+        const scorep::RegionHandle amulRegion = measurement.defineRegion("Amul");
+        if (sampledFirst) {
+            select::InstrumentationPolicy policy;
+            policy.setRegion("Amul", {select::Tier::Sampled, {8, 0}});
+            dyn.applyPolicy(policy);
+            ASSERT_EQ(process.xray().functionTierTag(amul), xray::XRayRuntime::kSampledTier);
+            ASSERT_EQ(measurement.regionSampling(amulRegion).first, 8u);
+        }
+
+        dyncapi::InitStats stats = dyn.patchAll();
+        // main, solve, Amul, hidden initializer have sleds (tiny inlined away).
+        EXPECT_EQ(stats.patchedFunctions, 4u);
+        EXPECT_EQ(stats.requestedFunctions, 4u);
+        EXPECT_EQ(process.xray().patchedSledCount(), 8u);
+        EXPECT_EQ(process.xray().functionTierTag(amul), xray::XRayRuntime::kFullTier);
+        EXPECT_EQ(measurement.regionSampling(amulRegion),
+                  (std::pair<std::uint32_t, std::uint64_t>{1, 0}));
+    }
 }
 
 TEST(DynCapi, CygBackendProducesProfile) {

@@ -1,7 +1,9 @@
 // Fault-injection framework + self-healing tests: deterministic seed-driven
 // fault schedules, bounded jittered backoff, the transactional
-// patchDeltaTiered rollback property (sled and tier state is
-// never torn, every injected failure is reported exactly once), and the
+// patchDeltaTiered rollback property over every writer of sled state —
+// policy applies, whole-object passes, dlclose and dlopen (sled, tier and
+// page state is never torn, every injected failure is reported exactly
+// once), and the
 // adaptive controller's retry / revert-to-last-good / overhead-kill-switch
 // state machine, including a randomized fault-storm soak.
 //
@@ -253,13 +255,33 @@ protected:
     void TearDown() override { fault::disarmAll(); }
 };
 
-/// The tentpole property: random fault schedules over random tiered patch
-/// sequences (including a mid-sequence dlclose/dlopen) must NEVER leave torn
-/// state — after every transaction, failed or not, the faulty process is
-/// bit-identical in sleds AND tier tags to a fault-free reference — and
-/// every injected failure surfaces as exactly one PatchError. Rounds
-/// alternate between applyPolicy (from the first apply on the fresh
-/// process on) and applyPolicyDelta: both entry points carry the contract.
+/// No code page is left writable: every transaction, committed or rolled
+/// back, seals the page runs it opened.
+void expectAllPagesSealed(Process& process) {
+    xray::CodeMemory& memory = process.memory();
+    for (std::uint64_t page = 0; page < memory.sizeBytes(); page += xray::kPageSize) {
+        ASSERT_FALSE(memory.pageWritable(page)) << "page at " << page;
+    }
+}
+
+void expectSameState(Process& faulty, Process& reference) {
+    ASSERT_NO_FATAL_FAILURE(expectSameSledState(faulty, reference));
+    ASSERT_EQ(faulty.xray().patchedFunctionTiers(),
+              reference.xray().patchedFunctionTiers());
+    ASSERT_NO_FATAL_FAILURE(expectAllPagesSealed(faulty));
+    ASSERT_NO_FATAL_FAILURE(expectAllPagesSealed(reference));
+}
+
+/// The transactional property: random fault schedules over random tiered
+/// patch sequences must NEVER leave torn state — after every operation,
+/// failed or not, the faulty process is bit-identical in sleds, tier tags
+/// and page protections to a fault-free reference — and every injected
+/// failure surfaces as exactly one PatchError. Each round arms one fault
+/// over all of its operations: the DSO lifecycle (dlclose in round 10,
+/// dlopen in round 20), a whole-object pass in every fourth round
+/// (xray().patchAll, unpatchAll or patchObject), then a policy apply that
+/// alternates between applyPolicy and applyPolicyDelta. After each round
+/// the sampling gates of both processes follow their tiers.
 TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
     constexpr std::uint32_t kPerObject = 40;
     constexpr std::size_t kRounds = 30;
@@ -273,6 +295,15 @@ TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
     Process referenceProcess(compiled);
     dyncapi::DynCapi faultyDyn(faultyProcess);
     dyncapi::DynCapi referenceDyn(referenceProcess);
+    scorep::Measurement faultyMeasurement;
+    scorep::Measurement referenceMeasurement;
+    scorep::CygProfileAdapter faultyAdapter(
+        faultyMeasurement, scorep::SymbolResolver::withSymbolInjection(faultyProcess));
+    scorep::CygProfileAdapter referenceAdapter(
+        referenceMeasurement,
+        scorep::SymbolResolver::withSymbolInjection(referenceProcess));
+    faultyDyn.attachCygHandler(faultyAdapter);
+    referenceDyn.attachCygHandler(referenceAdapter);
 
     std::vector<std::string> names;
     for (const AppFunction& fn : model.functions) {
@@ -280,27 +311,16 @@ TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
     }
 
     support::SplitMix64 rng(seed);
-    std::size_t failedRounds = 0;
-    std::size_t cleanRounds = 0;
+    std::size_t failedSteps = 0;
+    std::size_t cleanSteps = 0;
     for (std::size_t round = 0; round < kRounds; ++round) {
-        // DSO lifecycle mid-sequence, with sites disarmed: the lifecycle's
-        // own unpatching is not part of the transaction under test.
-        if (round == 10) {
-            ASSERT_TRUE(faultyProcess.dlcloseDso(0));
-            ASSERT_TRUE(referenceProcess.dlcloseDso(0));
-        }
-        if (round == 20) {
-            ASSERT_TRUE(faultyProcess.dlopenDso(0));
-            ASSERT_TRUE(referenceProcess.dlopenDso(0));
-        }
-
         select::InstrumentationPolicy policy =
             randomTieredPolicy(names, rng, round);
 
         // One deterministic fault position per round, swept over the whole
-        // transaction by afterHits: early rounds hit the first mprotect or
-        // sled write, later positions land mid-run, past-the-end positions
-        // leave the round fault-free.
+        // round by afterHits: early positions hit the first mprotect or sled
+        // write, later ones land mid-run or in a later operation, and
+        // past-the-end positions leave the round fault-free.
         const char* site = rng.nextBool(0.5) ? fault::sites::kXrayMprotect
                                              : fault::sites::kXraySledWrite;
         fault::FaultSpec spec;
@@ -309,53 +329,93 @@ TEST_P(FaultScheduleProperty, RollbackLeavesNoTornStateEver) {
         spec.maxFires = 1;
         fault::arm(site, spec, seed + round);
 
-        auto apply = [&] {
-            if (round % 2 == 0) {
-                faultyDyn.applyPolicy(policy);
-            } else {
-                faultyDyn.applyPolicyDelta(policy);
+        // Runs one operation on the faulty process, then on the fault-free
+        // reference.
+        // A fire must surface as exactly one PatchError with the faulty
+        // process still equal to the reference, which has not run it yet,
+        // and the retry (fault-free: the site fires at most once) succeeds.
+        auto step = [&](const char* what, const auto& onFaulty, const auto& onReference) {
+            SCOPED_TRACE(testing::Message() << "round " << round << ": " << what);
+            const std::uint64_t firesBefore = fault::stats(site).fires;
+            bool threw = false;
+            try {
+                onFaulty();
+            } catch (const xray::PatchError&) {
+                threw = true;
             }
+            const std::uint64_t fires = fault::stats(site).fires - firesBefore;
+            ASSERT_LE(fires, 1u);
+            ASSERT_EQ(fires == 1, threw);
+            if (threw) {
+                ++failedSteps;
+                ASSERT_NO_FATAL_FAILURE(expectSameState(faultyProcess, referenceProcess))
+                    << "torn state after rollback";
+                ASSERT_NO_THROW(onFaulty());
+            } else {
+                ++cleanSteps;
+            }
+            {
+                // Sites are process-wide: hide them from the fault-free twin.
+                fault::SuppressFaults suppress;
+                onReference();
+            }
+            ASSERT_NO_FATAL_FAILURE(expectSameState(faultyProcess, referenceProcess));
         };
-        bool threw = false;
-        try {
-            apply();
-        } catch (const xray::PatchError&) {
-            threw = true;
+
+        if (round == 10) {
+            ASSERT_NO_FATAL_FAILURE(step(
+                "dlclose", [&] { ASSERT_TRUE(faultyProcess.dlcloseDso(0)); },
+                [&] { ASSERT_TRUE(referenceProcess.dlcloseDso(0)); }));
         }
-        const std::uint64_t fires = fault::stats(site).fires;
+        if (round == 20) {
+            ASSERT_NO_FATAL_FAILURE(step(
+                "dlopen", [&] { ASSERT_TRUE(faultyProcess.dlopenDso(0)); },
+                [&] { ASSERT_TRUE(referenceProcess.dlopenDso(0)); }));
+        }
+        if (round % 4 == 3) {
+            // libb.so stays loaded throughout; both processes registered
+            // their objects in the same order, so its object id is shared.
+            const xray::ObjectId libb = *faultyProcess.xrayObjectId(1);
+            switch (round / 4 % 3) {
+                case 0:
+                    ASSERT_NO_FATAL_FAILURE(
+                        step("patchAll", [&] { faultyProcess.xray().patchAll(); },
+                             [&] { referenceProcess.xray().patchAll(); }));
+                    break;
+                case 1:
+                    ASSERT_NO_FATAL_FAILURE(
+                        step("unpatchAll", [&] { faultyProcess.xray().unpatchAll(); },
+                             [&] { referenceProcess.xray().unpatchAll(); }));
+                    break;
+                default:
+                    ASSERT_NO_FATAL_FAILURE(step(
+                        "patchObject", [&] { faultyProcess.xray().patchObject(libb); },
+                        [&] { referenceProcess.xray().patchObject(libb); }));
+                    break;
+            }
+        }
+        ASSERT_NO_FATAL_FAILURE(step(
+            "apply",
+            [&] {
+                if (round % 2 == 0) {
+                    faultyDyn.applyPolicy(policy);
+                } else {
+                    faultyDyn.applyPolicyDelta(policy);
+                }
+            },
+            [&] { referenceDyn.applyPolicyDelta(policy); }));
         fault::disarmAll();
 
-        // Every failure is reported exactly once: the transaction aborts on
-        // its first injected fault, so fires and PatchErrors pair 1:1.
-        ASSERT_LE(fires, 1u) << "round " << round;
-        ASSERT_EQ(fires == 1, threw) << "round " << round;
-
-        if (threw) {
-            ++failedRounds;
-            // Rolled back: the faulty process must equal the reference,
-            // which never saw this round's policy.
-            ASSERT_NO_FATAL_FAILURE(
-                expectSameSledState(faultyProcess, referenceProcess))
-                << "torn state after rollback, round " << round;
-            ASSERT_EQ(faultyProcess.xray().patchedFunctionTiers(),
-                      referenceProcess.xray().patchedFunctionTiers())
-                << "torn tiers after rollback, round " << round;
-            // Retry without faults must succeed from the rolled-back state.
-            ASSERT_NO_THROW(apply()) << "round " << round;
-        } else {
-            ++cleanRounds;
-        }
-        referenceDyn.applyPolicyDelta(policy);
-        ASSERT_NO_FATAL_FAILURE(
-            expectSameSledState(faultyProcess, referenceProcess))
+        ASSERT_NO_FATAL_FAILURE(testutil::expectGatesFollowTiers(
+            faultyDyn, faultyProcess.xray(), faultyMeasurement, policy))
             << "round " << round;
-        ASSERT_EQ(faultyProcess.xray().patchedFunctionTiers(),
-                  referenceProcess.xray().patchedFunctionTiers())
+        ASSERT_NO_FATAL_FAILURE(testutil::expectGatesFollowTiers(
+            referenceDyn, referenceProcess.xray(), referenceMeasurement, policy))
             << "round " << round;
     }
     // The sweep must exercise both outcomes, or the property is vacuous.
-    EXPECT_GT(failedRounds, 0u);
-    EXPECT_GT(cleanRounds, 0u);
+    EXPECT_GT(failedSteps, 0u);
+    EXPECT_GT(cleanSteps, 0u);
 }
 
 // 8 seeds x 30 rounds = 240 randomized transaction sequences per run (and

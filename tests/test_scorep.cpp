@@ -226,7 +226,7 @@ TEST(SamplingGate, ClearRestoresFullMeasurement) {
     EXPECT_EQ(m.suppressedVisits()[hot], 1u);
 
     m.setRegionSampling(hot, 4);
-    m.clearAllSampling();
+    m.clearRegionSampling(hot);
     m.enter(hot);
     m.exit(hot);
     EXPECT_EQ(m.mergedProfile().totalVisits(hot), 7u);

@@ -1,15 +1,22 @@
-// Shared fixtures for building small call graphs in tests, and the fault
-// matrix's seed.
+// Shared fixtures for building small call graphs in tests, the fault
+// matrix's seed, and the sampling-gate invariant DynCAPI keeps.
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
 #include "cg/call_graph.hpp"
+#include "dyncapi/dyncapi.hpp"
+#include "scorepsim/measurement.hpp"
 
 namespace capi::testutil {
 
@@ -19,6 +26,40 @@ namespace capi::testutil {
 inline std::uint64_t envFaultSeed() {
     const char* env = std::getenv("CAPI_FAULT_SEED");
     return env == nullptr ? 0 : std::strtoull(env, nullptr, 10);
+}
+
+/// The sampling-gate invariant after `dyn` applied `policy`: a patched pid
+/// is Sampled iff the gate of nameOf(pid) on `measurement` is armed, and
+/// then with the everyN of the policy's last entry for that pid.
+inline void expectGatesFollowTiers(const dyncapi::DynCapi& dyn,
+                                   const xray::XRayRuntime& xr,
+                                   scorep::Measurement& measurement,
+                                   const select::InstrumentationPolicy& policy) {
+    std::unordered_map<xray::PackedId, select::RegionPolicy> winner;
+    for (std::size_t i = 0; i < policy.functions.size(); ++i) {
+        auto staticId = policy.staticIds.find(policy.functions[i]);
+        std::optional<xray::PackedId> pid = staticId != policy.staticIds.end()
+                                                ? std::optional(staticId->second)
+                                                : dyn.resolveName(policy.functions[i]);
+        if (pid.has_value()) {
+            winner[*pid] = policy.regions[i];
+        }
+    }
+    for (const auto& [pid, tier] : xr.patchedFunctionTiers()) {
+        std::optional<std::string_view> name = dyn.nameOf(pid);
+        if (!name.has_value()) {
+            continue;  // Hidden: its events reach no region, so it has no gate.
+        }
+        const std::uint32_t everyN =
+            measurement.regionSampling(measurement.defineRegion(std::string(*name))).first;
+        if (tier == xray::XRayRuntime::kSampledTier) {
+            auto it = winner.find(pid);
+            ASSERT_NE(it, winner.end()) << *name;
+            EXPECT_EQ(everyN, it->second.sampling.everyN) << *name;
+        } else {
+            EXPECT_EQ(everyN, 1u) << "gate armed on Full " << *name;
+        }
+    }
 }
 
 struct FnSpec {
