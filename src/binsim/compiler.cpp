@@ -23,7 +23,8 @@ ObjectImage buildObject(const AppModel& model, const CompileOptions& options,
                         const std::vector<std::uint32_t>& members,
                         const std::vector<bool>& inlinedAway,
                         const std::vector<bool>& symbolRetained, std::string name,
-                        bool isMainExecutable) {
+                        bool isMainExecutable, std::uint32_t objectIndex,
+                        std::vector<CompiledProgram::Placement>& placements) {
     ObjectImage image;
     image.name = std::move(name);
     image.isMainExecutable = isMainExecutable;
@@ -83,8 +84,8 @@ ObjectImage buildObject(const AppModel& model, const CompileOptions& options,
         symbol.hidden = fn.flags.hiddenVisibility;
         image.symbols.push_back(std::move(symbol));
 
-        image.modelToLocal.emplace(modelIndex,
-                                   static_cast<std::uint32_t>(image.functions.size()));
+        placements[modelIndex] = {objectIndex,
+                                  static_cast<std::uint32_t>(image.functions.size())};
         image.functions.push_back(compiled);
     }
 
@@ -100,20 +101,16 @@ ObjectImage buildObject(const AppModel& model, const CompileOptions& options,
 }  // namespace
 
 const ObjectImage* CompiledProgram::objectOf(std::uint32_t modelIndex) const {
-    if (executable.modelToLocal.contains(modelIndex)) {
-        return &executable;
+    const std::uint32_t object = placements[modelIndex].object;
+    if (object == Placement::kNoObject) {
+        return nullptr;
     }
-    for (const ObjectImage& dso : dsos) {
-        if (dso.modelToLocal.contains(modelIndex)) {
-            return &dso;
-        }
-    }
-    return nullptr;
+    return object == 0 ? &executable : &dsos[object - 1];
 }
 
 const CompiledFunction* CompiledProgram::compiledOf(std::uint32_t modelIndex) const {
     const ObjectImage* obj = objectOf(modelIndex);
-    return obj == nullptr ? nullptr : obj->findByModelIndex(modelIndex);
+    return obj == nullptr ? nullptr : &obj->functions[placements[modelIndex].local];
 }
 
 CompiledProgram compile(const AppModel& model, const CompileOptions& options) {
@@ -123,6 +120,7 @@ CompiledProgram compile(const AppModel& model, const CompileOptions& options) {
 
     const std::size_t n = model.functions.size();
     program.inlinedAway.assign(n, false);
+    program.placements.assign(n, {});
     std::vector<bool> symbolRetained(n, false);
 
     // Inliner pass: inline-marked functions under the size limit vanish, and
@@ -174,11 +172,13 @@ CompiledProgram compile(const AppModel& model, const CompileOptions& options) {
 
     program.executable =
         buildObject(model, options, exeMembers, program.inlinedAway, symbolRetained,
-                    model.name.empty() ? "a.out" : model.name, true);
+                    model.name.empty() ? "a.out" : model.name, true, 0,
+                    program.placements);
     for (std::size_t d = 0; d < model.dsos.size(); ++d) {
-        program.dsos.push_back(buildObject(model, options, dsoMembers[d],
-                                           program.inlinedAway, symbolRetained,
-                                           model.dsos[d].name, false));
+        program.dsos.push_back(buildObject(
+            model, options, dsoMembers[d], program.inlinedAway, symbolRetained,
+            model.dsos[d].name, false, static_cast<std::uint32_t>(d + 1),
+            program.placements));
     }
 
     // Rebuild cost model: one compile job per translation unit.

@@ -39,12 +39,23 @@ struct CompileOptions {
 };
 
 struct CompiledProgram {
+    /// Where a model function's code lives: `object` 0 is the executable,
+    /// 1 + d is dsos[d], kNoObject means no code; `local` indexes that
+    /// object's `functions`.
+    struct Placement {
+        static constexpr std::uint32_t kNoObject = UINT32_MAX;
+        std::uint32_t object = kNoObject;
+        std::uint32_t local = 0;
+    };
+
     AppModel model;
     CompileOptions options;
     ObjectImage executable;
     std::vector<ObjectImage> dsos;
     /// True when the function was inlined into its callers (no call executed).
     std::vector<bool> inlinedAway;
+    /// Indexed by model function index.
+    std::vector<Placement> placements;
     double fullRebuildSeconds = 0.0;
 
     /// Object image holding a model function's code; nullptr when inlined

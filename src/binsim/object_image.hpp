@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "xraysim/sled.hpp"
@@ -41,15 +40,8 @@ struct ObjectImage {
     std::vector<Symbol> symbols;               ///< Sorted by address.
     xray::SledTable sledTable;                 ///< Link-time addresses.
     std::vector<CompiledFunction> functions;   ///< Functions with code here.
-    std::unordered_map<std::uint32_t, std::uint32_t> modelToLocal;
-    ///< AppModel function index -> index into `functions`.
 
     bool loaded() const { return loadBase != 0 || isMainExecutable; }
-
-    const CompiledFunction* findByModelIndex(std::uint32_t modelIndex) const {
-        auto it = modelToLocal.find(modelIndex);
-        return it == modelToLocal.end() ? nullptr : &functions[it->second];
-    }
 };
 
 }  // namespace capi::binsim

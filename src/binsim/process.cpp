@@ -99,15 +99,9 @@ void Process::rebuildExecInfo() {
         std::optional<xray::ObjectId> objectId;
         if (obj->isMainExecutable) {
             objectId = xray::kMainExecutableObjectId;
-        } else {
-            for (std::size_t d = 0; d < program_.dsos.size(); ++d) {
-                if (&program_.dsos[d] == obj) {
-                    if (dsoLoaded_[d]) {
-                        objectId = dsoObjectIds_[d];
-                    }
-                    break;
-                }
-            }
+        } else if (const std::size_t d = program_.placements[i].object - 1;
+                   dsoLoaded_[d]) {
+            objectId = dsoObjectIds_[d];
         }
         if (!objectId.has_value() || info.inlined) {
             continue;

@@ -58,7 +58,7 @@ void CallGraph::releaseSnapshots() noexcept {
 
 CallGraph::CallGraph(const CallGraph& other)
     : nodes_(other.nodes_),
-      byName_(other.byName_),
+      nameSlots_(other.nameSlots_),
       entry_(other.entry_),
       aliveCount_(other.aliveCount_),
       generation_(other.generation_),
@@ -75,7 +75,7 @@ CallGraph& CallGraph::operator=(const CallGraph& other) {
     }
     releaseSnapshots();
     nodes_ = other.nodes_;
-    byName_ = other.byName_;
+    nameSlots_ = other.nameSlots_;
     entry_ = other.entry_;
     aliveCount_ = other.aliveCount_;
     generation_ = other.generation_;
@@ -88,7 +88,7 @@ CallGraph& CallGraph::operator=(const CallGraph& other) {
 
 CallGraph::CallGraph(CallGraph&& other) noexcept
     : nodes_(std::move(other.nodes_)),
-      byName_(std::move(other.byName_)),
+      nameSlots_(std::move(other.nameSlots_)),
       entry_(other.entry_),
       aliveCount_(other.aliveCount_),
       generation_(other.generation_),
@@ -97,6 +97,8 @@ CallGraph::CallGraph(CallGraph&& other) noexcept
       journalFloor_(other.journalFloor_),
       drainMark_(other.drainMark_) {
     other.graphId_ = 0;  // The husk no longer owns registered snapshots.
+    other.entry_.reset();
+    other.aliveCount_ = 0;  // Its name index is empty: the load must match.
 }
 
 CallGraph& CallGraph::operator=(CallGraph&& other) noexcept {
@@ -105,7 +107,7 @@ CallGraph& CallGraph::operator=(CallGraph&& other) noexcept {
     }
     releaseSnapshots();
     nodes_ = std::move(other.nodes_);
-    byName_ = std::move(other.byName_);
+    nameSlots_ = std::move(other.nameSlots_);
     entry_ = other.entry_;
     aliveCount_ = other.aliveCount_;
     generation_ = other.generation_;
@@ -114,6 +116,8 @@ CallGraph& CallGraph::operator=(CallGraph&& other) noexcept {
     journalFloor_ = other.journalFloor_;
     drainMark_ = other.drainMark_;
     other.graphId_ = 0;
+    other.entry_.reset();
+    other.aliveCount_ = 0;
     return *this;
 }
 
@@ -222,11 +226,59 @@ bool containsSorted(const std::vector<FunctionId>& vec, FunctionId value) {
     return std::binary_search(vec.begin(), vec.end(), value);
 }
 
+std::size_t CallGraph::findNameSlot(std::string_view name,
+                                    std::uint64_t hash) const {
+    const std::size_t mask = nameSlots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+        const NameSlot& slot = nameSlots_[i];
+        if (slot.id == kInvalidFunction ||
+            (slot.hash == hash && nodes_[slot.id].desc.name == name)) {
+            return i;
+        }
+    }
+}
+
+void CallGraph::growNameIndex() {
+    std::vector<NameSlot> grown(nameSlots_.empty() ? 16 : 2 * nameSlots_.size());
+    const std::size_t mask = grown.size() - 1;
+    for (const NameSlot& slot : nameSlots_) {
+        if (slot.id == kInvalidFunction) {
+            continue;
+        }
+        std::size_t i = slot.hash & mask;
+        while (grown[i].id != kInvalidFunction) {
+            i = (i + 1) & mask;
+        }
+        grown[i] = slot;
+    }
+    nameSlots_ = std::move(grown);
+}
+
+void CallGraph::eraseNameSlot(std::size_t slot) {
+    // Walk the rest of the probe run and pull back every entry whose home
+    // slot does not lie cyclically in (slot, j]: with `slot` free it could
+    // no longer be reached. The run ends at the first free slot.
+    const std::size_t mask = nameSlots_.size() - 1;
+    for (std::size_t j = (slot + 1) & mask; nameSlots_[j].id != kInvalidFunction;
+         j = (j + 1) & mask) {
+        const std::size_t home = nameSlots_[j].hash & mask;
+        if (((j - home) & mask) >= ((j - slot) & mask)) {
+            nameSlots_[slot] = nameSlots_[j];
+            slot = j;
+        }
+    }
+    nameSlots_[slot] = NameSlot{};
+}
+
 FunctionId CallGraph::addFunction(FunctionDesc desc) {
     generation_ = nextGenerationStamp();
-    auto it = byName_.find(desc.name);
-    if (it != byName_.end()) {
-        Node& existing = nodes_[it->second];
+    if (2 * (aliveCount_ + 1) > nameSlots_.size()) {
+        growNameIndex();
+    }
+    const std::uint64_t hash = hashName(desc.name);
+    const std::size_t slot = findNameSlot(desc.name, hash);
+    if (const FunctionId found = nameSlots_[slot].id; found != kInvalidFunction) {
+        Node& existing = nodes_[found];
         // A definition sighting supplies the authoritative metadata; merge so
         // declaration-only TUs do not erase what the defining TU recorded.
         if (desc.flags.hasBody && !existing.desc.flags.hasBody) {
@@ -240,13 +292,13 @@ FunctionId CallGraph::addFunction(FunctionDesc desc) {
             existing.desc.flags.addressTaken |= desc.flags.addressTaken;
         }
         // Any merge may rewrite flags/metrics; the name cannot change.
-        journalAppend(DeltaKind::DescTouch, it->second);
-        return it->second;
+        journalAppend(DeltaKind::DescTouch, found);
+        return found;
     }
     FunctionId id = static_cast<FunctionId>(nodes_.size());
     nodes_.push_back(Node{std::move(desc), {}, {}, {}, {}, true});
     const std::string& name = nodes_.back().desc.name;
-    byName_.emplace(name, id);
+    nameSlots_[slot] = NameSlot{hash, id};
     ++aliveCount_;
     journalAppend(DeltaKind::NodeAdd, id);
     if (!entry_.has_value() && name == "main") {
@@ -314,7 +366,7 @@ void CallGraph::removeFunction(FunctionId id) {
     node.overrides.clear();
     node.overriddenBy.clear();
     const bool wasImplicitEntry = !entry_.has_value() && node.desc.name == "main";
-    byName_.erase(node.desc.name);
+    eraseNameSlot(findNameSlot(node.desc.name, hashName(node.desc.name)));
     node.desc = FunctionDesc{};
     node.alive = false;
     --aliveCount_;
@@ -379,8 +431,10 @@ CallGraph::CompactionResult CallGraph::compact() {
         compacted.push_back(std::move(node));
     }
     nodes_ = std::move(compacted);
-    for (auto& [name, id] : byName_) {
-        id = result.remap[id];
+    for (NameSlot& slot : nameSlots_) {
+        if (slot.id != kInvalidFunction) {
+            slot.id = result.remap[slot.id];
+        }
     }
     if (entry_.has_value()) {
         // An explicit entry pointing at a tombstone cannot happen
@@ -422,8 +476,10 @@ bool CallGraph::hasEdge(FunctionId caller, FunctionId callee) const {
 }
 
 FunctionId CallGraph::lookup(std::string_view name) const {
-    auto it = byName_.find(name);
-    return it == byName_.end() ? kInvalidFunction : it->second;
+    if (nameSlots_.empty()) {
+        return kInvalidFunction;  // Nothing added yet, or a moved-from graph.
+    }
+    return nameSlots_[findNameSlot(name, hashName(name))].id;
 }
 
 FunctionId CallGraph::entryPoint() const {

@@ -18,7 +18,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -126,7 +125,7 @@ public:
     /// The stamp is bumped BEFORE the mutator runs, so even a mutator that
     /// throws mid-write leaves the graph marked changed rather than serving
     /// a half-mutated revision as fresh. Renaming is rejected (the name is
-    /// the byName_ index key): the write is reverted and an error thrown —
+    /// the name index's key): the write is reverted and an error thrown —
     /// including when the mutator renames and then throws itself.
     /// Journaled as a DescTouch: any field but the name may have changed.
     template <typename Fn>
@@ -221,16 +220,32 @@ private:
                        FunctionId b = kInvalidFunction);
     void releaseSnapshots() noexcept;
 
-    std::vector<Node> nodes_;
-    /// Hashes std::string and std::string_view alike, so lookup() by view
-    /// allocates nothing.
-    struct NameHash {
-        using is_transparent = void;
-        std::size_t operator()(std::string_view name) const noexcept {
-            return std::hash<std::string_view>{}(name);
-        }
+    // --- name index ---------------------------------------------------------
+    // Name -> id for every alive node: a power-of-two array of slots at most
+    // half full (its load is aliveCount_), probed linearly from the name's
+    // std::hash<std::string_view>. A slot keeps the full hash, so names are
+    // compared (against nodes_[id].desc.name) only when the hashes match.
+    // The table doubles when an insert would pass half load, and a removal
+    // shifts the rest of its probe run back instead of leaving a tombstone.
+
+    struct NameSlot {
+        std::uint64_t hash = 0;
+        FunctionId id = kInvalidFunction;  ///< kInvalidFunction: free slot.
     };
-    std::unordered_map<std::string, FunctionId, NameHash, std::equal_to<>> byName_;
+
+    static std::uint64_t hashName(std::string_view name) {
+        return std::hash<std::string_view>{}(name);
+    }
+    /// The slot holding `name`, else the free slot that ends its probe run.
+    /// Requires a non-empty table.
+    std::size_t findNameSlot(std::string_view name, std::uint64_t hash) const;
+    /// Doubles the table (first use: 16 slots) and reinserts every slot.
+    void growNameIndex();
+    /// Frees `slot` by backward-shift deletion.
+    void eraseNameSlot(std::size_t slot);
+
+    std::vector<Node> nodes_;
+    std::vector<NameSlot> nameSlots_;
     std::optional<FunctionId> entry_;
     std::size_t aliveCount_ = 0;
     std::uint64_t generation_ = nextGenerationStamp();

@@ -1,9 +1,17 @@
 #include "cg/metacg_json.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstring>
 #include <deque>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <ostream>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -475,17 +483,66 @@ void writeMetaCgFile(const CallGraph& graph, const std::string& path) {
     }
 }
 
+namespace {
+
+/// Closes the descriptor on every way out of readMetaCgFile.
+class FdCloser {
+public:
+    explicit FdCloser(int fd) : fd_(fd) {}
+    ~FdCloser() { ::close(fd_); }
+    FdCloser(const FdCloser&) = delete;
+    FdCloser& operator=(const FdCloser&) = delete;
+
+private:
+    int fd_;
+};
+
+[[noreturn]] void throwFileError(const char* what, const std::string& path, int err) {
+    throw support::Error(std::string(what) + path + ": " +
+                         std::system_category().message(err));
+}
+
+}  // namespace
+
 CallGraph readMetaCgFile(const std::string& path) {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) {
-        throw support::Error("cannot open for reading: " + path);
+    // One read() loop until EOF: a pipe or FIFO has no size to read up
+    // front, a directory fails in read() with its own error, and a file
+    // that grew since fstat() is still read whole. fstat()'s size only
+    // sizes the first buffer, which is not zero-filled. No mmap: a file
+    // truncated under a mapping raises SIGBUS instead of an error.
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+        throwFileError("cannot open for reading: ", path, errno);
     }
-    std::string text(static_cast<std::size_t>(in.tellg()), '\0');
-    in.seekg(0);
-    if (!in.read(text.data(), static_cast<std::streamsize>(text.size()))) {
-        throw support::Error("cannot read: " + path);
+    const FdCloser closer(fd);
+    struct stat info {};
+    std::size_t capacity = std::size_t{1} << 16;
+    if (::fstat(fd, &info) == 0 && S_ISREG(info.st_mode)) {
+        // One spare byte, so the read that sees EOF needs no growth.
+        capacity = static_cast<std::size_t>(info.st_size) + 1;
     }
-    return readMetaCg(text);
+    auto buffer = std::make_unique_for_overwrite<char[]>(capacity);
+    std::size_t size = 0;
+    while (true) {
+        if (size == capacity) {
+            auto grown = std::make_unique_for_overwrite<char[]>(2 * capacity);
+            std::memcpy(grown.get(), buffer.get(), size);
+            buffer = std::move(grown);
+            capacity *= 2;
+        }
+        const ssize_t got = ::read(fd, buffer.get() + size, capacity - size);
+        if (got == 0) {
+            break;
+        }
+        if (got < 0) {
+            if (errno == EINTR) {
+                continue;
+            }
+            throwFileError("cannot read: ", path, errno);
+        }
+        size += static_cast<std::size_t>(got);
+    }
+    return readMetaCg(std::string_view(buffer.get(), size));
 }
 
 }  // namespace capi::cg

@@ -1,10 +1,12 @@
 #include "support/json.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <limits>
 
@@ -231,6 +233,20 @@ constexpr std::size_t kMaxNestingDepth = 512;
 
 bool isJsonSpace(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
 
+/// How many of the 8 bytes at `p` lead with ' ' (8 when all do): pretty-
+/// printed documents indent with runs of spaces, taken a word at a time.
+std::size_t leadingSpaces(const char* p) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof word);
+    const std::uint64_t diff = word ^ 0x2020202020202020ULL;
+    if (diff == 0) return 8;
+    if constexpr (std::endian::native == std::endian::little) {
+        return static_cast<std::size_t>(std::countr_zero(diff)) / 8;
+    } else {
+        return static_cast<std::size_t>(std::countl_zero(diff)) / 8;
+    }
+}
+
 }  // namespace
 
 std::int64_t JsonReader::Number::asInt() const {
@@ -255,7 +271,15 @@ void JsonReader::fail(const std::string& message) const {
 }
 
 void JsonReader::skipWhitespace() {
-    while (pos_ < text_.size() && isJsonSpace(text_[pos_])) ++pos_;
+    const std::size_t size = text_.size();
+    while (pos_ < size && isJsonSpace(text_[pos_])) {
+        ++pos_;
+        while (size - pos_ >= 8) {
+            const std::size_t spaces = leadingSpaces(text_.data() + pos_);
+            pos_ += spaces;
+            if (spaces < 8) break;
+        }
+    }
 }
 
 char JsonReader::next() {
@@ -351,13 +375,20 @@ std::string_view JsonReader::string() {
 std::string_view JsonReader::readString(std::string* scratch) {
     if (pos_ >= text_.size() || text_[pos_] != '"') fail("expected string");
     const std::size_t start = ++pos_;
-    // Fast path: no escape before the closing quote, so the text itself is
-    // the value.
-    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') ++pos_;
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    if (text_[pos_] == '"') {
-        return text_.substr(start, pos_++ - start);
+    // Fast path: no backslash before the closing quote, so the text itself
+    // is the value.
+    const char* begin = text_.data() + start;
+    const std::size_t rest = text_.size() - start;
+    const auto* quote = static_cast<const char*>(std::memchr(begin, '"', rest));
+    const std::size_t span = quote != nullptr ? static_cast<std::size_t>(quote - begin) : rest;
+    const auto* backslash = static_cast<const char*>(std::memchr(begin, '\\', span));
+    if (backslash == nullptr) {
+        pos_ = start + span;
+        if (quote == nullptr) fail("unexpected end of input");
+        ++pos_;
+        return text_.substr(start, span);
     }
+    pos_ = start + static_cast<std::size_t>(backslash - begin);
     // Escapes: decode into scratch space (validate only, when skipping).
     if (scratch != nullptr) scratch->assign(text_.substr(start, pos_ - start));
     auto put = [scratch](char ch) {

@@ -1,18 +1,25 @@
-// Unit tests for the call-graph substrate: construction, MetaCG build/merge,
-// virtual-call over-approximation, function-pointer resolution, MetaCG JSON
-// read/write (golden bytes, hostile input against the old tree reader),
-// reachability and profile validation.
+// Unit tests for the call-graph substrate: construction and the name index,
+// MetaCG build/merge, virtual-call over-approximation, function-pointer
+// resolution, MetaCG JSON read/write (golden bytes, hostile input against the
+// old tree reader, file reads from directories and FIFOs), reachability and
+// profile validation.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <tuple>
 
 #include "apps/lulesh.hpp"
@@ -89,6 +96,91 @@ TEST(CallGraph, EntryPointDefaultsToMain) {
 TEST(CallGraph, LookupMissReturnsInvalid) {
     cg::CallGraph g;
     EXPECT_EQ(g.lookup("nope"), cg::kInvalidFunction);
+}
+
+/// Every pool name resolves in `graph` exactly as in `expected`, and each
+/// hit names its own node.
+void expectLookupsMatch(const cg::CallGraph& graph,
+                        const std::map<std::string, cg::FunctionId>& expected,
+                        const std::vector<std::string>& pool, int step) {
+    ASSERT_EQ(graph.aliveCount(), expected.size()) << "step " << step;
+    for (const std::string& name : pool) {
+        const auto it = expected.find(name);
+        const cg::FunctionId want = it == expected.end() ? cg::kInvalidFunction : it->second;
+        ASSERT_EQ(graph.lookup(name), want) << "step " << step << ", name " << name;
+        if (want != cg::kInvalidFunction) {
+            ASSERT_EQ(graph.name(want), name) << "step " << step;
+        }
+    }
+}
+
+TEST(CallGraph, NameIndexMatchesReferenceUnderRandomChurn) {
+    // Small graphs over a small name pool: the index stays at 16-64 slots,
+    // so probe runs overlap, wrap around the table end, and removals shift
+    // entries that share home slots. Every step re-checks every name.
+    std::vector<std::string> pool;
+    for (int i = 0; i < 40; ++i) {
+        pool.push_back("fn" + std::to_string(i));
+    }
+    support::SplitMix64 rng(0x1DE7'0B5E);
+    for (int round = 0; round < 40; ++round) {
+        cg::CallGraph graph;
+        std::map<std::string, cg::FunctionId> expected;
+        for (int step = 0; step < 400; ++step) {
+            const std::uint64_t op = rng.nextBelow(100);
+            if (op < 45) {
+                // Add a fresh name, re-add a removed one, or merge into a
+                // live one.
+                cg::FunctionDesc desc;
+                desc.name = pool[rng.nextBelow(pool.size())];
+                const auto it = expected.find(desc.name);
+                const cg::FunctionId want =
+                    it != expected.end() ? it->second
+                                         : static_cast<cg::FunctionId>(graph.size());
+                const std::string name = desc.name;
+                ASSERT_EQ(graph.addFunction(std::move(desc)), want);
+                expected[name] = want;
+            } else if (op < 85) {
+                if (expected.empty()) continue;
+                auto it = expected.begin();
+                std::advance(it, static_cast<std::ptrdiff_t>(rng.nextBelow(expected.size())));
+                graph.removeFunction(it->second);
+                expected.erase(it);
+            } else if (op < 91) {
+                const cg::CallGraph::CompactionResult result = graph.compact();
+                for (auto& [name, id] : expected) {
+                    id = result.remap[id];
+                }
+            } else if (op < 94) {
+                cg::CallGraph copy(graph);
+                expectLookupsMatch(copy, expected, pool, step);
+                cg::CallGraph assigned = makeGraph({{.name = "fn0"}, {.name = "other"}}, {});
+                assigned = copy;
+                expectLookupsMatch(assigned, expected, pool, step);
+                // Carry on with the copy: its index is the one mutated next.
+                graph = std::move(assigned);
+            } else if (op < 97) {
+                cg::CallGraph moved(std::move(graph));
+                // The husk is an empty graph that takes new names.
+                EXPECT_EQ(graph.aliveCount(), 0u);
+                EXPECT_EQ(graph.lookup("fn1"), cg::kInvalidFunction);
+                cg::FunctionDesc desc;
+                desc.name = "fn1";
+                graph.addFunction(std::move(desc));
+                EXPECT_EQ(graph.lookup("fn1"), 0u);
+                graph = std::move(moved);
+            } else {
+                // The copy and the original mutate independently.
+                cg::CallGraph copy = graph;
+                cg::FunctionDesc desc;
+                desc.name = "only-in-copy";
+                copy.addFunction(std::move(desc));
+                EXPECT_EQ(graph.lookup("only-in-copy"), cg::kInvalidFunction);
+                EXPECT_NE(copy.lookup("only-in-copy"), cg::kInvalidFunction);
+            }
+            expectLookupsMatch(graph, expected, pool, step);
+        }
+    }
 }
 
 // -------------------------------------------------------- MetaCgBuilder ----
@@ -485,6 +577,62 @@ TEST(MetaCgJson, WriterReproducesGoldenBytes) {
     cg::writeMetaCg(graph, streamed);
     EXPECT_TRUE(streamed.str() == golden.str());
     EXPECT_EQ(graphDifference(cg::readMetaCg(golden.str()), graph), "");
+}
+
+std::string readGoldenLulesh() {
+    std::ifstream in(CAPI_TEST_DATA_DIR "/metacg_golden_lulesh.json", std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(MetaCgJson, ReadFileFailsTypedOnDirectoryAndMissingFile) {
+    const std::string dir = ::testing::TempDir();
+    try {
+        cg::readMetaCgFile(dir);
+        FAIL() << "expected support::Error";
+    } catch (const support::Error& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find(dir), std::string::npos) << message;
+        EXPECT_NE(message.find(std::system_category().message(EISDIR)), std::string::npos)
+            << message;
+    }
+    const std::string missing = dir + "/capi_no_such_graph_" + std::to_string(::getpid());
+    try {
+        cg::readMetaCgFile(missing);
+        FAIL() << "expected support::Error";
+    } catch (const support::Error& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find(missing), std::string::npos) << message;
+        EXPECT_NE(message.find(std::system_category().message(ENOENT)), std::string::npos)
+            << message;
+    }
+}
+
+TEST(MetaCgJson, ReadFileLoadsFromFifo) {
+    // A FIFO has no size to read up front: the read runs to EOF, growing
+    // its buffer past the first 64 KiB.
+    const std::string golden = readGoldenLulesh();
+    ASSERT_GT(golden.size(), std::size_t{1} << 16);
+    const std::string fifo =
+        ::testing::TempDir() + "/capi_metacg_fifo_" + std::to_string(::getpid());
+    ::unlink(fifo.c_str());
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+    std::thread writer([&] {
+        std::ofstream out(fifo, std::ios::binary);
+        out.write(golden.data(), static_cast<std::streamsize>(golden.size()));
+    });
+    std::optional<cg::CallGraph> graph;
+    std::string error;
+    try {
+        graph.emplace(cg::readMetaCgFile(fifo));
+    } catch (const support::Error& e) {
+        error = e.what();
+    }
+    writer.join();
+    ::unlink(fifo.c_str());
+    ASSERT_TRUE(graph.has_value()) << error;
+    EXPECT_EQ(graphDifference(*graph, cg::readMetaCg(golden)), "");
 }
 
 TEST(MetaCgJson, WriterEmitsCanonicalTreeText) {

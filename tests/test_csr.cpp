@@ -232,7 +232,7 @@ TEST(CallGraphMutation, RenameIsRejectedAndReverted) {
     EXPECT_EQ(graph.lookup("renamed"), cg::kInvalidFunction);
 
     // A mutator that renames and then throws must not leave the rename in
-    // place either — the byName_ index key stays authoritative.
+    // place either — the name index key stays authoritative.
     EXPECT_THROW(graph.mutateDesc(4,
                                   [](cg::FunctionDesc& d) {
                                       d.name = "sneaky";

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "support/bitset.hpp"
@@ -204,6 +205,103 @@ TEST(JsonReader, FailureReportsLineAndColumnOfTheOffendingByte) {
     } catch (const ParseError& e) {
         EXPECT_EQ(e.line(), 3);
         EXPECT_EQ(e.column(), 7);
+    }
+}
+
+/// Line and column of the ParseError that walking `text` as one array of
+/// numbers throws.
+std::pair<int, int> arrayFailure(const std::string& text) {
+    try {
+        JsonReader in(text);
+        in.beginArray();
+        while (in.nextElement()) in.number();
+        in.finish();
+    } catch (const ParseError& e) {
+        return {e.line(), e.column()};
+    }
+    ADD_FAILURE() << "expected ParseError";
+    return {0, 0};
+}
+
+TEST(JsonReader, ErrorsAfterLongIndentationKeepTheirPosition) {
+    // Runs of spaces of every length around the 8-byte word steps, then a
+    // bad byte: its column is one past the run.
+    for (std::size_t n = 0; n <= 40; ++n) {
+        const std::string text = "[1,\n" + std::string(n, ' ') + "x]";
+        EXPECT_EQ(arrayFailure(text), std::make_pair(2, static_cast<int>(n) + 1)) << n;
+    }
+    // Tabs and CRs inside and between runs: CR does not start a line.
+    EXPECT_EQ(arrayFailure("[1,\t \r\n \t\t        \r\n" + std::string(8, ' ') + "x]"),
+              std::make_pair(3, 9));
+    EXPECT_EQ(arrayFailure("[1, " + std::string(11, ' ') + "\t" + std::string(9, ' ') +
+                           "\r" + std::string(17, ' ') + "\t x]"),
+              std::make_pair(1, 46));
+    // A run that ends at a tab, then more spaces: the scan resumes.
+    const std::string runs = "[" + std::string(12, ' ') + "\t" + std::string(20, ' ') +
+                             "7" + std::string(30, ' ') + "]" + std::string(9, ' ');
+    JsonReader in(runs);
+    in.beginArray();
+    ASSERT_TRUE(in.nextElement());
+    EXPECT_EQ(in.number().intValue, 7);
+    EXPECT_FALSE(in.nextElement());
+    in.finish();
+}
+
+TEST(JsonReader, TruncationInsideAWhitespaceRunFailsAtTheEnd) {
+    for (std::size_t n = 0; n <= 40; ++n) {
+        for (const char* head : {"[1,", "{\"a\":", "{\"a\": 1", "["}) {
+            const std::string text = head + std::string(n, ' ');
+            try {
+                Json::parse(text);
+                ADD_FAILURE() << "accepted " << text;
+            } catch (const ParseError& e) {
+                EXPECT_EQ(e.line(), 1) << text;
+                EXPECT_EQ(e.column(), static_cast<int>(text.size()) + 1) << text;
+                EXPECT_NE(std::string(e.what()).find("unexpected end of input"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
+TEST(JsonReader, EscapesAnywhereInLongStringsDecode) {
+    // A backslash before, at and after the 8- and 16-byte marks, with and
+    // without text before the closing quote.
+    for (std::size_t k = 0; k <= 40; ++k) {
+        const std::string head(k, 'a');
+        const std::string text = "[\"" + head + "\\n" + "tail\", \"" + head + "\\\"\", \"" +
+                                 head + head + "\"]";
+        JsonReader in(text);
+        in.beginArray();
+        ASSERT_TRUE(in.nextElement());
+        const std::string_view escaped = in.string();
+        EXPECT_EQ(escaped, head + "\ntail") << k;
+        EXPECT_FALSE(in.inText(escaped));
+        ASSERT_TRUE(in.nextElement());
+        EXPECT_EQ(in.string(), head + "\"") << k;
+        ASSERT_TRUE(in.nextElement());
+        const std::string_view plain = in.string();
+        EXPECT_EQ(plain, head + head) << k;
+        EXPECT_TRUE(in.inText(plain));
+        EXPECT_FALSE(in.nextElement());
+        in.finish();
+
+        // An unterminated string, with or without a backslash in it, fails
+        // at the end; a bad escape fails just past it.
+        try {
+            Json::parse("\"" + head);
+            ADD_FAILURE() << "accepted unterminated string " << k;
+        } catch (const ParseError& e) {
+            EXPECT_EQ(e.column(), static_cast<int>(k) + 2) << k;
+        }
+        try {
+            Json::parse("\"" + head + "\\q" + head + "\"");
+            ADD_FAILURE() << "accepted bad escape " << k;
+        } catch (const ParseError& e) {
+            EXPECT_EQ(e.column(), static_cast<int>(k) + 4) << k;
+            EXPECT_NE(std::string(e.what()).find("invalid escape"), std::string::npos);
+        }
     }
 }
 
