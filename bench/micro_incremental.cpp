@@ -1,14 +1,14 @@
 // Selection turnaround under runtime graph deltas: full recompute (cold
-// cache, CSR patching disabled) vs incremental re-selection (journal-driven
-// CSR patching plus footprint-aware SelectorCache survival).
+// cache) vs incremental re-selection (footprint-aware SelectorCache survival
+// over the journal). Both rebuild the CSR snapshot once per churn round.
 //
 // The workload models the paper's dlopen scenario: a large application graph
 // with a plugin cluster of ~1% of the nodes hanging off to the side (a sink —
 // nothing on the instrumented paths calls into it, it calls nobody outside).
 // Each iteration churns edges inside the plugin and re-runs a multi-stage
-// selection over the main application. The full path rebuilds the CSR and
-// re-evaluates every stage; the incremental path patches the touched rows
-// and answers every unaffected stage from the surviving cache. The ratio
+// selection over the main application. The full path re-evaluates every
+// stage; the incremental path answers every unaffected stage from the
+// surviving cache. The ratio
 // Full/Incremental at the same node count is the re-selection speedup the
 // incremental engine buys (target from the roadmap: >= 10x at 200k nodes,
 // <= 1% churn per round).
@@ -119,7 +119,6 @@ void runTurnaround(benchmark::State& state, bool incremental,
     select::SelectorCache cache;
     support::SplitMix64 rng(1234);
 
-    cg::CsrView::setIncrementalPatching(incremental);
     select::PipelineOptions options;
     options.cache = incremental ? &cache : nullptr;
     if (incremental) {
@@ -138,7 +137,6 @@ void runTurnaround(benchmark::State& state, bool incremental,
         selected = run.result.count();
         benchmark::DoNotOptimize(selected);
     }
-    cg::CsrView::setIncrementalPatching(true);
 
     state.counters["selected"] =
         benchmark::Counter(static_cast<double>(selected));
@@ -162,7 +160,7 @@ void BM_ReselectTurnaroundIncremental(benchmark::State& state) {
 void BM_ReselectTurnaroundIncrementalDirtyHotRegion(benchmark::State& state) {
     // Worst case: the churn hits the instrumented region, so traversal
     // footprints intersect the delta and those stages re-evaluate — the win
-    // shrinks to the CSR patch and the untouched filter stages.
+    // shrinks to the untouched filter stages.
     runTurnaround(state, /*incremental=*/true, /*churnHotRegion=*/true);
 }
 
@@ -173,13 +171,12 @@ BENCHMARK(BM_ReselectTurnaroundIncremental)->Arg(20000)->Arg(200000)
 BENCHMARK(BM_ReselectTurnaroundIncrementalDirtyHotRegion)
     ->Arg(20000)->Arg(200000)->Unit(benchmark::kMillisecond);
 
-/// CSR maintenance alone: journal-driven patch vs full rebuild, per churn
-/// round (the snapshot layer's share of the turnaround win).
+/// CSR maintenance alone: the snapshot of each churn round's new generation
+/// (the snapshot layer's share of every turnaround above). Wall time: the
+/// build shards over the process-wide pool.
 void BM_CsrSnapshot(benchmark::State& state) {
-    const bool incremental = state.range(1) != 0;
     PluginFixture fx = makeFixture(static_cast<std::uint32_t>(state.range(0)));
     support::SplitMix64 rng(99);
-    cg::CsrView::setIncrementalPatching(incremental);
     cg::CsrView::snapshot(fx.graph);
     for (auto _ : state) {
         state.PauseTiming();
@@ -188,12 +185,12 @@ void BM_CsrSnapshot(benchmark::State& state) {
         auto view = cg::CsrView::snapshot(fx.graph);
         benchmark::DoNotOptimize(view->edgeCount());
     }
-    cg::CsrView::setIncrementalPatching(true);
 }
 
 BENCHMARK(BM_CsrSnapshot)
-    ->ArgsProduct({{20000, 200000}, {0, 1}})
-    ->ArgNames({"nodes", "patch"})
+    ->Arg(20000)->Arg(200000)
+    ->ArgNames({"nodes"})
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 /// The refinement loop's inputs: a selection-scale OpenFOAM graph and its

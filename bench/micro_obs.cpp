@@ -2,7 +2,7 @@
 //
 // The trace recorder and metrics registry are compiled into the shipping
 // control path (epoch/model/plan/patch spans in the controller, counters in
-// the selector cache, CSR registry and XRay runtime), so two numbers gate the
+// the selector cache, CSR snapshot and XRay runtime), so two numbers gate the
 // design:
 //
 //  * BM_ObsSpanDisabled — a ScopedSpan against a disabled recorder. This is

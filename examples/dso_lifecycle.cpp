@@ -6,8 +6,8 @@
 // cleanly on dlclose — including ID reuse for later loads. The second half
 // mirrors the same lifecycle into the whole-program call graph through the
 // mutation journal (dyncapi::DsoGraphBinding), so re-selection after the
-// dlclose/dlopen is incremental: a patched CSR snapshot and a cache that
-// keeps every stage the plugin never touched.
+// dlclose/dlopen is incremental: a cache that keeps every stage the plugin
+// never touched, over one CSR snapshot per graph generation.
 #include <cstdio>
 
 #include "binsim/execution_engine.hpp"
@@ -100,30 +100,28 @@ int main() {
 
     // --- the graph side of the same lifecycle ------------------------------
     // Selection sees the plugin come and go through journaled graph deltas
-    // instead of a rebuilt graph: each re-selection patches the CSR snapshot
-    // and re-evaluates only the stages whose read footprint the plugin
-    // actually intersects.
+    // instead of a rebuilt graph: each re-selection builds the CSR snapshot
+    // of the new generation once, shares it among its stages, and
+    // re-evaluates only the stages whose read footprint the plugin actually
+    // intersects.
     cg::MetaCgBuilder builder;
     cg::CallGraph graph = builder.build(pluginApp().toSourceModel());
     dyncapi::RefinementSession session(graph);
     dyncapi::DsoGraphBinding pluginA(graph, {"plugin_a_run"});
     const char* spec = "onCallPathFrom(byName(\"plugin*\", defined(%%)))";
 
-    cg::CsrView::RegistryStats before = cg::CsrView::registryStats();
+    const cg::CsrView::SnapshotStats before = cg::CsrView::snapshotStats();
     std::size_t full = session.select(spec, "plugins").selectedFinal;
     pluginA.unload(graph);  // dlclose, journaled as a bulk removal.
     std::size_t without = session.select(spec, "plugins").selectedFinal;
     pluginA.reload(graph);  // dlopen, journaled re-add of nodes + edges.
     select::SelectionReport again = session.select(spec, "plugins");
-    cg::CsrView::RegistryStats after = cg::CsrView::registryStats();
+    const cg::CsrView::SnapshotStats after = cg::CsrView::snapshotStats();
     std::printf("\ngraph mirror: %zu plugin functions selected -> %zu after "
-                "dlclose -> %zu after dlopen (%llu of %llu CSR snapshots "
-                "patched, not rebuilt)\n",
+                "dlclose -> %zu after dlopen (%llu CSR snapshots built, %llu "
+                "shared hits)\n",
                 full, without, again.selectedFinal,
-                static_cast<unsigned long long>(after.patchBuilds -
-                                                before.patchBuilds),
-                static_cast<unsigned long long>(
-                    after.patchBuilds + after.fullBuilds -
-                    before.patchBuilds - before.fullBuilds));
+                static_cast<unsigned long long>(after.fullBuilds - before.fullBuilds),
+                static_cast<unsigned long long>(after.sharedHits - before.sharedHits));
     return 0;
 }

@@ -127,16 +127,6 @@ std::vector<MapEntry> Process::memoryMap() const {
     return map;
 }
 
-const ObjectImage& Process::objectImage(int dsoIndex) const {
-    if (dsoIndex < 0) {
-        return program_.executable;
-    }
-    if (static_cast<std::size_t>(dsoIndex) >= program_.dsos.size()) {
-        throw support::Error("objectImage: bad DSO index");
-    }
-    return program_.dsos[static_cast<std::size_t>(dsoIndex)];
-}
-
 std::optional<xray::ObjectId> Process::xrayObjectId(int dsoIndex) const {
     if (dsoIndex < 0) {
         return xray::kMainExecutableObjectId;

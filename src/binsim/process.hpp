@@ -55,9 +55,6 @@ public:
 
     std::vector<MapEntry> memoryMap() const;
 
-    /// Object image by DSO index; -1 = executable.
-    const ObjectImage& objectImage(int dsoIndex) const;
-
     /// XRay object id of a loaded object; nullopt when not registered.
     std::optional<xray::ObjectId> xrayObjectId(int dsoIndex) const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "cg/csr_view.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
@@ -39,22 +38,7 @@ std::uint64_t CallGraph::nextGenerationStamp() {
     return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-std::uint64_t CallGraph::nextGraphId() {
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 CallGraph::CallGraph() = default;
-
-CallGraph::~CallGraph() {
-    releaseSnapshots();
-}
-
-void CallGraph::releaseSnapshots() noexcept {
-    if (graphId_ != 0) {
-        CsrView::releaseGraph(graphId_);
-    }
-}
 
 CallGraph::CallGraph(const CallGraph& other)
     : nodes_(other.nodes_),
@@ -62,7 +46,6 @@ CallGraph::CallGraph(const CallGraph& other)
       entry_(other.entry_),
       aliveCount_(other.aliveCount_),
       generation_(other.generation_),
-      graphId_(nextGraphId()),
       journal_(),
       // The copy shares the original's content stamp but starts a fresh
       // lineage: deltas are answerable from the copied revision onward.
@@ -73,16 +56,15 @@ CallGraph& CallGraph::operator=(const CallGraph& other) {
     if (this == &other) {
         return *this;
     }
-    releaseSnapshots();
     nodes_ = other.nodes_;
     nameSlots_ = other.nameSlots_;
     entry_ = other.entry_;
     aliveCount_ = other.aliveCount_;
     generation_ = other.generation_;
-    graphId_ = nextGraphId();
     journal_.clear();
     journalFloor_ = other.generation_;
     drainMark_ = other.generation_;
+    snapshot_.reset();
     return *this;
 }
 
@@ -92,11 +74,10 @@ CallGraph::CallGraph(CallGraph&& other) noexcept
       entry_(other.entry_),
       aliveCount_(other.aliveCount_),
       generation_(other.generation_),
-      graphId_(other.graphId_),
       journal_(std::move(other.journal_)),
       journalFloor_(other.journalFloor_),
-      drainMark_(other.drainMark_) {
-    other.graphId_ = 0;  // The husk no longer owns registered snapshots.
+      drainMark_(other.drainMark_),
+      snapshot_(std::move(other.snapshot_)) {
     other.entry_.reset();
     other.aliveCount_ = 0;  // Its name index is empty: the load must match.
 }
@@ -105,17 +86,15 @@ CallGraph& CallGraph::operator=(CallGraph&& other) noexcept {
     if (this == &other) {
         return *this;
     }
-    releaseSnapshots();
     nodes_ = std::move(other.nodes_);
     nameSlots_ = std::move(other.nameSlots_);
     entry_ = other.entry_;
     aliveCount_ = other.aliveCount_;
     generation_ = other.generation_;
-    graphId_ = other.graphId_;
     journal_ = std::move(other.journal_);
     journalFloor_ = other.journalFloor_;
     drainMark_ = other.drainMark_;
-    other.graphId_ = 0;
+    snapshot_ = std::move(other.snapshot_);
     other.entry_.reset();
     other.aliveCount_ = 0;
     return *this;
@@ -442,10 +421,10 @@ CallGraph::CompactionResult CallGraph::compact() {
         entry_ = result.remap[*entry_];
     }
 
-    // Renumbering invalidates every id-keyed consumer: registered CsrView
-    // snapshots hold OLD ids and must never serve as patch predecessors for
-    // the new numbering, and no journal suffix can express "all ids moved".
-    CsrView::releaseGraph(graphId_);
+    // Renumbering invalidates every id-keyed consumer: the held CsrView
+    // snapshot speaks OLD ids (dropped now rather than at the next build),
+    // and no journal suffix can express "all ids moved".
+    snapshot_.reset();
     generation_ = nextGenerationStamp();
     journal_.clear();
     journalFloor_ = generation_;

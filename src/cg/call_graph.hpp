@@ -15,6 +15,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -25,6 +27,8 @@
 #include "cg/types.hpp"
 
 namespace capi::cg {
+
+class CsrView;
 
 class CallGraph {
 public:
@@ -38,15 +42,12 @@ public:
     };
 
     CallGraph();
-    ~CallGraph();
 
-    /// Copies get a fresh graph identity and an empty journal (their delta
-    /// lineage starts at the copied generation), so snapshots patched for the
-    /// original are never chained onto the copy's future mutations.
+    /// Copies get an empty journal (their delta lineage starts at the copied
+    /// generation) and hold no CsrView snapshot until one is asked for.
     CallGraph(const CallGraph& other);
     CallGraph& operator=(const CallGraph& other);
-    /// Moves transfer the identity; the moved-from graph no longer owns any
-    /// registered snapshots and its destructor will not evict them.
+    /// Moves carry the journal and the held snapshot along.
     CallGraph(CallGraph&& other) noexcept;
     CallGraph& operator=(CallGraph&& other) noexcept;
 
@@ -91,11 +92,10 @@ public:
     /// This is the one operation that breaks id stability, so it returns the
     /// remap and invalidates ALL history: the journal is cleared and the
     /// floor raised to the new stamp, making deltaSince() for any earlier
-    /// revision answer nullopt — downstream consumers (CsrView, selector
-    /// caches) treat the graph as wholly changed and rebuild, never patching
-    /// old-id snapshots onto new-id content. Registered CsrView snapshots of
-    /// this graph are eagerly evicted for the same reason. No-op (identity
-    /// remap, no stamp bump) when there are no tombstones.
+    /// revision answer nullopt — journal consumers (selector caches) treat
+    /// the graph as wholly changed and rebuild. The held CsrView snapshot
+    /// (old ids) is dropped at once. No-op (identity remap, no stamp bump)
+    /// when there are no tombstones.
     CompactionResult compact();
 
     bool alive(FunctionId id) const { return nodes_[id].alive; }
@@ -173,16 +173,11 @@ public:
     /// bumped by every mutating call (addFunction/addCallEdge/addOverride/
     /// removeCallEdge/removeFunction/setEntryPoint/mutateDesc/touchMetrics).
     /// Two graphs with the same stamp have the same content, so selector
-    /// caches and CsrView snapshots key memoized results on it and drop (or
-    /// delta-patch) them when the graph changes (e.g. a dlopen'd DSO adds
-    /// nodes at runtime). All mutation goes through the methods above —
-    /// there is no stamp-bypassing mutable access.
+    /// caches and CsrView snapshots key memoized results on it and drop them
+    /// when the graph changes (e.g. a dlopen'd DSO adds nodes at runtime).
+    /// All mutation goes through the methods above — there is no
+    /// stamp-bypassing mutable access.
     std::uint64_t generation() const noexcept { return generation_; }
-
-    /// Process-unique identity of this graph object (content lineage): the
-    /// CsrView snapshot registry groups per-graph snapshot chains by it and
-    /// ~CallGraph eagerly evicts them.
-    std::uint64_t graphId() const noexcept { return graphId_; }
 
     // --- mutation journal ---------------------------------------------------
 
@@ -205,8 +200,10 @@ public:
     std::size_t edgeCount() const;
 
 private:
+    /// CsrView::snapshot reads and fills the held snapshot below.
+    friend class CsrView;
+
     static std::uint64_t nextGenerationStamp();
-    static std::uint64_t nextGraphId();
     [[noreturn]] static void throwRenameError(const std::string& name);
     [[noreturn]] static void throwDeadNodeError(FunctionId id);
 
@@ -218,7 +215,6 @@ private:
 
     void journalAppend(DeltaKind kind, FunctionId a,
                        FunctionId b = kInvalidFunction);
-    void releaseSnapshots() noexcept;
 
     // --- name index ---------------------------------------------------------
     // Name -> id for every alive node: a power-of-two array of slots at most
@@ -249,7 +245,6 @@ private:
     std::optional<FunctionId> entry_;
     std::size_t aliveCount_ = 0;
     std::uint64_t generation_ = nextGenerationStamp();
-    std::uint64_t graphId_ = nextGraphId();  ///< 0 = moved-from husk.
 
     /// Bounded journal, sorted by record generation (stamps are assigned
     /// monotonically within one graph). journalFloor_ is the oldest stamp
@@ -257,6 +252,12 @@ private:
     std::vector<DeltaRecord> journal_;
     std::uint64_t journalFloor_ = generation_;
     std::uint64_t drainMark_ = generation_;
+
+    /// The CsrView of the generation it was built at (its generation()),
+    /// shared by every CsrView::snapshot caller until the next mutation;
+    /// null until first asked for. The mutex serializes the one build.
+    mutable std::mutex snapshotMutex_;
+    mutable std::shared_ptr<const CsrView> snapshot_;
 };
 
 /// Inserts `value` into a sorted unique vector; returns false if present.

@@ -3,13 +3,15 @@
 // Every CallGraph mutation appends one record tagged with the generation
 // stamp the mutation produced. Downstream layers ask the graph for the
 // aggregated delta between two stamps (CallGraph::deltaSince) and recompute
-// only what the delta touches: CsrView patches the affected CSR rows instead
-// of rebuilding, and SelectorCache keeps cached stage results whose recorded
-// read footprint is disjoint from the delta's dirty set. The journal is
-// bounded; when history has been trimmed past the requested stamp,
-// deltaSince returns nullopt and consumers fall back to the full-rebuild /
-// full-invalidation path, so the journal is purely an optimization channel —
-// never a correctness dependency.
+// only what the delta touches: SelectorCache keeps cached stage results whose
+// recorded read footprint is disjoint from the delta's dirty set,
+// InlineCompensationCache replays its last answer while the caller relation
+// is unchanged, and the budget planner keeps its table across metric-only
+// touches. (CsrView does not read the journal: a snapshot is one full build
+// per generation.) The journal is bounded; when history has been trimmed
+// past the requested stamp, deltaSince returns nullopt and consumers fall
+// back to the full-invalidation path, so the journal is purely an
+// optimization channel — never a correctness dependency.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +19,6 @@
 #include <vector>
 
 #include "cg/types.hpp"
-#include "support/bitset.hpp"
 
 namespace capi::cg {
 
@@ -72,10 +73,10 @@ struct GraphDelta {
     }
 
     /// Visits every aggregated change as fn(kind, a, b) — THE enumeration
-    /// point every dirty-set derivation builds on (dirtyNodes here,
-    /// CsrView::tryPatch's per-relation rows, SelectorCache's per-kind
-    /// sets), so a new DeltaKind is routed by extending switches the
-    /// compiler checks rather than three hand-rolled field loops. Edge kinds
+    /// point every dirty-set derivation builds on (SelectorCache's per-kind
+    /// sets, the budget planner's structural check), so a new DeltaKind is routed by
+    /// extending switches the compiler checks rather than hand-rolled field
+    /// loops. Edge kinds
     /// carry both endpoints; node/touch/entry kinds carry the node in `a`
     /// and kInvalidFunction in `b`.
     template <typename Fn>
@@ -92,13 +93,6 @@ struct GraphDelta {
             fn(DeltaKind::EntryChange, kInvalidFunction, kInvalidFunction);
         }
     }
-
-    /// Every node id any record names (edge endpoints included), as a bitset
-    /// over `universe` (ids >= universe are ignored; the caller passes the
-    /// post-delta graph size, which covers every journaled id). Its count is
-    /// the churn measure the CSR patch path compares against its
-    /// full-rebuild threshold.
-    support::DynamicBitset dirtyNodes(std::size_t universe) const;
 };
 
 }  // namespace capi::cg

@@ -398,11 +398,18 @@ void DynCapi::attachCygHandler(scorep::CygProfileAdapter& adapter) {
     cygBackend_ = std::make_unique<CygBackend>();
     cygBackend_->owner = this;
     cygBackend_->adapter = &adapter;
-    process_->xray().setHandler(&CygBackend::handle, cygBackend_.get());
-    // A freshly attached measurement starts with empty gates; arm the live
-    // policy's so Sampled regions stay sampled across per-epoch Measurement
-    // swaps.
+    // The measurement may still hold gates of an older policy (a re-attach):
+    // clear every armed one, then arm the live policy's, so it ends holding
+    // exactly gates_ and Sampled regions stay sampled across per-epoch
+    // Measurement swaps.
+    scorep::Measurement& measurement = adapter.measurement();
+    for (scorep::RegionHandle region = 0; region < measurement.regionCount(); ++region) {
+        if (measurement.regionSampling(region) != std::pair<std::uint32_t, std::uint64_t>{1, 0}) {
+            measurement.clearRegionSampling(region);
+        }
+    }
     syncGates({}, gates_);
+    process_->xray().setHandler(&CygBackend::handle, cygBackend_.get());
 }
 
 void DynCapi::attachTalpHandler(talp::TalpRuntime& talp) {

@@ -137,9 +137,9 @@ public:
     // --- measurement backends ----------------------------------------------
     /// GCC -finstrument-functions-compatible interface, which the Score-P
     /// backend uses too (pair it with a resolver built via symbol injection
-    /// to cover DSOs). Arms the committed policy's sampling gates on the
-    /// adapter's measurement and clears none, so attach a measurement whose
-    /// gates are all clear, such as a fresh one per epoch.
+    /// to cover DSOs). Leaves the adapter's measurement holding exactly the
+    /// committed policy's sampling gates: any other armed gate (one an older
+    /// policy left on a re-attached measurement) is cleared.
     void attachCygHandler(scorep::CygProfileAdapter& adapter);
     /// TALP backend: entry/exit drive monitoring-region start/stop.
     void attachTalpHandler(talp::TalpRuntime& talp);

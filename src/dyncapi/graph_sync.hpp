@@ -10,9 +10,10 @@
 // DsoGraphBinding routes the update through CallGraph's journaled mutation
 // API instead: unload() is a bulk tombstone removal, reload() re-adds the
 // remembered descs and re-links the remembered edges by name. Downstream,
-// CsrView::snapshot patches only the touched rows and the SelectorCache
-// keeps every stage whose footprint avoided the plugin's neighborhood — the
-// turnaround the paper's runtime-adaptability argument needs.
+// the SelectorCache keeps every stage whose footprint avoided the plugin's
+// neighborhood — the turnaround the paper's runtime-adaptability argument
+// needs — and the new generation's CsrView snapshot is built once and
+// shared by every stage that re-runs.
 #pragma once
 
 #include <cstddef>

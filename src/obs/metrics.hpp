@@ -1,7 +1,7 @@
 // Process-wide self-observability metrics registry.
 //
 // Every subsystem that keeps runtime health counters (measurement probe
-// counts, selector-cache survival, CSR patch-vs-rebuild, XRay transactions,
+// counts, selector-cache survival, CSR snapshot builds, XRay transactions,
 // controller health, MPI evictions, fault sites) registers here so one
 // snapshot describes the whole control plane — no more per-subsystem
 // accessor plumbing in tools. Two registration styles:

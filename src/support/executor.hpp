@@ -13,7 +13,7 @@
 // RefinementSession constructor): null runs serially, &Executor::pool()
 // runs on this shared pool, and embedders that must cap the width pass a
 // pool of their own. cg::CsrView::snapshot borrows this pool for large
-// full builds.
+// builds.
 #pragma once
 
 namespace capi::support {

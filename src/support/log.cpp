@@ -1,13 +1,13 @@
 #include "support/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <mutex>
 
 namespace capi::support {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::Warn};
+/// Messages below this level are dropped.
+constexpr LogLevel kThreshold = LogLevel::Warn;
 std::mutex g_mutex;
 
 const char* levelTag(LogLevel level) {
@@ -21,12 +21,8 @@ const char* levelTag(LogLevel level) {
 }
 }  // namespace
 
-void setLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-
-LogLevel logLevel() { return g_level.load(std::memory_order_relaxed); }
-
 void logMessage(LogLevel level, const std::string& message) {
-    if (level < g_level.load(std::memory_order_relaxed)) {
+    if (level < kThreshold) {
         return;
     }
     std::lock_guard<std::mutex> lock(g_mutex);

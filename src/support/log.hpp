@@ -1,4 +1,5 @@
-// Tiny leveled logger. Off-by-default debug level keeps benchmark output clean.
+// Tiny leveled logger. Only Warn and Error reach stderr, which keeps
+// benchmark output clean.
 #pragma once
 
 #include <sstream>
@@ -8,11 +9,8 @@ namespace capi::support {
 
 enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 
-/// Global log threshold; messages below it are dropped.
-void setLogLevel(LogLevel level);
-LogLevel logLevel();
-
-/// Emit one line to stderr with a level tag. Thread-safe.
+/// Emit one line to stderr with a level tag, unless the level is below Warn.
+/// Thread-safe.
 void logMessage(LogLevel level, const std::string& message);
 
 namespace detail {

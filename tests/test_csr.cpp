@@ -161,8 +161,8 @@ TEST(CsrView, MetricAndFlagColumnsMatchDescInFullAndPatchedBuilds) {
     support::ThreadPool pool(4);
     expectViewMatchesGraph(cg::CsrView(graph, &pool), graph);
 
-    // Patched rows: a metric-only touch, a whole-desc rewrite and an
-    // appended node, each re-read into the columns of the next snapshot.
+    // A metric-only touch, a whole-desc rewrite and an appended node, each
+    // read into the columns of the next snapshot.
     auto before = cg::CsrView::snapshot(graph);
     graph.touchMetrics(3, [](cg::FunctionMetrics& m) { m.profiledVisits = 4242; });
     randomizeDesc(graph, 9, rng);
@@ -172,7 +172,6 @@ TEST(CsrView, MetricAndFlagColumnsMatchDescInFullAndPatchedBuilds) {
     late.metrics.loopDepth = 3;
     graph.addFunction(late);
     auto after = cg::CsrView::snapshot(graph);
-    ASSERT_TRUE(after->patched());
     expectViewMatchesGraph(*after, graph);
     EXPECT_EQ(after->metrics(3).profiledVisits, 4242u);
     EXPECT_TRUE(after->flags(graph.lookup("late")).isMpi);
@@ -194,6 +193,16 @@ TEST(CsrView, SnapshotIsSharedPerGeneration) {
     auto c = cg::CsrView::snapshot(graph);
     EXPECT_NE(a.get(), c.get());
     EXPECT_EQ(c->size(), graph.size());
+}
+
+TEST(CsrView, MovesCarryTheHeldSnapshotAndCopiesStartWithout) {
+    cg::CallGraph graph = randomGraph(8, 50);
+    auto held = cg::CsrView::snapshot(graph);
+    // A copy builds its own view, so a selection on a copy runs cold.
+    const cg::CallGraph copy(graph);
+    EXPECT_NE(cg::CsrView::snapshot(copy).get(), held.get());
+    const cg::CallGraph moved = std::move(graph);
+    EXPECT_EQ(cg::CsrView::snapshot(moved).get(), held.get());
 }
 
 TEST(CsrView, MutateDescBumpsGenerationAndRefreshesSnapshot) {
@@ -373,10 +382,9 @@ TEST(CsrReachability, EntryClosureTracksEntryPointAndEdges) {
     EXPECT_TRUE(first->reachableFromEntry() == entryClosureOf(*first));
     EXPECT_TRUE(first->reachableFromEntry().test(first->entryPoint()));
 
-    // A new entry point: the patched snapshot computes its own closure.
+    // A new entry point: the new snapshot computes its own closure.
     graph.setEntryPoint(42);
     auto moved = cg::CsrView::snapshot(graph);
-    ASSERT_TRUE(moved->patched());
     ASSERT_EQ(moved->entryPoint(), 42u);
     EXPECT_TRUE(moved->reachableFromEntry() == entryClosureOf(*moved));
     EXPECT_FALSE(moved->reachableFromEntry() == first->reachableFromEntry());
@@ -458,6 +466,7 @@ TEST(CsrReachability, ConcurrentPooledSelectionsShareOneEntryClosure) {
 
     const cg::CallGraph graph = randomGraph(37, 20000);
     support::ThreadPool pool(4);
+    const cg::CsrView::SnapshotStats before = cg::CsrView::snapshotStats();
     std::vector<select::FunctionSet> results(3);
     std::vector<std::thread> runs;
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -471,6 +480,8 @@ TEST(CsrReachability, ConcurrentPooledSelectionsShareOneEntryClosure) {
     for (std::thread& run : runs) {
         run.join();
     }
+    // The three runs waited for one build of the graph's snapshot.
+    EXPECT_EQ(cg::CsrView::snapshotStats().fullBuilds, before.fullBuilds + 1);
     for (const select::FunctionSet& result : results) {
         EXPECT_TRUE(result == expected);
     }

@@ -266,6 +266,36 @@ TEST(DynCapi, AnApplyWritesOnlyTheGatesThatChanged) {
     EXPECT_EQ(next.regionSampling(next.defineRegion("solve")).first, 64u);
 }
 
+TEST(DynCapi, ReattachedMeasurementDropsGatesOfAnOlderPolicy) {
+    // a1 sees Amul Sampled, a2 sees it go Full; back on a1, the stale 1-in-8
+    // gate must not outlive the policy that armed it.
+    Process process(compile(testModel(), lowThreshold()));
+    dyncapi::DynCapi dyn(process);
+    scorep::Measurement first;
+    scorep::Measurement second;
+    scorep::CygProfileAdapter a1(first,
+                                 scorep::SymbolResolver::withSymbolInjection(process));
+    scorep::CygProfileAdapter a2(second,
+                                 scorep::SymbolResolver::withSymbolInjection(process));
+    select::InstrumentationPolicy sampled;
+    sampled.setRegion("Amul", {select::Tier::Sampled, {8, 0}});
+    select::InstrumentationPolicy full;
+    full.setRegion("Amul", {select::Tier::Full, {}});
+
+    dyn.attachCygHandler(a1);
+    testutil::expectGatesFollowTiers(dyn, process.xray(), first, sampled);
+    dyn.applyPolicy(sampled);
+    testutil::expectGatesFollowTiers(dyn, process.xray(), first, sampled);
+    EXPECT_EQ(first.regionSampling(first.defineRegion("Amul")).first, 8u);
+    dyn.attachCygHandler(a2);
+    testutil::expectGatesFollowTiers(dyn, process.xray(), second, sampled);
+    dyn.applyPolicy(full);
+    testutil::expectGatesFollowTiers(dyn, process.xray(), second, full);
+    dyn.attachCygHandler(a1);
+    testutil::expectGatesFollowTiers(dyn, process.xray(), first, full);
+    EXPECT_EQ(first.regionSampling(first.defineRegion("Amul")).first, 1u);
+}
+
 TEST(DynCapi, PatchAllMatchesSleddedCount) {
     // From a fresh process, and after a policy left Amul Sampled (1 in 8)
     // with a Score-P backend attached: patchAll ends every tier Full and

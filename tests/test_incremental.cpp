@@ -1,4 +1,4 @@
-// Incremental selection: the graph-delta journal, patchable CSR snapshots,
+// Incremental selection: the graph-delta journal, per-generation CSR snapshots,
 // footprint-aware SelectorCache survival, and the incremental==full
 // equivalence property over randomized mutation sequences.
 #include <gtest/gtest.h>
@@ -180,7 +180,7 @@ TEST(DeltaJournal, RemoveFunctionTombstones) {
     EXPECT_EQ(graph.size(), size + 1);
 }
 
-// ------------------------------------------------------------- CSR patching --
+// ------------------------------------------------------------ CSR snapshots --
 
 cg::CallGraph randomGraph(std::uint64_t seed, std::size_t nodes) {
     support::SplitMix64 rng(seed);
@@ -300,70 +300,22 @@ void expectCsrEquals(const cg::CsrView& a, const cg::CsrView& b) {
 class CsrPatchProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CsrPatchProperty, PatchedSnapshotMatchesFullRebuild) {
+    // After any mutation, the graph's held snapshot is the new generation's
+    // and equals a direct build.
     cg::CallGraph graph = randomGraph(GetParam(), 300);
     support::SplitMix64 rng(GetParam() ^ 0x5eed);
-    auto before = cg::CsrView::registryStats();
     std::shared_ptr<const cg::CsrView> view = cg::CsrView::snapshot(graph);
-    std::size_t patchedViews = 0;
     for (int round = 0; round < 12; ++round) {
         mutateRandomly(graph, rng, 1 + rng.nextBelow(6));
-        view = cg::CsrView::snapshot(graph);  // Patches from the previous view.
-        patchedViews += view->patched() ? 1 : 0;
-        cg::CsrView reference(graph);  // Direct full build, registry bypassed.
+        view = cg::CsrView::snapshot(graph);
+        ASSERT_EQ(view->generation(), graph.generation());
+        cg::CsrView reference(graph);  // Direct full build, held view bypassed.
         expectCsrEquals(*view, reference);
     }
-    EXPECT_GT(patchedViews, 0u);
-    auto after = cg::CsrView::registryStats();
-    EXPECT_GT(after.patchBuilds, before.patchBuilds);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrPatchProperty,
                          ::testing::Values(3u, 17u, 99u, 2027u));
-
-TEST(CsrRegistry, GraphDestructionEvictsEagerly) {
-    auto before = cg::CsrView::registryStats();
-    std::size_t slotsBefore;
-    {
-        cg::CallGraph graph = randomGraph(7, 50);
-        cg::CsrView::snapshot(graph);
-        slotsBefore = cg::CsrView::registrySlotCount();
-        EXPECT_GT(slotsBefore, 0u);
-    }
-    EXPECT_EQ(cg::CsrView::registrySlotCount(), slotsBefore - 1);
-    EXPECT_EQ(cg::CsrView::registryStats().graphsReleased,
-              before.graphsReleased + 1);
-}
-
-TEST(CsrRegistry, MovedFromGraphDoesNotEvictItsSuccessor) {
-    cg::CallGraph graph = randomGraph(8, 50);
-    cg::CsrView::snapshot(graph);
-    std::size_t slots = cg::CsrView::registrySlotCount();
-    {
-        cg::CallGraph stolen = std::move(graph);
-        cg::CsrView::snapshot(stolen);
-        // The husk's destructor must not tear down the transferred slot.
-        cg::CallGraph husk = std::move(stolen);
-        EXPECT_EQ(cg::CsrView::registrySlotCount(), slots);
-    }
-    EXPECT_EQ(cg::CsrView::registrySlotCount(), slots - 1);
-}
-
-TEST(CsrPatch, HighChurnFallsBackToFullRebuild) {
-    cg::CallGraph graph = randomGraph(11, 16000);
-    std::shared_ptr<const cg::CsrView> first = cg::CsrView::snapshot(graph);
-    // Touch well over the churn threshold (max(1024, n/8) = 2000 dirty
-    // nodes): the patch path must refuse and rebuild.
-    for (int i = 0; i < 4000; ++i) {
-        graph.touchMetrics(static_cast<cg::FunctionId>(i),
-                           [i](cg::FunctionMetrics& m) {
-                               m.profiledVisits = static_cast<std::uint32_t>(i);
-                           });
-    }
-    std::shared_ptr<const cg::CsrView> second = cg::CsrView::snapshot(graph);
-    EXPECT_FALSE(second->patched());
-    cg::CsrView reference(graph);
-    expectCsrEquals(*second, reference);
-}
 
 // ----------------------------------------------------------- DSO graph sync --
 
@@ -704,11 +656,10 @@ TEST(RefinementSession, DeclarationGainingABodyIsSelectedNextStep) {
     EXPECT_FALSE(before.ic.contains("kernel"));
 
     // The defining TU's sighting merges into the node as a DescTouch; the
-    // shared snapshot patches its mask instead of rebuilding.
+    // next snapshot's has-body mask carries it.
     cg::FunctionDesc definition = graph.desc(graph.lookup("kernel"));
     definition.flags.hasBody = true;
     graph.addFunction(definition);
-    EXPECT_TRUE(cg::CsrView::snapshot(graph)->patched());
 
     select::SelectionReport after = session.select(spec, "kernels", base);
     EXPECT_TRUE(after.ic.contains("kernel"));

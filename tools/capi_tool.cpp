@@ -25,11 +25,12 @@
 //
 // --stats additionally folds each epoch's visit counts into the call graph
 // (journaled metric touches), re-runs a profiledVisits refinement spec
-// through the session every epoch, and afterwards dumps the process-wide
+// through the session every epoch (printing its cache hits and the CSR
+// snapshots it built or shared), and afterwards dumps the process-wide
 // obs::MetricsRegistry snapshot — selector-cache hit/survival/purge totals
-// with the per-shard breakdown, CSR patch-vs-rebuild counts, XRay patch
-// transactions, controller health — every counter any subsystem registered,
-// with no per-subsystem accessor plumbing in this tool.
+// with the per-shard breakdown, CSR snapshot builds and shared hits, XRay
+// patch transactions, controller health — every counter any subsystem
+// registered, with no per-subsystem accessor plumbing in this tool.
 //
 // The `trace` and `metrics` subcommands run the same adaptive loop with the
 // self-observability recorder enabled and export the result:
@@ -73,6 +74,7 @@
 #include "apps/openfoam.hpp"
 #include "apps/specs.hpp"
 #include "binsim/execution_engine.hpp"
+#include "cg/csr_view.hpp"
 #include "cg/metacg_builder.hpp"
 #include "cg/metacg_json.hpp"
 #include "fleet/aggregator.hpp"
@@ -330,8 +332,9 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
     config.pool = poolForThreads(threads, ownedPool);
     if (printStats) {
         // Fold per-epoch visit counts into the graph as journaled metric
-        // touches so the per-epoch refinement re-selection below exercises
-        // the incremental machinery the counters describe.
+        // touches so the per-epoch refinement re-selection below runs on a
+        // new graph generation: a fresh CSR snapshot, and the selector
+        // cache's footprint survival over the metric delta.
         config.foldVisitMetricsInto = &graph;
     }
     adapt::Controller controller(graph, dyn, config);
@@ -428,13 +431,20 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
             // An incremental re-selection against the just-journaled metric
             // delta: the profiledVisits stage re-runs, everything else —
             // including coarse's graph walk once the visit counts settle —
-            // answers from the surviving cache over a patched snapshot.
+            // answers from the surviving cache. The new generation's CSR
+            // snapshot is built once and shared by every stage that reads it.
+            const cg::CsrView::SnapshotStats before = cg::CsrView::snapshotStats();
             select::SelectionReport refine = controller.session().select(
                 kVisitsRefineSpec, "visits-refine");
+            const cg::CsrView::SnapshotStats after = cg::CsrView::snapshotStats();
             std::printf("  re-selection: %zu selected, %zu/%zu stages from "
-                        "cache\n",
+                        "cache; CSR snapshots %llu built, %llu shared\n",
                         refine.selectedFinal, refine.pipelineRun.cacheHits,
-                        refine.pipelineRun.sizes.size());
+                        refine.pipelineRun.sizes.size(),
+                        static_cast<unsigned long long>(after.fullBuilds -
+                                                        before.fullBuilds),
+                        static_cast<unsigned long long>(after.sharedHits -
+                                                        before.sharedHits));
         }
     }
     std::printf("%s after %zu epochs: IC %zu of %zu functions (%zu full, "
@@ -446,7 +456,7 @@ int runAdapt(int argc, char** argv, AdaptMode mode) {
                 controller.currentPolicy().countOf(select::Tier::Sampled));
     if (printStats) {
         // One snapshot covers every subsystem that registered: selector
-        // cache (totals + per-shard), CSR registry, XRay transactions,
+        // cache (totals + per-shard), CSR snapshots, XRay transactions,
         // measurement probe counters, controller health. Zero-valued
         // samples stay out so quiet shards/sites do not flood the report.
         std::vector<obs::Sample> samples = obs::MetricsRegistry::global().snapshot();
